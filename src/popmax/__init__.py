@@ -36,6 +36,7 @@ from .core import (
 from .errors import (
     BoundExceededError,
     CertificateError,
+    InputError,
     InternalError,
     LimitExceededError,
     NotMaximumError,
@@ -50,6 +51,7 @@ from .gstar import (
     GStarInstance,
     LevelPartition,
     build_gstar,
+    level_proposals,
     levels,
     lift,
     popular_max_matching,

@@ -2,11 +2,11 @@
 
 A certificate assigns each matched node an even integer: nonpositive on the
 A-side, nonnegative on the B-side, summing to 0, with matched pairs tight
-and every edge between matched nodes satisfied. Neighbors of unmatched
-B-nodes must sit at 0 and neighbors of unmatched A-nodes at the top of the
-range. Certificates are read off the copy subscripts of a stable matching
-of the derived instance, after compressing the subscript levels into the
-range the matched-pair count allows.
+and every edge with a matched endpoint satisfied, an unmatched node taking
+the extreme value of its side. Neighbors of unmatched B-nodes must sit at 0
+and neighbors of unmatched A-nodes at the top of the range. Certificates
+are read off the levels of a stable matching of the derived instance,
+after compressing the levels into the range the matched-pair count allows.
 """
 
 from __future__ import annotations
@@ -15,8 +15,15 @@ from dataclasses import dataclass
 
 from .core import Instance, Matching, is_maximum, wt_edge
 from .errors import CertificateError, InternalError, NotPopularError, ParseError
-from .gstar import GStarInstance, _remap_levels, build_gstar, levels, project
-from .stable import gale_shapley
+from .gstar import (
+    GStarInstance,
+    LevelPartition,
+    _remap_levels,
+    build_gstar,
+    level_proposals,
+    levels,
+    project,
+)
 
 
 @dataclass(frozen=True)
@@ -35,7 +42,14 @@ class CertificateReport:
 
 
 def extract_certificate(inst: Instance, gs: GStarInstance, s: Matching) -> DualCertificate:
-    """Certificate for project(s) from the level partition of stable s.
+    """Certificate for project(s) from the level partition of stable s;
+    see `_certificate_from_levels`."""
+    lp = levels(gs, s)  # raises NotStableError for unstable s
+    return _certificate_from_levels(inst, project(gs, s), lp)
+
+
+def _certificate_from_levels(inst: Instance, m: Matching, lp: LevelPartition) -> DualCertificate:
+    """Certificate for m from the level partition of a stable preimage.
 
     Matched nodes at compressed level i get alpha -2i (A-side) or +2i
     (B-side). Raw copy subscripts are order-preservingly remapped into
@@ -44,8 +58,6 @@ def extract_certificate(inst: Instance, gs: GStarInstance, s: Matching) -> DualC
     B-node has neighbors, and the top to n0'-1 when some unmatched A-node
     does. The result always passes verify_certificate.
     """
-    lp = levels(gs, s)  # raises NotStableError for unstable s
-    m = project(gs, s)
     raw = {}
     for a, b in m.pairs:
         raw[a] = lp.level_of_a[a]
@@ -70,7 +82,9 @@ def extract_certificate(inst: Instance, gs: GStarInstance, s: Matching) -> DualC
 def verify_certificate(inst: Instance, m: Matching, cert: DualCertificate) -> CertificateReport:
     """Check all six certificate conditions, reporting violations individually.
 
-    (F) alpha_a + alpha_b >= wt(a,b) on every edge between matched nodes;
+    (F) alpha_a + alpha_b >= wt(a,b) on every edge with a matched endpoint,
+    where an unmatched A-node counts as -2(n0'-1) and an unmatched B-node
+    as 0;
     (CS) alpha_a + alpha_b = 0 on matched pairs; (Z) the values sum to 0;
     (R) evenness and the ranges 0..-2(n0'-1) / 0..2(n0'-1); (P1) alpha_a = 0
     for neighbors of unmatched B-nodes; (P2) alpha_b = 2(n0'-1) for
@@ -107,8 +121,8 @@ def verify_certificate(inst: Instance, m: Matching, cert: DualCertificate) -> Ce
     if total != 0:
         violations.append(f"Z: certificate sums to {total} != 0")
     for a, b in inst.edges:
-        if a in cert.alpha and b in cert.alpha:
-            s = cert.alpha[a] + cert.alpha[b]
+        if a in cert.alpha or b in cert.alpha:
+            s = cert.alpha.get(a, -top) + cert.alpha.get(b, 0)
             w = wt_edge(inst, m, (a, b))
             if s < w:
                 violations.append(f"F: alpha[{a}] + alpha[{b}] = {s} < wt = {w} at ({a},{b})")
@@ -130,21 +144,23 @@ def verify_certificate(inst: Instance, m: Matching, cert: DualCertificate) -> Ce
 def certify_popular_max(inst: Instance, m: Matching) -> DualCertificate:
     """Produce a verified certificate for a verified popular max-matching.
 
-    Extracts from the canonical proposal run of the derived instance when
-    that run already projects to m; otherwise scans the stable-matching
-    enumeration of the derived instance for a preimage. A verified popular
-    max-matching always has one; not finding it indicates a bug, not bad
-    input.
+    When m is the canonical popular max-matching, reads the certificate off
+    the levels of `level_proposals`, in O(|E| x levels used) and without
+    building the derived instance. Only for any other m does it build the
+    derived instance (as otherwise only `gstar`, `emit-lp`, `mincost` and
+    `lift` do) and scan its stable-matching enumeration for a preimage of
+    m. A verified popular max-matching always has one; not finding it
+    indicates a bug, not bad input.
     """
     from .popularity import verify_popular_max
 
     verdict = verify_popular_max(inst, m)  # raises NotMaximumError if not maximum
     if not verdict.popular:
         raise NotPopularError("matching is not a popular max-matching; no certificate exists")
+    canonical, lp = level_proposals(inst)
+    if canonical.pairs == m.pairs:
+        return _certificate_from_levels(inst, m, lp)
     gs = build_gstar(inst)
-    s = gale_shapley(gs.inner, "A")
-    if project(gs, s).pairs == m.pairs:
-        return extract_certificate(inst, gs, s)
     from .mincost import enumerate_stable
 
     for s in enumerate_stable(gs.inner):

@@ -14,6 +14,7 @@ from fractions import Fraction
 from . import certificates, core, gstar, hardness, mincost, oracle, popularity
 from .errors import (
     BoundExceededError,
+    InputError,
     LimitExceededError,
     NotMaximumError,
     NotPopularError,
@@ -29,10 +30,16 @@ EXIT_BOUND = 3
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            if hasattr(sys.stdin, "buffer"):
+                # the text layer of stdin may escape bad bytes instead of failing
+                return sys.stdin.buffer.read().decode("utf-8")
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
 
 
 def _emit(args, status: str, result, witness=None, text: str = ""):
@@ -50,21 +57,17 @@ def _witness_json(w: popularity.Witness) -> dict:
             "edges": [list(e) for e in w.edges], "weight": w.weight}
 
 
-def _matching_text(inst, m) -> str:
-    return core.serialize_matching(m)
-
-
 def cmd_solve(args) -> int:
     inst = core.parse_instance(_read(args.instance))
     m = gstar.popular_max_matching(inst)
-    _emit(args, "ok", core.matching_to_json(inst, m), text=_matching_text(inst, m))
+    _emit(args, "ok", core.matching_to_json(inst, m), text=core.serialize_matching(m))
     return EXIT_OK
 
 
 def cmd_mincost(args) -> int:
     inst = core.parse_instance(_read(args.instance))
     res = mincost.min_cost_popular_max(inst)
-    text = _matching_text(inst, res.matching)
+    text = core.serialize_matching(res.matching)
     text += f"cost {res.cost}\n"
     text += certificates.serialize_certificate(inst, res.certificate)
     result = core.matching_to_json(inst, res.matching)
@@ -206,7 +209,7 @@ def cmd_oracle(args) -> int:
     elif args.what == "min-cost":
         m, cost = oracle.brute_min_cost_popular_max(inst, args.bound)
         result = core.matching_to_json(inst, m)
-        _emit(args, "ok", result, text=_matching_text(inst, m) + f"cost {cost}\n")
+        _emit(args, "ok", result, text=core.serialize_matching(m) + f"cost {cost}\n")
     elif args.what == "unpopularity":
         m = core.parse_matching(inst, _read(args.matching))
         u = oracle.brute_unpopularity_factor(inst, m, args.bound)
@@ -294,7 +297,7 @@ def main(argv=None) -> int:
         parser.error("oracle unpopularity needs a MATCHFILE")
     try:
         return args.func(args)
-    except (ParseError, ValidationError, UnsupportedClauseError) as exc:
+    except (InputError, ParseError, ValidationError, UnsupportedClauseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if args.json:
             print(json.dumps({"status": "error", "result": str(exc)}))
@@ -304,9 +307,6 @@ def main(argv=None) -> int:
         if args.json:
             print(json.dumps({"status": "error", "result": str(exc)}))
         return EXIT_BOUND
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

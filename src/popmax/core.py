@@ -57,17 +57,17 @@ class Instance:
             for v in lst:
                 if v not in opposite:
                     raise ValidationError(f"{u!r} lists {v!r}, which is not on the opposite side")
+        rank = {u: {v: i for i, v in enumerate(lst)} for u, lst in prefs.items()}
         for a in self.side_a:
             for b in prefs[a]:
-                if a not in prefs[b]:
+                if a not in rank[b]:
                     raise ValidationError(f"non-mutual preference: {a!r} lists {b!r} but not vice versa")
         for b in self.side_b:
             for a in prefs[b]:
-                if b not in prefs[a]:
+                if b not in rank[a]:
                     raise ValidationError(f"non-mutual preference: {b!r} lists {a!r} but not vice versa")
         edges = tuple((a, b) for a in self.side_a for b in prefs[a])
         object.__setattr__(self, "edges", edges)
-        rank = {u: {v: i for i, v in enumerate(lst)} for u, lst in prefs.items()}
         object.__setattr__(self, "_rank", rank)
         edge_set = set(edges)
         costs = {}
@@ -386,6 +386,12 @@ def random_instance(na: int, nb: int, density: float, seed: int,
                     cost_range: tuple[int, int] | None = None) -> Instance:
     """Seeded random instance: sample an edge set, then shuffle each node's
     incident list independently. Guarantees mutual preference lists."""
+    if na < 0 or nb < 0:
+        raise ValidationError(f"side sizes must be nonnegative, got {na} and {nb}")
+    if not 0 <= density <= 1:
+        raise ValidationError(f"density must lie in [0, 1], got {density}")
+    if cost_range is not None and cost_range[0] > cost_range[1]:
+        raise ValidationError(f"empty cost range {cost_range[0]}..{cost_range[1]}")
     rng = random.Random(seed)
     side_a = tuple(f"a{i+1}" for i in range(na))
     side_b = tuple(f"b{j+1}" for j in range(nb))

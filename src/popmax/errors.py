@@ -16,6 +16,10 @@ class ParseError(PopmaxError):
         self.column = column
 
 
+class InputError(PopmaxError):
+    """An input file or stream could not be read as UTF-8 text."""
+
+
 class ValidationError(PopmaxError):
     """Structurally well-formed input that violates an instance invariant."""
 

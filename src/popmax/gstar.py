@@ -11,6 +11,7 @@ the copy subscripts carry the dual-certificate levels.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .core import Edge, Instance, Matching, make_matching
@@ -40,15 +41,6 @@ class GStarInstance:
     inner: Instance
     n0: int
     origin: dict[str, tuple] = field(repr=False)  # node -> ("copy",a,i) | ("dummy",a,i) | ("image",b)
-
-    def copy(self, a: str, i: int) -> str:
-        return copy_name(a, i)
-
-    def image(self, b: str) -> str:
-        return image_name(b)
-
-    def dummy(self, a: str, i: int) -> str:
-        return dummy_name(a, i)
 
 
 def build_gstar(inst: Instance) -> GStarInstance:
@@ -152,9 +144,69 @@ def levels(gs: GStarInstance, s: Matching) -> LevelPartition:
     return LevelPartition(level_of_a, level_of_b, n0)
 
 
+def level_proposals(inst: Instance) -> tuple[Matching, LevelPartition]:
+    """The canonical popular max-matching and its levels, without the
+    derived instance.
+
+    Every A-node proposes down its list at its current level; when the
+    list is exhausted it moves up one level and starts again from the
+    top, and at level n0-1 it stays unmatched. Each B-node holds the
+    proposer with the largest (level, own preference). This is a valid
+    run of A-proposing deferred acceptance in the derived instance: the
+    active copy of a is its copy at the current level, the copies below
+    it hold their dummies, and an image ranks higher-subscript copies
+    first. The proposer-optimal stable matching is unique, so the result
+    equals project/levels of gale_shapley(build_gstar(inst).inner, "A").
+    It costs O(|E| x levels used).
+    """
+    n0 = len(inst.side_a)
+    level = {a: 0 for a in inst.side_a}
+    next_choice = {a: 0 for a in inst.side_a}
+    held: dict[str, str] = {}  # B-node -> A-node
+    queue = deque(inst.side_a)
+    while queue:
+        a = queue.popleft()
+        lst = inst.prefs[a]
+        if not lst:
+            level[a] = n0 - 1
+            continue
+        while True:
+            if next_choice[a] == len(lst):
+                if level[a] == n0 - 1:
+                    break
+                level[a] += 1
+                next_choice[a] = 0
+            b = lst[next_choice[a]]
+            next_choice[a] += 1
+            current = held.get(b)
+            if current is None:
+                held[b] = a
+                break
+            if level[a] > level[current] or (
+                    level[a] == level[current] and inst.prefers(b, a, current)):
+                held[b] = a
+                queue.append(current)
+                break
+    level_of_b = {b: 0 for b in inst.side_b}
+    for b, a in held.items():
+        level_of_b[b] = level[a]
+    m = make_matching(inst, [(a, b) for b, a in held.items()])
+    return m, LevelPartition(level, level_of_b, n0)
+
+
 def popular_max_matching(inst: Instance, proposing_side: str = "A") -> Matching:
-    """A popular max-matching: run deferred acceptance in the derived
-    instance and project. The A-proposing run is the canonical one."""
+    """A popular max-matching, as the projection of a deferred-acceptance
+    run in the derived instance.
+
+    The A-proposing run is the canonical one; it runs as `level_proposals`
+    on the source graph in O(|E| x levels used), without building the
+    derived instance. The B-proposing run builds it; elsewhere it is built
+    only where it is the product: the `gstar`, `emit-lp` and `mincost`
+    commands, `lift`, and the non-canonical fallback of
+    `certify_popular_max`.
+    """
+    if proposing_side == "A":
+        return level_proposals(inst)[0]
     gs = build_gstar(inst)
     return project(gs, gale_shapley(gs.inner, proposing_side))
 

@@ -54,7 +54,8 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         if s.startswith("p"):
             parts = s.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if (len(parts) != 4 or parts[1] != "cnf"
+                    or not parts[2].isdecimal() or not parts[3].isdecimal()):
                 raise ParseError("expected `p cnf <vars> <clauses>`", lineno)
             num_vars = int(parts[2])
             saw_header = True

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .core import Instance, Matching, make_matching, matching_cost
 from .errors import InternalError, LimitExceededError
-from .gstar import build_gstar, project
+from .gstar import build_gstar, copy_name, dummy_name, image_name, project
 from .stable import gale_shapley
 
 # ---------------------------------------------------------------------------
@@ -440,9 +440,9 @@ def emit_lp(inst: Instance) -> str:
     must_match = set()
     for a in inst.side_a:
         for i in range(gs.n0 - 1):
-            must_match.add(gs.copy(a, i))
+            must_match.add(copy_name(a, i))
         for i in range(1, gs.n0):
-            must_match.add(gs.dummy(a, i))
+            must_match.add(dummy_name(a, i))
     for node in inner.nodes:
         incident = [evar(*inner.as_edge(node, v)) for v in inner.prefs[node]]
         if not incident:
@@ -453,7 +453,7 @@ def emit_lp(inst: Instance) -> str:
             lines.append(f" fix.{_lp_token(gs, node)}: {expr} = 1")
 
     for a, b in inst.edges:
-        copies = " - ".join(evar(gs.copy(a, i), gs.image(b)) for i in range(gs.n0))
+        copies = " - ".join(evar(copy_name(a, i), image_name(b)) for i in range(gs.n0))
         lines.append(f" link.{_enc(a)}.{_enc(b)}: {gvar(a, b)} - {copies} = 0")
 
     lines.append("Bounds")

@@ -60,6 +60,23 @@ def test_verify_all_zero_fails_feasibility(i1):
     assert any(v.startswith("F:") and "(a2,b1)" in v for v in report.violations)
 
 
+def test_verify_rejects_edge_to_unmatched_node():
+    """F also holds on edges with one unmatched endpoint: a1 prefers the
+    unmatched b4 to its partner b5, so the all-zero certificate must fail
+    on (a1,b4), as the oracle and the popularity verifier reject M."""
+    from popmax import parse_instance
+
+    inst = parse_instance(
+        "side A a1 a2\nside B b1 b2 b3 b4 b5\n"
+        "pref a1: b4 b1 b3 b5\npref a2: b2 b1 b5 b3 b4\n"
+        "pref b1: a2 a1\npref b2: a2\npref b3: a1 a2\npref b4: a2 a1\npref b5: a2 a1\n")
+    m = mk(inst, ("a1", "b5"), ("a2", "b1"))
+    assert not verify_popular_max(inst, m).popular
+    report = verify_certificate(inst, m, DualCertificate({"a1": 0, "a2": 0, "b1": 0, "b5": 0}, 2))
+    assert not report.ok
+    assert any(v.startswith("F:") and "(a1,b4)" in v for v in report.violations)
+
+
 def test_verify_zero_on_single_edge(i0):
     m = mk(i0, ("a", "b"))
     assert verify_certificate(i0, m, DualCertificate({"a": 0, "b": 0}, 1)).ok

@@ -143,3 +143,43 @@ def test_stdin_dash(files, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(I0_TEXT))
     code, out, _ = run(capsys, "solve", "-")
     assert code == 0 and out == "a b\n"
+
+
+@pytest.mark.parametrize("kind", ["directory", "latin-1", "missing"])
+def test_exit_code_unreadable_input(tmp_path, capsys, kind):
+    p = tmp_path / "input.txt"
+    if kind == "directory":
+        p.mkdir()
+    elif kind == "latin-1":
+        p.write_bytes("side A \u00e9\n".encode("latin-1"))
+    code, out, err = run(capsys, "solve", str(p))
+    assert code == 2 and out == "" and err.startswith("error: cannot read")
+
+
+def test_exit_code_non_utf8_stdin(capsys, monkeypatch):
+    import io
+
+    stdin = io.TextIOWrapper(io.BytesIO(b"side A \xe9\n"), encoding="utf-8",
+                             errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, "solve", "-")
+    assert code == 2 and out == "" and err.startswith("error: cannot read -")
+
+
+def test_exit_code_bad_dimacs_header(tmp_path, capsys):
+    p = tmp_path / "x.cnf"
+    p.write_text("p cnf x 2\n1 2 0\n-1 -2 0\n")
+    code, _, err = run(capsys, "gen-hardness", str(p))
+    assert code == 2 and "p cnf" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--na", "-1", "--nb", "2", "--density", "0.5"),
+    ("--na", "2", "--nb", "-1", "--density", "0.5"),
+    ("--na", "2", "--nb", "2", "--density", "2"),
+    ("--na", "2", "--nb", "2", "--density", "-0.1"),
+    ("--na", "2", "--nb", "2", "--density", "0.5", "--cost-lo", "5", "--cost-hi", "2"),
+])
+def test_exit_code_bad_gen_random_arguments(capsys, argv):
+    code, out, err = run(capsys, "gen-random", *argv, "--seed", "1")
+    assert code == 2 and out == "" and err.startswith("error:")

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+import popmax
 from popmax import (
     ValidationError,
     build_gstar,
     gale_shapley,
     is_stable,
+    level_proposals,
     levels,
     lift,
     make_matching,
@@ -202,3 +206,46 @@ def test_b_proposing_projection_also_popular():
     for _seed, inst in random_cases(25, 4, 6300):
         m = popular_max_matching(inst, proposing_side="B")
         assert verify_popular_max(inst, m).popular
+
+
+def _level_run_cases():
+    """Square and rectangular instances with |A| and |B| from 0, sparse ones
+    with empty lists, and level-heavy ones with |A| much larger than |B|."""
+    yield from (inst for _seed, inst in random_cases(200, 7, 6400, min_side=0,
+                                                     density=(0.0, 1.0)))
+    rng = random.Random(6500)
+    for k in range(100):
+        na, nb = rng.randint(6, 12), rng.randint(0, 3)
+        yield popmax.random_instance(na, nb, rng.uniform(0.3, 1.0), 6600 + k)
+
+
+def test_level_proposals_equal_gstar_run():
+    """The level run is the A-proposing deferred acceptance of the derived
+    instance: same projection, same level partition."""
+    for inst in _level_run_cases():
+        gs = build_gstar(inst)
+        s = gale_shapley(gs.inner, "A")
+        m, lp = level_proposals(inst)
+        assert m.pairs == project(gs, s).pairs
+        assert lp == levels(gs, s)
+
+
+def test_solve_and_canonical_certify_never_build_gstar(monkeypatch, i1, i3):
+    def refuse(_inst):
+        raise AssertionError("the derived instance was built")
+
+    for mod in (popmax, popmax.gstar, popmax.certificates, popmax.mincost):
+        monkeypatch.setattr(mod, "build_gstar", refuse)
+    for inst in (i1, i3):
+        m = popular_max_matching(inst)
+        cert = popmax.certify_popular_max(inst, m)
+        assert popmax.verify_certificate(inst, m, cert).ok
+
+
+def test_solve_complete_level_heavy():
+    """A complete 300 x 5 instance climbs through hundreds of levels."""
+    inst = popmax.random_instance(300, 5, 1.0, 7)
+    m = popular_max_matching(inst)
+    assert len(m) == 5 and verify_popular_max(inst, m).popular
+    _, lp = level_proposals(inst)
+    assert all(lp.level_of_a[a] == 299 for a in inst.side_a if not m.is_matched(a))
