@@ -4,9 +4,11 @@ A certificate assigns each matched node an even integer: nonpositive on the
 A-side, nonnegative on the B-side, summing to 0, with matched pairs tight
 and every edge with a matched endpoint satisfied, an unmatched node taking
 the extreme value of its side. Neighbors of unmatched B-nodes must sit at 0
-and neighbors of unmatched A-nodes at the top of the range. Certificates
-are read off the levels of a stable matching of the derived instance,
-after compressing the levels into the range the matched-pair count allows.
+and neighbors of unmatched A-nodes at the top of the range. `certify`
+reads a certificate off the potentials of the popularity pass, and
+`extract_certificate` off the levels of a stable matching of the derived
+instance; both compress the levels into the range the matched-pair count
+allows.
 """
 
 from __future__ import annotations
@@ -15,15 +17,8 @@ from dataclasses import dataclass
 
 from .core import Instance, Matching, is_maximum, wt_edge
 from .errors import CertificateError, InternalError, NotPopularError, ParseError
-from .gstar import (
-    GStarInstance,
-    LevelPartition,
-    _remap_levels,
-    build_gstar,
-    level_proposals,
-    levels,
-    project,
-)
+from .gstar import GStarInstance, _remap_levels, levels, project
+from .popularity import Witness, _witness_or_potentials
 
 
 @dataclass(frozen=True)
@@ -45,23 +40,26 @@ def extract_certificate(inst: Instance, gs: GStarInstance, s: Matching) -> DualC
     """Certificate for project(s) from the level partition of stable s;
     see `_certificate_from_levels`."""
     lp = levels(gs, s)  # raises NotStableError for unstable s
-    return _certificate_from_levels(inst, project(gs, s), lp)
+    m = project(gs, s)
+    raw = {}
+    for a, b in m.pairs:
+        raw[a] = lp.level_of_a[a]
+        raw[b] = lp.level_of_b[b]
+    return _certificate_from_levels(inst, m, raw)
 
 
-def _certificate_from_levels(inst: Instance, m: Matching, lp: LevelPartition) -> DualCertificate:
-    """Certificate for m from the level partition of a stable preimage.
+def _certificate_from_levels(inst: Instance, m: Matching, raw: dict[str, int]) -> DualCertificate:
+    """Certificate for m from raw levels of its matched nodes: the copy
+    subscripts of a stable preimage, or half the potentials of the
+    popularity pass.
 
     Matched nodes at compressed level i get alpha -2i (A-side) or +2i
-    (B-side). Raw copy subscripts are order-preservingly remapped into
+    (B-side). Raw levels are order-preservingly remapped into
     0..n0'-1: levels chained by an edge whose A-end sits one level above its
     B-end stay adjacent, the bottom is pinned to 0 when some unmatched
     B-node has neighbors, and the top to n0'-1 when some unmatched A-node
     does. The result always passes verify_certificate.
     """
-    raw = {}
-    for a, b in m.pairs:
-        raw[a] = lp.level_of_a[a]
-        raw[b] = lp.level_of_b[b]
     n0_prime = len(m.pairs)
     unmatched_a = [a for a in inst.side_a if not m.is_matched(a) and inst.prefs[a]]
     unmatched_b = [b for b in inst.side_b if not m.is_matched(b) and inst.prefs[b]]
@@ -142,31 +140,17 @@ def verify_certificate(inst: Instance, m: Matching, cert: DualCertificate) -> Ce
 
 
 def certify_popular_max(inst: Instance, m: Matching) -> DualCertificate:
-    """Produce a verified certificate for a verified popular max-matching.
+    """Produce a verified certificate for a popular max-matching.
 
-    When m is the canonical popular max-matching, reads the certificate off
-    the levels of `level_proposals`, in O(|E| x levels used) and without
-    building the derived instance. Only for any other m does it build the
-    derived instance (as otherwise only `gstar`, `emit-lp`, `mincost` and
-    `lift` do) and scan its stable-matching enumeration for a preimage of
-    m. A verified popular max-matching always has one; not finding it
-    indicates a bug, not bad input.
+    One longest-walk pass over the alternating digraph of m either finds a
+    witness against m (NotPopularError) or yields potentials; their halves
+    are the raw levels of the certificate. Raises NotMaximumError unless m
+    is maximum.
     """
-    from .popularity import verify_popular_max
-
-    verdict = verify_popular_max(inst, m)  # raises NotMaximumError if not maximum
-    if not verdict.popular:
+    found = _witness_or_potentials(inst, m)
+    if isinstance(found, Witness):
         raise NotPopularError("matching is not a popular max-matching; no certificate exists")
-    canonical, lp = level_proposals(inst)
-    if canonical.pairs == m.pairs:
-        return _certificate_from_levels(inst, m, lp)
-    gs = build_gstar(inst)
-    from .mincost import enumerate_stable
-
-    for s in enumerate_stable(gs.inner):
-        if project(gs, s).pairs == m.pairs:
-            return extract_certificate(inst, gs, s)
-    raise InternalError("no stable preimage found for a verified popular max-matching")
+    return _certificate_from_levels(inst, m, {u: y // 2 for u, y in found.items()})
 
 
 def serialize_certificate(inst: Instance, cert: DualCertificate) -> str:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success/verified, 1 verification rejected (witness printed),
-2 malformed input, 3 size bound exceeded.
+2 malformed input, 3 size bound exceeded, 4 internal error (a bug: a
+condition the theory rules out was met; `internal error: ...` on stderr).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from . import certificates, core, gstar, hardness, mincost, oracle, popularity
 from .errors import (
     BoundExceededError,
     InputError,
+    InternalError,
     LimitExceededError,
     NotMaximumError,
     NotPopularError,
@@ -27,6 +29,7 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_BAD_INPUT = 2
 EXIT_BOUND = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
@@ -194,16 +197,11 @@ def _matchings_text(ms) -> str:
 
 def cmd_oracle(args) -> int:
     inst = core.parse_instance(_read(args.instance))
-    if args.what == "matchings":
-        ms = sorted(oracle.enum_matchings(inst, args.bound), key=lambda m: sorted(m.pairs))
-        _emit(args, "ok", [[list(e) for e in sorted(m.pairs)] for m in ms],
-              text=_matchings_text(ms))
-    elif args.what == "max-matchings":
-        ms = sorted(oracle.enum_max_matchings(inst, args.bound), key=lambda m: sorted(m.pairs))
-        _emit(args, "ok", [[list(e) for e in sorted(m.pairs)] for m in ms],
-              text=_matchings_text(ms))
-    elif args.what == "popular-max":
-        ms = sorted(oracle.brute_popular_max(inst, args.bound), key=lambda m: sorted(m.pairs))
+    enumerators = {"matchings": oracle.enum_matchings,
+                   "max-matchings": oracle.enum_max_matchings,
+                   "popular-max": oracle.brute_popular_max}
+    if args.what in enumerators:
+        ms = sorted(enumerators[args.what](inst, args.bound), key=lambda m: sorted(m.pairs))
         _emit(args, "ok", [[list(e) for e in sorted(m.pairs)] for m in ms],
               text=_matchings_text(ms))
     elif args.what == "min-cost":
@@ -289,6 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_error(args, label: str, exc: Exception, code: int) -> int:
+    print(f"{label}: {exc}", file=sys.stderr)
+    if args.json:
+        print(json.dumps({"status": "error", "result": str(exc)}))
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -298,15 +303,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InputError, ParseError, ValidationError, UnsupportedClauseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if args.json:
-            print(json.dumps({"status": "error", "result": str(exc)}))
-        return EXIT_BAD_INPUT
+        return _report_error(args, "error", exc, EXIT_BAD_INPUT)
     except (BoundExceededError, LimitExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if args.json:
-            print(json.dumps({"status": "error", "result": str(exc)}))
-        return EXIT_BOUND
+        return _report_error(args, "error", exc, EXIT_BOUND)
+    except InternalError as exc:
+        return _report_error(args, "internal error", exc, EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

@@ -367,9 +367,13 @@ def parse_matching(inst: Instance, text: str) -> Matching:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc.msg}", exc.lineno, exc.colno) from None
-        if not isinstance(obj, dict) or "pairs" not in obj:
-            raise ValidationError("matching JSON must be an object with a `pairs` key")
-        return make_matching(inst, [tuple(p) for p in obj["pairs"]])
+        pairs = obj.get("pairs") if isinstance(obj, dict) else None
+        if not isinstance(pairs, list) or not all(
+                isinstance(p, list) and len(p) == 2 and all(isinstance(u, str) for u in p)
+                for p in pairs):
+            raise ValidationError(
+                "matching JSON must be an object whose `pairs` is a list of [idA, idB] string pairs")
+        return make_matching(inst, [tuple(p) for p in pairs])
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()

@@ -202,8 +202,7 @@ def popular_max_matching(inst: Instance, proposing_side: str = "A") -> Matching:
     on the source graph in O(|E| x levels used), without building the
     derived instance. The B-proposing run builds it; elsewhere it is built
     only where it is the product: the `gstar`, `emit-lp` and `mincost`
-    commands, `lift`, and the non-canonical fallback of
-    `certify_popular_max`.
+    commands and `lift`.
     """
     if proposing_side == "A":
         return level_proposals(inst)[0]

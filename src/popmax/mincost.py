@@ -31,10 +31,6 @@ class Rotation:
     cycle: tuple[tuple[str, str], ...]
 
     @property
-    def removed(self) -> tuple[tuple[str, str], ...]:
-        return self.cycle
-
-    @property
     def added(self) -> tuple[tuple[str, str], ...]:
         k = len(self.cycle)
         return tuple((self.cycle[i][0], self.cycle[(i + 1) % k][1]) for i in range(k))
@@ -54,7 +50,7 @@ class RotationPoset:
 
 def eliminate(inst: Instance, m: Matching, rot: Rotation) -> Matching:
     pairs = set(m.pairs)
-    for e in rot.removed:
+    for e in rot.cycle:
         pairs.discard(e)
     pairs.update(rot.added)
     return make_matching(inst, pairs)
@@ -313,7 +309,7 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
 
 
 def _rotation_delta(inst: Instance, rot: Rotation) -> int:
-    return sum(inst.cost(e) for e in rot.added) - sum(inst.cost(e) for e in rot.removed)
+    return sum(inst.cost(e) for e in rot.added) - sum(inst.cost(e) for e in rot.cycle)
 
 
 def min_cost_stable(inst: Instance) -> Matching:
@@ -366,14 +362,14 @@ def min_cost_popular_max(inst: Instance) -> MinCostResult:
     the source cost of its projection; minimizing over stable matchings
     minimizes over all popular max-matchings.
     """
-    from .certificates import extract_certificate
+    from .certificates import certify_popular_max
 
     gs = build_gstar(inst)
     s = min_cost_stable(gs.inner)
     m = project(gs, s)
     if matching_cost(gs.inner, s) != matching_cost(inst, m):
         raise InternalError("cost lifting is not cost-preserving")
-    cert = extract_certificate(inst, gs, s)
+    cert = certify_popular_max(inst, m)
     return MinCostResult(m, matching_cost(inst, m), cert)
 
 

@@ -6,7 +6,8 @@ with an unmatched endpoint. Both conditions are decided on a digraph whose
 vertices are matched pairs plus unmatched nodes and whose arcs are the
 non-matching edges weighted by `wt_edge`; matched edges live inside the
 pair vertices and contribute weight 0, so directed walks are alternating
-walks.
+walks. One longest-walk pass over it yields either a witness or the
+potentials that `certify_popular_max` compresses into a dual certificate.
 """
 
 from __future__ import annotations
@@ -146,64 +147,6 @@ def _path_witness(dg: AlternatingDigraph, arcs_seq: list[Arc]) -> Witness:
     return Witness("path", tuple(nodes), tuple(edges), weight)
 
 
-def _positive_cycle(dg: AlternatingDigraph) -> list[Arc] | None:
-    """Any positive-weight directed cycle, by n rounds of longest-walk
-    relaxation with every vertex seeded at 0."""
-    n = len(dg.vertices)
-    dist = [0] * n
-    pred: list[Arc | None] = [None] * n
-    for _round in range(n + 1):
-        improved = -1
-        for arc in dg.arcs:
-            src, dst, _a, _b, w = arc
-            if dist[src] + w > dist[dst]:
-                dist[dst] = dist[src] + w
-                pred[dst] = arc
-                improved = dst
-        if improved == -1:
-            return None
-    v = improved
-    for _ in range(n):
-        v = pred[v][0]
-    cycle: list[Arc] = []
-    u = v
-    while True:
-        arc = pred[u]
-        cycle.append(arc)
-        u = arc[0]
-        if u == v:
-            break
-    cycle.reverse()
-    return cycle
-
-
-def _longest_paths(n: int, arcs, sources: list[int]) -> tuple[list, list]:
-    """Longest-walk values from the source set; requires no positive cycles."""
-    dist: list[int | None] = [None] * n
-    pred: list[Arc | None] = [None] * n
-    for s in sources:
-        dist[s] = 0
-    for _ in range(n + 1):
-        changed = False
-        for arc in arcs:
-            src, dst, _a, _b, w = arc
-            if dist[src] is not None and (dist[dst] is None or dist[src] + w > dist[dst]):
-                dist[dst] = dist[src] + w
-                pred[dst] = arc
-                changed = True
-        if not changed:
-            return dist, pred
-    raise InternalError("relaxation did not converge although no positive cycle exists")
-
-
-def _best_positive(dg: AlternatingDigraph, dist: list) -> int:
-    best, best_v = 0, -1
-    for i in range(len(dist)):
-        if dist[i] is not None and dist[i] > best:
-            best, best_v = dist[i], i
-    return best_v
-
-
 def _collect_arcs(pred: list, v: int) -> list[Arc]:
     seq = []
     while pred[v] is not None:
@@ -214,44 +157,83 @@ def _collect_arcs(pred: list, v: int) -> list[Arc]:
     return seq
 
 
-def verify_popular_max(inst: Instance, m: Matching) -> PopularityVerdict:
-    """Decide whether a maximum matching is popular among maximum matchings.
+def _highest(y: list[int], candidates: list[int]) -> int:
+    """The candidate with the largest value, the first one on ties."""
+    return max(candidates, key=lambda i: (y[i], -i))
 
-    Raises NotMaximumError unless m is maximum. A negative verdict carries a
-    positive-weight alternating cycle (preferred when both exist) or a
-    positive-weight alternating path with an unmatched endpoint; toggling
-    the witness yields a maximum matching preferred by a majority.
+
+def _witness_or_potentials(inst: Instance, m: Matching) -> Witness | dict[str, int]:
+    """One longest-walk pass over the alternating digraph of m.
+
+    Pair vertices and unmatched B-nodes start at 0, unmatched A-nodes at
+    top = 2(n0'-1), and arcs are relaxed for up to n+1 rounds. The result,
+    checked in this order, is a positive cycle when the values do not
+    converge; a positive path from an unmatched A-node when a pair vertex
+    ends above top; a positive path into an unmatched B-node when one ends
+    above 0; and otherwise the potentials, mapping every matched node to
+    the even value y in 0..top of its pair, with y(b) >= y(a) + wt(a, b)
+    on every arc. The potential of an A-node is -alpha, of a B-node alpha.
+    Raises NotMaximumError unless m is maximum.
     """
     maximum, _ = is_maximum(inst, m)
     if not maximum:
         raise NotMaximumError(
             "matching is not maximum; popularity among maximum matchings is undefined")
     dg = build_alternating_digraph(inst, m)
-    cycle = _positive_cycle(dg)
-    if cycle is not None:
-        return PopularityVerdict(False, _cycle_witness(dg, cycle))
     n = len(dg.vertices)
+    top = 2 * (len(m.pairs) - 1)
+    y = [top if v[0] == "ua" else 0 for v in dg.vertices]
+    pred: list[Arc | None] = [None] * n
+    for _round in range(n + 1):
+        improved = -1
+        for arc in dg.arcs:
+            src, dst, _a, _b, w = arc
+            if y[src] + w > y[dst]:
+                y[dst] = y[src] + w
+                pred[dst] = arc
+                improved = dst
+        if improved == -1:
+            break
+    else:
+        # still improving in round n+1: walking n arcs back lands on a cycle
+        v = improved
+        for _ in range(n):
+            v = pred[v][0]
+        cycle: list[Arc] = []
+        u = v
+        while True:
+            arc = pred[u]
+            cycle.append(arc)
+            u = arc[0]
+            if u == v:
+                break
+        cycle.reverse()
+        return _cycle_witness(dg, cycle)
 
-    sources = [i for i, v in enumerate(dg.vertices) if v[0] == "ua"]
-    if sources:
-        dist, pred = _longest_paths(n, dg.arcs, sources)
-        v = _best_positive(dg, dist)
-        if v >= 0:
-            if dg.vertices[v][0] == "ub":
-                raise InternalError("augmenting path in a maximum matching")
-            return PopularityVerdict(False, _path_witness(dg, _collect_arcs(pred, v)))
+    above_top = [i for i, v in enumerate(dg.vertices) if v[0] == "pair" and y[i] > top]
+    if above_top:
+        return _path_witness(dg, _collect_arcs(pred, _highest(y, above_top)))
+    into_b = [i for i, v in enumerate(dg.vertices) if v[0] == "ub" and y[i] > 0]
+    if into_b:
+        seq = _collect_arcs(pred, _highest(y, into_b))
+        if dg.vertices[seq[0][0]][0] == "ua":
+            raise InternalError("augmenting path in a maximum matching")
+        return _path_witness(dg, seq)
+    return {u: y[i] for i, v in enumerate(dg.vertices) if v[0] == "pair" for u in v[1:]}
 
-    sinks = [i for i, v in enumerate(dg.vertices) if v[0] == "ub"]
-    if sinks:
-        reversed_arcs = [(dst, src, a, b, w) for (src, dst, a, b, w) in dg.arcs]
-        dist, pred = _longest_paths(n, reversed_arcs, sinks)
-        v = _best_positive(dg, dist)
-        if v >= 0:
-            if dg.vertices[v][0] == "ua":
-                raise InternalError("augmenting path in a maximum matching")
-            seq = [(arc[1], arc[0], arc[2], arc[3], arc[4]) for arc in _collect_arcs(pred, v)]
-            seq.reverse()
-            return PopularityVerdict(False, _path_witness(dg, seq))
+
+def verify_popular_max(inst: Instance, m: Matching) -> PopularityVerdict:
+    """Decide whether a maximum matching is popular among maximum matchings.
+
+    Raises NotMaximumError unless m is maximum. A negative verdict carries a
+    positive-weight alternating cycle (preferred when both exist), else a
+    positive-weight alternating path from an unmatched A-node (preferred),
+    else one into an unmatched B-node; toggling the witness yields a
+    maximum matching preferred by a majority.
+    """
+    found = _witness_or_potentials(inst, m)
+    if isinstance(found, Witness):
+        return PopularityVerdict(False, found)
     return PopularityVerdict(True, None)
 
 

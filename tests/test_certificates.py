@@ -209,3 +209,41 @@ def test_neighbors_of_unmatched_prefer_partner():
                 for v in inst.prefs[u]:
                     assert m.is_matched(v)
                     assert inst.rank(v, m.partner_of(v)) < inst.rank(v, u)
+
+
+def test_certify_and_verifier_soundness_against_oracle():
+    """Over every max-matching of small seeded instances, certify fails
+    exactly on the oracle's non-popular ones, and every certificate the
+    verifier accepts, including ones no stable matching of the derived
+    instance produced, belongs to an oracle-popular matching. Offered are
+    the all-zero certificate, each popular matching's certificate shifted by
+    ±2 on one pair, and that certificate transplanted onto every other
+    max-matching over the same matched nodes."""
+    from popmax.oracle import enum_max_matchings
+
+    for _seed, inst in random_cases(100, 5, 8400):
+        maxes = enum_max_matchings(inst, bound=30)
+        popular = {m.pairs for m in brute_popular_max(inst, bound=30)}
+        certs = {}
+        for m in maxes:
+            if m.pairs in popular:
+                certs[m.pairs] = certify_popular_max(inst, m)
+            else:
+                with pytest.raises(NotPopularError):
+                    certify_popular_max(inst, m)
+        for m in maxes:
+            n0 = len(m.pairs)
+            offered = [DualCertificate({u: 0 for u in m.partner}, n0)]
+            for cert in certs.values():
+                if set(cert.alpha) != set(m.partner):
+                    continue
+                offered.append(cert)
+                for a, b in m.pairs:
+                    for shift in (-2, 2):
+                        alpha = dict(cert.alpha)
+                        alpha[a] -= shift
+                        alpha[b] += shift
+                        offered.append(DualCertificate(alpha, n0))
+            for cert in offered:
+                if verify_certificate(inst, m, cert).ok:
+                    assert m.pairs in popular

@@ -183,3 +183,26 @@ def test_exit_code_bad_dimacs_header(tmp_path, capsys):
 def test_exit_code_bad_gen_random_arguments(capsys, argv):
     code, out, err = run(capsys, "gen-random", *argv, "--seed", "1")
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("pairs", [
+    '[["a"]]', "5", "null", "[[]]", "[5000]", '[[["a"], "b"]]',
+])
+def test_exit_code_bad_json_matching(files, tmp_path, capsys, pairs):
+    m = tmp_path / "m.json"
+    m.write_text('{"pairs": ' + pairs + "}")
+    code, out, err = run(capsys, "verify", files["i0"], str(m))
+    assert code == 2 and out == "" and err.startswith("error: matching JSON")
+
+
+def test_exit_code_internal_error(files, capsys, monkeypatch):
+    from popmax import gstar
+    from popmax.errors import InternalError
+
+    def broken(_inst):
+        raise InternalError("a condition the theory rules out")
+
+    monkeypatch.setattr(gstar, "popular_max_matching", broken)
+    code, out, err = run(capsys, "solve", files["i0"])
+    assert code == 4 and out == ""
+    assert err == "internal error: a condition the theory rules out\n"

@@ -230,14 +230,21 @@ def test_level_proposals_equal_gstar_run():
         assert lp == levels(gs, s)
 
 
-def test_solve_and_canonical_certify_never_build_gstar(monkeypatch, i1, i3):
-    def refuse(_inst):
-        raise AssertionError("the derived instance was built")
+def test_solve_and_canonical_certify_never_build_gstar(monkeypatch, i1, i2, i3):
+    """`solve` and `certify` neither build the derived instance nor scan
+    stable matchings, also when certifying a non-canonical matching."""
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the derived instance was built or enumerated")
 
     for mod in (popmax, popmax.gstar, popmax.certificates, popmax.mincost):
-        monkeypatch.setattr(mod, "build_gstar", refuse)
-    for inst in (i1, i3):
-        m = popular_max_matching(inst)
+        for name in ("build_gstar", "enumerate_stable"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    cases = [(inst, popular_max_matching(inst)) for inst in (i1, i3)]
+    non_canonical = mk(i2, ("a1", "b2"), ("a2", "b1"))
+    assert non_canonical.pairs != level_proposals(i2)[0].pairs
+    cases.append((i2, non_canonical))
+    for inst, m in cases:
         cert = popmax.certify_popular_max(inst, m)
         assert popmax.verify_certificate(inst, m, cert).ok
 
