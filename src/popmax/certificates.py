@@ -143,13 +143,14 @@ def certify_popular_max(inst: Instance, m: Matching) -> DualCertificate:
     """Produce a verified certificate for a popular max-matching.
 
     One longest-walk pass over the alternating digraph of m either finds a
-    witness against m (NotPopularError) or yields potentials; their halves
-    are the raw levels of the certificate. Raises NotMaximumError unless m
-    is maximum.
+    witness against m (raised as NotPopularError.witness) or yields
+    potentials; their halves are the raw levels of the certificate. Raises
+    NotMaximumError unless m is maximum.
     """
     found = _witness_or_potentials(inst, m)
     if isinstance(found, Witness):
-        raise NotPopularError("matching is not a popular max-matching; no certificate exists")
+        raise NotPopularError(
+            "matching is not a popular max-matching; no certificate exists", found)
     return _certificate_from_levels(inst, m, {u: y // 2 for u, y in found.items()})
 
 

@@ -114,9 +114,8 @@ def cmd_certify(args) -> int:
                                  "augmenting_path": path},
               text="not maximum; augmenting path: " + " ".join(path))
         return EXIT_REJECTED
-    except NotPopularError:
-        verdict = popularity.verify_popular_max(inst, m)
-        w = verdict.witness
+    except NotPopularError as exc:
+        w = exc.witness
         _emit(args, "rejected", {"popular": False}, _witness_json(w),
               text=popularity.format_witness(m, w))
         return EXIT_REJECTED

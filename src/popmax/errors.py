@@ -33,7 +33,12 @@ class NotStableError(PopmaxError):
 
 
 class NotPopularError(PopmaxError):
-    """A verified popular max-matching was required."""
+    """A verified popular max-matching was required; `witness` is the
+    improving alternating cycle or path found against the matching."""
+
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class CertificateError(PopmaxError):

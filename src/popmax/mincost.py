@@ -56,136 +56,123 @@ def eliminate(inst: Instance, m: Matching, rot: Rotation) -> Matching:
     return make_matching(inst, pairs)
 
 
-def _next_candidate(inst: Instance, m: Matching, man: str) -> str | None:
-    """The next woman below `man`'s current partner who would accept him;
-    None when his list is exhausted first or the acceptor is unmatched
-    (an unmatched acceptor can never be part of a rotation)."""
-    lst = inst.prefs[man]
-    start = inst.rank(man, m.partner[man]) + 1
-    for w in lst[start:]:
-        p = m.partner_of(w)
-        if p is None:
-            return None
-        if inst.prefers(w, man, p):
-            return w
-    return None
+def find_rotations(inst: Instance) -> RotationPoset:
+    """Discover all rotations in one walk from the man-optimal matching and
+    build the precedence DAG.
 
-
-def _exposed_rotations(inst: Instance, m: Matching) -> list[Rotation]:
-    succ: dict[str, str] = {}
-    target: dict[str, str] = {}
-    for man in inst.side_a:
-        if not m.is_matched(man):
-            continue
-        w = _next_candidate(inst, m, man)
-        if w is not None:
-            succ[man] = m.partner[w]
-            target[man] = w
-    state: dict[str, int] = {}
-    rotations = []
-    for man in inst.side_a:
-        if not m.is_matched(man) or state.get(man):
-            continue
-        path = []
-        u = man
-        while u in succ and state.get(u, 0) == 0:
-            state[u] = 1
-            path.append(u)
-            u = succ[u]
-        if state.get(u, 0) == 1:
-            rotations.append(path[path.index(u):])
-        for v in path:
-            state[v] = 2
-    out = []
-    a_index = {a: i for i, a in enumerate(inst.side_a)}
-    for cycle_men in rotations:
-        pivot = min(range(len(cycle_men)), key=lambda k: a_index[cycle_men[k]])
-        cycle_men = cycle_men[pivot:] + cycle_men[:pivot]
-        out.append(Rotation(tuple((man, m.partner[man]) for man in cycle_men)))
-    out.sort(key=lambda r: a_index[r.cycle[0][0]])
-    return out
-
-
-def find_rotations(inst: Instance, tie_break: str = "min") -> RotationPoset:
-    """Discover all rotations by iterated elimination from the man-optimal
-    matching and build the precedence DAG.
+    The walk (Gusfield & Irving 1989, section 3.3) keeps one stack of men,
+    each followed by the partner of his next acceptor: the first woman
+    below his partner who would accept him. A man met a second time closes
+    an exposed rotation, which is eliminated at once in the partner map. A
+    man whose next acceptor is unmatched, or who has none, keeps his partner
+    for the rest of the walk, and so does every man whose walk leads to him.
+    Women's partners only improve, so each man's list pointer only
+    advances.
 
     Predecessor edges combine two rules: the rotations moving one man form
     a chain in elimination order, and a rotation skipping a man past some
     woman requires the earlier rotation that first lifted that woman's
-    partner above him. `tie_break` picks which exposed rotation to
-    eliminate first and must not affect the discovered set (a tested
-    invariant).
+    partner above him.
     """
     base = gale_shapley(inst, "A")
+    a_index = {a: i for i, a in enumerate(inst.side_a)}
+    partner = dict(base.partner)
+    ptr = {man: inst.rank(man, partner[man]) + 1 for man in inst.side_a if man in partner}
     rotations: list[Rotation] = []
-    man_moves: dict[str, list[int]] = {}
-    woman_moves: dict[str, list[tuple[int, str]]] = {}
-    m = base
-    while True:
-        exposed = _exposed_rotations(inst, m)
-        if not exposed:
-            break
-        rot = exposed[0] if tie_break == "min" else exposed[-1]
-        r = len(rotations)
-        rotations.append(rot)
-        for man, _w in rot.cycle:
-            man_moves.setdefault(man, []).append(r)
-        k = len(rot.cycle)
-        for i in range(k):
-            _man, w = rot.cycle[i]
-            new_partner = rot.cycle[(i - 1) % k][0]
-            woman_moves.setdefault(w, []).append((r, new_partner))
-        m = eliminate(inst, m, rot)
+    preds: list[set[int]] = []
+    last_move: dict[str, int] = {}  # man -> the latest rotation moving him
+    lifted: dict[tuple[str, str], int] = {}  # (w, man) -> rotation lifting w above man
 
-    preds: list[set[int]] = [set() for _ in rotations]
-    for moves in man_moves.values():
-        for earlier, later in zip(moves, moves[1:]):
-            preds[later].add(earlier)
-    for r, rot in enumerate(rotations):
-        k = len(rot.cycle)
-        for i in range(k):
-            man, w_from = rot.cycle[i]
-            w_to = rot.cycle[(i + 1) % k][1]
-            lo = inst.rank(man, w_from)
-            hi = inst.rank(man, w_to)
-            for w in inst.prefs[man][lo + 1:hi]:
-                if base.partner_of(w) is None:
-                    raise InternalError("rotation skips a woman unmatched in stable matchings")
-                if inst.prefers(w, base.partner[w], man):
-                    continue  # she outranked him from the start
-                for sigma, new_partner in woman_moves.get(w, []):
-                    if inst.prefers(w, new_partner, man):
-                        if sigma >= r:
-                            raise InternalError("precedence points forward in elimination order")
-                        preds[r].add(sigma)
-                        break
-                else:
-                    raise InternalError("no rotation lifts a woman past a skipped suitor")
+    def next_acceptor(man: str) -> str | None:
+        lst = inst.prefs[man]
+        while ptr[man] < len(lst):
+            w = lst[ptr[man]]
+            p = partner.get(w)
+            if p is None:
+                return None
+            if inst.prefers(w, man, p):
+                return w
+            ptr[man] += 1
+        return None
+
+    fixed: set[str] = set()
+    stack: list[str] = []
+    on_stack: dict[str, int] = {}
+    for start in inst.side_a:
+        while start in ptr and start not in fixed:
+            if not stack:
+                on_stack[start] = 0
+                stack.append(start)
+            w = next_acceptor(stack[-1])
+            if w is None or partner[w] in fixed:
+                fixed.update(stack)
+                stack.clear()
+                on_stack.clear()
+                continue
+            nxt = partner[w]
+            if nxt not in on_stack:
+                on_stack[nxt] = len(stack)
+                stack.append(nxt)
+                continue
+            cycle_men = stack[on_stack[nxt]:]
+            del stack[on_stack[nxt]:]
+            for man in cycle_men:
+                del on_stack[man]
+            pivot = min(range(len(cycle_men)), key=lambda k: a_index[cycle_men[k]])
+            cycle_men = cycle_men[pivot:] + cycle_men[:pivot]
+            rot = Rotation(tuple((man, partner[man]) for man in cycle_men))
+            r = len(rotations)
+            rotations.append(rot)
+            preds.append(set())
+            k = len(rot.cycle)
+            for i in range(k):
+                man, w = rot.cycle[i]
+                new_partner = rot.cycle[(i - 1) % k][0]
+                for between in inst.prefs[w][inst.rank(w, new_partner) + 1:inst.rank(w, man)]:
+                    lifted[(w, between)] = r
+            for (man, w_from), (_man, w_to) in zip(rot.cycle, rot.added):
+                if man in last_move:
+                    preds[r].add(last_move[man])
+                last_move[man] = r
+                for w in inst.prefs[man][inst.rank(man, w_from) + 1:inst.rank(man, w_to)]:
+                    if base.partner_of(w) is None:
+                        raise InternalError("rotation skips a woman unmatched in stable matchings")
+                    if inst.prefers(w, base.partner[w], man):
+                        continue  # she outranked him from the start
+                    sigma = lifted.get((w, man))
+                    if sigma is None:
+                        raise InternalError("no rotation lifts a woman past a skipped suitor")
+                    if sigma >= r:
+                        raise InternalError("precedence points forward in elimination order")
+                    preds[r].add(sigma)
+                partner[man] = w_to
+                partner[w_to] = man
+                ptr[man] = inst.rank(man, w_to) + 1
     return RotationPoset(inst, tuple(rotations), tuple(tuple(sorted(p)) for p in preds), base)
 
 
 def closed_subsets(poset: RotationPoset, limit: int | None = None) -> list[frozenset[int]]:
-    """All downward-closed rotation sets, in a fixed recursive order."""
+    """All downward-closed rotation sets, in a fixed depth-first order:
+    each rotation is first left out, then taken when its predecessors are."""
     k = len(poset.rotations)
     out: list[frozenset[int]] = []
+    taken = [False] * k
     chosen: set[int] = set()
-
-    def rec(i: int):
-        if i == k:
-            if limit is not None and len(out) >= limit:
-                raise LimitExceededError(
-                    f"more than {limit} stable matchings", [frozenset(c) for c in out])
-            out.append(frozenset(chosen))
-            return
-        rec(i + 1)
-        if all(p in chosen for p in poset.preds[i]):
-            chosen.add(i)
-            rec(i + 1)
-            chosen.discard(i)
-
-    rec(0)
-    return out
+    while True:
+        if limit is not None and len(out) >= limit:
+            raise LimitExceededError(
+                f"more than {limit} stable matchings", [frozenset(c) for c in out])
+        out.append(frozenset(chosen))
+        i = k - 1
+        while i >= 0 and (taken[i] or not all(p in chosen for p in poset.preds[i])):
+            if taken[i]:
+                taken[i] = False
+                chosen.discard(i)
+            i -= 1
+        if i < 0:
+            return out
+        taken[i] = True
+        chosen.add(i)
 
 
 def matching_of_closed_subset(poset: RotationPoset, subset: frozenset[int]) -> Matching:
@@ -255,7 +242,6 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
         add(u, v, c)
 
     total = 0
-    INF = sum(c for _u, _v, c in net.arcs) + 1
     while True:
         level = [-1] * n
         level[net.source] = 0
@@ -268,27 +254,32 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
         if level[net.sink] < 0:
             break
         it = [0] * n
-
-        def dfs(u: int, f: int) -> int:
+        path: list[int] = []  # arcs of the level-graph walk from the source
+        u = net.source
+        while True:
             if u == net.sink:
-                return f
+                pushed = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= pushed
+                    cap[e ^ 1] += pushed
+                total += pushed
+                path.clear()
+                u = net.source
+                continue
             while it[u] < len(head[u]):
                 e = head[u][it[u]]
-                v = to[e]
-                if cap[e] > 0 and level[v] == level[u] + 1:
-                    got = dfs(v, min(f, cap[e]))
-                    if got > 0:
-                        cap[e] -= got
-                        cap[e ^ 1] += got
-                        return got
+                if cap[e] > 0 and level[to[e]] == level[u] + 1:
+                    break
                 it[u] += 1
-            return 0
-
-        while True:
-            pushed = dfs(net.source, INF)
-            if pushed == 0:
+            if it[u] < len(head[u]):
+                e = head[u][it[u]]
+                path.append(e)
+                u = to[e]
+            elif path:
+                u = to[path.pop() ^ 1]  # dead end: retreat and skip the arc
+                it[u] += 1
+            else:
                 break
-            total += pushed
 
     reach = {net.source}
     stack = [net.source]

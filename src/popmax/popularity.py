@@ -253,35 +253,33 @@ def is_pareto_optimal(inst: Instance, m: Matching) -> ParetoVerdict:
             adj[arc[0]].append(arc)
 
     color = [0] * n
-    stack_arcs: list[Arc] = []
-
-    def dfs(v: int) -> list[Arc] | None:
-        color[v] = 1
-        for arc in adj[v]:
+    next_arc = [0] * n
+    for root in range(n):
+        if color[root] != 0 or dg.vertices[root][0] != "pair":
+            continue
+        color[root] = 1
+        walk = [root]
+        stack_arcs: list[Arc] = []  # the arcs of the walk, root first
+        while walk:
+            v = walk[-1]
+            if next_arc[v] == len(adj[v]):
+                color[v] = 2
+                walk.pop()
+                if stack_arcs:
+                    stack_arcs.pop()
+                continue
+            arc = adj[v][next_arc[v]]
+            next_arc[v] += 1
             dst = arc[1]
             if color[dst] == 0:
+                color[dst] = 1
+                walk.append(dst)
                 stack_arcs.append(arc)
-                found = dfs(dst)
-                if found is not None:
-                    return found
-                stack_arcs.pop()
             elif color[dst] == 1:
-                suffix: list[Arc] = []
-                for prev in reversed(stack_arcs):
-                    suffix.append(prev)
-                    if prev[0] == dst:
-                        break
-                suffix.reverse()
-                return suffix + [arc]
-        color[v] = 2
-        return None
-
-    for v in range(n):
-        if color[v] == 0 and dg.vertices[v][0] == "pair":
-            stack_arcs.clear()
-            cycle = dfs(v)
-            if cycle is not None:
-                return ParetoVerdict(False, _cycle_witness(dg, cycle))
+                start = len(stack_arcs) - 1
+                while stack_arcs[start][0] != dst:
+                    start -= 1
+                return ParetoVerdict(False, _cycle_witness(dg, stack_arcs[start:] + [arc]))
 
     pred: dict[int, Arc] = {}
     frontier = [i for i, v in enumerate(dg.vertices) if v[0] == "ua"]

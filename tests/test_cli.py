@@ -78,6 +78,40 @@ def test_certify_and_pareto(files, capsys):
     assert code == 0 and out.strip() == "pareto-optimal"
 
 
+def test_certify_rejection_runs_one_popularity_pass(files, capsys, monkeypatch):
+    from popmax import certificates, popularity
+
+    one_pass = popularity._witness_or_potentials
+    calls = []
+
+    def counted(inst, m):
+        calls.append(m)
+        return one_pass(inst, m)
+
+    monkeypatch.setattr(popularity, "_witness_or_potentials", counted)
+    monkeypatch.setattr(certificates, "_witness_or_potentials", counted)
+    code, out, _ = run(capsys, "certify", files["i3"], files["bad"])
+    assert code == 1 and out == "path: a1 (b1,a3) wt=2\n"
+    assert len(calls) == 1
+
+
+def test_pareto_long_chain_of_blocking_edges(tmp_path, capsys):
+    """a_i ranks b_(i+1) first and b_(i+1) ranks a_i first, so the pairs form
+    a 1,500-vertex chain of weight-2 arcs with no cycle: Pareto-optimal."""
+    n = 1500
+    lines = ["side A " + " ".join(f"a{i}" for i in range(n)),
+             "side B " + " ".join(f"b{i}" for i in range(n))]
+    for i in range(n):
+        lines.append(f"pref a{i}: " + (f"b{i + 1} " if i + 1 < n else "") + f"b{i}")
+        lines.append(f"pref b{i}: " + (f"a{i - 1} " if i else "") + f"a{i}")
+    inst = tmp_path / "chain.txt"
+    inst.write_text("\n".join(lines) + "\n")
+    m = tmp_path / "chain.match"
+    m.write_text("".join(f"a{i} b{i}\n" for i in range(n)))
+    code, out, _ = run(capsys, "pareto", str(inst), str(m))
+    assert code == 0 and out == "pareto-optimal\n"
+
+
 def test_verify_non_maximum_rejected(files, capsys, tmp_path):
     empty = tmp_path / "empty.match"
     empty.write_text("")

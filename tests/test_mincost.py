@@ -9,7 +9,9 @@ import pytest
 
 from popmax import (
     FlowNetwork,
+    Instance,
     LimitExceededError,
+    Matching,
     emit_lp,
     enumerate_stable,
     find_rotations,
@@ -21,11 +23,18 @@ from popmax import (
     min_cost_popular_max,
     min_cost_stable,
     parse_instance,
+    random_instance,
     verify_certificate,
     verify_popular_max,
 )
 from popmax.gstar import build_gstar, project
-from popmax.mincost import closed_subsets, eliminate, matching_of_closed_subset
+from popmax.mincost import (
+    Rotation,
+    RotationPoset,
+    closed_subsets,
+    eliminate,
+    matching_of_closed_subset,
+)
 from popmax.oracle import brute_min_cost_popular_max, enum_matchings
 
 from conftest import random_cases
@@ -96,6 +105,26 @@ def test_max_flow_random_cut_certificates():
         assert res.cut_capacity == res.value  # also asserted internally
 
 
+def test_max_flow_long_path():
+    """Augmenting paths as long as the network run without recursion."""
+    n = 1500
+    arcs = tuple((i, i + 1, 5 + i % 7) for i in range(n - 1))
+    res = max_flow(FlowNetwork(n, arcs, 0, n - 1))
+    assert res.value == res.cut_capacity == 5
+    assert res.source_side == frozenset({0})
+
+
+def test_closed_subsets_long_chain_hits_limit(i0):
+    """A chain as deep as the poset is enumerated without recursion."""
+    k = 1500
+    base = gale_shapley(i0, "A")
+    poset = RotationPoset(i0, (Rotation((("a", "b"),)),) * k,
+                          ((),) + tuple((i - 1,) for i in range(1, k)), base)
+    with pytest.raises(LimitExceededError) as exc:
+        closed_subsets(poset, limit=5)
+    assert exc.value.partial == [frozenset(range(j)) for j in range(5)]
+
+
 def test_min_cost_stable_unique(i0):
     assert sorted(min_cost_stable(i0).pairs) == [("a", "b")]
 
@@ -152,11 +181,38 @@ def test_closed_subset_bijection_and_topo_independence():
             assert m.pairs == baseline.pairs
 
 
+def _poset_by_pairs(poset):
+    """Each rotation as its set of pairs, mapped to its predecessors' sets."""
+    keys = [frozenset(r.cycle) for r in poset.rotations]
+    return {key: frozenset(keys[p] for p in preds) for key, preds in zip(keys, poset.preds)}
+
+
 def test_rotation_set_independent_of_discovery_order():
+    """Reversing side A moves the walk's start and the cycle pivots; the
+    rotations and their precedence must not change."""
     for _seed, inst in random_cases(40, 5, 9100):
-        first = {r.cycle for r in find_rotations(inst, tie_break="min").rotations}
-        last = {r.cycle for r in find_rotations(inst, tie_break="max").rotations}
-        assert first == last
+        flipped = Instance(inst.side_a[::-1], inst.side_b, inst.prefs, inst.costs)
+        assert _poset_by_pairs(find_rotations(inst)) == _poset_by_pairs(find_rotations(flipped))
+    inst = build_gstar(random_instance(8, 8, 0.5, 9101)).inner
+    flipped = Instance(inst.side_a[::-1], inst.side_b, inst.prefs, inst.costs)
+    poset = _poset_by_pairs(find_rotations(inst))
+    assert len(poset) > 1 and any(poset.values())
+    assert poset == _poset_by_pairs(find_rotations(flipped))
+
+
+def test_find_rotations_builds_only_the_base_matching(monkeypatch):
+    inst = build_gstar(random_instance(8, 8, 0.5, 9101)).inner
+    built = []
+    post_init = Matching.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Matching, "__post_init__", counting)
+    poset = find_rotations(inst)
+    assert len(poset.rotations) > 1
+    assert built == [poset.base]
 
 
 def test_min_cost_stable_matches_oracle():
