@@ -327,12 +327,13 @@ def parse_instance(text: str) -> Instance:
         else:
             raise ParseError(f"unknown directive {kind!r}", lineno, column(raw, 0))
 
-    known = set(side_a) | set(side_b)
+    set_a, set_b = set(side_a), set(side_b)
+    known = set_a | set_b
     for node in prefs:
         if node not in known:
             raise ValidationError(f"pref line for undeclared node {node!r} (line {pref_lines[node]})")
     for (u, v), lineno in cost_lines.items():
-        if u not in set(side_a) or v not in set(side_b):
+        if u not in set_a or v not in set_b:
             raise ValidationError(f"cost line must name an A-node then a B-node (line {lineno})")
     return Instance(tuple(side_a), tuple(side_b), prefs, costs)
 

@@ -176,10 +176,15 @@ def closed_subsets(poset: RotationPoset, limit: int | None = None) -> list[froze
 
 
 def matching_of_closed_subset(poset: RotationPoset, subset: frozenset[int]) -> Matching:
-    m = poset.base
+    """Eliminate a closed subset from `base` in index order (an elimination order)."""
+    pairs = set(poset.base.pairs)
     for r in sorted(subset):
-        m = eliminate(poset.instance, m, poset.rotations[r])
-    return m
+        rot = poset.rotations[r]
+        if not pairs.issuperset(rot.cycle):
+            raise InternalError(f"rotation {r} is not exposed when eliminated")
+        pairs.difference_update(rot.cycle)
+        pairs.update(rot.added)
+    return make_matching(poset.instance, pairs)
 
 
 def enumerate_stable(inst: Instance, limit: int | None = None) -> list[Matching]:

@@ -7,7 +7,8 @@ vertices are matched pairs plus unmatched nodes and whose arcs are the
 non-matching edges weighted by `wt_edge`; matched edges live inside the
 pair vertices and contribute weight 0, so directed walks are alternating
 walks. One longest-walk pass over it yields either a witness or the
-potentials that `certify_popular_max` compresses into a dual certificate.
+potentials that `certify_popular_max` compresses into a dual certificate;
+it stops at the first cycle of its predecessor graph, a positive cycle.
 """
 
 from __future__ import annotations
@@ -157,6 +158,25 @@ def _collect_arcs(pred: list, v: int) -> list[Arc]:
     return seq
 
 
+def _pred_cycle(pred: list) -> list[Arc] | None:
+    """The first cycle of the predecessor graph, walked from each vertex in
+    index order and stamping it with the start, as arcs in walk order. Values
+    rise only by strict improvement, so every such cycle is positive
+    (Cherkassky & Goldberg, Math. Prog. 1999)."""
+    stamp = [-1] * len(pred)
+    for start in range(len(pred)):
+        v = start
+        while stamp[v] == -1 and pred[v] is not None:
+            stamp[v] = start
+            v = pred[v][0]
+        if stamp[v] == start:
+            cycle = [pred[v]]
+            while cycle[-1][0] != v:
+                cycle.append(pred[cycle[-1][0]])
+            return cycle[::-1]
+    return None
+
+
 def _highest(y: list[int], candidates: list[int]) -> int:
     """The candidate with the largest value, the first one on ties."""
     return max(candidates, key=lambda i: (y[i], -i))
@@ -166,13 +186,15 @@ def _witness_or_potentials(inst: Instance, m: Matching) -> Witness | dict[str, i
     """One longest-walk pass over the alternating digraph of m.
 
     Pair vertices and unmatched B-nodes start at 0, unmatched A-nodes at
-    top = 2(n0'-1), and arcs are relaxed for up to n+1 rounds. The result,
-    checked in this order, is a positive cycle when the values do not
-    converge; a positive path from an unmatched A-node when a pair vertex
-    ends above top; a positive path into an unmatched B-node when one ends
-    above 0; and otherwise the potentials, mapping every matched node to
-    the even value y in 0..top of its pair, with y(b) >= y(a) + wt(a, b)
-    on every arc. The potential of an A-node is -alpha, of a B-node alpha.
+    top = 2(n0'-1), and arcs are relaxed in rounds. The pass stops at the
+    first predecessor cycle, checked after every round that raised a value:
+    a positive cycle, which keeps the values rising until one forms. Once
+    the values converge, the result is, in this order, a positive path from
+    an unmatched A-node when a pair vertex ends above top; a positive path
+    into an unmatched B-node when one ends above 0; and otherwise the
+    potentials, mapping every matched node to the even value y in 0..top of
+    its pair, with y(b) >= y(a) + wt(a, b) on every arc. The potential of
+    an A-node is -alpha, of a B-node alpha.
     Raises NotMaximumError unless m is maximum.
     """
     maximum, _ = is_maximum(inst, m)
@@ -185,30 +207,20 @@ def _witness_or_potentials(inst: Instance, m: Matching) -> Witness | dict[str, i
     y = [top if v[0] == "ua" else 0 for v in dg.vertices]
     pred: list[Arc | None] = [None] * n
     for _round in range(n + 1):
-        improved = -1
+        improved = False
         for arc in dg.arcs:
             src, dst, _a, _b, w = arc
             if y[src] + w > y[dst]:
                 y[dst] = y[src] + w
                 pred[dst] = arc
-                improved = dst
-        if improved == -1:
+                improved = True
+        if not improved:
             break
+        cycle = _pred_cycle(pred)
+        if cycle is not None:
+            return _cycle_witness(dg, cycle)
     else:
-        # still improving in round n+1: walking n arcs back lands on a cycle
-        v = improved
-        for _ in range(n):
-            v = pred[v][0]
-        cycle: list[Arc] = []
-        u = v
-        while True:
-            arc = pred[u]
-            cycle.append(arc)
-            u = arc[0]
-            if u == v:
-                break
-        cycle.reverse()
-        return _cycle_witness(dg, cycle)
+        raise InternalError("relaxation did not converge and no predecessor cycle formed")
 
     above_top = [i for i, v in enumerate(dg.vertices) if v[0] == "pair" and y[i] > top]
     if above_top:

@@ -207,6 +207,15 @@ def test_exit_code_bad_dimacs_header(tmp_path, capsys):
     assert code == 2 and "p cnf" in err
 
 
+@pytest.mark.parametrize("cost_line", ["cost b a 3", "cost a c 3", "cost c b 3"])
+def test_exit_code_cost_line_not_a_then_b(tmp_path, capsys, cost_line):
+    p = tmp_path / "costed.txt"
+    p.write_text(I0_TEXT + cost_line + "\n")
+    code, out, err = run(capsys, "solve", str(p))
+    assert code == 2 and out == ""
+    assert err == "error: cost line must name an A-node then a B-node (line 5)\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("--na", "-1", "--nb", "2", "--density", "0.5"),
     ("--na", "2", "--nb", "-1", "--density", "0.5"),

@@ -133,3 +133,71 @@ def test_cycle_witness_preferred_over_path():
     verdict = verify_popular_max(inst, m)
     assert not verdict.popular
     assert verdict.witness.kind == "cycle"
+
+
+def _planted_swap(n):
+    """n pairs (a_i, b_i) chained by weight -2 arcs a_i -> b_(i+1), plus one
+    blocking swap between the first two pairs: a0-b1 and a1-b0 both have
+    weight 2, so the only positive structure is a cycle of weight 4."""
+    from popmax import parse_instance
+
+    lines = ["side A " + " ".join(f"a{i}" for i in range(n)),
+             "side B " + " ".join(f"b{i}" for i in range(n)),
+             "pref a0: b1 b0", "pref b0: a1 a0", "pref a1: b0 b1 b2", "pref b1: a0 a1"]
+    for i in range(2, n):
+        lines.append(f"pref a{i}: b{i}" + (f" b{i + 1}" if i + 1 < n else ""))
+        lines.append(f"pref b{i}: a{i} a{i - 1}")
+    inst = parse_instance("\n".join(lines) + "\n")
+    return inst, mk(inst, *((f"a{i}", f"b{i}") for i in range(n)))
+
+
+def test_cycle_rejection_stops_after_first_sweeps(monkeypatch):
+    """A short positive cycle is reported as soon as it closes in the
+    predecessor graph, not after n+1 rounds over the arcs."""
+    from popmax import popularity
+
+    sweeps = [0]
+
+    class CountedArcs(tuple):
+        def __iter__(self):
+            sweeps[0] += 1
+            return super().__iter__()
+
+    build = popularity.build_alternating_digraph
+
+    def counted(inst, m):
+        dg = build(inst, m)
+        return popularity.AlternatingDigraph(dg.vertices, CountedArcs(dg.arcs), dg.vertex_of)
+
+    monkeypatch.setattr(popularity, "build_alternating_digraph", counted)
+    inst, m = _planted_swap(500)
+    verdict = verify_popular_max(inst, m)
+    assert not verdict.popular
+    assert format_witness(m, verdict.witness) == "cycle: (b0,a0) (b1,a1) wt=4"
+    assert sweeps[0] <= 2
+
+
+def test_cycle_witnesses_are_closed_and_win():
+    """Every cycle witness on small seeded instances closes on matched
+    nodes only, claims the summed weight of its non-matching edges (at
+    least 2), and toggles to a maximum matching that wins by a vote."""
+    from popmax import wt_edge
+
+    cycles = 0
+    for _seed, inst in random_cases(80, 5, 5300, min_side=3, density=(0.5, 1.0)):
+        for m in enum_matchings(inst, bound=60):
+            if not is_maximum(inst, m)[0]:
+                continue
+            witness = verify_popular_max(inst, m).witness
+            if witness is None or witness.kind != "cycle":
+                continue
+            cycles += 1
+            assert len(set(witness.nodes)) == len(witness.nodes)
+            assert all(m.partner_of(u) is not None for u in witness.nodes)
+            outside = [e for e in witness.edges if e not in m.pairs]
+            assert len(outside) * 2 == len(witness.edges)
+            assert witness.weight == sum(wt_edge(inst, m, e) for e in outside) >= 2
+            flipped = apply_witness(m, witness)
+            assert is_maximum(inst, flipped)[0]
+            assert compare(inst, flipped, m).delta >= 1
+    assert cycles >= 50
