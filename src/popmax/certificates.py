@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance, Matching, is_maximum, wt_edge
-from .errors import CertificateError, InternalError, NotPopularError, ParseError
+from .core import Instance, Matching, _wt, is_maximum
+from .errors import CertificateError, InternalError, NotMaximumError, NotPopularError, ParseError
 from .gstar import GStarInstance, _remap_levels, levels, project
 from .popularity import Witness, _witness_or_potentials
 
@@ -88,10 +88,9 @@ def verify_certificate(inst: Instance, m: Matching, cert: DualCertificate) -> Ce
     for neighbors of unmatched B-nodes; (P2) alpha_b = 2(n0'-1) for
     neighbors of unmatched A-nodes.
     """
-    maximum, _ = is_maximum(inst, m)
+    maximum, path = is_maximum(inst, m)
     if not maximum:
-        from .errors import NotMaximumError
-        raise NotMaximumError("certificates are only defined for maximum matchings")
+        raise NotMaximumError("certificates are only defined for maximum matchings", path)
     matched = set(m.partner)
     if set(cert.alpha) != matched:
         raise CertificateError(
@@ -121,7 +120,7 @@ def verify_certificate(inst: Instance, m: Matching, cert: DualCertificate) -> Ce
     for a, b in inst.edges:
         if a in cert.alpha or b in cert.alpha:
             s = cert.alpha.get(a, -top) + cert.alpha.get(b, 0)
-            w = wt_edge(inst, m, (a, b))
+            w = _wt(inst, m, a, b)
             if s < w:
                 violations.append(f"F: alpha[{a}] + alpha[{b}] = {s} < wt = {w} at ({a},{b})")
     for b in inst.side_b:

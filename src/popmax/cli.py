@@ -55,9 +55,12 @@ def _emit(args, status: str, result, witness=None, text: str = ""):
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-def _witness_json(w: popularity.Witness) -> dict:
-    return {"kind": w.kind, "nodes": list(w.nodes),
-            "edges": [list(e) for e in w.edges], "weight": w.weight}
+def _reject(args, m, w: popularity.Witness, result: dict) -> int:
+    """Print a witness against m, as one line or in the JSON envelope."""
+    witness = {"kind": w.kind, "nodes": list(w.nodes),
+               "edges": [list(e) for e in w.edges], "weight": w.weight}
+    _emit(args, "rejected", result, witness, text=popularity.format_witness(m, w))
+    return EXIT_REJECTED
 
 
 def cmd_solve(args) -> int:
@@ -87,38 +90,19 @@ def _load_pair(args):
 
 def cmd_verify(args) -> int:
     inst, m = _load_pair(args)
-    try:
-        verdict = popularity.verify_popular_max(inst, m)
-    except NotMaximumError:
-        _, path = core.is_maximum(inst, m)
-        text = "not maximum; augmenting path: " + " ".join(path)
-        _emit(args, "rejected", {"popular": False, "maximum": False,
-                                 "augmenting_path": path}, text=text)
-        return EXIT_REJECTED
-    if verdict.popular:
-        _emit(args, "ok", {"popular": True}, text="popular")
-        return EXIT_OK
-    w = verdict.witness
-    _emit(args, "rejected", {"popular": False}, _witness_json(w),
-          text=popularity.format_witness(m, w))
-    return EXIT_REJECTED
+    verdict = popularity.verify_popular_max(inst, m)
+    if not verdict.popular:
+        return _reject(args, m, verdict.witness, {"popular": False})
+    _emit(args, "ok", {"popular": True}, text="popular")
+    return EXIT_OK
 
 
 def cmd_certify(args) -> int:
     inst, m = _load_pair(args)
     try:
         cert = certificates.certify_popular_max(inst, m)
-    except NotMaximumError:
-        _, path = core.is_maximum(inst, m)
-        _emit(args, "rejected", {"popular": False, "maximum": False,
-                                 "augmenting_path": path},
-              text="not maximum; augmenting path: " + " ".join(path))
-        return EXIT_REJECTED
     except NotPopularError as exc:
-        w = exc.witness
-        _emit(args, "rejected", {"popular": False}, _witness_json(w),
-              text=popularity.format_witness(m, w))
-        return EXIT_REJECTED
+        return _reject(args, m, exc.witness, {"popular": False})
     _emit(args, "ok", {"alpha": {u: v for u, v in sorted(cert.alpha.items())},
                        "n0_prime": cert.n0_prime},
           text=certificates.serialize_certificate(inst, cert))
@@ -128,13 +112,10 @@ def cmd_certify(args) -> int:
 def cmd_pareto(args) -> int:
     inst, m = _load_pair(args)
     verdict = popularity.is_pareto_optimal(inst, m)
-    if verdict.pareto:
-        _emit(args, "ok", {"pareto_optimal": True}, text="pareto-optimal")
-        return EXIT_OK
-    w = verdict.witness
-    _emit(args, "rejected", {"pareto_optimal": False}, _witness_json(w),
-          text=popularity.format_witness(m, w))
-    return EXIT_REJECTED
+    if not verdict.pareto:
+        return _reject(args, m, verdict.witness, {"pareto_optimal": False})
+    _emit(args, "ok", {"pareto_optimal": True}, text="pareto-optimal")
+    return EXIT_OK
 
 
 def cmd_emit_lp(args) -> int:
@@ -301,6 +282,12 @@ def main(argv=None) -> int:
         parser.error("oracle unpopularity needs a MATCHFILE")
     try:
         return args.func(args)
+    except NotMaximumError as exc:
+        # verify and certify reject a matching that is not maximum
+        _emit(args, "rejected", {"popular": False, "maximum": False,
+                                 "augmenting_path": exc.path},
+              text="not maximum; augmenting path: " + " ".join(exc.path))
+        return EXIT_REJECTED
     except (InputError, ParseError, ValidationError, UnsupportedClauseError) as exc:
         return _report_error(args, "error", exc, EXIT_BAD_INPUT)
     except (BoundExceededError, LimitExceededError) as exc:

@@ -186,16 +186,21 @@ def wt_edge(inst: Instance, m: Matching, e: Edge) -> int:
     both endpoints are matched and strictly prefer their partners to each
     other, 0 otherwise. In particular every edge of m has weight 0.
     """
-    a, b = inst.as_edge(*e)
-    pa = m.partner_of(a)
-    pb = m.partner_of(b)
+    return _wt(inst, m, *inst.as_edge(*e))
+
+
+def _wt(inst: Instance, m: Matching, a: str, b: str) -> int:
+    """`wt_edge` of the existing edge (a, b), without validating it."""
+    pa = m.partner.get(a)
     if pa == b:
         return 0
-    a_wants = inst.prefers(a, b, pa)
-    b_wants = inst.prefers(b, a, pb)
+    pb = m.partner.get(b)
+    rank_a, rank_b = inst._rank[a], inst._rank[b]
+    a_wants = pa is None or rank_a[b] < rank_a[pa]
+    b_wants = pb is None or rank_b[a] < rank_b[pb]
     if a_wants and b_wants:
         return 2
-    if not a_wants and not b_wants and pa is not None and pb is not None:
+    if not a_wants and not b_wants:
         return -2
     return 0
 
@@ -222,18 +227,23 @@ def compare(inst: Instance, m: Matching, n: Matching) -> VoteTally:
 
 
 def is_maximum(inst: Instance, m: Matching) -> tuple[bool, list[str] | None]:
-    """Decide maximality by alternating-path search from unmatched A-nodes.
+    """Decide maximality by breadth-first alternating-path search from the
+    unmatched A-nodes, in side order.
 
     Returns (True, None) or (False, witness) where the witness is an
     augmenting path as a node sequence a - b - ... - b' between two
-    unmatched nodes.
+    unmatched nodes. Vertices reached from a failed start stay visited: they
+    lead only to each other, never to an unmatched B-node (Hopcroft & Karp,
+    SIAM J. Comput. 1973). So the witness is the one a fresh search from the
+    first start with an augmenting path finds, and the search costs O(|E|).
     """
+    parent: dict[str, str] = {}
+    seen_a: set[str] = set()
     for start in inst.side_a:
         if m.is_matched(start):
             continue
-        parent: dict[str, str] = {}
         frontier = [start]
-        seen_a = {start}
+        seen_a.add(start)
         while frontier:
             next_frontier = []
             for a in frontier:

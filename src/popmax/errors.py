@@ -25,7 +25,12 @@ class ValidationError(PopmaxError):
 
 
 class NotMaximumError(PopmaxError):
-    """A maximum matching was required but the given one admits an augmenting path."""
+    """A maximum matching was required but the given one admits an augmenting
+    path; `path` is the one `is_maximum` found."""
+
+    def __init__(self, message: str, path=None):
+        super().__init__(message)
+        self.path = path
 
 
 class NotStableError(PopmaxError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .core import Edge, Instance, Matching, make_matching
 from .errors import CertificateError, InternalError, NotStableError, ValidationError
-from .stable import gale_shapley, is_stable
+from .stable import is_stable
 
 RESERVED = "#!~"
 
@@ -194,20 +194,11 @@ def level_proposals(inst: Instance) -> tuple[Matching, LevelPartition]:
     return m, LevelPartition(level, level_of_b, n0)
 
 
-def popular_max_matching(inst: Instance, proposing_side: str = "A") -> Matching:
-    """A popular max-matching, as the projection of a deferred-acceptance
-    run in the derived instance.
-
-    The A-proposing run is the canonical one; it runs as `level_proposals`
-    on the source graph in O(|E| x levels used), without building the
-    derived instance. The B-proposing run builds it; elsewhere it is built
-    only where it is the product: the `gstar`, `emit-lp` and `mincost`
-    commands and `lift`.
-    """
-    if proposing_side == "A":
-        return level_proposals(inst)[0]
-    gs = build_gstar(inst)
-    return project(gs, gale_shapley(gs.inner, proposing_side))
+def popular_max_matching(inst: Instance) -> Matching:
+    """The canonical popular max-matching: the projection of the
+    A-proposing deferred-acceptance run in the derived instance, run by
+    `level_proposals` on the source graph in O(|E| x levels used)."""
+    return level_proposals(inst)[0]
 
 
 def _down_edge_exists(inst: Instance, lvl: dict[str, int], low: int) -> bool:

@@ -406,9 +406,10 @@ def emit_lp(inst: Instance) -> str:
     """
     gs = build_gstar(inst)
     inner = gs.inner
+    token = {u: _lp_token(gs, u) for u in inner.nodes}
 
     def evar(u: str, v: str) -> str:
-        return f"xs.{_lp_token(gs, u)}.{_lp_token(gs, v)}"
+        return f"xs.{token[u]}.{token[v]}"
 
     def gvar(a: str, b: str) -> str:
         return f"x.{_enc(a)}.{_enc(b)}"
@@ -427,7 +428,7 @@ def emit_lp(inst: Instance) -> str:
         ahead_u = [evar(u, w) for w in inner.prefs[u][:inner.rank(u, v)]]
         ahead_v = [evar(z, v) for z in inner.prefs[v][:inner.rank(v, u)]]
         expr = " + ".join(ahead_u + ahead_v + [evar(u, v)])
-        lines.append(f" stab.{_lp_token(gs, u)}.{_lp_token(gs, v)}: {expr} >= 1")
+        lines.append(f" stab.{token[u]}.{token[v]}: {expr} >= 1")
 
     must_match = set()
     for a in inst.side_a:
@@ -440,9 +441,9 @@ def emit_lp(inst: Instance) -> str:
         if not incident:
             continue
         expr = " + ".join(incident)
-        lines.append(f" deg.{_lp_token(gs, node)}: {expr} <= 1")
+        lines.append(f" deg.{token[node]}: {expr} <= 1")
         if node in must_match:
-            lines.append(f" fix.{_lp_token(gs, node)}: {expr} = 1")
+            lines.append(f" fix.{token[node]}: {expr} = 1")
 
     for a, b in inst.edges:
         copies = " - ".join(evar(copy_name(a, i), image_name(b)) for i in range(gs.n0))

@@ -18,8 +18,9 @@ DEFAULT_BOUND = 24
 def enum_matchings(inst: Instance, bound: int = DEFAULT_BOUND) -> list[Matching]:
     """All matchings of the instance, including the empty one.
 
-    Recursion over edges with disjointness pruning; visits every partial
-    matching exactly once. Refuses instances with more than `bound` edges.
+    Depth-first over edges on an explicit stack, skipping edge i before
+    taking it, with disjointness pruning; visits every partial matching
+    exactly once. Refuses instances with more than `bound` edges.
     """
     edges = inst.edges
     if len(edges) > bound:
@@ -28,23 +29,27 @@ def enum_matchings(inst: Instance, bound: int = DEFAULT_BOUND) -> list[Matching]
     out: list[Matching] = []
     chosen: list = []
     used: set[str] = set()
-
-    def rec(i: int):
+    stack = [(0, "skip")]  # (edge index, next step there: skip, take or undo)
+    while stack:
+        i, step = stack.pop()
         if i == len(edges):
             out.append(Matching(frozenset(chosen)))
-            return
-        rec(i + 1)
+            continue
         a, b = edges[i]
-        if a not in used and b not in used:
-            chosen.append(edges[i])
-            used.add(a)
-            used.add(b)
-            rec(i + 1)
+        if step == "skip":
+            stack.append((i, "take"))
+            stack.append((i + 1, "skip"))
+        elif step == "take":
+            if a not in used and b not in used:
+                chosen.append(edges[i])
+                used.add(a)
+                used.add(b)
+                stack.append((i, "undo"))
+                stack.append((i + 1, "skip"))
+        else:
             chosen.pop()
             used.discard(a)
             used.discard(b)
-
-    rec(0)
     return out
 
 

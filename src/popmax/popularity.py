@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Edge, Instance, Matching, is_maximum, wt_edge
+from .core import Edge, Instance, Matching, _wt, is_maximum
 from .errors import InternalError, NotMaximumError
 
 Arc = tuple[int, int, str, str, int]  # (src vertex, dst vertex, a, b, weight)
@@ -46,9 +46,9 @@ def build_alternating_digraph(inst: Instance, m: Matching) -> AlternatingDigraph
             vertices.append(("ub", b))
     arcs = []
     for a, b in inst.edges:
-        if m.partner_of(a) == b:
+        if m.partner.get(a) == b:
             continue
-        arcs.append((vertex_of[a], vertex_of[b], a, b, wt_edge(inst, m, (a, b))))
+        arcs.append((vertex_of[a], vertex_of[b], a, b, _wt(inst, m, a, b)))
     return AlternatingDigraph(tuple(vertices), tuple(arcs), vertex_of)
 
 
@@ -195,12 +195,12 @@ def _witness_or_potentials(inst: Instance, m: Matching) -> Witness | dict[str, i
     potentials, mapping every matched node to the even value y in 0..top of
     its pair, with y(b) >= y(a) + wt(a, b) on every arc. The potential of
     an A-node is -alpha, of a B-node alpha.
-    Raises NotMaximumError unless m is maximum.
+    Raises NotMaximumError, with its augmenting path, unless m is maximum.
     """
-    maximum, _ = is_maximum(inst, m)
+    maximum, path = is_maximum(inst, m)
     if not maximum:
         raise NotMaximumError(
-            "matching is not maximum; popularity among maximum matchings is undefined")
+            "matching is not maximum; popularity among maximum matchings is undefined", path)
     dg = build_alternating_digraph(inst, m)
     n = len(dg.vertices)
     top = 2 * (len(m.pairs) - 1)

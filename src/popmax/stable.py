@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .core import Edge, Instance, Matching, make_matching, wt_edge
+from .core import Edge, Instance, Matching, _wt, make_matching
 
 
 def gale_shapley(inst: Instance, proposing_side: str = "A") -> Matching:
@@ -45,7 +45,7 @@ def gale_shapley(inst: Instance, proposing_side: str = "A") -> Matching:
 def blocking_edges(inst: Instance, m: Matching) -> list[Edge]:
     """All edges whose endpoints mutually prefer each other over their
     assignments (weight-2 edges), in instance edge order."""
-    return [e for e in inst.edges if wt_edge(inst, m, e) == 2]
+    return [(a, b) for a, b in inst.edges if _wt(inst, m, a, b) == 2]
 
 
 def is_stable(inst: Instance, m: Matching) -> bool:

@@ -112,11 +112,31 @@ def test_pareto_long_chain_of_blocking_edges(tmp_path, capsys):
     assert code == 0 and out == "pareto-optimal\n"
 
 
-def test_verify_non_maximum_rejected(files, capsys, tmp_path):
+def test_verify_non_maximum_rejected(files, capsys, tmp_path, monkeypatch):
+    """verify and certify run the maximality search once and print its path."""
+    import popmax
+    from popmax import certificates, core, popularity
+
+    search = core.is_maximum
+    calls = []
+
+    def counted(inst, m):
+        calls.append(m)
+        return search(inst, m)
+
+    for module in (popmax, core, popularity, certificates):
+        monkeypatch.setattr(module, "is_maximum", counted)
     empty = tmp_path / "empty.match"
     empty.write_text("")
-    code, out, _ = run(capsys, "verify", files["i0"], str(empty))
-    assert code == 1 and "not maximum" in out
+    for command in ("verify", "certify"):
+        for json_flag, expected in (
+                ([], "not maximum; augmenting path: a b\n"),
+                (["--json"], '{"result": {"augmenting_path": ["a", "b"], "maximum": false, '
+                             '"popular": false}, "status": "rejected"}\n')):
+            calls.clear()
+            code, out, _ = run(capsys, *json_flag, command, files["i0"], str(empty))
+            assert code == 1 and out == expected
+            assert len(calls) == 1
 
 
 def test_gstar_and_emit_lp(files, capsys):
@@ -153,6 +173,19 @@ def test_oracle_subcommands(files, capsys):
     # {(a3,b1)} is beaten 2:1 by either rival singleton but never unopposed
     code, out, _ = run(capsys, "oracle", "unpopularity", files["i3"], files["bad"])
     assert code == 0 and out.strip() == "2"
+
+
+def test_oracle_matchings_long_star(tmp_path, capsys):
+    """One A-node listing 1,200 B-nodes: 1,201 matchings, enumerated past
+    the interpreter's recursion limit."""
+    n = 1200
+    bs = " ".join(f"b{j}" for j in range(n))
+    lines = ["side A a", f"side B {bs}", f"pref a: {bs}"]
+    lines += [f"pref b{j}: a" for j in range(n)]
+    star = tmp_path / "star.txt"
+    star.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "oracle", "matchings", str(star), "--bound", "5000")
+    assert code == 0 and len(out.splitlines()) == n + 1
 
 
 def test_exit_code_bad_input(tmp_path, capsys):

@@ -185,6 +185,32 @@ def test_is_maximum_agrees_with_oracle():
             assert got == (len(m) == best)
             if not got:
                 assert len(path) % 2 == 0 and len(path) >= 2
+                assert not m.is_matched(path[0]) and not m.is_matched(path[-1])
+                steps = list(zip(path, path[1:]))
+                assert all(inst.has_edge(u, v) for u, v in steps)
+                assert all(m.partner_of(u) == v for u, v in steps[1::2])
+
+
+def test_is_maximum_one_search_for_all_starts(monkeypatch):
+    """295 unmatched A-nodes share one search, so each B-node's partner
+    is looked up at most once."""
+    from collections import Counter
+
+    from popmax import Matching, popular_max_matching
+
+    inst = random_instance(300, 5, 1.0, 7)
+    m = popular_max_matching(inst)
+    assert len(inst.side_a) - len(m) == 295
+    lookups = Counter()
+    partner_of = Matching.partner_of
+
+    def counted(self, u):
+        lookups[u] += 1
+        return partner_of(self, u)
+
+    monkeypatch.setattr(Matching, "partner_of", counted)
+    assert is_maximum(inst, m) == (True, None)
+    assert set(lookups) <= set(inst.side_b) and max(lookups.values()) == 1
 
 
 def test_matching_cost(i2c):

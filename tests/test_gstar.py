@@ -199,15 +199,6 @@ def test_lift_right_inverse_on_randoms():
             assert project(gs, lifted).pairs == m.pairs
 
 
-def test_b_proposing_projection_also_popular():
-    """The proposer side is exposed as a parameter; B-proposing runs also
-    project to popular max-matchings (their stability in the derived
-    instance is all the projection argument needs)."""
-    for _seed, inst in random_cases(25, 4, 6300):
-        m = popular_max_matching(inst, proposing_side="B")
-        assert verify_popular_max(inst, m).popular
-
-
 def _level_run_cases():
     """Square and rectangular instances with |A| and |B| from 0, sparse ones
     with empty lists, and level-heavy ones with |A| much larger than |B|."""

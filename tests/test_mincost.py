@@ -303,6 +303,24 @@ def test_emit_lp_deterministic(i2c):
     assert emit_lp(i2c) == emit_lp(i2c)
 
 
+def test_emit_lp_encodes_each_derived_node_once(monkeypatch):
+    from collections import Counter
+
+    from popmax import mincost
+
+    inst = random_instance(4, 5, 0.6, 3, (0, 9))
+    token = mincost._lp_token
+    encoded = Counter()
+
+    def counted(gs, node):
+        encoded[node] += 1
+        return token(gs, node)
+
+    monkeypatch.setattr(mincost, "_lp_token", counted)
+    emit_lp(inst)
+    assert encoded == Counter(build_gstar(inst).inner.nodes)
+
+
 def _solve_lp(text: str):
     import numpy as np
     from scipy.optimize import linprog

@@ -29,6 +29,23 @@ def test_digraph_arc_count(i1, i2):
     assert len(dg.arcs) == len(i2.edges) - len(m.pairs)
 
 
+def test_digraph_build_does_not_revalidate_edges(monkeypatch):
+    from popmax import Instance, gale_shapley, random_instance, wt_edge
+
+    inst = random_instance(30, 30, 0.2, 5)
+    m = gale_shapley(inst)
+    expected = [(a, b, wt_edge(inst, m, (a, b)))
+                for a, b in inst.edges if m.partner_of(a) != b]
+
+    def refuse(*_args):
+        raise AssertionError("edge re-validated while building the digraph")
+
+    monkeypatch.setattr(Instance, "as_edge", refuse)
+    monkeypatch.setattr(Instance, "has_edge", refuse)
+    dg = build_alternating_digraph(inst, m)
+    assert [(a, b, w) for _src, _dst, a, b, w in dg.arcs] == expected
+
+
 def test_verifier_accepts_i1_perfect(i1):
     m = mk(i1, ("a1", "b1"), ("a2", "b2"))
     verdict = verify_popular_max(i1, m)
