@@ -12,6 +12,7 @@ from .certificates import (
     DualCertificate,
     certify_popular_max,
     extract_certificate,
+    lift,
     parse_certificate,
     serialize_certificate,
     verify_certificate,
@@ -49,11 +50,9 @@ from .errors import (
 )
 from .gstar import (
     GStarInstance,
-    LevelPartition,
     build_gstar,
     level_proposals,
     levels,
-    lift,
     popular_max_matching,
     project,
 )

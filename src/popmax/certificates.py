@@ -1,24 +1,30 @@
-"""LP-dual certificates of popularity for maximum matchings.
+"""LP-dual certificates of popularity for maximum matchings, and the
+translation between certificate values and copy levels of the derived
+instance in both directions.
 
 A certificate assigns each matched node an even integer: nonpositive on the
 A-side, nonnegative on the B-side, summing to 0, with matched pairs tight
 and every edge with a matched endpoint satisfied, an unmatched node taking
 the extreme value of its side. Neighbors of unmatched B-nodes must sit at 0
-and neighbors of unmatched A-nodes at the top of the range. `certify`
-reads a certificate off the potentials of the popularity pass, and
-`extract_certificate` off the levels of a stable matching of the derived
-instance; both compress the levels into the range the matched-pair count
-allows.
+and neighbors of unmatched A-nodes at the top of the range. A level is half
+the absolute value. `certify_popular_max` reads a certificate off the
+potentials of the popularity pass, and `extract_certificate` off the
+levels of a stable matching of the derived instance; both compress the
+levels into the range the matched-pair count allows. `lift` goes the other
+way: it places a certificate's levels on the copies of the derived
+instance, stretched to its top copy when unmatched A-nodes demand it.
+The compressor `_remap_levels` serves all three.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance, Matching, _wt, is_maximum
+from .core import Edge, Instance, Matching, _wt, is_maximum, make_matching
 from .errors import CertificateError, InternalError, NotMaximumError, NotPopularError, ParseError
-from .gstar import GStarInstance, _remap_levels, levels, project
+from .gstar import GStarInstance, build_gstar, copy_name, dummy_name, image_name, levels, project
 from .popularity import Witness, _witness_or_potentials
+from .stable import is_stable
 
 
 @dataclass(frozen=True)
@@ -37,15 +43,11 @@ class CertificateReport:
 
 
 def extract_certificate(inst: Instance, gs: GStarInstance, s: Matching) -> DualCertificate:
-    """Certificate for project(s) from the level partition of stable s;
-    see `_certificate_from_levels`."""
-    lp = levels(gs, s)  # raises NotStableError for unstable s
+    """Certificate for project(s) from the levels of stable s, restricted
+    to the matched nodes; see `_certificate_from_levels`."""
+    level = levels(gs, s)  # raises NotStableError for unstable s
     m = project(gs, s)
-    raw = {}
-    for a, b in m.pairs:
-        raw[a] = lp.level_of_a[a]
-        raw[b] = lp.level_of_b[b]
-    return _certificate_from_levels(inst, m, raw)
+    return _certificate_from_levels(inst, m, {u: level[u] for u in m.partner})
 
 
 def _certificate_from_levels(inst: Instance, m: Matching, raw: dict[str, int]) -> DualCertificate:
@@ -54,17 +56,11 @@ def _certificate_from_levels(inst: Instance, m: Matching, raw: dict[str, int]) -
     popularity pass.
 
     Matched nodes at compressed level i get alpha -2i (A-side) or +2i
-    (B-side). Raw levels are order-preservingly remapped into
-    0..n0'-1: levels chained by an edge whose A-end sits one level above its
-    B-end stay adjacent, the bottom is pinned to 0 when some unmatched
-    B-node has neighbors, and the top to n0'-1 when some unmatched A-node
-    does. The result always passes verify_certificate.
+    (B-side), the raw levels being remapped into 0..n0'-1 by
+    `_remap_levels`. The result always passes verify_certificate.
     """
     n0_prime = len(m.pairs)
-    unmatched_a = [a for a in inst.side_a if not m.is_matched(a) and inst.prefs[a]]
-    unmatched_b = [b for b in inst.side_b if not m.is_matched(b) and inst.prefs[b]]
-    remap = _remap_levels(inst, m, raw, n0_prime,
-                          pin_bottom=bool(unmatched_b), pin_top=bool(unmatched_a))
+    remap = _remap_levels(inst, m, raw, n0_prime)
     alpha = {}
     for a, b in m.pairs:
         alpha[a] = -2 * remap[raw[a]]
@@ -75,6 +71,83 @@ def _certificate_from_levels(inst: Instance, m: Matching, raw: dict[str, int]) -
         raise InternalError(
             f"extracted certificate failed verification: {list(report.violations)}")
     return cert
+
+
+def _remap_levels(inst: Instance, m: Matching, level: dict[str, int],
+                  n_levels: int) -> dict[int, int]:
+    """Order-preserving injection of the levels of m's matched nodes into
+    0..n_levels-1.
+
+    `level` maps every matched node to its level, a pair sharing one. The
+    occupied levels are packed one apart from 0 up, with two pins worked
+    out from inst and m: when some unmatched A-node has neighbors (they
+    are matched, and a certificate must put them at the top), the highest
+    level goes to n_levels-1; when in addition some unmatched B-node has
+    neighbors (which must sit at 0), the lowest stays at 0 and the slack
+    widens the lowest gap that is not rigid. A gap between levels l and
+    l+1 is rigid when an edge with both ends matched has its A-end at l+1
+    and its B-end at l: its weight relies on that one-level drop, so the
+    two levels stay adjacent.
+    """
+    occupied = sorted({level[a] for a, _ in m.pairs})
+    slack = n_levels - len(occupied)
+    pos = list(range(len(occupied)))
+    if any(inst.prefs[a] and not m.is_matched(a) for a in inst.side_a):
+        if slack < 0:
+            raise InternalError("certificate level span exceeds the derived instance")
+        if not any(inst.prefs[b] and not m.is_matched(b) for b in inst.side_b):
+            pos = [p + slack for p in pos]
+        elif slack:
+            matched = m.partner
+            rigid = {level[b] for a, b in inst.edges
+                     if a in matched and b in matched and level[a] == level[b] + 1}
+            k = next((k for k in range(1, len(occupied))
+                      if occupied[k] != occupied[k - 1] + 1 or occupied[k - 1] not in rigid), None)
+            if k is None:
+                raise InternalError("rigid level chain cannot be stretched to the pins")
+            pos[k:] = [p + slack for p in pos[k:]]
+    return dict(zip(occupied, pos))
+
+
+def lift(inst: Instance, m: Matching, cert: DualCertificate, *,
+         gs: GStarInstance | None = None) -> Matching:
+    """Build a stable matching of the derived instance projecting to m.
+
+    `cert` is a verified dual certificate for m; its levels choose which
+    copy of each matched A-node pairs with its partner's image, and the
+    dummy chains fill in around that copy. When some unmatched A-node has
+    neighbors, they must sit at the top copy, so the levels are remapped
+    by `_remap_levels` into the copies of the derived instance; otherwise
+    the certificate levels are used as they are.
+    """
+    report = verify_certificate(inst, m, cert)
+    if not report.ok:
+        raise CertificateError("certificate invalid for the matching", report.violations)
+    if gs is None:
+        gs = build_gstar(inst)
+    n0 = gs.n0
+    level = {u: abs(v) // 2 for u, v in cert.alpha.items()}
+    if any(inst.prefs[a] and not m.is_matched(a) for a in inst.side_a):
+        remap = _remap_levels(inst, m, level, n0)
+        level = {u: remap[l] for u, l in level.items()}
+
+    pairs: list[Edge] = []
+    for a, b in m.pairs:
+        pairs.append((copy_name(a, level[a]), image_name(b)))
+    for a in inst.side_a:
+        i = level.get(a, n0 - 1)
+        for j in range(i):
+            pairs.append((copy_name(a, j), dummy_name(a, j + 1)))
+        for j in range(i + 1, n0):
+            pairs.append((copy_name(a, j), dummy_name(a, j)))
+    lifted = make_matching(gs.inner, pairs)
+    if not is_stable(gs.inner, lifted):
+        raise CertificateError(
+            "certificate does not lift to a stable matching; "
+            "the matching is likely not a popular max-matching")
+    if project(gs, lifted).pairs != m.pairs:
+        raise InternalError("lift does not project back to the input matching")
+    return lifted
 
 
 def verify_certificate(inst: Instance, m: Matching, cert: DualCertificate) -> CertificateReport:

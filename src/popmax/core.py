@@ -36,6 +36,7 @@ class Instance:
     costs: dict[Edge, int] = field(default_factory=dict)
     edges: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
     _rank: dict[str, dict[str, int]] = field(init=False, repr=False, compare=False)
+    _a_set: set[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "side_a", tuple(self.side_a))
@@ -69,6 +70,7 @@ class Instance:
         edges = tuple((a, b) for a in self.side_a for b in prefs[a])
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_rank", rank)
+        object.__setattr__(self, "_a_set", a_set)
         edge_set = set(edges)
         costs = {}
         for e, c in self.costs.items():
@@ -86,11 +88,7 @@ class Instance:
         return self.side_a + self.side_b
 
     def is_a(self, u: str) -> bool:
-        try:
-            cache = self.__dict__["_a_cache"]
-        except KeyError:
-            cache = self.__dict__["_a_cache"] = frozenset(self.side_a)
-        return u in cache
+        return u in self._a_set
 
     def has_edge(self, u: str, v: str) -> bool:
         return v in self._rank.get(u, {})

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .certificates import DualCertificate, certify_popular_max
 from .core import Instance, Matching, make_matching, matching_cost
 from .errors import InternalError, LimitExceededError
 from .gstar import build_gstar, copy_name, dummy_name, image_name, project
@@ -347,7 +348,7 @@ def min_cost_stable(inst: Instance) -> Matching:
 class MinCostResult:
     matching: Matching
     cost: int
-    certificate: "DualCertificate"  # noqa: F821 - imported lazily
+    certificate: DualCertificate
 
 
 def min_cost_popular_max(inst: Instance) -> MinCostResult:
@@ -358,8 +359,6 @@ def min_cost_popular_max(inst: Instance) -> MinCostResult:
     the source cost of its projection; minimizing over stable matchings
     minimizes over all popular max-matchings.
     """
-    from .certificates import certify_popular_max
-
     gs = build_gstar(inst)
     s = min_cost_stable(gs.inner)
     m = project(gs, s)

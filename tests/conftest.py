@@ -53,6 +53,21 @@ pref b1: a2 a1
 pref b2: a1 a2
 """
 
+# a1 and b3 stay unmatched in {a2-b4, a3-b1, a4-b2}, so a certificate's
+# levels are pinned at both ends; edge (a4, b1) chains levels 1 and 2.
+STRETCH_TEXT = """\
+side A a1 a2 a3 a4
+side B b1 b2 b3 b4
+pref a1: b2
+pref a2: b1 b4 b3
+pref a3: b1
+pref a4: b2 b1
+pref b1: a3 a4 a2
+pref b2: a4 a1
+pref b3: a2
+pref b4: a2
+"""
+
 
 @pytest.fixture
 def i0():
@@ -82,6 +97,11 @@ def i3():
 @pytest.fixture
 def i5():
     return parse_instance(I5_TEXT)
+
+
+@pytest.fixture
+def stretch():
+    return parse_instance(STRETCH_TEXT)
 
 
 def mk(inst, *pairs) -> Matching:

@@ -108,8 +108,7 @@ def test_criterion_3_projection_and_level_properties():
             m = project(gs, s)
             assert frozenset(m.pairs) in pops          # popular max (incl. property 6)
             assert is_maximum(inst, m)[0]
-            lp = levels(gs, s)
-            la, lb = lp.level_of_a, lp.level_of_b
+            la = lb = levels(gs, s)
             for a, b in m.pairs:                        # property 1: level-matched pairs
                 assert la[a] == lb[b]
             for i in range(gs.n0):                      # property 1: per-level stability

@@ -199,6 +199,21 @@ def test_lift_uses_perfect_certificate_levels_verbatim():
     assert ("a2#1", "b2~") in lifted.pairs and ("a1#0", "b1~") in lifted.pairs
 
 
+def test_lift_stretches_the_loose_gap(stretch):
+    """Unmatched a1 and b3 pin the levels at both ends, so the three
+    certificate levels spread over the four copies. Edge (a4, b1) has its
+    A-end one level above its B-end, so levels 1 and 2 stay adjacent and
+    the slack goes into the 0 -> 1 gap."""
+    from popmax import lift
+
+    m = mk(stretch, ("a2", "b4"), ("a3", "b1"), ("a4", "b2"))
+    cert = certify_popular_max(stretch, m)
+    assert cert.alpha == {"a2": 0, "a3": -2, "a4": -4, "b1": 2, "b2": 4, "b4": 0}
+    lifted = lift(stretch, m, cert)
+    assert sorted(p for p in lifted.pairs if p[1].endswith("~")) == [
+        ("a2#0", "b4~"), ("a3#2", "b1~"), ("a4#3", "b2~")]
+
+
 def test_neighbors_of_unmatched_prefer_partner():
     """On verified popular max-matchings, every neighbor of an unmatched
     node prefers its partner to all its unmatched neighbors."""

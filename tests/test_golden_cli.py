@@ -1,0 +1,96 @@
+"""Byte-identity guard for the command line.
+
+Every in-process `popmax.cli.main` run over a fixed corpus is reduced to a
+16-hex-character SHA-256 digest of (exit code, stdout, stderr) and compared
+with `golden_cli.json`. The corpus is 30 seeded costed instances with
+sides 1..5, the conftest fixtures and the stretch fixture. Each instance
+runs `solve`, `mincost`, `--json mincost`, `emit-lp` and `gstar`; up to six
+of its maximum matchings (popular ones first) and one non-maximum matching
+run `verify`, `certify`, `--json certify` and `pareto`.
+
+After an intended change of output, rewrite the file with
+`PYTHONPATH=src python tests/test_golden_cli.py --regen`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from popmax import cli, make_matching, parse_instance, serialize_instance, serialize_matching
+from popmax.oracle import brute_popular_max, enum_max_matchings
+
+import conftest
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+INSTANCE_COMMANDS = (("solve",), ("mincost",), ("--json", "mincost"), ("emit-lp",), ("gstar",))
+MATCHING_COMMANDS = (("verify",), ("certify",), ("--json", "certify"), ("pareto",))
+MATCHINGS_PER_INSTANCE = 6
+
+
+def _instances():
+    """(name, instance, extra matchings) in a fixed order."""
+    for name in ("I0", "I1", "I2", "I2_COSTED", "I3", "I5"):
+        yield name.lower(), parse_instance(getattr(conftest, f"{name}_TEXT")), []
+    stretch = parse_instance(conftest.STRETCH_TEXT)
+    yield "stretch", stretch, [make_matching(stretch, [("a2", "b4"), ("a3", "b1"), ("a4", "b2")])]
+    for seed, inst in conftest.random_cases(30, 5, 9700, costs=(0, 9)):
+        yield f"seed{seed:02d}", inst, []
+
+
+def _matchings(inst, extra):
+    """Up to six maximum matchings, popular ones first, then the extra ones,
+    then the first of them minus one pair, which is not maximum."""
+    def key(m):
+        return sorted(m.pairs)
+
+    popular = sorted(brute_popular_max(inst, bound=30), key=key)
+    chosen = popular + sorted((m for m in enum_max_matchings(inst, bound=30)
+                               if m.pairs not in {p.pairs for p in popular}), key=key)
+    chosen = chosen[:MATCHINGS_PER_INSTANCE] + extra
+    if chosen[0].pairs:
+        chosen.append(make_matching(inst, sorted(chosen[0].pairs)[1:]))
+    return chosen
+
+
+def _digest(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    blob = json.dumps([code, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def compute_digests(workdir: Path) -> dict[str, str]:
+    digests = {}
+    for name, inst, extra in _instances():
+        path = workdir / f"{name}.txt"
+        path.write_text(serialize_instance(inst))
+        for cmd in INSTANCE_COMMANDS:
+            digests[f"{name} {' '.join(cmd)}"] = _digest(cmd + (str(path),))
+        for k, m in enumerate(_matchings(inst, extra)):
+            mpath = workdir / f"{name}.m{k}.txt"
+            mpath.write_text(serialize_matching(m))
+            for cmd in MATCHING_COMMANDS:
+                digests[f"{name}/m{k} {' '.join(cmd)}"] = _digest(cmd + (str(path), str(mpath)))
+    return digests
+
+
+def test_cli_output_matches_golden_digests(tmp_path):
+    expected = json.loads(GOLDEN.read_text())
+    actual = compute_digests(tmp_path)
+    assert actual.keys() == expected.keys()
+    changed = sorted(k for k in expected if actual[k] != expected[k])
+    assert not changed, f"{len(changed)} CLI runs changed output, e.g. {changed[:5]}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regen"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden_cli.py --regen")
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN.write_text(json.dumps(compute_digests(Path(tmp)), indent=0, sort_keys=True) + "\n")

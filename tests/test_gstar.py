@@ -107,24 +107,20 @@ def test_project_gs_run_is_stable_on_source(i2):
 
 def test_levels_single_copy(i0):
     gs = build_gstar(i0)
-    lp = levels(gs, gale_shapley(gs.inner))
-    assert lp.level_of_a == {"a": 0}
-    assert lp.level_of_b == {"b": 0}
+    assert levels(gs, gale_shapley(gs.inner)) == {"a": 0, "b": 0}
 
 
 def test_levels_fixture(i1):
     gs = build_gstar(i1)
     s = make_matching(gs.inner, [("a1#1", "b1~"), ("a2#0", "b2~"),
                                  ("a1#0", "a1!d1"), ("a2#1", "a2!d1")])
-    lp = levels(gs, s)
-    assert lp.level_of_a == {"a1": 1, "a2": 0}
-    assert lp.level_of_b == {"b1": 1, "b2": 0}
+    assert levels(gs, s) == {"a1": 1, "a2": 0, "b1": 1, "b2": 0}
 
 
 def test_levels_leftover_rule(i3):
     gs = build_gstar(i3)
-    lp = levels(gs, gale_shapley(gs.inner))
-    assert lp.level_of_a["a2"] == 2 and lp.level_of_a["a3"] == 2
+    level = levels(gs, gale_shapley(gs.inner))
+    assert level["a2"] == 2 and level["a3"] == 2
 
 
 def test_popular_max_matching_fixtures(i0, i1, i3):
@@ -170,8 +166,7 @@ def test_level_properties_on_randoms():
         for s in enumerate_stable(gs.inner, limit=4000):
             m = project(gs, s)
             assert frozenset(m.pairs) in pops
-            lp = levels(gs, s)
-            la, lb = lp.level_of_a, lp.level_of_b
+            la = lb = levels(gs, s)
             for a, b in m.pairs:
                 assert la[a] == lb[b]
             for a, b in inst.edges:
@@ -245,5 +240,5 @@ def test_solve_complete_level_heavy():
     inst = popmax.random_instance(300, 5, 1.0, 7)
     m = popular_max_matching(inst)
     assert len(m) == 5 and verify_popular_max(inst, m).popular
-    _, lp = level_proposals(inst)
-    assert all(lp.level_of_a[a] == 299 for a in inst.side_a if not m.is_matched(a))
+    _, level = level_proposals(inst)
+    assert all(level[a] == 299 for a in inst.side_a if not m.is_matched(a))

@@ -1,0 +1,40 @@
+"""The package's module import graph has no cycle."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import popmax
+
+PACKAGE = Path(popmax.__file__).parent
+
+
+def _relative_imports(path: Path, modules: set[str]) -> set[str]:
+    """Sibling modules a module imports, at top level or inside functions."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(a.name if a.name in modules else "__init__" for a in node.names)
+    return found
+
+
+def test_module_import_graph_is_acyclic():
+    paths = {p.stem: p for p in PACKAGE.glob("*.py")}
+    graph = {name: _relative_imports(p, set(paths)) for name, p in paths.items()}
+    state: dict[str, int] = {}  # 1 on the current path, 2 done
+
+    def visit(name: str, trail: list[str]) -> None:
+        state[name] = 1
+        for dep in sorted(graph.get(name, ())):
+            assert state.get(dep) != 1, f"import cycle: {' -> '.join(trail + [dep])}"
+            if dep not in state:
+                visit(dep, trail + [dep])
+        state[name] = 2
+
+    for name in sorted(graph):
+        if name not in state:
+            visit(name, [name])
