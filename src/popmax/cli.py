@@ -267,6 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import. `parse_args` fills a fresh namespace on every call,
+# so one parser serves every `main` call; the handlers are bound here.
+PARSER = build_parser()
+
+
 def _report_error(args, label: str, exc: Exception, code: int) -> int:
     print(f"{label}: {exc}", file=sys.stderr)
     if args.json:
@@ -275,11 +280,10 @@ def _report_error(args, label: str, exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     if getattr(args, "command", "") == "oracle" and args.what == "unpopularity" \
             and not args.matching:
-        parser.error("oracle unpopularity needs a MATCHFILE")
+        PARSER.error("oracle unpopularity needs a MATCHFILE")
     try:
         return args.func(args)
     except NotMaximumError as exc:

@@ -39,43 +39,52 @@ class Instance:
     _a_set: set[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "side_a", tuple(self.side_a))
-        object.__setattr__(self, "side_b", tuple(self.side_b))
-        a_set, b_set = set(self.side_a), set(self.side_b)
-        if len(a_set) != len(self.side_a) or len(b_set) != len(self.side_b) or (a_set & b_set):
+        side_a, side_b = tuple(self.side_a), tuple(self.side_b)
+        object.__setattr__(self, "side_a", side_a)
+        object.__setattr__(self, "side_b", side_b)
+        a_set, b_set = set(side_a), set(side_b)
+        if len(a_set) != len(side_a) or len(b_set) != len(side_b) or (a_set & b_set):
             raise ValidationError("duplicate node identifier")
-        for u in list(a_set) + list(b_set):
-            if not u or any(c.isspace() for c in u) or ":" in u:
-                raise ValidationError(f"bad node identifier {u!r}")
-        prefs = {u: tuple(self.prefs.get(u, ())) for u in self.side_a + self.side_b}
-        if set(self.prefs) - set(prefs):
-            raise ValidationError(f"preference list for unknown node {sorted(set(self.prefs) - set(prefs))[0]!r}")
-        object.__setattr__(self, "prefs", prefs)
-        for u, lst in prefs.items():
-            opposite = b_set if u in a_set else a_set
-            if len(set(lst)) != len(lst):
-                raise ValidationError(f"duplicate entry in preference list of {u!r}")
-            for v in lst:
-                if v not in opposite:
+        for ids in (a_set, b_set):
+            for u in ids:
+                # str.split() splits on exactly the characters str.isspace() accepts
+                if u.split() != [u] or ":" in u:
+                    raise ValidationError(f"bad node identifier {u!r}")
+        given = self.prefs
+        unknown = [u for u in given if u not in a_set and u not in b_set]
+        if unknown:
+            raise ValidationError(f"preference list for unknown node {min(unknown)!r}")
+        # one rank dict per list: its size finds duplicates, its keys the side
+        prefs, rank = {}, {}
+        for ids, opposite in ((side_a, b_set), (side_b, a_set)):
+            for u in ids:
+                lst = tuple(given.get(u, ()))
+                r = {v: i for i, v in enumerate(lst)}
+                if len(r) != len(lst):
+                    raise ValidationError(f"duplicate entry in preference list of {u!r}")
+                if not opposite.issuperset(r):
+                    v = next(v for v in lst if v not in opposite)
                     raise ValidationError(f"{u!r} lists {v!r}, which is not on the opposite side")
-        rank = {u: {v: i for i, v in enumerate(lst)} for u, lst in prefs.items()}
-        for a in self.side_a:
-            for b in prefs[a]:
-                if a not in rank[b]:
-                    raise ValidationError(f"non-mutual preference: {a!r} lists {b!r} but not vice versa")
-        for b in self.side_b:
-            for a in prefs[b]:
-                if b not in rank[a]:
-                    raise ValidationError(f"non-mutual preference: {b!r} lists {a!r} but not vice versa")
-        edges = tuple((a, b) for a in self.side_a for b in prefs[a])
+                prefs[u] = lst
+                rank[u] = r
+        edges = tuple((a, b) for a in side_a for b in prefs[a])
+        for a, b in edges:
+            if a not in rank[b]:
+                raise ValidationError(f"non-mutual preference: {a!r} lists {b!r} but not vice versa")
+        # every A-side entry is mirrored, so a B-side entry is unmirrored iff B lists more
+        if sum(len(prefs[b]) for b in side_b) != len(edges):
+            for b in side_b:
+                for a in prefs[b]:
+                    if b not in rank[a]:
+                        raise ValidationError(f"non-mutual preference: {b!r} lists {a!r} but not vice versa")
+        object.__setattr__(self, "prefs", prefs)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_rank", rank)
         object.__setattr__(self, "_a_set", a_set)
-        edge_set = set(edges)
         costs = {}
         for e, c in self.costs.items():
             e = (e[0], e[1])
-            if e not in edge_set:
+            if e[0] not in a_set or e[1] not in rank[e[0]]:
                 raise ValidationError(f"cost on non-edge {e!r}")
             if int(c) != c:
                 raise ValidationError(f"non-integer cost on {e!r}")
@@ -369,7 +378,11 @@ def matching_to_json(inst: Instance, m: Matching) -> dict:
 
 
 def parse_matching(inst: Instance, text: str) -> Matching:
-    """Parse a matching file: `<idA> <idB>` lines, or the JSON alternative."""
+    """Parse a matching file: `<idA> <idB>` lines, or the JSON alternative.
+
+    A pair listed twice, in either orientation, is rejected rather than
+    collapsed into one.
+    """
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
@@ -382,8 +395,15 @@ def parse_matching(inst: Instance, text: str) -> Matching:
                 for p in pairs):
             raise ValidationError(
                 "matching JSON must be an object whose `pairs` is a list of [idA, idB] string pairs")
+        seen = set()
+        for u, v in pairs:
+            e = (u, v) if inst.is_a(u) else (v, u)
+            if e in seen:
+                raise ValidationError(f"matching JSON lists the pair {e} twice")
+            seen.add(e)
         return make_matching(inst, [tuple(p) for p in pairs])
     pairs = []
+    pair_lines: dict[Edge, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()
         if not s or s.startswith("#"):
@@ -391,7 +411,12 @@ def parse_matching(inst: Instance, text: str) -> Matching:
         tokens = s.split()
         if len(tokens) != 2:
             raise ParseError("expected `<idA> <idB>`", lineno)
-        pairs.append((tokens[0], tokens[1]))
+        u, v = tokens
+        e = (u, v) if inst.is_a(u) else (v, u)
+        if e in pair_lines:
+            raise ParseError(f"duplicate pair {e} (first at line {pair_lines[e]})", lineno)
+        pair_lines[e] = lineno
+        pairs.append((u, v))
     return make_matching(inst, pairs)
 
 

@@ -421,12 +421,13 @@ def emit_lp(inst: Instance) -> str:
     lines.append(" obj: " + " + ".join(terms))
     lines.append("Subject To")
 
+    # each node's edge variables in its preference order, formatted once
+    row = {x: [evar(*inner.as_edge(x, y)) for y in inner.prefs[x]] for x in inner.nodes}
     for u, v in inner.edges:
         if gs.origin[v][0] == "dummy":
             continue
-        ahead_u = [evar(u, w) for w in inner.prefs[u][:inner.rank(u, v)]]
-        ahead_v = [evar(z, v) for z in inner.prefs[v][:inner.rank(v, u)]]
-        expr = " + ".join(ahead_u + ahead_v + [evar(u, v)])
+        ru = inner.rank(u, v)
+        expr = " + ".join(row[u][:ru] + row[v][:inner.rank(v, u)] + [row[u][ru]])
         lines.append(f" stab.{token[u]}.{token[v]}: {expr} >= 1")
 
     must_match = set()
@@ -436,10 +437,9 @@ def emit_lp(inst: Instance) -> str:
         for i in range(1, gs.n0):
             must_match.add(dummy_name(a, i))
     for node in inner.nodes:
-        incident = [evar(*inner.as_edge(node, v)) for v in inner.prefs[node]]
-        if not incident:
+        if not row[node]:
             continue
-        expr = " + ".join(incident)
+        expr = " + ".join(row[node])
         lines.append(f" deg.{token[node]}: {expr} <= 1")
         if node in must_match:
             lines.append(f" fix.{token[node]}: {expr} = 1")

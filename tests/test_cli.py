@@ -282,3 +282,71 @@ def test_exit_code_internal_error(files, capsys, monkeypatch):
     code, out, err = run(capsys, "solve", files["i0"])
     assert code == 4 and out == ""
     assert err == "internal error: a condition the theory rules out\n"
+
+
+def test_two_calls_share_no_state(files, capsys, monkeypatch):
+    """The parser is built once; each call still starts from its defaults."""
+    from popmax import oracle
+
+    code, out, _ = run(capsys, "--json", "verify", files["i3"], files["good3"])
+    assert code == 0 and json.loads(out)["status"] == "ok"
+    code, out, _ = run(capsys, "verify", files["i3"], files["good3"])
+    assert code == 0 and out == "popular\n"
+
+    bounds = []
+    enumerate_all = oracle.enum_matchings
+
+    def recorded(inst, bound):
+        bounds.append(bound)
+        return enumerate_all(inst, bound)
+
+    monkeypatch.setattr(oracle, "enum_matchings", recorded)
+    assert run(capsys, "oracle", "matchings", files["i0"], "--bound", "3")[0] == 0
+    assert run(capsys, "oracle", "matchings", files["i0"])[0] == 0
+    assert bounds == [3, oracle.DEFAULT_BOUND]
+
+
+def test_bad_flag_same_error_every_call(files, capsys):
+    seen = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--no-such-flag", files["i0"]])
+        captured = capsys.readouterr()
+        seen.append((exc.value.code, captured.out, captured.err))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == 2 and seen[0][1] == ""
+    assert seen[0][2].startswith("usage: popmax") and "--no-such-flag" in seen[0][2]
+
+
+def test_main_constructs_no_parser(files, capsys, monkeypatch):
+    import argparse
+
+    init = argparse.ArgumentParser.__init__
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(capsys, "solve", files["i0"])[0] == 0
+    assert run(capsys, "--json", "certify", files["i3"], files["good3"])[0] == 0
+    assert run(capsys, "oracle", "popular-max", files["i3"])[0] == 0
+    with pytest.raises(SystemExit):
+        main(["oracle", "unpopularity", files["i3"]])
+    assert built == []
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a1 b1\na1 b1\n", "error: line 2, column 1: duplicate pair ('a1', 'b1') (first at line 1)\n"),
+    ("a1 b1\n# same pair\nb1 a1\n",
+     "error: line 3, column 1: duplicate pair ('a1', 'b1') (first at line 1)\n"),
+    ('{"pairs": [["a1", "b1"], ["b1", "a1"]]}',
+     "error: matching JSON lists the pair ('a1', 'b1') twice\n"),
+])
+def test_exit_code_repeated_matching_pair(files, tmp_path, capsys, text, message):
+    m = tmp_path / "dup.match"
+    m.write_text(text)
+    for command in ("verify", "certify", "pareto"):
+        code, out, err = run(capsys, command, files["i3"], str(m))
+        assert code == 2 and out == "" and err == message

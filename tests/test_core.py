@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from popmax import (
+    Instance,
     ParseError,
     ValidationError,
     compare,
@@ -92,6 +93,72 @@ def test_isolated_nodes_allowed():
     inst = parse_instance("side A a x\nside B b\npref a: b\npref b: a\npref x:\n")
     assert inst.prefs["x"] == ()
     assert parse_instance(serialize_instance(inst)) == inst
+
+
+def _rejection(side_a, side_b, prefs, costs=None) -> str:
+    with pytest.raises(ValidationError) as exc:
+        Instance(side_a, side_b, prefs, costs or {})
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("bad", ["a\u00a0x", "a\u2003x", "a\x1f", "", "a:x", " a"])
+def test_instance_rejects_bad_identifier(bad):
+    prefs = {"a": ("b",), "b": ("a",)}
+    assert _rejection(["a", bad], ["b"], prefs) == f"bad node identifier {bad!r}"
+    assert _rejection(["a"], ["b", bad], prefs) == f"bad node identifier {bad!r}"
+
+
+def test_instance_rejects_unknown_key_beside_missing_node():
+    # as many lists as declared nodes: one key is unknown, one node has none
+    prefs = {"a1": (), "b1": (), "zz": ()}
+    assert len(prefs) == 3
+    assert _rejection(["a1", "a2"], ["b1"], prefs) == "preference list for unknown node 'zz'"
+    prefs["yy"] = ()
+    assert _rejection(["a1", "a2"], ["b1"], prefs) == "preference list for unknown node 'yy'"
+
+
+def test_instance_rejects_entry_on_wrong_side():
+    prefs = {"a1": ("b1", "a2"), "a2": (), "b1": ("a1",)}
+    assert _rejection(["a1", "a2"], ["b1"], prefs) == \
+        "'a1' lists 'a2', which is not on the opposite side"
+    prefs = {"a1": ("b1",), "b1": ("a1", "b2"), "b2": ()}
+    assert _rejection(["a1"], ["b1", "b2"], prefs) == \
+        "'b1' lists 'b2', which is not on the opposite side"
+
+
+@pytest.mark.parametrize("cost", [1.5, -0.25])
+def test_instance_rejects_non_integer_cost(cost):
+    prefs = {"a": ("b",), "b": ("a",)}
+    assert _rejection(["a"], ["b"], prefs, {("a", "b"): cost}) == \
+        "non-integer cost on ('a', 'b')"
+
+
+def test_instance_integral_float_cost_is_stored_as_int():
+    inst = Instance(["a"], ["b"], {"a": ("b",), "b": ("a",)}, {("a", "b"): 2.0})
+    assert inst.costs == {("a", "b"): 2} and type(inst.costs[("a", "b")]) is int
+
+
+@pytest.mark.parametrize("prefs, message", [
+    # a1 -> b1 is not mirrored, and b2 lists a2 twice: list checks come first
+    ({"a1": ("b1",), "a2": ("b2",), "b1": (), "b2": ("a2", "a2")},
+     "duplicate entry in preference list of 'b2'"),
+    # a non-mutual A-side entry is reported before a non-mutual B-side entry
+    ({"a1": ("b2",), "a2": ("b1",), "b1": ("a1",), "b2": ()},
+     "non-mutual preference: 'a1' lists 'b2' but not vice versa"),
+    ({"a1": ("b1",), "a2": (), "b1": ("a1", "a2"), "b2": ()},
+     "non-mutual preference: 'b1' lists 'a2' but not vice versa"),
+    # lists are checked in side order: a wrong-side entry of a2 before b1's duplicate
+    ({"a1": (), "a2": ("a1",), "b1": ("a1", "a1"), "b2": ()},
+     "'a2' lists 'a1', which is not on the opposite side"),
+])
+def test_instance_fault_precedence(prefs, message):
+    assert _rejection(["a1", "a2"], ["b1", "b2"], prefs) == message
+
+
+def test_instance_cost_checks():
+    prefs = {"a1": ("b1",), "a2": (), "b1": ("a1",)}
+    for e in (("b1", "a1"), ("a2", "b1"), ("a1", "a2")):
+        assert _rejection(["a1", "a2"], ["b1"], prefs, {e: 1}) == f"cost on non-edge {e!r}"
 
 
 def test_matching_rejects_non_edges(i1):

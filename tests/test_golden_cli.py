@@ -6,7 +6,8 @@ with `golden_cli.json`. The corpus is 30 seeded costed instances with
 sides 1..5, the conftest fixtures and the stretch fixture. Each instance
 runs `solve`, `mincost`, `--json mincost`, `emit-lp` and `gstar`; up to six
 of its maximum matchings (popular ones first) and one non-maximum matching
-run `verify`, `certify`, `--json certify` and `pareto`.
+run `verify`, `certify`, `--json certify` and `pareto`. Two larger costed
+instances (sides 13 and 17, density 0.3) run `emit-lp` only.
 
 After an intended change of output, rewrite the file with
 `PYTHONPATH=src python tests/test_golden_cli.py --regen`.
@@ -22,7 +23,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-from popmax import cli, make_matching, parse_instance, serialize_instance, serialize_matching
+from popmax import (
+    cli,
+    make_matching,
+    parse_instance,
+    random_instance,
+    serialize_instance,
+    serialize_matching,
+)
 from popmax.oracle import brute_popular_max, enum_max_matchings
 
 import conftest
@@ -31,6 +39,8 @@ GOLDEN = Path(__file__).with_name("golden_cli.json")
 INSTANCE_COMMANDS = (("solve",), ("mincost",), ("--json", "mincost"), ("emit-lp",), ("gstar",))
 MATCHING_COMMANDS = (("verify",), ("certify",), ("--json", "certify"), ("pareto",))
 MATCHINGS_PER_INSTANCE = 6
+# emit-lp alone on larger costed instances, whose stab.* rows are long
+LP_SIDES = (13, 17)
 
 
 def _instances():
@@ -78,6 +88,10 @@ def compute_digests(workdir: Path) -> dict[str, str]:
             mpath.write_text(serialize_matching(m))
             for cmd in MATCHING_COMMANDS:
                 digests[f"{name}/m{k} {' '.join(cmd)}"] = _digest(cmd + (str(path), str(mpath)))
+    for n in LP_SIDES:
+        path = workdir / f"lp{n}.txt"
+        path.write_text(serialize_instance(random_instance(n, n, 0.3, 500 + n, (0, 9))))
+        digests[f"lp{n} emit-lp"] = _digest(("emit-lp", str(path)))
     return digests
 
 
