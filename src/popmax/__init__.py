@@ -53,6 +53,7 @@ from .gstar import (
     build_gstar,
     level_proposals,
     levels,
+    place,
     popular_max_matching,
     project,
 )

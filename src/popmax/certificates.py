@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Edge, Instance, Matching, _wt, is_maximum, make_matching
+from .core import Instance, Matching, _wt, is_maximum
 from .errors import CertificateError, InternalError, NotMaximumError, NotPopularError, ParseError
-from .gstar import GStarInstance, build_gstar, copy_name, dummy_name, image_name, levels, project
+from .gstar import GStarInstance, build_gstar, levels, place, project
 from .popularity import Witness, _witness_or_potentials
 from .stable import is_stable
 
@@ -47,6 +47,7 @@ def extract_certificate(inst: Instance, gs: GStarInstance, s: Matching) -> DualC
     to the matched nodes; see `_certificate_from_levels`."""
     level = levels(gs, s)  # raises NotStableError for unstable s
     m = project(gs, s)
+    _require_maximum(inst, m)
     return _certificate_from_levels(inst, m, {u: level[u] for u in m.partner})
 
 
@@ -57,7 +58,8 @@ def _certificate_from_levels(inst: Instance, m: Matching, raw: dict[str, int]) -
 
     Matched nodes at compressed level i get alpha -2i (A-side) or +2i
     (B-side), the raw levels being remapped into 0..n0'-1 by
-    `_remap_levels`. The result always passes verify_certificate.
+    `_remap_levels`. The result always passes verify_certificate; m is
+    taken to be maximum, which the callers have decided.
     """
     n0_prime = len(m.pairs)
     remap = _remap_levels(inst, m, raw, n0_prime)
@@ -66,7 +68,7 @@ def _certificate_from_levels(inst: Instance, m: Matching, raw: dict[str, int]) -
         alpha[a] = -2 * remap[raw[a]]
         alpha[b] = 2 * remap[raw[b]]
     cert = DualCertificate(alpha, n0_prime)
-    report = verify_certificate(inst, m, cert)
+    report = _check_conditions(inst, m, cert)
     if not report.ok:
         raise InternalError(
             f"extracted certificate failed verification: {list(report.violations)}")
@@ -109,38 +111,24 @@ def _remap_levels(inst: Instance, m: Matching, level: dict[str, int],
     return dict(zip(occupied, pos))
 
 
-def lift(inst: Instance, m: Matching, cert: DualCertificate, *,
-         gs: GStarInstance | None = None) -> Matching:
+def lift(inst: Instance, m: Matching, cert: DualCertificate) -> Matching:
     """Build a stable matching of the derived instance projecting to m.
 
-    `cert` is a verified dual certificate for m; its levels choose which
-    copy of each matched A-node pairs with its partner's image, and the
-    dummy chains fill in around that copy. When some unmatched A-node has
-    neighbors, they must sit at the top copy, so the levels are remapped
-    by `_remap_levels` into the copies of the derived instance; otherwise
-    the certificate levels are used as they are.
+    `cert` is a verified dual certificate for m; `place` puts each matched
+    A-node at its level. When some unmatched A-node has neighbors, they
+    must sit at the top copy, so the levels are remapped by `_remap_levels`
+    into the copies of the derived instance; otherwise the certificate
+    levels are used as they are.
     """
     report = verify_certificate(inst, m, cert)
     if not report.ok:
         raise CertificateError("certificate invalid for the matching", report.violations)
-    if gs is None:
-        gs = build_gstar(inst)
-    n0 = gs.n0
+    gs = build_gstar(inst)
     level = {u: abs(v) // 2 for u, v in cert.alpha.items()}
     if any(inst.prefs[a] and not m.is_matched(a) for a in inst.side_a):
-        remap = _remap_levels(inst, m, level, n0)
+        remap = _remap_levels(inst, m, level, gs.n0)
         level = {u: remap[l] for u, l in level.items()}
-
-    pairs: list[Edge] = []
-    for a, b in m.pairs:
-        pairs.append((copy_name(a, level[a]), image_name(b)))
-    for a in inst.side_a:
-        i = level.get(a, n0 - 1)
-        for j in range(i):
-            pairs.append((copy_name(a, j), dummy_name(a, j + 1)))
-        for j in range(i + 1, n0):
-            pairs.append((copy_name(a, j), dummy_name(a, j)))
-    lifted = make_matching(gs.inner, pairs)
+    lifted = place(gs, m, level)
     if not is_stable(gs.inner, lifted):
         raise CertificateError(
             "certificate does not lift to a stable matching; "
@@ -161,9 +149,18 @@ def verify_certificate(inst: Instance, m: Matching, cert: DualCertificate) -> Ce
     for neighbors of unmatched B-nodes; (P2) alpha_b = 2(n0'-1) for
     neighbors of unmatched A-nodes.
     """
+    _require_maximum(inst, m)
+    return _check_conditions(inst, m, cert)
+
+
+def _require_maximum(inst: Instance, m: Matching) -> None:
     maximum, path = is_maximum(inst, m)
     if not maximum:
         raise NotMaximumError("certificates are only defined for maximum matchings", path)
+
+
+def _check_conditions(inst: Instance, m: Matching, cert: DualCertificate) -> CertificateReport:
+    """The six conditions of verify_certificate, for a maximum m."""
     matched = set(m.partner)
     if set(cert.alpha) != matched:
         raise CertificateError(

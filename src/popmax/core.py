@@ -45,11 +45,10 @@ class Instance:
         a_set, b_set = set(side_a), set(side_b)
         if len(a_set) != len(side_a) or len(b_set) != len(side_b) or (a_set & b_set):
             raise ValidationError("duplicate node identifier")
-        for ids in (a_set, b_set):
-            for u in ids:
-                # str.split() splits on exactly the characters str.isspace() accepts
-                if u.split() != [u] or ":" in u:
-                    raise ValidationError(f"bad node identifier {u!r}")
+        for u in side_a + side_b:
+            # str.split() splits on exactly the characters str.isspace() accepts
+            if u.split() != [u] or ":" in u:
+                raise ValidationError(f"bad node identifier {u!r}")
         given = self.prefs
         unknown = [u for u in given if u not in a_set and u not in b_set]
         if unknown:

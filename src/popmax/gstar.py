@@ -11,12 +11,11 @@ the copy subscripts carry the dual-certificate levels.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .core import Edge, Instance, Matching, make_matching
 from .errors import NotStableError, ValidationError
-from .stable import is_stable
+from .stable import _propose, is_stable
 
 RESERVED = "#!~"
 
@@ -136,6 +135,24 @@ def levels(gs: GStarInstance, s: Matching) -> dict[str, int]:
     return level
 
 
+def place(gs: GStarInstance, m: Matching, level: dict[str, int]) -> Matching:
+    """The matching of the derived instance that puts source matching m at
+    the given levels: the inverse of project and levels.
+
+    The copy of each matched A-node at its level takes the partner's
+    image; copies below that level hold their upper dummy and copies above
+    it their lower dummy. An A-node missing from `level` sits at the
+    leftover level n0-1, where only its top copy is free.
+    """
+    n0 = gs.n0
+    pairs = [(copy_name(a, level[a]), image_name(b)) for a, b in m.pairs]
+    for a in gs.source.side_a:
+        i = level.get(a, n0 - 1)
+        pairs.extend((copy_name(a, j), dummy_name(a, j + 1)) for j in range(i))
+        pairs.extend((copy_name(a, j), dummy_name(a, j)) for j in range(i + 1, n0))
+    return make_matching(gs.inner, pairs)
+
+
 def level_proposals(inst: Instance) -> tuple[Matching, dict[str, int]]:
     """The canonical popular max-matching and its levels, without the
     derived instance.
@@ -147,40 +164,13 @@ def level_proposals(inst: Instance) -> tuple[Matching, dict[str, int]]:
     run of A-proposing deferred acceptance in the derived instance: the
     active copy of a is its copy at the current level, the copies below
     it hold their dummies, and an image ranks higher-subscript copies
-    first. The proposer-optimal stable matching is unique, so the result
-    equals project/levels of gale_shapley(build_gstar(inst).inner, "A"):
-    the returned map gives every source node its level, leftover B-nodes
-    at 0. It costs O(|E| x levels used).
+    first. The proposer-optimal stable matching is unique, so `place` of
+    the result is gale_shapley(build_gstar(inst).inner, "A"), and the
+    result is its project/levels: the returned map gives every source
+    node its level, leftover B-nodes at 0. It costs O(|E| x levels used).
     """
-    n0 = len(inst.side_a)
-    level = {a: 0 for a in inst.side_a}
-    next_choice = {a: 0 for a in inst.side_a}
-    held: dict[str, str] = {}  # B-node -> A-node
-    queue = deque(inst.side_a)
-    while queue:
-        a = queue.popleft()
-        lst = inst.prefs[a]
-        if not lst:
-            level[a] = n0 - 1
-            continue
-        while True:
-            if next_choice[a] == len(lst):
-                if level[a] == n0 - 1:
-                    break
-                level[a] += 1
-                next_choice[a] = 0
-            b = lst[next_choice[a]]
-            next_choice[a] += 1
-            current = held.get(b)
-            if current is None:
-                held[b] = a
-                break
-            if level[a] > level[current] or (
-                    level[a] == level[current] and inst.prefers(b, a, current)):
-                held[b] = a
-                queue.append(current)
-                break
-    m = make_matching(inst, [(a, b) for b, a in held.items()])
+    held, level = _propose(inst, inst.side_a, len(inst.side_a) - 1)
+    m = make_matching(inst, held.items())
     level.update((b, level[held[b]] if b in held else 0) for b in inst.side_b)
     return m, level
 

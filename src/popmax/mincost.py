@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .certificates import DualCertificate, certify_popular_max
-from .core import Instance, Matching, make_matching, matching_cost
+from .core import Edge, Instance, Matching, make_matching, matching_cost
 from .errors import InternalError, LimitExceededError
-from .gstar import build_gstar, copy_name, dummy_name, image_name, project
+from .gstar import build_gstar, place, project
 from .stable import gale_shapley
 
 # ---------------------------------------------------------------------------
@@ -373,14 +373,13 @@ def min_cost_popular_max(inst: Instance) -> MinCostResult:
 
 
 def _enc(name: str) -> str:
-    """LP-safe encoding of a source node id: [A-Za-z0-9_] kept, everything
-    else percent-escaped. Dots never appear, so they can separate fields."""
+    """LP-safe encoding of a source node id: ASCII [A-Za-z0-9_] kept, every
+    other UTF-8 byte written as %XX, so distinct ids never share a token.
+    Dots never appear, so they can separate fields."""
     out = []
-    for ch in name:
-        if ch.isascii() and (ch.isalnum() or ch == "_"):
-            out.append(ch)
-        else:
-            out.append(f"%{ord(ch):02X}")
+    for byte in name.encode("utf-8", "surrogatepass"):
+        ch = chr(byte)
+        out.append(ch if byte < 0x80 and (ch.isalnum() or ch == "_") else f"%{byte:02X}")
     return "".join(out)
 
 
@@ -423,19 +422,18 @@ def emit_lp(inst: Instance) -> str:
 
     # each node's edge variables in its preference order, formatted once
     row = {x: [evar(*inner.as_edge(x, y)) for y in inner.prefs[x]] for x in inner.nodes}
+    copies: dict[Edge, list[str]] = {e: [] for e in inst.edges}  # lowest copy first
     for u, v in inner.edges:
         if gs.origin[v][0] == "dummy":
             continue
         ru = inner.rank(u, v)
         expr = " + ".join(row[u][:ru] + row[v][:inner.rank(v, u)] + [row[u][ru]])
         lines.append(f" stab.{token[u]}.{token[v]}: {expr} >= 1")
+        copies[gs.origin[u][1], gs.origin[v][1]].append(row[u][ru])
 
-    must_match = set()
-    for a in inst.side_a:
-        for i in range(gs.n0 - 1):
-            must_match.add(copy_name(a, i))
-        for i in range(1, gs.n0):
-            must_match.add(dummy_name(a, i))
+    # the nodes every stable matching matches: those the dummy chains fill
+    # when no source node is matched
+    must_match = place(gs, Matching(frozenset()), {}).partner
     for node in inner.nodes:
         if not row[node]:
             continue
@@ -445,8 +443,7 @@ def emit_lp(inst: Instance) -> str:
             lines.append(f" fix.{token[node]}: {expr} = 1")
 
     for a, b in inst.edges:
-        copies = " - ".join(evar(copy_name(a, i), image_name(b)) for i in range(gs.n0))
-        lines.append(f" link.{_enc(a)}.{_enc(b)}: {gvar(a, b)} - {copies} = 0")
+        lines.append(f" link.{_enc(a)}.{_enc(b)}: {gvar(a, b)} - {' - '.join(copies[a, b])} = 0")
 
     lines.append("Bounds")
     for u, v in inner.edges:

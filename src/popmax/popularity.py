@@ -293,7 +293,7 @@ def is_pareto_optimal(inst: Instance, m: Matching) -> ParetoVerdict:
                     start -= 1
                 return ParetoVerdict(False, _cycle_witness(dg, stack_arcs[start:] + [arc]))
 
-    pred: dict[int, Arc] = {}
+    pred: list[Arc | None] = [None] * n
     frontier = [i for i, v in enumerate(dg.vertices) if v[0] == "ua"]
     seen = set(frontier)
     while frontier:
@@ -306,13 +306,7 @@ def is_pareto_optimal(inst: Instance, m: Matching) -> ParetoVerdict:
                 seen.add(dst)
                 pred[dst] = arc
                 if dg.vertices[dst][0] == "ub":
-                    seq = []
-                    u = dst
-                    while u in pred:
-                        seq.append(pred[u])
-                        u = pred[u][0]
-                    seq.reverse()
-                    return ParetoVerdict(False, _path_witness(dg, seq))
+                    return ParetoVerdict(False, _path_witness(dg, _collect_arcs(pred, dst)))
                 nxt.append(dst)
         frontier = nxt
     return ParetoVerdict(True, None)

@@ -18,28 +18,43 @@ def gale_shapley(inst: Instance, proposing_side: str = "A") -> Matching:
     if proposing_side not in ("A", "B"):
         raise ValueError("proposing_side must be 'A' or 'B'")
     proposers = inst.side_a if proposing_side == "A" else inst.side_b
-    next_choice = {u: 0 for u in proposers}
-    engaged: dict[str, str] = {}  # receiver -> proposer
+    held, _ = _propose(inst, proposers, 0)
+    return make_matching(inst, held.items())
+
+
+def _propose(inst: Instance, proposers: tuple[str, ...],
+             top: int) -> tuple[dict[str, str], dict[str, int]]:
+    """Deferred acceptance from a fixed queue in declaration order, with
+    levels 0..top: a proposer that exhausts its list starts it again one
+    level higher, and stays unmatched at `top`. A receiver holds the
+    proposer with the largest (level, own preference). Returns the
+    receiver -> proposer map and every proposer's final level."""
+    level = dict.fromkeys(proposers, 0)
+    next_choice = dict.fromkeys(proposers, 0)
+    held: dict[str, str] = {}
     queue = deque(proposers)
     while queue:
         u = queue.popleft()
         lst = inst.prefs[u]
-        while next_choice[u] < len(lst):
+        while True:
+            if next_choice[u] == len(lst):
+                if not lst or level[u] == top:
+                    level[u] = top
+                    break
+                level[u] += 1
+                next_choice[u] = 0
             v = lst[next_choice[u]]
             next_choice[u] += 1
-            current = engaged.get(v)
+            current = held.get(v)
             if current is None:
-                engaged[v] = u
+                held[v] = u
                 break
-            if inst.prefers(v, u, current):
-                engaged[v] = u
+            if level[u] > level[current] or (
+                    level[u] == level[current] and inst.prefers(v, u, current)):
+                held[v] = u
                 queue.append(current)
                 break
-    if proposing_side == "A":
-        pairs = [(u, v) for v, u in engaged.items()]
-    else:
-        pairs = [(v, u) for v, u in engaged.items()]
-    return make_matching(inst, pairs)
+    return held, level
 
 
 def blocking_edges(inst: Instance, m: Matching) -> list[Edge]:

@@ -180,7 +180,7 @@ def test_extract_compresses_when_only_isolated_nodes_unmatched():
         m = project(gs, s)
         from popmax import lift
 
-        lifted = lift(inst, m, cert, gs=gs)
+        lifted = lift(inst, m, cert)
         assert project(gs, lifted).pairs == m.pairs
 
 

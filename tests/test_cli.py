@@ -95,6 +95,25 @@ def test_certify_rejection_runs_one_popularity_pass(files, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_certify_decides_maximality_once(monkeypatch):
+    from popmax import certificates, core, popularity
+    from popmax.gstar import popular_max_matching
+
+    inst = core.random_instance(30, 30, 0.3, 1)
+    m = popular_max_matching(inst)
+    decide = core.is_maximum
+    calls = []
+
+    def counted(inst, m):
+        calls.append(m)
+        return decide(inst, m)
+
+    monkeypatch.setattr(popularity, "is_maximum", counted)
+    monkeypatch.setattr(certificates, "is_maximum", counted)
+    certificates.certify_popular_max(inst, m)
+    assert len(calls) == 1
+
+
 def test_pareto_long_chain_of_blocking_edges(tmp_path, capsys):
     """a_i ranks b_(i+1) first and b_(i+1) ranks a_i first, so the pairs form
     a 1,500-vertex chain of weight-2 arcs with no cycle: Pareto-optimal."""

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import popmax
 from popmax import (
     Instance,
     ParseError,
@@ -106,6 +112,18 @@ def test_instance_rejects_bad_identifier(bad):
     prefs = {"a": ("b",), "b": ("a",)}
     assert _rejection(["a", bad], ["b"], prefs) == f"bad node identifier {bad!r}"
     assert _rejection(["a"], ["b", bad], prefs) == f"bad node identifier {bad!r}"
+
+
+def test_first_bad_identifier_is_reported_under_every_hash_seed(tmp_path):
+    """The ids are walked in declaration order, not in set order."""
+    path = tmp_path / "i.txt"
+    path.write_text("side A x:1 y:2 z:3\nside B b\n")
+    src = str(Path(popmax.__file__).parents[1])
+    for seed in range(1, 7):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-m", "popmax.cli", "solve", str(path)],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (2, "error: bad node identifier 'x:1'\n")
 
 
 def test_instance_rejects_unknown_key_beside_missing_node():

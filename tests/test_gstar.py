@@ -17,6 +17,7 @@ from popmax import (
     lift,
     make_matching,
     parse_instance,
+    place,
     popular_max_matching,
     project,
     serialize_instance,
@@ -138,7 +139,7 @@ def test_lift_i1_fixture(i1):
     gs = build_gstar(i1)
     m = mk(i1, ("a1", "b1"), ("a2", "b2"))
     cert = DualCertificate({"a1": -2, "a2": 0, "b1": 2, "b2": 0}, 2)
-    lifted = lift(i1, m, cert, gs=gs)
+    lifted = lift(i1, m, cert)
     assert sorted(lifted.pairs) == [("a1#0", "a1!d1"), ("a1#1", "b1~"),
                                     ("a2#0", "b2~"), ("a2#1", "a2!d1")]
     assert is_stable(gs.inner, lifted)
@@ -150,7 +151,7 @@ def test_lift_round_trip_i2(i2):
     from popmax.certificates import certify_popular_max
 
     cert = certify_popular_max(i2, m2)
-    lifted = lift(i2, m2, cert, gs=gs)
+    lifted = lift(i2, m2, cert)
     assert is_stable(gs.inner, lifted)
     assert project(gs, lifted).pairs == m2.pairs
 
@@ -189,7 +190,8 @@ def test_lift_right_inverse_on_randoms():
         for s in enumerate_stable(gs.inner, limit=2000):
             m = project(gs, s)
             cert = extract_certificate(inst, gs, s)
-            lifted = lift(inst, m, cert, gs=gs)
+            assert place(gs, m, levels(gs, s)) == s
+            lifted = lift(inst, m, cert)
             assert is_stable(gs.inner, lifted)
             assert project(gs, lifted).pairs == m.pairs
 
@@ -207,11 +209,13 @@ def _level_run_cases():
 
 def test_level_proposals_equal_gstar_run():
     """The level run is the A-proposing deferred acceptance of the derived
-    instance: same projection, same level partition."""
+    instance: `place` of the run is that matching, whose projection and
+    levels give the run back."""
     for inst in _level_run_cases():
         gs = build_gstar(inst)
         s = gale_shapley(gs.inner, "A")
         m, lp = level_proposals(inst)
+        assert place(gs, m, lp) == s
         assert m.pairs == project(gs, s).pairs
         assert lp == levels(gs, s)
 

@@ -1,4 +1,5 @@
-"""The package's module import graph has no cycle."""
+"""The package's module import graph has no cycle, and only `gstar` knows
+the layout of the derived instance."""
 
 from __future__ import annotations
 
@@ -38,3 +39,15 @@ def test_module_import_graph_is_acyclic():
     for name in sorted(graph):
         if name not in state:
             visit(name, [name])
+
+
+def test_only_gstar_names_derived_nodes():
+    helpers = {"copy_name", "dummy_name", "image_name"}
+    for path in PACKAGE.glob("*.py"):
+        if path.stem == "gstar":
+            continue
+        tree = ast.parse(path.read_text())
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        assert not names & helpers, f"{path.name} names {sorted(names & helpers)}"

@@ -6,6 +6,8 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from popmax import (
     FlowNetwork,
@@ -31,6 +33,7 @@ from popmax.gstar import build_gstar, project
 from popmax.mincost import (
     Rotation,
     RotationPoset,
+    _enc,
     closed_subsets,
     eliminate,
     matching_of_closed_subset,
@@ -319,6 +322,24 @@ def test_emit_lp_encodes_each_derived_node_once(monkeypatch):
     monkeypatch.setattr(mincost, "_lp_token", counted)
     emit_lp(inst)
     assert encoded == Counter(build_gstar(inst).inner.nodes)
+
+
+def test_emit_lp_distinct_ids_get_distinct_rows():
+    """'x-1' and 'x\u02d1' used to share the token x%2D1 and so their rows."""
+    inst = parse_instance("side A x-1 x\u02d1\nside B b\npref x-1: b\npref x\u02d1: b\n"
+                          "pref b: x-1 x\u02d1\n")
+    _obj, rows, bounds = _parse_lp(emit_lp(inst))
+    names = [r[0] for r in rows]
+    assert len(names) == len(set(names))
+    assert "x.x%2D1.b" in bounds and "x.x%CB%91.b" in bounds
+
+
+@given(st.text(), st.text())
+@example("x-1", "x\u02d1")
+@example("\u00f10", "\u0f10")
+def test_enc_is_injective_and_lp_safe(u, v):
+    assert re.fullmatch(r"[A-Za-z0-9_%]*", _enc(u))
+    assert (_enc(u) == _enc(v)) == (u == v)
 
 
 def _solve_lp(text: str):
