@@ -7,6 +7,10 @@ higher-subscript copies first. Deleting dummy edges from a stable matching
 of the derived instance and collapsing copies yields a popular
 max-matching; conversely every popular max-matching arises this way, and
 the copy subscripts carry the dual-certificate levels.
+
+The layout is written once, in `build_tables`, on integer ids. Min-cost
+optimization and the LP emitter read those tables; `build_gstar` names
+their ids for the `gstar` command and for `certificates.lift`.
 """
 
 from __future__ import annotations
@@ -32,63 +36,142 @@ def image_name(b: str) -> str:
     return f"{b}~"
 
 
-@dataclass(frozen=True)
-class GStarInstance:
-    """Derived marriage instance plus naming back-references to the source."""
+class GStarTables:
+    """The derived instance on integer ids.
 
-    source: Instance
-    inner: Instance
-    n0: int
-    origin: dict[str, tuple] = field(repr=False)  # node -> ("copy",a,i) | ("dummy",a,i) | ("image",b)
+    Ids follow `build_gstar`'s node order. With n0 = |A|, copy i of the
+    k-th A-node is k*n0 + i, the image of the j-th B-node is n0*n0 + j, and
+    dummy i (1 <= i < n0) of the k-th A-node is n0*n0 + |B| + k*(n0-1) + i-1.
+    The copies, ids below n0*n0, are the proposing side. `prefs[u]` lists
+    ids from most to least preferred and `rank[u]` maps each of them to its
+    position; `index` gives every source node its position on its side.
+    """
+
+    __slots__ = ("source", "n0", "index", "prefs", "rank")
+
+    def __init__(self, source: Instance, n0: int, index: dict[str, int],
+                 prefs: list[tuple[int, ...]], rank: list[dict[int, int]]):
+        self.source, self.n0, self.index, self.prefs, self.rank = source, n0, index, prefs, rank
+
+    def copy(self, k: int, i: int) -> int:
+        return k * self.n0 + i
+
+    def image(self, j: int) -> int:
+        return self.n0 * self.n0 + j
+
+    def dummy(self, k: int, i: int) -> int:
+        return self.n0 * self.n0 + len(self.source.side_b) + k * (self.n0 - 1) + i - 1
+
+    def origin(self, u: int) -> tuple:
+        """("copy", a, i), ("image", b) or ("dummy", a, i): the node id u stands for."""
+        n0, side_b = self.n0, self.source.side_b
+        if u < n0 * n0:
+            k, i = divmod(u, n0)
+            return ("copy", self.source.side_a[k], i)
+        u -= n0 * n0
+        if u < len(side_b):
+            return ("image", side_b[u])
+        k, i = divmod(u - len(side_b), n0 - 1)  # dummies exist only when n0 >= 2
+        return ("dummy", self.source.side_a[k], i + 1)
+
+    def cost(self, e: tuple[int, int]) -> int:
+        """Cost of the edge (copy, partner): its source edge's, 0 for a dummy edge."""
+        j = e[1] - self.n0 * self.n0
+        if j >= len(self.source.side_b):
+            return 0
+        return self.source.cost((self.source.side_a[e[0] // self.n0], self.source.side_b[j]))
+
+    def place(self, pairs, level: dict[str, int]) -> list[tuple[int, int]]:
+        """The id pairs that put the source pairs at the given levels.
+
+        The copy of each matched A-node at its level takes the partner's
+        image; copies below that level hold their upper dummy and copies
+        above it their lower dummy. An A-node missing from `level` sits at
+        the leftover level n0-1, where only its top copy is free.
+        """
+        n0, index = self.n0, self.index
+        out = [(self.copy(index[a], level[a]), self.image(index[b])) for a, b in pairs]
+        for k, a in enumerate(self.source.side_a):
+            i = level.get(a, n0 - 1)
+            out.extend((self.copy(k, j), self.dummy(k, j + 1)) for j in range(i))
+            out.extend((self.copy(k, j), self.dummy(k, j)) for j in range(i + 1, n0))
+        return out
+
+    def project(self, pairs) -> Matching:
+        """`project` of a set of id pairs."""
+        return _collapse(self.source, pairs, self.origin)
 
 
-def build_gstar(inst: Instance) -> GStarInstance:
-    """Construct the derived instance; deterministic given source order."""
+def build_tables(inst: Instance) -> GStarTables:
+    """Lay out the derived instance on integer ids; deterministic given source order."""
     for u in inst.nodes:
         if any(c in RESERVED for c in u):
             raise ValidationError(
                 f"node id {u!r} contains a character reserved for derived names ({RESERVED})")
     n0 = len(inst.side_a)
-    origin: dict[str, tuple] = {}
-    side_a = []
-    for a in inst.side_a:
+    index = {a: k for k, a in enumerate(inst.side_a)}
+    index.update((b, j) for j, b in enumerate(inst.side_b))
+    gt = GStarTables(inst, n0, index, [], [])
+    for k, a in enumerate(inst.side_a):
+        images = tuple(gt.image(index[b]) for b in inst.prefs[a])
         for i in range(n0):
-            side_a.append(copy_name(a, i))
-            origin[copy_name(a, i)] = ("copy", a, i)
-    side_b = []
-    for b in inst.side_b:
-        side_b.append(image_name(b))
-        origin[image_name(b)] = ("image", b)
-    for a in inst.side_a:
-        for i in range(1, n0):
-            side_b.append(dummy_name(a, i))
-            origin[dummy_name(a, i)] = ("dummy", a, i)
-
-    prefs: dict[str, tuple[str, ...]] = {}
-    for a in inst.side_a:
-        images = [image_name(b) for b in inst.prefs[a]]
-        for i in range(n0):
-            lst: list[str] = []
+            lst = images
             if 1 <= i:
-                lst.append(dummy_name(a, i))
-            lst.extend(images)
+                lst = (gt.dummy(k, i),) + lst
             if i <= n0 - 2:
-                lst.append(dummy_name(a, i + 1))
-            prefs[copy_name(a, i)] = tuple(lst)
-        for i in range(1, n0):
-            prefs[dummy_name(a, i)] = (copy_name(a, i - 1), copy_name(a, i))
+                lst = lst + (gt.dummy(k, i + 1),)
+            gt.prefs.append(lst)
     for b in inst.side_b:
-        lst = []
-        for i in range(n0 - 1, -1, -1):
-            lst.extend(copy_name(a, i) for a in inst.prefs[b])
-        prefs[image_name(b)] = tuple(lst)
+        gt.prefs.append(tuple(gt.copy(index[a], i) for i in range(n0 - 1, -1, -1) for a in inst.prefs[b]))
+    for k in range(n0):
+        gt.prefs.extend((gt.copy(k, i - 1), gt.copy(k, i)) for i in range(1, n0))
+    gt.rank.extend({v: r for r, v in enumerate(lst)} for lst in gt.prefs)
+    return gt
 
-    costs = {}
-    for (a, b), c in inst.costs.items():
-        for i in range(n0):
-            costs[(copy_name(a, i), image_name(b))] = c
-    inner = Instance(tuple(side_a), tuple(side_b), prefs, costs)
-    return GStarInstance(inst, inner, n0, origin)
+
+@dataclass(frozen=True)
+class GStarInstance:
+    """Derived marriage instance plus naming back-references to the source.
+    Node i of `inner.nodes` is id i of `tables`."""
+
+    source: Instance
+    inner: Instance
+    n0: int
+    origin: dict[str, tuple] = field(repr=False)  # node -> ("copy",a,i) | ("dummy",a,i) | ("image",b)
+    tables: GStarTables = field(repr=False)
+
+
+_NAMERS = {"copy": copy_name, "dummy": dummy_name, "image": image_name}
+
+
+def build_gstar(inst: Instance) -> GStarInstance:
+    """The derived instance on string names: the ids of `build_tables`, named."""
+    gt = build_tables(inst)
+    origins = [gt.origin(u) for u in range(len(gt.prefs))]
+    names = [_NAMERS[o[0]](*o[1:]) for o in origins]
+    prefs = {names[u]: tuple(names[v] for v in lst) for u, lst in enumerate(gt.prefs)}
+    copies = gt.n0 * gt.n0
+    costs = {(names[u], names[v]): gt.cost((u, v)) for u in range(copies) for v in gt.prefs[u]}
+    inner = Instance(tuple(names[:copies]), tuple(names[copies:]), prefs, costs)
+    return GStarInstance(inst, inner, gt.n0, dict(zip(names, origins)), gt)
+
+
+def _collapse(source: Instance, pairs, origin) -> Matching:
+    """Drop dummy pairs and collapse copies, reading each derived node
+    through `origin`."""
+    out: list[Edge] = []
+    seen_a = set()
+    for u, v in pairs:
+        kind = origin(v)
+        if kind[0] == "dummy":
+            continue
+        a = origin(u)[1]
+        if a in seen_a:
+            raise ValidationError(
+                f"projection is not a matching: two copies of {a!r} are matched to images")
+        seen_a.add(a)
+        out.append((a, kind[1]))
+    return make_matching(source, out)
 
 
 def project(gs: GStarInstance, s: Matching) -> Matching:
@@ -97,20 +180,7 @@ def project(gs: GStarInstance, s: Matching) -> Matching:
     Raises if two copies of the same node are matched to images, which
     cannot happen when s is stable.
     """
-    pairs: list[Edge] = []
-    seen_a = set()
-    for u, v in s.pairs:
-        kind = gs.origin[v][0]
-        if kind == "dummy":
-            continue
-        _, a, _i = gs.origin[u]
-        _, b = gs.origin[v]
-        if a in seen_a:
-            raise ValidationError(
-                f"projection is not a matching: two copies of {a!r} are matched to images")
-        seen_a.add(a)
-        pairs.append((a, b))
-    return make_matching(gs.source, pairs)
+    return _collapse(gs.source, s.pairs, gs.origin.__getitem__)
 
 
 def levels(gs: GStarInstance, s: Matching) -> dict[str, int]:
@@ -137,20 +207,10 @@ def levels(gs: GStarInstance, s: Matching) -> dict[str, int]:
 
 def place(gs: GStarInstance, m: Matching, level: dict[str, int]) -> Matching:
     """The matching of the derived instance that puts source matching m at
-    the given levels: the inverse of project and levels.
-
-    The copy of each matched A-node at its level takes the partner's
-    image; copies below that level hold their upper dummy and copies above
-    it their lower dummy. An A-node missing from `level` sits at the
-    leftover level n0-1, where only its top copy is free.
-    """
-    n0 = gs.n0
-    pairs = [(copy_name(a, level[a]), image_name(b)) for a, b in m.pairs]
-    for a in gs.source.side_a:
-        i = level.get(a, n0 - 1)
-        pairs.extend((copy_name(a, j), dummy_name(a, j + 1)) for j in range(i))
-        pairs.extend((copy_name(a, j), dummy_name(a, j)) for j in range(i + 1, n0))
-    return make_matching(gs.inner, pairs)
+    the given levels (see `GStarTables.place`): the inverse of project and
+    levels."""
+    names = gs.inner.nodes
+    return make_matching(gs.inner, [(names[u], names[v]) for u, v in gs.tables.place(m.pairs, level)])
 
 
 def level_proposals(inst: Instance) -> tuple[Matching, dict[str, int]]:

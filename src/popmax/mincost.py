@@ -1,12 +1,14 @@
 """Exact min-cost popular max-matching and its machinery.
 
-The route: build the derived instance with costs copied onto copy-image
-edges (dummy edges free), find a minimum-cost stable matching there, and
-project. Min-cost stable matching itself runs on the rotation poset: the
-stable matchings of a marriage instance are exactly the eliminations of
-downward-closed rotation sets from the proposer-optimal matching, so a
-cheapest one is a minimum-weight closed subset, found by max-flow/min-cut.
-Everything is exact integer arithmetic.
+The route: lay out the derived instance as integer tables (`gstar.build_tables`),
+with each copy-image edge costing its source edge and dummy edges free,
+find a minimum-cost stable matching there, and project. Min-cost stable
+matching itself runs on the rotation poset: the stable matchings of a
+marriage instance are exactly the eliminations of downward-closed rotation
+sets from the proposer-optimal matching, so a cheapest one is a
+minimum-weight closed subset, found by max-flow/min-cut. One rotation walk
+serves both the string-named `Instance` and the integer tables. Everything
+is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -16,11 +18,17 @@ from dataclasses import dataclass, field
 from .certificates import DualCertificate, certify_popular_max
 from .core import Edge, Instance, Matching, make_matching, matching_cost
 from .errors import InternalError, LimitExceededError
-from .gstar import build_gstar, place, project
+from .gstar import GStarTables, build_tables, level_proposals
 from .stable import gale_shapley
 
 # ---------------------------------------------------------------------------
 # Rotations
+
+
+def _added(cycle):
+    """The pairs a rotation's elimination creates: each man takes the next pair's woman."""
+    k = len(cycle)
+    return tuple((cycle[i][0], cycle[(i + 1) % k][1]) for i in range(k))
 
 
 @dataclass(frozen=True)
@@ -33,8 +41,7 @@ class Rotation:
 
     @property
     def added(self) -> tuple[tuple[str, str], ...]:
-        k = len(self.cycle)
-        return tuple((self.cycle[i][0], self.cycle[(i + 1) % k][1]) for i in range(k))
+        return _added(self.cycle)
 
 
 @dataclass(frozen=True)
@@ -59,7 +66,20 @@ def eliminate(inst: Instance, m: Matching, rot: Rotation) -> Matching:
 
 def find_rotations(inst: Instance) -> RotationPoset:
     """Discover all rotations in one walk from the man-optimal matching and
-    build the precedence DAG.
+    build the precedence DAG; the walk reads the instance's own preference
+    lists and rank maps (see `_rotation_walk`)."""
+    base = gale_shapley(inst, "A")
+    cycles, preds = _rotation_walk(inst.prefs, inst._rank, inst.side_a, base.partner)
+    return RotationPoset(inst, tuple(Rotation(c) for c in cycles), preds, base)
+
+
+def _rotation_walk(prefs, rank, men, base):
+    """All rotations, as cycles of (man, woman) pairs in elimination order,
+    and their sorted predecessor lists.
+
+    `prefs[u]` lists u's neighbors, `rank[u]` maps each to its position,
+    `men` is the proposing side in order and `base` the partner map of the
+    man-optimal matching. Nodes may be names or integer ids.
 
     The walk (Gusfield & Irving 1989, section 3.3) keeps one stack of men,
     each followed by the partner of his next acceptor: the first woman
@@ -68,38 +88,37 @@ def find_rotations(inst: Instance) -> RotationPoset:
     man whose next acceptor is unmatched, or who has none, keeps his partner
     for the rest of the walk, and so does every man whose walk leads to him.
     Women's partners only improve, so each man's list pointer only
-    advances.
+    advances. Each cycle starts at its earliest man in `men`.
 
     Predecessor edges combine two rules: the rotations moving one man form
     a chain in elimination order, and a rotation skipping a man past some
     woman requires the earlier rotation that first lifted that woman's
     partner above him.
     """
-    base = gale_shapley(inst, "A")
-    a_index = {a: i for i, a in enumerate(inst.side_a)}
-    partner = dict(base.partner)
-    ptr = {man: inst.rank(man, partner[man]) + 1 for man in inst.side_a if man in partner}
-    rotations: list[Rotation] = []
+    order = {man: i for i, man in enumerate(men)}
+    partner = dict(base)
+    ptr = {man: rank[man][partner[man]] + 1 for man in men if man in partner}
+    cycles: list[tuple] = []
     preds: list[set[int]] = []
-    last_move: dict[str, int] = {}  # man -> the latest rotation moving him
-    lifted: dict[tuple[str, str], int] = {}  # (w, man) -> rotation lifting w above man
+    last_move: dict = {}  # man -> the latest rotation moving him
+    lifted: dict = {}  # (w, man) -> rotation lifting w above man
 
-    def next_acceptor(man: str) -> str | None:
-        lst = inst.prefs[man]
+    def next_acceptor(man):
+        lst = prefs[man]
         while ptr[man] < len(lst):
             w = lst[ptr[man]]
             p = partner.get(w)
             if p is None:
                 return None
-            if inst.prefers(w, man, p):
+            if rank[w][man] < rank[w][p]:
                 return w
             ptr[man] += 1
         return None
 
-    fixed: set[str] = set()
-    stack: list[str] = []
-    on_stack: dict[str, int] = {}
-    for start in inst.side_a:
+    fixed: set = set()
+    stack: list = []
+    on_stack: dict = {}
+    for start in men:
         while start in ptr and start not in fixed:
             if not stack:
                 on_stack[start] = 0
@@ -119,26 +138,26 @@ def find_rotations(inst: Instance) -> RotationPoset:
             del stack[on_stack[nxt]:]
             for man in cycle_men:
                 del on_stack[man]
-            pivot = min(range(len(cycle_men)), key=lambda k: a_index[cycle_men[k]])
+            pivot = min(range(len(cycle_men)), key=lambda k: order[cycle_men[k]])
             cycle_men = cycle_men[pivot:] + cycle_men[:pivot]
-            rot = Rotation(tuple((man, partner[man]) for man in cycle_men))
-            r = len(rotations)
-            rotations.append(rot)
+            cycle = tuple((man, partner[man]) for man in cycle_men)
+            r = len(cycles)
+            cycles.append(cycle)
             preds.append(set())
-            k = len(rot.cycle)
+            k = len(cycle)
             for i in range(k):
-                man, w = rot.cycle[i]
-                new_partner = rot.cycle[(i - 1) % k][0]
-                for between in inst.prefs[w][inst.rank(w, new_partner) + 1:inst.rank(w, man)]:
+                man, w = cycle[i]
+                new_partner = cycle[(i - 1) % k][0]
+                for between in prefs[w][rank[w][new_partner] + 1:rank[w][man]]:
                     lifted[(w, between)] = r
-            for (man, w_from), (_man, w_to) in zip(rot.cycle, rot.added):
+            for (man, w_from), (_man, w_to) in zip(cycle, _added(cycle)):
                 if man in last_move:
                     preds[r].add(last_move[man])
                 last_move[man] = r
-                for w in inst.prefs[man][inst.rank(man, w_from) + 1:inst.rank(man, w_to)]:
-                    if base.partner_of(w) is None:
+                for w in prefs[man][rank[man][w_from] + 1:rank[man][w_to]]:
+                    if w not in base:
                         raise InternalError("rotation skips a woman unmatched in stable matchings")
-                    if inst.prefers(w, base.partner[w], man):
+                    if rank[w][base[w]] < rank[w][man]:
                         continue  # she outranked him from the start
                     sigma = lifted.get((w, man))
                     if sigma is None:
@@ -148,8 +167,8 @@ def find_rotations(inst: Instance) -> RotationPoset:
                     preds[r].add(sigma)
                 partner[man] = w_to
                 partner[w_to] = man
-                ptr[man] = inst.rank(man, w_to) + 1
-    return RotationPoset(inst, tuple(rotations), tuple(tuple(sorted(p)) for p in preds), base)
+                ptr[man] = rank[man][w_to] + 1
+    return cycles, tuple(tuple(sorted(p)) for p in preds)
 
 
 def closed_subsets(poset: RotationPoset, limit: int | None = None) -> list[frozenset[int]]:
@@ -178,14 +197,20 @@ def closed_subsets(poset: RotationPoset, limit: int | None = None) -> list[froze
 
 def matching_of_closed_subset(poset: RotationPoset, subset: frozenset[int]) -> Matching:
     """Eliminate a closed subset from `base` in index order (an elimination order)."""
-    pairs = set(poset.base.pairs)
+    cycles = [rot.cycle for rot in poset.rotations]
+    return make_matching(poset.instance, _eliminate_closed(poset.base.pairs, cycles, subset))
+
+
+def _eliminate_closed(base, cycles, subset) -> set:
+    """The pair set left by eliminating the rotations in `subset` from
+    `base`, in index order."""
+    pairs = set(base)
     for r in sorted(subset):
-        rot = poset.rotations[r]
-        if not pairs.issuperset(rot.cycle):
+        if not pairs.issuperset(cycles[r]):
             raise InternalError(f"rotation {r} is not exposed when eliminated")
-        pairs.difference_update(rot.cycle)
-        pairs.update(rot.added)
-    return make_matching(poset.instance, pairs)
+        pairs.difference_update(cycles[r])
+        pairs.update(_added(cycles[r]))
+    return pairs
 
 
 def enumerate_stable(inst: Instance, limit: int | None = None) -> list[Matching]:
@@ -305,43 +330,44 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
 # Min-cost stable matching via weighted closure
 
 
-def _rotation_delta(inst: Instance, rot: Rotation) -> int:
-    return sum(inst.cost(e) for e in rot.added) - sum(inst.cost(e) for e in rot.cycle)
-
-
 def min_cost_stable(inst: Instance) -> Matching:
-    """A stable matching of minimum total edge cost.
+    """A stable matching of minimum total edge cost (see `_cheapest_elimination`)."""
+    poset = find_rotations(inst)
+    cycles = [rot.cycle for rot in poset.rotations]
+    return make_matching(inst, _cheapest_elimination(poset.base.pairs, cycles, poset.preds, inst.cost))
+
+
+def _cheapest_elimination(base, cycles, preds, cost) -> set:
+    """The pairs of a cheapest stable matching, given the rotations'
+    cycles and predecessor lists and the edge `cost` of a pair.
 
     cost(closed subset) = cost(base) + sum of rotation deltas, so the
     optimum is a minimum-weight closed subset of the precedence DAG,
     reduced to min-cut. Among equal-cost optima this returns the one with
     the inclusion-minimal closed subset, which is deterministic.
     """
-    poset = find_rotations(inst)
-    k = len(poset.rotations)
-    weights = [-_rotation_delta(inst, rot) for rot in poset.rotations]
+    k = len(cycles)
+    deltas = [sum(map(cost, _added(c))) - sum(map(cost, c)) for c in cycles]
     source, sink = k, k + 1
-    INF = sum(abs(w) for w in weights) + 1
+    INF = sum(abs(d) for d in deltas) + 1
     arcs = []
-    for r, w in enumerate(weights):
-        if w > 0:
-            arcs.append((source, r, w))
-        elif w < 0:
-            arcs.append((r, sink, -w))
+    for r, d in enumerate(deltas):
+        if d < 0:
+            arcs.append((source, r, -d))
+        elif d > 0:
+            arcs.append((r, sink, d))
     for r in range(k):
-        for p in poset.preds[r]:
+        for p in preds[r]:
             arcs.append((r, p, INF))
     result = max_flow(FlowNetwork(k + 2, tuple(arcs), source, sink))
     closure = frozenset(r for r in result.source_side if r != source)
     for r in closure:
-        if not all(p in closure for p in poset.preds[r]):
+        if not all(p in closure for p in preds[r]):
             raise InternalError("min-cut closure is not predecessor-closed")
-    m = matching_of_closed_subset(poset, closure)
-    predicted = matching_cost(inst, poset.base) + sum(
-        _rotation_delta(inst, poset.rotations[r]) for r in closure)
-    if matching_cost(inst, m) != predicted:
+    pairs = _eliminate_closed(base, cycles, closure)
+    if sum(map(cost, pairs)) != sum(map(cost, base)) + sum(deltas[r] for r in closure):
         raise InternalError("closure cost model disagrees with the eliminated matching")
-    return m
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -354,15 +380,22 @@ class MinCostResult:
 def min_cost_popular_max(inst: Instance) -> MinCostResult:
     """Minimum-cost popular max-matching with its dual certificate.
 
-    Costs are copied onto all copy-image edges of the derived instance and
-    dummy edges are free, so the derived cost of a stable matching equals
-    the source cost of its projection; minimizing over stable matchings
-    minimizes over all popular max-matchings.
+    The derived instance is read as integer tables: each copy-image edge
+    costs its source edge and dummy edges are free, so the derived cost of
+    a stable matching equals the source cost of its projection, and
+    minimizing over stable matchings minimizes over all popular
+    max-matchings. The rotation walk starts from `level_proposals` placed
+    on the copies, which is the copies' proposer-optimal matching.
     """
-    gs = build_gstar(inst)
-    s = min_cost_stable(gs.inner)
-    m = project(gs, s)
-    if matching_cost(gs.inner, s) != matching_cost(inst, m):
+    gt = build_tables(inst)
+    m0, level = level_proposals(inst)
+    base = gt.place(m0.pairs, level)
+    partner = dict(base)
+    partner.update((v, u) for u, v in base)
+    cycles, preds = _rotation_walk(gt.prefs, gt.rank, range(gt.n0 * gt.n0), partner)
+    s = _cheapest_elimination(base, cycles, preds, gt.cost)
+    m = gt.project(s)
+    if sum(map(gt.cost, s)) != matching_cost(inst, m):
         raise InternalError("cost lifting is not cost-preserving")
     cert = certify_popular_max(inst, m)
     return MinCostResult(m, matching_cost(inst, m), cert)
@@ -383,8 +416,8 @@ def _enc(name: str) -> str:
     return "".join(out)
 
 
-def _lp_token(gs, node: str) -> str:
-    kind = gs.origin[node]
+def _lp_token(gt: GStarTables, u: int) -> str:
+    kind = gt.origin(u)
     if kind[0] == "copy":
         return f"{_enc(kind[1])}.c{kind[2]}"
     if kind[0] == "dummy":
@@ -400,13 +433,17 @@ def emit_lp(inst: Instance) -> str:
     node (equality for the nodes every stable matching must match), and a
     linkage row tying each source edge variable to the sum of its copies.
     Minimizing the cost objective over this polytope solves min-cost
-    popular max-matching; vertices are integral.
+    popular max-matching; vertices are integral. The rows are written
+    from the derived instance's integer tables, one LP token per id.
     """
-    gs = build_gstar(inst)
-    inner = gs.inner
-    token = {u: _lp_token(gs, u) for u in inner.nodes}
+    gt = build_tables(inst)
+    nodes = range(len(gt.prefs))
+    copies_end = gt.n0 * gt.n0  # ids below are copies, the derived A-side
+    dummies_start = copies_end + len(inst.side_b)
+    token = [_lp_token(gt, u) for u in nodes]
+    edges = [(u, v) for u in range(copies_end) for v in gt.prefs[u]]
 
-    def evar(u: str, v: str) -> str:
+    def evar(u: int, v: int) -> str:
         return f"xs.{token[u]}.{token[v]}"
 
     def gvar(a: str, b: str) -> str:
@@ -415,26 +452,26 @@ def emit_lp(inst: Instance) -> str:
     lines = ["\\ extended formulation for the popular max-matching polytope"]
     lines.append("Minimize")
     terms = [f"{inst.cost(e)} {gvar(*e)}" for e in inst.edges]
-    if not terms and inner.edges:
-        terms = [f"0 {evar(*inner.edges[0])}"]
+    if not terms and edges:
+        terms = [f"0 {evar(*edges[0])}"]
     lines.append(" obj: " + " + ".join(terms))
     lines.append("Subject To")
 
     # each node's edge variables in its preference order, formatted once
-    row = {x: [evar(*inner.as_edge(x, y)) for y in inner.prefs[x]] for x in inner.nodes}
+    row = [[evar(x, y) if x < copies_end else evar(y, x) for y in gt.prefs[x]] for x in nodes]
     copies: dict[Edge, list[str]] = {e: [] for e in inst.edges}  # lowest copy first
-    for u, v in inner.edges:
-        if gs.origin[v][0] == "dummy":
+    for u, v in edges:
+        if v >= dummies_start:
             continue
-        ru = inner.rank(u, v)
-        expr = " + ".join(row[u][:ru] + row[v][:inner.rank(v, u)] + [row[u][ru]])
+        ru = gt.rank[u][v]
+        expr = " + ".join(row[u][:ru] + row[v][:gt.rank[v][u]] + [row[u][ru]])
         lines.append(f" stab.{token[u]}.{token[v]}: {expr} >= 1")
-        copies[gs.origin[u][1], gs.origin[v][1]].append(row[u][ru])
+        copies[gt.origin(u)[1], gt.origin(v)[1]].append(row[u][ru])
 
     # the nodes every stable matching matches: those the dummy chains fill
     # when no source node is matched
-    must_match = place(gs, Matching(frozenset()), {}).partner
-    for node in inner.nodes:
+    must_match = {x for e in gt.place((), {}) for x in e}
+    for node in nodes:
         if not row[node]:
             continue
         expr = " + ".join(row[node])
@@ -446,7 +483,7 @@ def emit_lp(inst: Instance) -> str:
         lines.append(f" link.{_enc(a)}.{_enc(b)}: {gvar(a, b)} - {' - '.join(copies[a, b])} = 0")
 
     lines.append("Bounds")
-    for u, v in inner.edges:
+    for u, v in edges:
         lines.append(f" 0 <= {evar(u, v)} <= 1")
     for a, b in inst.edges:
         lines.append(f" 0 <= {gvar(a, b)} <= 1")

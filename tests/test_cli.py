@@ -165,6 +165,42 @@ def test_gstar_and_emit_lp(files, capsys):
     assert code == 0 and out.startswith("\\") and "Minimize" in out
 
 
+def test_mincost_and_emit_lp_never_build_gstar(files, tmp_path, capsys, monkeypatch):
+    """`mincost` and `emit-lp` read the derived instance's integer tables;
+    the string-named instance is not built, and the output is unchanged."""
+    import popmax
+    from popmax import random_instance, serialize_instance
+
+    paths = [files["i2c"]]
+    for k, inst in enumerate((random_instance(6, 6, 0.5, 9101, (0, 9)),
+                              random_instance(7, 2, 0.5, 9427, (0, 9)))):
+        p = tmp_path / f"r{k}.txt"
+        p.write_text(serialize_instance(inst))
+        paths.append(str(p))
+    commands = [(cmd, path) for path in paths
+                for cmd in (("mincost",), ("--json", "mincost"), ("emit-lp",))]
+    expected = [run(capsys, *cmd, path) for cmd, path in commands]
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the string-named derived instance was built")
+
+    for mod in (popmax, popmax.gstar, popmax.certificates, popmax.mincost, popmax.cli):
+        if hasattr(mod, "build_gstar"):
+            monkeypatch.setattr(mod, "build_gstar", refuse)
+    for (cmd, path), want in zip(commands, expected):
+        assert want[0] == 0
+        assert run(capsys, *cmd, path) == want
+
+
+def test_mincost_and_emit_lp_reject_reserved_ids(tmp_path, capsys):
+    p = tmp_path / "reserved.txt"
+    p.write_text("side A x#1\nside B b\n")
+    for cmd in (("mincost",), ("--json", "mincost"), ("emit-lp",), ("gstar",)):
+        code, _, err = run(capsys, *cmd, str(p))
+        assert code == 2
+        assert "node id 'x#1' contains a character reserved for derived names (#!~)" in err
+
+
 def test_gen_random_deterministic(capsys):
     code, out1, _ = run(capsys, "gen-random", "--na", "3", "--nb", "3",
                         "--density", "0.7", "--seed", "5")

@@ -7,7 +7,10 @@ sides 1..5, the conftest fixtures and the stretch fixture. Each instance
 runs `solve`, `mincost`, `--json mincost`, `emit-lp` and `gstar`; up to six
 of its maximum matchings (popular ones first) and one non-maximum matching
 run `verify`, `certify`, `--json certify` and `pareto`. Two larger costed
-instances (sides 13 and 17, density 0.3) run `emit-lp` only.
+instances (sides 13 and 17, density 0.3) run `emit-lp` only. Five edge
+cases of the derived-instance layout (|A| = 0, |A| = 1 so no dummies,
+|B| = 0, isolated nodes, and a level-heavy 7x2 costed instance) run
+`mincost`, `--json mincost` and `emit-lp`.
 
 After an intended change of output, rewrite the file with
 `PYTHONPATH=src python tests/test_golden_cli.py --regen`.
@@ -41,6 +44,15 @@ MATCHING_COMMANDS = (("verify",), ("certify",), ("--json", "certify"), ("pareto"
 MATCHINGS_PER_INSTANCE = 6
 # emit-lp alone on larger costed instances, whose stab.* rows are long
 LP_SIDES = (13, 17)
+EDGE_COMMANDS = (("mincost",), ("--json", "mincost"), ("emit-lp",))
+EDGE_CASES = {
+    "edge-a0": "side A\nside B b1 b2\n",
+    "edge-a1": "side A a\nside B b1 b2 b3\npref a: b2 b1\npref b1: a\npref b2: a\n"
+               "cost a b1 3\ncost a b2 5\n",
+    "edge-b0": "side A a1 a2 a3\nside B\n",
+    "edge-isolated": "side A a1 a2 a3 a4\nside B b1 b2 b3\npref a1: b1 b3\npref a3: b3 b1\n"
+                     "pref b1: a3 a1\npref b3: a1 a3\ncost a1 b1 4\ncost a3 b1 1\ncost a3 b3 2\n",
+}
 
 
 def _instances():
@@ -92,6 +104,13 @@ def compute_digests(workdir: Path) -> dict[str, str]:
         path = workdir / f"lp{n}.txt"
         path.write_text(serialize_instance(random_instance(n, n, 0.3, 500 + n, (0, 9))))
         digests[f"lp{n} emit-lp"] = _digest(("emit-lp", str(path)))
+    edge_cases = {name: parse_instance(text) for name, text in EDGE_CASES.items()}
+    edge_cases["edge-levels"] = random_instance(7, 2, 0.5, 9427, (0, 9))
+    for name, inst in edge_cases.items():
+        path = workdir / f"{name}.txt"
+        path.write_text(serialize_instance(inst))
+        for cmd in EDGE_COMMANDS:
+            digests[f"{name} {' '.join(cmd)}"] = _digest(cmd + (str(path),))
     return digests
 
 

@@ -29,6 +29,7 @@ from popmax import (
     verify_certificate,
     verify_popular_max,
 )
+from popmax import mincost
 from popmax.gstar import build_gstar, project
 from popmax.mincost import (
     Rotation,
@@ -227,12 +228,46 @@ def test_min_cost_stable_matches_oracle():
 
 
 def test_min_cost_popular_max_matches_oracle():
-    for _seed, inst in random_cases(50, 4, 9300, costs=(0, 9)):
+    """Small random instances, then every shape with |A| in 0..7 and |B| in
+    0..3: no dummies at |A| <= 1, empty sides, and |A| >> |B|."""
+    cases = [inst for _seed, inst in random_cases(50, 4, 9300, costs=(0, 9))]
+    rng = random.Random(9350)
+    cases += [random_instance(na, nb, rng.uniform(0.2, 1.0), rng.randrange(10**6), (0, 9))
+              for na in range(8) for nb in range(4) for _rep in range(3)]
+    for inst in cases:
         res = min_cost_popular_max(inst)
         assert verify_popular_max(inst, res.matching).popular
         assert verify_certificate(inst, res.matching, res.certificate).ok
         _m, best = brute_min_cost_popular_max(inst, bound=30)
         assert res.cost == best
+
+
+def test_gstar_table_walk_equals_walk_on_named_gstar(monkeypatch):
+    """The rotation walk that `min_cost_popular_max` runs on the integer
+    tables finds the rotations, in the same order and with the same
+    predecessor lists, as `find_rotations` on the string-named G*."""
+    walk = mincost._rotation_walk
+    seen = []
+
+    def recording(*args):
+        seen.append(walk(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(mincost, "_rotation_walk", recording)
+    cases = [random_instance(n, n, d, 9400 + n, (0, 9)) for n in range(2, 8) for d in (0.3, 0.6)]
+    cases += [random_instance(na, 2, 0.5, seed, (0, 9)) for na, seed in ((7, 9427), (7, 9408), (9, 9419))]
+    total = 0
+    for inst in cases:
+        seen.clear()
+        min_cost_popular_max(inst)
+        inner = build_gstar(inst).inner
+        poset = find_rotations(inner)
+        (cycles, preds), _named = seen
+        assert [r.cycle for r in poset.rotations] == [
+            tuple((inner.nodes[m], inner.nodes[w]) for m, w in cycle) for cycle in cycles]
+        assert poset.preds == preds
+        total += len(cycles)
+    assert total > 100
 
 
 # ---------------------------------------------------------------------------
@@ -309,19 +344,17 @@ def test_emit_lp_deterministic(i2c):
 def test_emit_lp_encodes_each_derived_node_once(monkeypatch):
     from collections import Counter
 
-    from popmax import mincost
-
     inst = random_instance(4, 5, 0.6, 3, (0, 9))
     token = mincost._lp_token
     encoded = Counter()
 
-    def counted(gs, node):
-        encoded[node] += 1
-        return token(gs, node)
+    def counted(gt, u):
+        encoded[gt.origin(u)] += 1
+        return token(gt, u)
 
     monkeypatch.setattr(mincost, "_lp_token", counted)
     emit_lp(inst)
-    assert encoded == Counter(build_gstar(inst).inner.nodes)
+    assert encoded == Counter(build_gstar(inst).origin.values())
 
 
 def test_emit_lp_distinct_ids_get_distinct_rows():
