@@ -78,12 +78,12 @@ from .mincost import (
     Rotation,
     RotationPoset,
     emit_lp,
-    enumerate_stable,
     find_rotations,
     max_flow,
     min_cost_popular_max,
     min_cost_stable,
 )
+from .oracle import closed_subsets, eliminate, enumerate_stable, matching_of_closed_subset
 from .popularity import (
     AlternatingDigraph,
     ParetoVerdict,

@@ -8,6 +8,7 @@ condition the theory rules out was met; `internal error: ...` on stderr).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -161,10 +162,7 @@ def cmd_gen_hardness(args) -> int:
 def cmd_check_reduction(args) -> int:
     f = _load_formula(args)
     report = hardness.check_reduction(f, max_vars=args.max_vars, max_clauses=args.max_clauses)
-    result = {k: getattr(report, k) for k in (
-        "satisfiable", "cost0_pareto_exists", "candidates_checked", "canonical_iff_ok",
-        "converse_ok", "perfect_ok", "consistency_ok", "falsifying_cycles_ok",
-        "gadget_nodes", "gadget_edges")}
+    result = dataclasses.asdict(report)
     result["equivalence_holds"] = report.equivalence_holds
     _emit(args, "ok" if report.equivalence_holds else "rejected", result, text=str(report))
     return EXIT_OK if report.equivalence_holds else EXIT_REJECTED

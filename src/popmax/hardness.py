@@ -390,12 +390,9 @@ def check_reduction(f: CnfFormula, max_vars: int = 4, max_clauses: int = 6) -> R
             canonical_iff_ok = False
         if pareto:
             exists = True
-        if sat:
-            m2 = assignment_to_matching(g, beta)
-            if matching_cost(inst, m2) != 0 or not is_pareto_optimal(inst, m2).pareto:
-                converse_ok = False
-            elif matching_to_assignment(g, m2) != beta:
-                converse_ok = False
+        # m is the matching `assignment_to_matching(g, beta)` builds
+        if sat and (not pareto or matching_to_assignment(g, m) != beta):
+            converse_ok = False
 
     perfect_ok = True
     quads = list(g.pos.values()) + list(g.neg.values())

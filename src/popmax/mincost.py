@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .certificates import DualCertificate, certify_popular_max
 from .core import Edge, Instance, Matching, make_matching, matching_cost
-from .errors import InternalError, LimitExceededError
+from .errors import InternalError
 from .gstar import GStarTables, build_tables, level_proposals
 from .stable import gale_shapley
 
@@ -39,10 +39,6 @@ class Rotation:
 
     cycle: tuple[tuple[str, str], ...]
 
-    @property
-    def added(self) -> tuple[tuple[str, str], ...]:
-        return _added(self.cycle)
-
 
 @dataclass(frozen=True)
 class RotationPoset:
@@ -54,14 +50,6 @@ class RotationPoset:
     rotations: tuple[Rotation, ...]
     preds: tuple[tuple[int, ...], ...]
     base: Matching
-
-
-def eliminate(inst: Instance, m: Matching, rot: Rotation) -> Matching:
-    pairs = set(m.pairs)
-    for e in rot.cycle:
-        pairs.discard(e)
-    pairs.update(rot.added)
-    return make_matching(inst, pairs)
 
 
 def find_rotations(inst: Instance) -> RotationPoset:
@@ -171,36 +159,6 @@ def _rotation_walk(prefs, rank, men, base):
     return cycles, tuple(tuple(sorted(p)) for p in preds)
 
 
-def closed_subsets(poset: RotationPoset, limit: int | None = None) -> list[frozenset[int]]:
-    """All downward-closed rotation sets, in a fixed depth-first order:
-    each rotation is first left out, then taken when its predecessors are."""
-    k = len(poset.rotations)
-    out: list[frozenset[int]] = []
-    taken = [False] * k
-    chosen: set[int] = set()
-    while True:
-        if limit is not None and len(out) >= limit:
-            raise LimitExceededError(
-                f"more than {limit} stable matchings", [frozenset(c) for c in out])
-        out.append(frozenset(chosen))
-        i = k - 1
-        while i >= 0 and (taken[i] or not all(p in chosen for p in poset.preds[i])):
-            if taken[i]:
-                taken[i] = False
-                chosen.discard(i)
-            i -= 1
-        if i < 0:
-            return out
-        taken[i] = True
-        chosen.add(i)
-
-
-def matching_of_closed_subset(poset: RotationPoset, subset: frozenset[int]) -> Matching:
-    """Eliminate a closed subset from `base` in index order (an elimination order)."""
-    cycles = [rot.cycle for rot in poset.rotations]
-    return make_matching(poset.instance, _eliminate_closed(poset.base.pairs, cycles, subset))
-
-
 def _eliminate_closed(base, cycles, subset) -> set:
     """The pair set left by eliminating the rotations in `subset` from
     `base`, in index order."""
@@ -211,21 +169,6 @@ def _eliminate_closed(base, cycles, subset) -> set:
         pairs.difference_update(cycles[r])
         pairs.update(_added(cycles[r]))
     return pairs
-
-
-def enumerate_stable(inst: Instance, limit: int | None = None) -> list[Matching]:
-    """All stable matchings via closed subsets of the rotation poset.
-
-    Exact and duplicate-free; raises LimitExceededError (with the partial
-    list attached) when more than `limit` exist.
-    """
-    poset = find_rotations(inst)
-    try:
-        subsets = closed_subsets(poset, limit)
-    except LimitExceededError as exc:
-        exc.partial = [matching_of_closed_subset(poset, s) for s in exc.partial]
-        raise
-    return [matching_of_closed_subset(poset, s) for s in subsets]
 
 
 # ---------------------------------------------------------------------------

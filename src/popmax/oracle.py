@@ -1,16 +1,20 @@
 """Exponential-time ground truth used to cross-validate every solver.
 
-Each routine is a direct transcription of a definition over exhaustive
-enumeration and shares no logic with the polynomial-time code paths. All of
-it is desk-scale only: enumeration refuses to run past its edge-count bound.
+The brute-force routines transcribe a definition over exhaustive
+enumeration, share no logic with the polynomial-time code paths, and refuse
+to run past their edge-count bound. The stable-matching lattice enumerator
+(`enumerate_stable`) is output-polynomial instead: it is built on
+`mincost.find_rotations`, and `test_closed_subset_bijection_and_topo_independence`
+checks it against `enum_matchings` + `is_stable`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Instance, Matching, compare, matching_cost, unpopularity_ratio
-from .errors import BoundExceededError
+from .core import Instance, Matching, compare, make_matching, matching_cost, unpopularity_ratio
+from .errors import BoundExceededError, LimitExceededError
+from .mincost import Rotation, RotationPoset, _eliminate_closed, find_rotations
 
 DEFAULT_BOUND = 24
 
@@ -91,3 +95,54 @@ def brute_unpopularity_factor(inst: Instance, m: Matching,
         if ratio > worst:
             worst = ratio
     return worst
+
+
+def closed_subsets(poset: RotationPoset, limit: int | None = None) -> list[frozenset[int]]:
+    """All downward-closed rotation sets, in a fixed depth-first order:
+    each rotation is first left out, then taken when its predecessors are."""
+    k = len(poset.rotations)
+    out: list[frozenset[int]] = []
+    taken = [False] * k
+    chosen: set[int] = set()
+    while True:
+        if limit is not None and len(out) >= limit:
+            raise LimitExceededError(
+                f"more than {limit} stable matchings", [frozenset(c) for c in out])
+        out.append(frozenset(chosen))
+        i = k - 1
+        while i >= 0 and (taken[i] or not all(p in chosen for p in poset.preds[i])):
+            if taken[i]:
+                taken[i] = False
+                chosen.discard(i)
+            i -= 1
+        if i < 0:
+            return out
+        taken[i] = True
+        chosen.add(i)
+
+
+def matching_of_closed_subset(poset: RotationPoset, subset: frozenset[int]) -> Matching:
+    """Eliminate a closed subset from `base` in index order (an elimination order)."""
+    cycles = [rot.cycle for rot in poset.rotations]
+    return make_matching(poset.instance, _eliminate_closed(poset.base.pairs, cycles, subset))
+
+
+def eliminate(inst: Instance, m: Matching, rot: Rotation) -> Matching:
+    """The matching left by eliminating `rot` from m; raises InternalError
+    unless every pair of the rotation is in m (the rotation is exposed)."""
+    return make_matching(inst, _eliminate_closed(m.pairs, (rot.cycle,), (0,)))
+
+
+def enumerate_stable(inst: Instance, limit: int | None = None) -> list[Matching]:
+    """All stable matchings via closed subsets of the rotation poset.
+
+    Exact and duplicate-free; raises LimitExceededError (with the partial
+    list attached) when more than `limit` exist.
+    """
+    poset = find_rotations(inst)
+    try:
+        subsets = closed_subsets(poset, limit)
+    except LimitExceededError as exc:
+        exc.partial = [matching_of_closed_subset(poset, s) for s in exc.partial]
+        raise
+    return [matching_of_closed_subset(poset, s) for s in subsets]

@@ -33,12 +33,13 @@ from popmax import (
 )
 from popmax.certificates import extract_certificate
 from popmax.errors import NotMaximumError
-from popmax.mincost import FlowNetwork, enumerate_stable, max_flow
+from popmax.mincost import FlowNetwork, max_flow
 from popmax.oracle import (
     brute_min_cost_popular_max,
     brute_popular_max,
     enum_matchings,
     enum_max_matchings,
+    enumerate_stable,
 )
 from popmax.popularity import apply_witness
 

@@ -19,8 +19,7 @@ from popmax import (
     verify_certificate,
     verify_popular_max,
 )
-from popmax.mincost import enumerate_stable
-from popmax.oracle import brute_popular_max
+from popmax.oracle import brute_popular_max, enumerate_stable
 
 from conftest import mk, random_cases
 

@@ -10,7 +10,11 @@ run `verify`, `certify`, `--json certify` and `pareto`. Two larger costed
 instances (sides 13 and 17, density 0.3) run `emit-lp` only. Five edge
 cases of the derived-instance layout (|A| = 0, |A| = 1 so no dummies,
 |B| = 0, isolated nodes, and a level-heavy 7x2 costed instance) run
-`mincost`, `--json mincost` and `emit-lp`.
+`mincost`, `--json mincost` and `emit-lp`. The conftest fixtures and the
+stretch fixture also run `oracle popular-max` and `oracle min-cost`. Three
+CNF formulas, (1 or 2 or 3), (1 or 2 or 3)(not 1 or not 2) and the
+unsatisfiable (1)(not 1) with `--pad-units`, run `gen-hardness`,
+`check-reduction` and `--json check-reduction`.
 
 After an intended change of output, rewrite the file with
 `PYTHONPATH=src python tests/test_golden_cli.py --regen`.
@@ -53,6 +57,15 @@ EDGE_CASES = {
     "edge-isolated": "side A a1 a2 a3 a4\nside B b1 b2 b3\npref a1: b1 b3\npref a3: b3 b1\n"
                      "pref b1: a3 a1\npref b3: a1 a3\ncost a1 b1 4\ncost a3 b1 1\ncost a3 b3 2\n",
 }
+ORACLE_COMMANDS = (("oracle", "popular-max"), ("oracle", "min-cost"))
+FIXTURES = ("i0", "i1", "i2", "i2_costed", "i3", "i5", "stretch")
+CNF_COMMANDS = (("gen-hardness",), ("check-reduction",), ("--json", "check-reduction"))
+# name -> (DIMACS text, extra flags)
+CNFS = {
+    "cnf-one": ("p cnf 3 1\n1 2 3 0\n", ()),
+    "cnf-two": ("p cnf 3 2\n1 2 3 0\n-1 -2 0\n", ()),
+    "cnf-unsat": ("p cnf 1 2\n1 0\n-1 0\n", ("--pad-units",)),
+}
 
 
 def _instances():
@@ -93,7 +106,8 @@ def compute_digests(workdir: Path) -> dict[str, str]:
     for name, inst, extra in _instances():
         path = workdir / f"{name}.txt"
         path.write_text(serialize_instance(inst))
-        for cmd in INSTANCE_COMMANDS:
+        commands = INSTANCE_COMMANDS + (ORACLE_COMMANDS if name in FIXTURES else ())
+        for cmd in commands:
             digests[f"{name} {' '.join(cmd)}"] = _digest(cmd + (str(path),))
         for k, m in enumerate(_matchings(inst, extra)):
             mpath = workdir / f"{name}.m{k}.txt"
@@ -111,6 +125,11 @@ def compute_digests(workdir: Path) -> dict[str, str]:
         path.write_text(serialize_instance(inst))
         for cmd in EDGE_COMMANDS:
             digests[f"{name} {' '.join(cmd)}"] = _digest(cmd + (str(path),))
+    for name, (text, flags) in CNFS.items():
+        path = workdir / f"{name}.cnf"
+        path.write_text(text)
+        for cmd in CNF_COMMANDS:
+            digests[f"{name} {' '.join(cmd)}"] = _digest(cmd + (str(path),) + flags)
     return digests
 
 

@@ -24,8 +24,7 @@ from popmax import (
     wt_edge,
 )
 from popmax.certificates import DualCertificate, extract_certificate
-from popmax.mincost import enumerate_stable
-from popmax.oracle import brute_popular_max
+from popmax.oracle import brute_popular_max, enumerate_stable
 from popmax.popularity import verify_popular_max
 
 from conftest import mk, random_cases
@@ -226,7 +225,7 @@ def test_solve_and_canonical_certify_never_build_gstar(monkeypatch, i1, i2, i3):
     def refuse(*_args, **_kwargs):
         raise AssertionError("the derived instance was built or enumerated")
 
-    for mod in (popmax, popmax.gstar, popmax.certificates, popmax.mincost):
+    for mod in (popmax, popmax.gstar, popmax.certificates, popmax.mincost, popmax.oracle):
         for name in ("build_gstar", "enumerate_stable"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, refuse)

@@ -1,5 +1,6 @@
-"""The package's module import graph has no cycle, and only `gstar` knows
-the layout of the derived instance."""
+"""The package's module import graph has no cycle, only `gstar` knows the
+layout of the derived instance, and `mincost` holds no stable-matching
+enumerator."""
 
 from __future__ import annotations
 
@@ -51,3 +52,12 @@ def test_only_gstar_names_derived_nodes():
         names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
         assert not names & helpers, f"{path.name} names {sorted(names & helpers)}"
+
+
+def test_lattice_enumerator_lives_in_oracle():
+    """`mincost` holds only the production route; the stable-matching
+    enumerator and its helpers are `oracle`'s, re-exported by the package."""
+    for name in ("closed_subsets", "matching_of_closed_subset", "enumerate_stable", "eliminate"):
+        assert not hasattr(popmax.mincost, name), name
+        assert getattr(popmax, name) is getattr(popmax.oracle, name)
+    assert not hasattr(popmax.mincost.Rotation, "added")

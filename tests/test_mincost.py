@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from popmax import (
     FlowNetwork,
     Instance,
+    InternalError,
     LimitExceededError,
     Matching,
     emit_lp,
@@ -31,15 +32,14 @@ from popmax import (
 )
 from popmax import mincost
 from popmax.gstar import build_gstar, project
-from popmax.mincost import (
-    Rotation,
-    RotationPoset,
-    _enc,
+from popmax.mincost import Rotation, RotationPoset, _enc
+from popmax.oracle import (
+    brute_min_cost_popular_max,
     closed_subsets,
     eliminate,
+    enum_matchings,
     matching_of_closed_subset,
 )
-from popmax.oracle import brute_min_cost_popular_max, enum_matchings
 
 from conftest import random_cases
 
@@ -60,6 +60,17 @@ def test_i2_single_rotation(i2):
     rot = poset.rotations[0]
     assert set(rot.cycle) == {("a1", "b1"), ("a2", "b2")}
     assert sorted(eliminate(i2, poset.base, rot).pairs) == [("a1", "b2"), ("a2", "b1")]
+
+
+def test_eliminate_refuses_a_rotation_that_is_not_exposed(i2):
+    """A rotation is eliminated only from a matching that holds all its
+    pairs: not from the empty matching, and not a second time."""
+    poset = find_rotations(i2)
+    rot = poset.rotations[0]
+    once = eliminate(i2, poset.base, rot)
+    for m in (make_matching(i2, ()), once):
+        with pytest.raises(InternalError, match="not exposed"):
+            eliminate(i2, m, rot)
 
 
 def test_enumerate_fixtures(i0, i1, i2):
