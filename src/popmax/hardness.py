@@ -185,8 +185,7 @@ def build_gadget_instance(f: CnfFormula) -> GadgetInstance:
     neg: dict[int, tuple[str, str, str, str]] = {}
     occurrences: dict[int, list[tuple[int, int]]] = {}
     for ci in pos_idx:
-        for slot, lit in enumerate(f.clauses[ci]):
-            v = lit
+        for slot, v in enumerate(f.clauses[ci]):
             stem = f"X{v}c{ci}o{slot}"
             pos[(ci, slot)] = (f"a{stem}", f"b{stem}", f"ap{stem}", f"bp{stem}")
             occurrences.setdefault(v, []).append((ci, slot))
@@ -199,17 +198,18 @@ def build_gadget_instance(f: CnfFormula) -> GadgetInstance:
     side_a: list[str] = []
     side_b: list[str] = []
     prefs: dict[str, tuple[str, ...]] = {}
+    costs: dict[Edge, int] = {}
     for ci in pos_idx:
         k = len(f.clauses[ci])
-        for slot, lit in enumerate(f.clauses[ci]):
+        for slot, v in enumerate(f.clauses[ci]):
             a, b, ap, bp = pos[(ci, slot)]
-            _, b_prev, _, _ = pos[(ci, (slot - 1) % k)]
+            b_prev = pos[(ci, (slot - 1) % k)][1]
             a_next = pos[(ci, (slot + 1) % k)][0]
-            _c, _d, _cp, dp = neg[lit]
-            c = neg[lit][0]
+            c, _d, _cp, dp = neg[v]
             side_a += [a, ap]
             side_b += [b, bp]
             prefs[a] = (b_prev, b, dp, bp)
+            costs[(a, b_prev)] = costs[(a, dp)] = costs[(c, bp)] = 1
             prefs[ap] = (b, bp)
             prefs[b] = (a_next, a, ap)
             prefs[bp] = (ap, c, a)
@@ -223,24 +223,10 @@ def build_gadget_instance(f: CnfFormula) -> GadgetInstance:
             side_a += [c, cp]
             side_b += [d, dp]
             prefs[c] = (d_other, d) + bp_block + (dp,)
+            costs[(c, d_other)] = 1
             prefs[cp] = (d, dp)
             prefs[d] = (c_other, c, cp)
             prefs[dp] = (cp,) + a_block + (c,)
-
-    costs: dict[Edge, int] = {}
-    for ci in pos_idx:
-        k = len(f.clauses[ci])
-        for slot, lit in enumerate(f.clauses[ci]):
-            a, b, ap, bp = pos[(ci, slot)]
-            b_prev = pos[(ci, (slot - 1) % k)][1]
-            c, _d, _cp, dp = neg[lit]
-            costs[(a, b_prev)] = 1
-            costs[(a, dp)] = 1
-            costs[(c, bp)] = 1
-    for ci in neg_idx:
-        u, v = (-l for l in f.clauses[ci])
-        costs[(neg[u][0], neg[v][1])] = 1
-        costs[(neg[v][0], neg[u][1])] = 1
 
     inst = Instance(tuple(side_a), tuple(side_b), prefs, costs)
     return GadgetInstance(inst, f, pos, neg,
@@ -248,19 +234,17 @@ def build_gadget_instance(f: CnfFormula) -> GadgetInstance:
 
 
 def _pattern_pairs(g: GadgetInstance, neg_true: dict[int, bool],
-                   occ_true: dict[tuple[int, int], bool]) -> Matching:
-    """Cost-0 perfect matching from per-gadget pattern choices."""
+                   occ_true: dict[tuple[int, int], bool] | None = None) -> Matching:
+    """Cost-0 perfect matching from per-gadget pattern choices; each
+    occurrence gadget follows its variable's negation gadget unless
+    `occ_true` sets it."""
     pairs = []
     for v, (c, d, cp, dp) in g.neg.items():
-        if neg_true[v]:
-            pairs += [(c, d), (cp, dp)]
-        else:
-            pairs += [(c, dp), (cp, d)]
-    for occ, (a, b, ap, bp) in g.pos.items():
-        if occ_true[occ]:
-            pairs += [(a, bp), (ap, b)]
-        else:
-            pairs += [(a, b), (ap, bp)]
+        pairs += [(c, d), (cp, dp)] if neg_true[v] else [(c, dp), (cp, d)]
+    for (ci, slot), (a, b, ap, bp) in g.pos.items():
+        true = (neg_true[g.formula.clauses[ci][slot]] if occ_true is None
+                else occ_true[(ci, slot)])
+        pairs += [(a, bp), (ap, b)] if true else [(a, b), (ap, bp)]
     return make_matching(g.instance, pairs)
 
 
@@ -272,18 +256,12 @@ def assignment_to_matching(g: GadgetInstance, assignment: dict[int, bool]) -> Ma
     """
     if not evaluate(g.formula, assignment):
         raise ValidationError("assignment does not satisfy the formula")
-    occ_true = {occ: assignment[v] for v, occs in g.occurrences.items() for occ in occs}
-    neg_true = {v: assignment[v] for v in g.neg}
-    return _pattern_pairs(g, neg_true, occ_true)
+    return _pattern_pairs(g, assignment)
 
 
-def matching_to_assignment(g: GadgetInstance, m: Matching) -> dict[int, bool]:
-    """Satisfying assignment from a Pareto-optimal matching of cost 0:
-    a variable is false iff its negation gadget pairs (c,d'),(c',d)."""
-    if matching_cost(g.instance, m) != 0:
-        raise ValidationError("matching has nonzero cost")
-    if not is_pareto_optimal(g.instance, m).pareto:
-        raise ValidationError("matching is not Pareto-optimal")
+def _read_assignment(g: GadgetInstance, m: Matching) -> dict[int, bool]:
+    """The assignment a cost-0 Pareto-optimal matching encodes: a variable
+    is false iff its negation gadget pairs (c,d'),(c',d)."""
     assignment = {}
     for v, (c, d, cp, dp) in g.neg.items():
         if (c, dp) in m.pairs:
@@ -295,6 +273,15 @@ def matching_to_assignment(g: GadgetInstance, m: Matching) -> dict[int, bool]:
     if not evaluate(g.formula, assignment):
         raise InternalError("derived assignment does not satisfy the formula")
     return assignment
+
+
+def matching_to_assignment(g: GadgetInstance, m: Matching) -> dict[int, bool]:
+    """Satisfying assignment from a Pareto-optimal matching of cost 0."""
+    if matching_cost(g.instance, m) != 0:
+        raise ValidationError("matching has nonzero cost")
+    if not is_pareto_optimal(g.instance, m).pareto:
+        raise ValidationError("matching is not Pareto-optimal")
+    return _read_assignment(g, m)
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +326,14 @@ class ReductionReport:
 def _dominates(g: GadgetInstance, m: Matching, cycle_edges: list[Edge],
                expect_voters: int) -> bool:
     """Certify a falsifying cycle: its non-matching edges all block m and
-    toggling it beats m `expect_voters` to zero."""
+    toggling it beats m `expect_voters` to zero. The caller checks that m
+    is not Pareto-optimal, once per pattern matching."""
     for e in cycle_edges:
         if e not in m.pairs and wt_edge(g.instance, m, e) != 2:
             return False
     flipped = Matching(frozenset(m.pairs) ^ frozenset(cycle_edges))
     tally = compare(g.instance, flipped, m)
-    return tally.phi_mn == expect_voters and tally.phi_nm == 0 \
-        and not is_pareto_optimal(g.instance, m).pareto
+    return tally.phi_mn == expect_voters and tally.phi_nm == 0
 
 
 def check_reduction(f: CnfFormula, max_vars: int = 4, max_clauses: int = 6) -> ReductionReport:
@@ -379,9 +366,7 @@ def check_reduction(f: CnfFormula, max_vars: int = 4, max_clauses: int = 6) -> R
     for bits in itertools.product((False, True), repeat=ft.num_vars):
         beta = dict(zip(range(1, ft.num_vars + 1), bits))
         sat = evaluate(ft, beta)
-        occ_true = {occ: beta[v] for v, occs in g.occurrences.items() for occ in occs}
-        neg_true = {v: beta[v] for v in g.neg}
-        m = _pattern_pairs(g, neg_true, occ_true)
+        m = _pattern_pairs(g, beta)  # what `assignment_to_matching(g, beta)` builds
         count += 1
         if matching_cost(inst, m) != 0 or len(m.pairs) * 2 != len(inst.nodes):
             raise InternalError("pattern matching is not perfect and free")
@@ -390,14 +375,11 @@ def check_reduction(f: CnfFormula, max_vars: int = 4, max_clauses: int = 6) -> R
             canonical_iff_ok = False
         if pareto:
             exists = True
-        # m is the matching `assignment_to_matching(g, beta)` builds
-        if sat and (not pareto or matching_to_assignment(g, m) != beta):
+        if sat and (not pareto or _read_assignment(g, m) != beta):
             converse_ok = False
 
     perfect_ok = True
-    quads = list(g.pos.values()) + list(g.neg.values())
-    for x, y, xp, yp in quads:
-        internal = [(x, y), (x, yp), (xp, y), (xp, yp)]
+    for x, y, xp, yp in list(g.pos.values()) + list(g.neg.values()):
         for pattern in ([], [(x, y)], [(x, yp)], [(xp, y)], [(xp, yp)]):
             matched = {n for e in pattern for n in e}
             free = [n for n in (x, y, xp, yp) if n not in matched]
@@ -406,46 +388,39 @@ def check_reduction(f: CnfFormula, max_vars: int = 4, max_clauses: int = 6) -> R
                 perfect_ok = False
 
     consistency_ok = True
-    all_true = {v: True for v in g.neg}
     all_occ_true = {occ: True for occ in g.pos}
     for v in sorted(g.neg):
         if not g.occurrences[v]:
             continue
-        neg_true = dict(all_true)
-        neg_true[v] = False  # negation gadget in false pattern, occurrences true
-        m = _pattern_pairs(g, neg_true, all_occ_true)
-        c, d, cp, dp = g.neg[v]
+        # negation gadget of v in false pattern, every occurrence gadget true
+        m = _pattern_pairs(g, {w: w != v for w in g.neg}, all_occ_true)
+        if is_pareto_optimal(inst, m).pareto:
+            consistency_ok = False
+        c, _d, _cp, dp = g.neg[v]
         for occ in g.occurrences[v]:
-            a, b, ap, bp = g.pos[occ]
-            cycle = [(a, dp), (c, dp), (c, bp), (a, bp)]
-            if not _dominates(g, m, cycle, 4):
+            a, _b, _ap, bp = g.pos[occ]
+            if not _dominates(g, m, [(a, dp), (c, dp), (c, bp), (a, bp)], 4):
                 consistency_ok = False
 
     falsifying_cycles_ok = True
     for ci, clause in enumerate(ft.clauses):
         k = len(clause)
         if clause[0] > 0:
-            neg_true = {v: v not in set(clause) for v in g.neg}
-            occ_true = {occ: neg_true[v] for v, occs in g.occurrences.items() for occ in occs}
-            m = _pattern_pairs(g, neg_true, occ_true)
+            m = _pattern_pairs(g, {v: v not in clause for v in g.neg})
             cycle = []
             for slot in range(k):
-                a = g.pos[(ci, slot)][0]
-                b_prev = g.pos[(ci, (slot - 1) % k)][1]
-                b = g.pos[(ci, slot)][1]
-                cycle += [(a, b_prev), (a, b)]
-            if not _dominates(g, m, cycle, 2 * k):
-                falsifying_cycles_ok = False
+                a, b, _ap, _bp = g.pos[(ci, slot)]
+                cycle += [(a, g.pos[(ci, (slot - 1) % k)][1]), (a, b)]
+            voters = 2 * k
         else:
             u, v = (-l for l in clause)
-            neg_true = {w: w in (u, v) for w in g.neg}
-            occ_true = {occ: neg_true[w] for w, occs in g.occurrences.items() for occ in occs}
-            m = _pattern_pairs(g, neg_true, occ_true)
+            m = _pattern_pairs(g, {w: w in (u, v) for w in g.neg})
             cu, du = g.neg[u][0], g.neg[u][1]
             cv, dv = g.neg[v][0], g.neg[v][1]
             cycle = [(cu, dv), (cu, du), (cv, du), (cv, dv)]
-            if not _dominates(g, m, cycle, 4):
-                falsifying_cycles_ok = False
+            voters = 4
+        if is_pareto_optimal(inst, m).pareto or not _dominates(g, m, cycle, voters):
+            falsifying_cycles_ok = False
 
     return ReductionReport(
         satisfiable=satisfiable,

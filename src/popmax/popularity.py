@@ -101,51 +101,32 @@ def format_witness(m: Matching, witness: Witness) -> str:
     return f"{witness.kind}: " + " ".join(tokens) + f" wt={witness.weight}"
 
 
-def _cycle_witness(dg: AlternatingDigraph, cycle_arcs: list[Arc]) -> Witness:
-    """Convert a directed cycle of arcs into the alternating cycle it encodes."""
-    pivot = min(range(len(cycle_arcs)), key=lambda k: dg.vertices[cycle_arcs[k][1]])
-    cycle_arcs = cycle_arcs[pivot:] + cycle_arcs[:pivot]
+def _witness(dg: AlternatingDigraph, kind: str, arcs: list[Arc]) -> Witness:
+    """Convert a directed cycle or path of arcs into the alternating walk it
+    encodes. Every pair vertex the walk enters adds its matched edge, so
+    toggling stays a matching; a cycle starts at its least pair vertex, and
+    a path first enters the source vertex of its first arc."""
+    if kind == "cycle":
+        pivot = min(range(len(arcs)), key=lambda k: dg.vertices[arcs[k][1]])
+        arcs = arcs[pivot:] + arcs[:pivot]
+    steps = [((a, b), dst) for _src, dst, a, b, _w in arcs]
+    if kind == "path":
+        steps.insert(0, (None, arcs[0][0]))
     edges: list[Edge] = []
     nodes: list[str] = []
-    weight = 0
-    for arc in cycle_arcs:
-        _src, dst, a, b, w = arc
-        kind, pa, pb = dg.vertices[dst]
-        if kind != "pair":
-            raise InternalError("directed cycle through an unmatched vertex")
-        edges.append((a, b))
-        edges.append((pa, pb))
-        nodes.append(b)
-        nodes.append(pa)
-        weight += w
-    return Witness("cycle", tuple(nodes), tuple(edges), weight)
-
-
-def _path_witness(dg: AlternatingDigraph, arcs_seq: list[Arc]) -> Witness:
-    """Convert a forward arc sequence into an alternating path. Terminal pair
-    vertices contribute their matched edge so toggling stays a matching."""
-    edges: list[Edge] = []
-    nodes: list[str] = []
-    weight = 0
-    first = dg.vertices[arcs_seq[0][0]]
-    if first[0] == "pair":
-        _, pa, pb = first
-        nodes.extend([pb, pa])
-        edges.append((pa, pb))
-    else:
-        nodes.append(first[1])
-    for arc in arcs_seq:
-        _src, dst, a, b, w = arc
-        edges.append((a, b))
-        weight += w
-        target = dg.vertices[dst]
-        if target[0] == "pair":
-            _, pa, pb = target
+    for edge, v in steps:
+        if edge is not None:
+            edges.append(edge)
+        vertex = dg.vertices[v]
+        if vertex[0] == "pair":
+            _, pa, pb = vertex
             nodes.extend([pb, pa])
             edges.append((pa, pb))
+        elif kind == "cycle":
+            raise InternalError("directed cycle through an unmatched vertex")
         else:
-            nodes.append(target[1])
-    return Witness("path", tuple(nodes), tuple(edges), weight)
+            nodes.append(vertex[1])
+    return Witness(kind, tuple(nodes), tuple(edges), sum(arc[4] for arc in arcs))
 
 
 def _collect_arcs(pred: list, v: int) -> list[Arc]:
@@ -218,19 +199,19 @@ def _witness_or_potentials(inst: Instance, m: Matching) -> Witness | dict[str, i
             break
         cycle = _pred_cycle(pred)
         if cycle is not None:
-            return _cycle_witness(dg, cycle)
+            return _witness(dg, "cycle", cycle)
     else:
         raise InternalError("relaxation did not converge and no predecessor cycle formed")
 
     above_top = [i for i, v in enumerate(dg.vertices) if v[0] == "pair" and y[i] > top]
     if above_top:
-        return _path_witness(dg, _collect_arcs(pred, _highest(y, above_top)))
+        return _witness(dg, "path", _collect_arcs(pred, _highest(y, above_top)))
     into_b = [i for i, v in enumerate(dg.vertices) if v[0] == "ub" and y[i] > 0]
     if into_b:
         seq = _collect_arcs(pred, _highest(y, into_b))
         if dg.vertices[seq[0][0]][0] == "ua":
             raise InternalError("augmenting path in a maximum matching")
-        return _path_witness(dg, seq)
+        return _witness(dg, "path", seq)
     return {u: y[i] for i, v in enumerate(dg.vertices) if v[0] == "pair" for u in v[1:]}
 
 
@@ -291,7 +272,7 @@ def is_pareto_optimal(inst: Instance, m: Matching) -> ParetoVerdict:
                 start = len(stack_arcs) - 1
                 while stack_arcs[start][0] != dst:
                     start -= 1
-                return ParetoVerdict(False, _cycle_witness(dg, stack_arcs[start:] + [arc]))
+                return ParetoVerdict(False, _witness(dg, "cycle", stack_arcs[start:] + [arc]))
 
     pred: list[Arc | None] = [None] * n
     frontier = [i for i, v in enumerate(dg.vertices) if v[0] == "ua"]
@@ -306,7 +287,7 @@ def is_pareto_optimal(inst: Instance, m: Matching) -> ParetoVerdict:
                 seen.add(dst)
                 pred[dst] = arc
                 if dg.vertices[dst][0] == "ub":
-                    return ParetoVerdict(False, _path_witness(dg, _collect_arcs(pred, dst)))
+                    return ParetoVerdict(False, _witness(dg, "path", _collect_arcs(pred, dst)))
                 nxt.append(dst)
         frontier = nxt
     return ParetoVerdict(True, None)

@@ -11,10 +11,13 @@ instances (sides 13 and 17, density 0.3) run `emit-lp` only. Five edge
 cases of the derived-instance layout (|A| = 0, |A| = 1 so no dummies,
 |B| = 0, isolated nodes, and a level-heavy 7x2 costed instance) run
 `mincost`, `--json mincost` and `emit-lp`. The conftest fixtures and the
-stretch fixture also run `oracle popular-max` and `oracle min-cost`. Three
-CNF formulas, (1 or 2 or 3), (1 or 2 or 3)(not 1 or not 2) and the
-unsatisfiable (1)(not 1) with `--pad-units`, run `gen-hardness`,
-`check-reduction` and `--json check-reduction`.
+stretch fixture also run `oracle popular-max` and `oracle min-cost`. Five
+CNF formulas run `gen-hardness`, `check-reduction` and `--json
+check-reduction`: (1 or 2 or 3), (1 or 2 or 3)(not 1 or not 2), the
+unsatisfiable (1)(not 1) with `--pad-units`, a satisfiable one with 4
+variables and 6 clauses (the largest `check-reduction` accepts by default,
+several occurrences per variable), and the unsatisfiable one made of all
+four 2-clauses over 2 variables.
 
 After an intended change of output, rewrite the file with
 `PYTHONPATH=src python tests/test_golden_cli.py --regen`.
@@ -65,6 +68,8 @@ CNFS = {
     "cnf-one": ("p cnf 3 1\n1 2 3 0\n", ()),
     "cnf-two": ("p cnf 3 2\n1 2 3 0\n-1 -2 0\n", ()),
     "cnf-unsat": ("p cnf 1 2\n1 0\n-1 0\n", ("--pad-units",)),
+    "cnf-four": ("p cnf 4 6\n1 2 3 0\n-1 -2 4 0\n2 -3 0\n1 -4 0\n-2 3 4 0\n-1 4 0\n", ()),
+    "cnf-unsat-two": ("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n", ()),
 }
 
 

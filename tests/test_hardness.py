@@ -24,6 +24,7 @@ from popmax import (
     transform_formula,
     wt_edge,
 )
+from popmax import hardness
 from popmax.core import Matching
 from popmax.errors import BoundExceededError
 from popmax.hardness import _pattern_pairs, evaluate
@@ -244,3 +245,26 @@ def test_evaluate_and_brute_sat():
     assert not evaluate(f, {1: True, 2: True})
     assert brute_sat(f)
     assert not brute_sat(CnfFormula(1, ((1, 1), (-1, -1))))
+
+
+@pytest.mark.parametrize("f, expected", [
+    (CnfFormula(3, ((1, 2, 3),)), 77),
+    (CnfFormula(3, ((1, 2, 3), (-1, -2))), 78),
+    (pad_unit_clauses(CnfFormula(1, ((1,), (-1,)))), 10),
+])
+def test_check_reduction_pareto_checks_each_pattern_once(monkeypatch, f, expected):
+    """One Pareto check per pattern matching built: each assignment's,
+    each variable's consistency pattern and each clause's falsifying one."""
+    calls = []
+
+    def counted(inst, m):
+        calls.append(m)
+        return is_pareto_optimal(inst, m)
+
+    monkeypatch.setattr(hardness, "is_pareto_optimal", counted)
+    rep = check_reduction(f)
+    ft = transform_formula(f)
+    g = build_gadget_instance(ft)
+    with_occurrences = sum(1 for occs in g.occurrences.values() if occs)
+    assert rep.equivalence_holds
+    assert len(calls) == rep.candidates_checked + with_occurrences + len(ft.clauses) == expected
