@@ -39,7 +39,6 @@ from .errors import (
     CertificateError,
     InputError,
     InternalError,
-    LimitExceededError,
     NotMaximumError,
     NotPopularError,
     NotStableError,
@@ -75,7 +74,6 @@ from .mincost import (
     FlowNetwork,
     MaxFlowResult,
     MinCostResult,
-    Rotation,
     RotationPoset,
     emit_lp,
     find_rotations,

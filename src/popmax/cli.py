@@ -18,7 +18,6 @@ from .errors import (
     BoundExceededError,
     InputError,
     InternalError,
-    LimitExceededError,
     NotMaximumError,
     NotPopularError,
     ParseError,
@@ -292,7 +291,7 @@ def main(argv=None) -> int:
         return EXIT_REJECTED
     except (InputError, ParseError, ValidationError, UnsupportedClauseError) as exc:
         return _report_error(args, "error", exc, EXIT_BAD_INPUT)
-    except (BoundExceededError, LimitExceededError) as exc:
+    except BoundExceededError as exc:
         return _report_error(args, "error", exc, EXIT_BOUND)
     except InternalError as exc:
         return _report_error(args, "internal error", exc, EXIT_INTERNAL)

@@ -12,7 +12,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ParseError, ValidationError
 
@@ -159,29 +159,13 @@ def make_matching(inst: Instance, pairs: Iterable[Sequence[str]]) -> Matching:
     return Matching(frozenset(inst.as_edge(u, v) for u, v in pairs))
 
 
-class VoteTally:
-    """Head-to-head election result between two matchings."""
+class VoteTally(NamedTuple):
+    """Head-to-head election result between two matchings: the voters
+    preferring m, those preferring n, and delta = phi_mn - phi_nm."""
 
-    __slots__ = ("phi_mn", "phi_nm")
-
-    def __init__(self, phi_mn: int, phi_nm: int):
-        self.phi_mn = phi_mn
-        self.phi_nm = phi_nm
-
-    @property
-    def delta(self) -> int:
-        return self.phi_mn - self.phi_nm
-
-    def astuple(self) -> tuple[int, int, int]:
-        return (self.phi_mn, self.phi_nm, self.delta)
-
-    def __eq__(self, other):
-        if isinstance(other, tuple):
-            return self.astuple() == other
-        return isinstance(other, VoteTally) and self.astuple() == other.astuple()
-
-    def __repr__(self):
-        return f"VoteTally(phi_mn={self.phi_mn}, phi_nm={self.phi_nm}, delta={self.delta})"
+    phi_mn: int
+    phi_nm: int
+    delta: int
 
 
 def wt_edge(inst: Instance, m: Matching, e: Edge) -> int:
@@ -229,7 +213,7 @@ def compare(inst: Instance, m: Matching, n: Matching) -> VoteTally:
             phi_mn += 1
         elif rm is None or rn < rm:
             phi_nm += 1
-    return VoteTally(phi_mn, phi_nm)
+    return VoteTally(phi_mn, phi_nm, phi_mn - phi_nm)
 
 
 def is_maximum(inst: Instance, m: Matching) -> tuple[bool, list[str] | None]:
@@ -388,6 +372,8 @@ def parse_matching(inst: Instance, text: str) -> Matching:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc.msg}", exc.lineno, exc.colno) from None
+        except RecursionError:
+            raise ValidationError("matching JSON is nested too deeply") from None
         pairs = obj.get("pairs") if isinstance(obj, dict) else None
         if not isinstance(pairs, list) or not all(
                 isinstance(p, list) and len(p) == 2 and all(isinstance(u, str) for u in p)

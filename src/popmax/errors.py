@@ -58,17 +58,6 @@ class BoundExceededError(PopmaxError):
     """An exhaustive routine was asked to run past its configured size bound."""
 
 
-class LimitExceededError(PopmaxError):
-    """Enumeration produced more results than the caller's limit.
-
-    Distinct from normal completion: `partial` holds everything found so far.
-    """
-
-    def __init__(self, message: str, partial: list | None = None):
-        super().__init__(message)
-        self.partial = partial if partial is not None else []
-
-
 class UnsupportedClauseError(PopmaxError):
     """A CNF clause shape the gadget construction does not cover."""
 

@@ -225,7 +225,7 @@ def level_proposals(inst: Instance) -> tuple[Matching, dict[str, int]]:
     active copy of a is its copy at the current level, the copies below
     it hold their dummies, and an image ranks higher-subscript copies
     first. The proposer-optimal stable matching is unique, so `place` of
-    the result is gale_shapley(build_gstar(inst).inner, "A"), and the
+    the result is gale_shapley(build_gstar(inst).inner), and the
     result is its project/levels: the returned map gives every source
     node its level, leftover B-nodes at 0. It costs O(|E| x levels used).
     """

@@ -32,22 +32,16 @@ def _added(cycle):
 
 
 @dataclass(frozen=True)
-class Rotation:
-    """An ordered cycle of matched pairs; eliminating it moves every listed
-    man to the next pair's woman (cyclically), every woman to the previous
-    pair's man."""
-
-    cycle: tuple[tuple[str, str], ...]
-
-
-@dataclass(frozen=True)
 class RotationPoset:
     """All rotations of an instance in one elimination order, with
     predecessor lists; closed subsets (all predecessors included) biject
-    onto the stable matchings via elimination from `base`."""
+    onto the stable matchings via elimination from `base`. A rotation is
+    its cycle of matched (man, woman) pairs: eliminating it moves every
+    listed man to the next pair's woman (cyclically), every woman to the
+    previous pair's man."""
 
     instance: Instance = field(repr=False)
-    rotations: tuple[Rotation, ...]
+    cycles: tuple[tuple[tuple[str, str], ...], ...]
     preds: tuple[tuple[int, ...], ...]
     base: Matching
 
@@ -56,9 +50,9 @@ def find_rotations(inst: Instance) -> RotationPoset:
     """Discover all rotations in one walk from the man-optimal matching and
     build the precedence DAG; the walk reads the instance's own preference
     lists and rank maps (see `_rotation_walk`)."""
-    base = gale_shapley(inst, "A")
+    base = gale_shapley(inst)
     cycles, preds = _rotation_walk(inst.prefs, inst._rank, inst.side_a, base.partner)
-    return RotationPoset(inst, tuple(Rotation(c) for c in cycles), preds, base)
+    return RotationPoset(inst, tuple(cycles), preds, base)
 
 
 def _rotation_walk(prefs, rank, men, base):
@@ -276,8 +270,7 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
 def min_cost_stable(inst: Instance) -> Matching:
     """A stable matching of minimum total edge cost (see `_cheapest_elimination`)."""
     poset = find_rotations(inst)
-    cycles = [rot.cycle for rot in poset.rotations]
-    return make_matching(inst, _cheapest_elimination(poset.base.pairs, cycles, poset.preds, inst.cost))
+    return make_matching(inst, _cheapest_elimination(poset.base.pairs, poset.cycles, poset.preds, inst.cost))
 
 
 def _cheapest_elimination(base, cycles, preds, cost) -> set:

@@ -13,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import Instance, Matching, compare, make_matching, matching_cost, unpopularity_ratio
-from .errors import BoundExceededError, LimitExceededError
-from .mincost import Rotation, RotationPoset, _eliminate_closed, find_rotations
+from .errors import BoundExceededError
+from .mincost import RotationPoset, _eliminate_closed, find_rotations
 
 DEFAULT_BOUND = 24
 
@@ -97,17 +97,14 @@ def brute_unpopularity_factor(inst: Instance, m: Matching,
     return worst
 
 
-def closed_subsets(poset: RotationPoset, limit: int | None = None) -> list[frozenset[int]]:
+def closed_subsets(poset: RotationPoset) -> list[frozenset[int]]:
     """All downward-closed rotation sets, in a fixed depth-first order:
     each rotation is first left out, then taken when its predecessors are."""
-    k = len(poset.rotations)
+    k = len(poset.cycles)
     out: list[frozenset[int]] = []
     taken = [False] * k
     chosen: set[int] = set()
     while True:
-        if limit is not None and len(out) >= limit:
-            raise LimitExceededError(
-                f"more than {limit} stable matchings", [frozenset(c) for c in out])
         out.append(frozenset(chosen))
         i = k - 1
         while i >= 0 and (taken[i] or not all(p in chosen for p in poset.preds[i])):
@@ -123,26 +120,17 @@ def closed_subsets(poset: RotationPoset, limit: int | None = None) -> list[froze
 
 def matching_of_closed_subset(poset: RotationPoset, subset: frozenset[int]) -> Matching:
     """Eliminate a closed subset from `base` in index order (an elimination order)."""
-    cycles = [rot.cycle for rot in poset.rotations]
-    return make_matching(poset.instance, _eliminate_closed(poset.base.pairs, cycles, subset))
+    return make_matching(poset.instance, _eliminate_closed(poset.base.pairs, poset.cycles, subset))
 
 
-def eliminate(inst: Instance, m: Matching, rot: Rotation) -> Matching:
-    """The matching left by eliminating `rot` from m; raises InternalError
-    unless every pair of the rotation is in m (the rotation is exposed)."""
-    return make_matching(inst, _eliminate_closed(m.pairs, (rot.cycle,), (0,)))
+def eliminate(inst: Instance, m: Matching, cycle: tuple[tuple[str, str], ...]) -> Matching:
+    """The matching left by eliminating the rotation `cycle` from m; raises
+    InternalError unless every pair of the cycle is in m (it is exposed)."""
+    return make_matching(inst, _eliminate_closed(m.pairs, (cycle,), (0,)))
 
 
-def enumerate_stable(inst: Instance, limit: int | None = None) -> list[Matching]:
-    """All stable matchings via closed subsets of the rotation poset.
-
-    Exact and duplicate-free; raises LimitExceededError (with the partial
-    list attached) when more than `limit` exist.
-    """
+def enumerate_stable(inst: Instance) -> list[Matching]:
+    """All stable matchings via closed subsets of the rotation poset; exact
+    and duplicate-free."""
     poset = find_rotations(inst)
-    try:
-        subsets = closed_subsets(poset, limit)
-    except LimitExceededError as exc:
-        exc.partial = [matching_of_closed_subset(poset, s) for s in exc.partial]
-        raise
-    return [matching_of_closed_subset(poset, s) for s in subsets]
+    return [matching_of_closed_subset(poset, s) for s in closed_subsets(poset)]

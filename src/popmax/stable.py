@@ -7,18 +7,15 @@ from collections import deque
 from .core import Edge, Instance, Matching, _wt, make_matching
 
 
-def gale_shapley(inst: Instance, proposing_side: str = "A") -> Matching:
-    """Proposer-optimal stable matching via deferred acceptance.
+def gale_shapley(inst: Instance) -> Matching:
+    """A-optimal stable matching via deferred acceptance, A proposing.
 
     Proposals run from a fixed queue in declaration order, which makes the
-    run deterministic; the resulting matching is the classical
-    proposer-optimal one regardless of order. Nodes with exhausted lists
-    stay unmatched.
+    run deterministic; the result is the A-optimal one regardless of order.
+    Nodes with exhausted lists stay unmatched. The B-optimal matching is
+    this run on the instance with its sides swapped.
     """
-    if proposing_side not in ("A", "B"):
-        raise ValueError("proposing_side must be 'A' or 'B'")
-    proposers = inst.side_a if proposing_side == "A" else inst.side_b
-    held, _ = _propose(inst, proposers, 0)
+    held, _ = _propose(inst, inst.side_a, 0)
     return make_matching(inst, held.items())
 
 

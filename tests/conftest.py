@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from popmax import Matching, make_matching, parse_instance, random_instance
+from popmax import Instance, Matching, gale_shapley, make_matching, parse_instance, random_instance
 
 I0_TEXT = """\
 side A a
@@ -106,6 +106,12 @@ def stretch():
 
 def mk(inst, *pairs) -> Matching:
     return make_matching(inst, pairs)
+
+
+def b_optimal(inst) -> Matching:
+    """The B-optimal stable matching: A-proposing `gale_shapley` on the
+    instance with its sides swapped, its pairs turned back to (A, B)."""
+    return make_matching(inst, gale_shapley(Instance(inst.side_b, inst.side_a, inst.prefs)).pairs)
 
 
 def random_cases(count, max_side, seed0, min_side=1, density=(0.3, 1.0), costs=None):

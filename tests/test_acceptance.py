@@ -95,7 +95,7 @@ def test_criterion_2_characterization_equivalence():
 def _suite3_corpus(count=200, seed0=13000):
     for inst in _instances(count, 1, 4, seed0):
         gs = build_gstar(inst)
-        stables = enumerate_stable(gs.inner, limit=5000)
+        stables = enumerate_stable(gs.inner)
         yield inst, gs, stables
 
 
@@ -139,7 +139,7 @@ def test_criterion_4_surjectivity():
     for inst in _instances(n, 1, 4, 14000):
         gs = build_gstar(inst)
         projected = {frozenset(project(gs, s).pairs)
-                     for s in enumerate_stable(gs.inner, limit=5000)}
+                     for s in enumerate_stable(gs.inner)}
         pops = {frozenset(m.pairs) for m in brute_popular_max(inst, bound=30)}
         assert projected == pops
     elapsed = time.monotonic() - start
@@ -186,7 +186,7 @@ def test_criterion_7_rotation_machinery_and_flow_certificates():
         assert got == want
     for inst in _instances(30, 1, 3, 16500):
         gs = build_gstar(inst)
-        got = len(enumerate_stable(gs.inner, limit=5000))
+        got = len(enumerate_stable(gs.inner))
         want = sum(is_stable(gs.inner, m) for m in enum_matchings(gs.inner, bound=45))
         assert got == want
     rng = random.Random(16999)

@@ -141,7 +141,7 @@ def test_certificate_file_roundtrip(i1):
 def test_extracted_certificates_verify_on_randoms():
     for _seed, inst in random_cases(50, 4, 8000):
         gs = build_gstar(inst)
-        for s in enumerate_stable(gs.inner, limit=3000):
+        for s in enumerate_stable(gs.inner):
             cert = extract_certificate(inst, gs, s)
             assert verify_certificate(inst, project(gs, s), cert).ok
 
@@ -151,7 +151,7 @@ def test_certificate_soundness_cross_check():
     cross-running both verifiers over the extraction corpus)."""
     for _seed, inst in random_cases(40, 4, 8100):
         gs = build_gstar(inst)
-        for s in enumerate_stable(gs.inner, limit=2000):
+        for s in enumerate_stable(gs.inner):
             m = project(gs, s)
             cert = extract_certificate(inst, gs, s)
             if verify_certificate(inst, m, cert).ok:

@@ -318,6 +318,7 @@ def test_exit_code_bad_gen_random_arguments(capsys, argv):
 
 @pytest.mark.parametrize("pairs", [
     '[["a"]]', "5", "null", "[[]]", "[5000]", '[[["a"], "b"]]',
+    pytest.param("[" * 1000 + "]" * 1000, id="nested-1000"),
 ])
 def test_exit_code_bad_json_matching(files, tmp_path, capsys, pairs):
     m = tmp_path / "m.json"

@@ -1,10 +1,11 @@
 """The package's module import graph has no cycle, only `gstar` knows the
-layout of the derived instance, and `mincost` holds no stable-matching
-enumerator."""
+layout of the derived instance, `mincost` holds no stable-matching
+enumerator, and the stable-matching layer has one configuration."""
 
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import popmax
@@ -60,4 +61,15 @@ def test_lattice_enumerator_lives_in_oracle():
     for name in ("closed_subsets", "matching_of_closed_subset", "enumerate_stable", "eliminate"):
         assert not hasattr(popmax.mincost, name), name
         assert getattr(popmax, name) is getattr(popmax.oracle, name)
-    assert not hasattr(popmax.mincost.Rotation, "added")
+    assert not hasattr(popmax.mincost, "Rotation")
+
+
+def test_stable_layer_has_one_configuration():
+    """`gale_shapley` always proposes from side A, the lattice enumerator
+    has no limit, and a rotation is its cycle, with no wrapper type."""
+    assert list(inspect.signature(popmax.gale_shapley).parameters) == ["inst"]
+    for fn in (popmax.oracle.closed_subsets, popmax.oracle.enumerate_stable):
+        assert "limit" not in inspect.signature(fn).parameters, fn.__name__
+    for module in (popmax.errors, popmax.mincost, popmax):
+        for name in ("LimitExceededError", "Rotation"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"

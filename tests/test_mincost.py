@@ -13,7 +13,6 @@ from popmax import (
     FlowNetwork,
     Instance,
     InternalError,
-    LimitExceededError,
     Matching,
     emit_lp,
     enumerate_stable,
@@ -32,7 +31,7 @@ from popmax import (
 )
 from popmax import mincost
 from popmax.gstar import build_gstar, project
-from popmax.mincost import Rotation, RotationPoset, _enc
+from popmax.mincost import RotationPoset, _enc
 from popmax.oracle import (
     brute_min_cost_popular_max,
     closed_subsets,
@@ -41,7 +40,7 @@ from popmax.oracle import (
     matching_of_closed_subset,
 )
 
-from conftest import random_cases
+from conftest import b_optimal, random_cases
 
 
 def _brute_stable(inst, bound=30):
@@ -50,40 +49,33 @@ def _brute_stable(inst, bound=30):
 
 def test_no_rotations_single_edge(i0):
     poset = find_rotations(i0)
-    assert poset.rotations == ()
-    assert poset.base.pairs == gale_shapley(i0, "B").pairs  # woman-optimal too
+    assert poset.cycles == ()
+    assert poset.base.pairs == b_optimal(i0).pairs  # woman-optimal too
 
 
 def test_i2_single_rotation(i2):
     poset = find_rotations(i2)
-    assert len(poset.rotations) == 1
-    rot = poset.rotations[0]
-    assert set(rot.cycle) == {("a1", "b1"), ("a2", "b2")}
-    assert sorted(eliminate(i2, poset.base, rot).pairs) == [("a1", "b2"), ("a2", "b1")]
+    assert len(poset.cycles) == 1
+    cycle = poset.cycles[0]
+    assert set(cycle) == {("a1", "b1"), ("a2", "b2")}
+    assert sorted(eliminate(i2, poset.base, cycle).pairs) == [("a1", "b2"), ("a2", "b1")]
 
 
 def test_eliminate_refuses_a_rotation_that_is_not_exposed(i2):
     """A rotation is eliminated only from a matching that holds all its
     pairs: not from the empty matching, and not a second time."""
     poset = find_rotations(i2)
-    rot = poset.rotations[0]
-    once = eliminate(i2, poset.base, rot)
+    cycle = poset.cycles[0]
+    once = eliminate(i2, poset.base, cycle)
     for m in (make_matching(i2, ()), once):
         with pytest.raises(InternalError, match="not exposed"):
-            eliminate(i2, m, rot)
+            eliminate(i2, m, cycle)
 
 
 def test_enumerate_fixtures(i0, i1, i2):
     assert len(enumerate_stable(i0)) == 1
     assert len(enumerate_stable(i2)) == 2
     assert [sorted(m.pairs) for m in enumerate_stable(i1)] == [[("a2", "b1")]]
-
-
-def test_enumerate_limit_distinct_from_completion(i2):
-    with pytest.raises(LimitExceededError) as exc:
-        enumerate_stable(i2, limit=1)
-    assert len(exc.value.partial) == 1
-    assert len(enumerate_stable(i2, limit=2)) == 2
 
 
 def test_gstar_poset_projects_to_both_popular_max(i2):
@@ -129,15 +121,14 @@ def test_max_flow_long_path():
     assert res.source_side == frozenset({0})
 
 
-def test_closed_subsets_long_chain_hits_limit(i0):
-    """A chain as deep as the poset is enumerated without recursion."""
+def test_closed_subsets_long_chain(i0):
+    """A chain deeper than the recursion limit is enumerated without
+    recursion: its closed sets are exactly its k + 1 prefixes."""
     k = 1500
-    base = gale_shapley(i0, "A")
-    poset = RotationPoset(i0, (Rotation((("a", "b"),)),) * k,
+    base = gale_shapley(i0)
+    poset = RotationPoset(i0, ((("a", "b"),),) * k,
                           ((),) + tuple((i - 1,) for i in range(1, k)), base)
-    with pytest.raises(LimitExceededError) as exc:
-        closed_subsets(poset, limit=5)
-    assert exc.value.partial == [frozenset(range(j)) for j in range(5)]
+    assert closed_subsets(poset) == [frozenset(range(j)) for j in range(k + 1)]
 
 
 def test_min_cost_stable_unique(i0):
@@ -158,7 +149,7 @@ def test_min_cost_stable_tie_break_deterministic(i2):
     first = min_cost_stable(inst)
     assert matching_cost(inst, first) == 2
     # inclusion-minimal optimal closure: the base matching wins ties
-    assert first.pairs == gale_shapley(inst, "A").pairs
+    assert first.pairs == gale_shapley(inst).pairs
     assert min_cost_stable(inst).pairs == first.pairs
 
 
@@ -190,7 +181,7 @@ def test_closed_subset_bijection_and_topo_independence():
             while remaining:
                 ready = [r for r in remaining if set(poset.preds[r]) <= done]
                 r = rng.choice(sorted(ready))
-                m = eliminate(inst, m, poset.rotations[r])
+                m = eliminate(inst, m, poset.cycles[r])
                 remaining.discard(r)
                 done.add(r)
             assert m.pairs == baseline.pairs
@@ -198,7 +189,7 @@ def test_closed_subset_bijection_and_topo_independence():
 
 def _poset_by_pairs(poset):
     """Each rotation as its set of pairs, mapped to its predecessors' sets."""
-    keys = [frozenset(r.cycle) for r in poset.rotations]
+    keys = [frozenset(c) for c in poset.cycles]
     return {key: frozenset(keys[p] for p in preds) for key, preds in zip(keys, poset.preds)}
 
 
@@ -226,7 +217,7 @@ def test_find_rotations_builds_only_the_base_matching(monkeypatch):
 
     monkeypatch.setattr(Matching, "__post_init__", counting)
     poset = find_rotations(inst)
-    assert len(poset.rotations) > 1
+    assert len(poset.cycles) > 1
     assert built == [poset.base]
 
 
@@ -274,7 +265,7 @@ def test_gstar_table_walk_equals_walk_on_named_gstar(monkeypatch):
         inner = build_gstar(inst).inner
         poset = find_rotations(inner)
         (cycles, preds), _named = seen
-        assert [r.cycle for r in poset.rotations] == [
+        assert list(poset.cycles) == [
             tuple((inner.nodes[m], inner.nodes[w]) for m, w in cycle) for cycle in cycles]
         assert poset.preds == preds
         total += len(cycles)

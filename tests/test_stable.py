@@ -5,7 +5,7 @@ from __future__ import annotations
 from popmax import blocking_edges, gale_shapley, is_stable
 from popmax.oracle import enum_matchings
 
-from conftest import mk, random_cases
+from conftest import b_optimal, mk, random_cases
 
 
 def _brute_stable(inst):
@@ -17,13 +17,13 @@ def test_gs_single_edge(i0):
 
 
 def test_gs_i1_unique_stable(i1):
-    assert sorted(gale_shapley(i1, "A").pairs) == [("a2", "b1")]
+    assert sorted(gale_shapley(i1).pairs) == [("a2", "b1")]
     assert [sorted(m.pairs) for m in _brute_stable(i1)] == [[("a2", "b1")]]
 
 
 def test_gs_i2_both_sides(i2):
-    assert sorted(gale_shapley(i2, "A").pairs) == [("a1", "b1"), ("a2", "b2")]
-    assert sorted(gale_shapley(i2, "B").pairs) == [("a1", "b2"), ("a2", "b1")]
+    assert sorted(gale_shapley(i2).pairs) == [("a1", "b1"), ("a2", "b2")]
+    assert sorted(b_optimal(i2).pairs) == [("a1", "b2"), ("a2", "b1")]
     assert len(_brute_stable(i2)) == 2
 
 
@@ -47,8 +47,8 @@ def test_is_stable_examples(i0, i1):
 
 def test_gs_output_stable_on_randoms():
     for _seed, inst in random_cases(60, 5, 4000):
-        for side in ("A", "B"):
-            assert is_stable(inst, gale_shapley(inst, side))
+        assert is_stable(inst, gale_shapley(inst))
+        assert is_stable(inst, b_optimal(inst))
 
 
 def test_all_stable_matchings_same_size():
@@ -59,7 +59,7 @@ def test_all_stable_matchings_same_size():
 
 def test_proposer_optimality_per_node():
     for _seed, inst in random_cases(40, 5, 4200):
-        best = gale_shapley(inst, "A")
+        best = gale_shapley(inst)
         for m in _brute_stable(inst):
             for a in inst.side_a:
                 pa, pm = best.partner_of(a), m.partner_of(a)
