@@ -136,7 +136,7 @@ def cmd_gstar(args) -> int:
 def cmd_gen_random(args) -> int:
     cost_range = None
     if args.cost_hi is not None:
-        cost_range = (args.cost_lo, args.cost_hi)
+        cost_range = (0 if args.cost_lo is None else args.cost_lo, args.cost_hi)
     inst = core.random_instance(args.na, args.nb, args.density, args.seed, cost_range)
     text = core.serialize_instance(inst)
     _emit(args, "ok", {"instance": text}, text=text)
@@ -198,6 +198,17 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _count(text: str) -> int:
+    """A nonnegative integer option value."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="popmax",
@@ -236,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nb", type=int, required=True)
     p.add_argument("--density", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--cost-lo", type=int, default=0)
+    p.add_argument("--cost-lo", type=int, default=None, help="needs --cost-hi (default 0)")
     p.add_argument("--cost-hi", type=int, default=None)
     p.set_defaults(func=cmd_gen_random)
 
@@ -249,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-reduction", help="confirm the reduction equivalence (tiny inputs)")
     p.add_argument("cnf")
     p.add_argument("--pad-units", action="store_true")
-    p.add_argument("--max-vars", type=int, default=4)
-    p.add_argument("--max-clauses", type=int, default=6)
+    p.add_argument("--max-vars", type=_count, default=4)
+    p.add_argument("--max-clauses", type=_count, default=6)
     p.set_defaults(func=cmd_check_reduction)
 
     p = sub.add_parser("oracle", help="exponential ground-truth routines (desk scale)")
@@ -258,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "min-cost", "unpopularity"])
     p.add_argument("instance")
     p.add_argument("matching", nargs="?")
-    p.add_argument("--bound", type=int, default=oracle.DEFAULT_BOUND)
+    p.add_argument("--bound", type=_count, default=oracle.DEFAULT_BOUND)
     p.set_defaults(func=cmd_oracle)
 
     return parser
@@ -281,6 +292,9 @@ def main(argv=None) -> int:
     if getattr(args, "command", "") == "oracle" and args.what == "unpopularity" \
             and not args.matching:
         PARSER.error("oracle unpopularity needs a MATCHFILE")
+    if getattr(args, "command", "") == "gen-random" and args.cost_lo is not None \
+            and args.cost_hi is None:
+        PARSER.error("gen-random --cost-lo needs --cost-hi")
     try:
         return args.func(args)
     except NotMaximumError as exc:

@@ -8,9 +8,13 @@ of the derived instance and collapsing copies yields a popular
 max-matching; conversely every popular max-matching arises this way, and
 the copy subscripts carry the dual-certificate levels.
 
-The layout is written once, in `build_tables`, on integer ids. Min-cost
-optimization and the LP emitter read those tables; `build_gstar` names
-their ids for the `gstar` command and for `certificates.lift`.
+The layout is written once, in `_tables`, on integer ids, for any number
+of levels T. The products keep the paper's T = n0: `build_tables` feeds
+the LP emitter, `build_gstar` names its ids for the `gstar` command and
+for `certificates.lift`, and `level_proposals` reports its levels. The
+routes that return only a source matching, `popular_max_matching` and
+min-cost optimization, run T = `_n_levels(inst)` = max(min(|A|, |B|), 1)
+levels, which yields the same matching (see `_n_levels`).
 """
 
 from __future__ import annotations
@@ -39,47 +43,51 @@ def image_name(b: str) -> str:
 class GStarTables:
     """The derived instance on integer ids.
 
-    Ids follow `build_gstar`'s node order. With n0 = |A|, copy i of the
-    k-th A-node is k*n0 + i, the image of the j-th B-node is n0*n0 + j, and
-    dummy i (1 <= i < n0) of the k-th A-node is n0*n0 + |B| + k*(n0-1) + i-1.
-    The copies, ids below n0*n0, are the proposing side. `prefs[u]` lists
-    ids from most to least preferred and `rank[u]` maps each of them to its
-    position; `index` gives every source node its position on its side.
+    Ids follow `build_gstar`'s node order. With T = `n_levels` levels and
+    n = |A| A-nodes, copy i (0 <= i < T) of the k-th A-node is k*T + i,
+    the image of the j-th B-node is n*T + j, and dummy i (1 <= i < T) of
+    the k-th A-node is n*T + |B| + k*(T-1) + i-1. The copies, ids below
+    `n_copies` = n*T, are the proposing side. The paper's instance has
+    T = n. `prefs[u]` lists ids from most to least preferred and `rank[u]`
+    maps each of them to its position; `index` gives every source node its
+    position on its side.
     """
 
-    __slots__ = ("source", "n0", "index", "prefs", "rank")
+    __slots__ = ("source", "n_levels", "n_copies", "index", "prefs", "rank")
 
-    def __init__(self, source: Instance, n0: int, index: dict[str, int],
+    def __init__(self, source: Instance, n_levels: int, index: dict[str, int],
                  prefs: list[tuple[int, ...]], rank: list[dict[int, int]]):
-        self.source, self.n0, self.index, self.prefs, self.rank = source, n0, index, prefs, rank
+        self.source, self.n_levels, self.index, self.prefs, self.rank = (
+            source, n_levels, index, prefs, rank)
+        self.n_copies = len(source.side_a) * n_levels
 
     def copy(self, k: int, i: int) -> int:
-        return k * self.n0 + i
+        return k * self.n_levels + i
 
     def image(self, j: int) -> int:
-        return self.n0 * self.n0 + j
+        return self.n_copies + j
 
     def dummy(self, k: int, i: int) -> int:
-        return self.n0 * self.n0 + len(self.source.side_b) + k * (self.n0 - 1) + i - 1
+        return self.n_copies + len(self.source.side_b) + k * (self.n_levels - 1) + i - 1
 
     def origin(self, u: int) -> tuple:
         """("copy", a, i), ("image", b) or ("dummy", a, i): the node id u stands for."""
-        n0, side_b = self.n0, self.source.side_b
-        if u < n0 * n0:
-            k, i = divmod(u, n0)
+        t, side_b = self.n_levels, self.source.side_b
+        if u < self.n_copies:
+            k, i = divmod(u, t)
             return ("copy", self.source.side_a[k], i)
-        u -= n0 * n0
+        u -= self.n_copies
         if u < len(side_b):
             return ("image", side_b[u])
-        k, i = divmod(u - len(side_b), n0 - 1)  # dummies exist only when n0 >= 2
+        k, i = divmod(u - len(side_b), t - 1)  # dummies exist only when T >= 2
         return ("dummy", self.source.side_a[k], i + 1)
 
     def cost(self, e: tuple[int, int]) -> int:
         """Cost of the edge (copy, partner): its source edge's, 0 for a dummy edge."""
-        j = e[1] - self.n0 * self.n0
+        j = e[1] - self.n_copies
         if j >= len(self.source.side_b):
             return 0
-        return self.source.cost((self.source.side_a[e[0] // self.n0], self.source.side_b[j]))
+        return self.source.cost((self.source.side_a[e[0] // self.n_levels], self.source.side_b[j]))
 
     def place(self, pairs, level: dict[str, int]) -> list[tuple[int, int]]:
         """The id pairs that put the source pairs at the given levels.
@@ -87,14 +95,14 @@ class GStarTables:
         The copy of each matched A-node at its level takes the partner's
         image; copies below that level hold their upper dummy and copies
         above it their lower dummy. An A-node missing from `level` sits at
-        the leftover level n0-1, where only its top copy is free.
+        the leftover level T-1, where only its top copy is free.
         """
-        n0, index = self.n0, self.index
+        t, index = self.n_levels, self.index
         out = [(self.copy(index[a], level[a]), self.image(index[b])) for a, b in pairs]
         for k, a in enumerate(self.source.side_a):
-            i = level.get(a, n0 - 1)
+            i = level.get(a, t - 1)
             out.extend((self.copy(k, j), self.dummy(k, j + 1)) for j in range(i))
-            out.extend((self.copy(k, j), self.dummy(k, j)) for j in range(i + 1, n0))
+            out.extend((self.copy(k, j), self.dummy(k, j)) for j in range(i + 1, t))
         return out
 
     def project(self, pairs) -> Matching:
@@ -103,28 +111,34 @@ class GStarTables:
 
 
 def build_tables(inst: Instance) -> GStarTables:
-    """Lay out the derived instance on integer ids; deterministic given source order."""
+    """Lay out the paper's derived instance, with |A| levels, on integer
+    ids; deterministic given source order."""
+    return _tables(inst, len(inst.side_a))
+
+
+def _tables(inst: Instance, n_levels: int) -> GStarTables:
+    """The derived instance with `n_levels` levels on integer ids."""
     for u in inst.nodes:
         if any(c in RESERVED for c in u):
             raise ValidationError(
                 f"node id {u!r} contains a character reserved for derived names ({RESERVED})")
-    n0 = len(inst.side_a)
     index = {a: k for k, a in enumerate(inst.side_a)}
     index.update((b, j) for j, b in enumerate(inst.side_b))
-    gt = GStarTables(inst, n0, index, [], [])
+    gt = GStarTables(inst, n_levels, index, [], [])
     for k, a in enumerate(inst.side_a):
         images = tuple(gt.image(index[b]) for b in inst.prefs[a])
-        for i in range(n0):
+        for i in range(n_levels):
             lst = images
             if 1 <= i:
                 lst = (gt.dummy(k, i),) + lst
-            if i <= n0 - 2:
+            if i <= n_levels - 2:
                 lst = lst + (gt.dummy(k, i + 1),)
             gt.prefs.append(lst)
     for b in inst.side_b:
-        gt.prefs.append(tuple(gt.copy(index[a], i) for i in range(n0 - 1, -1, -1) for a in inst.prefs[b]))
-    for k in range(n0):
-        gt.prefs.extend((gt.copy(k, i - 1), gt.copy(k, i)) for i in range(1, n0))
+        gt.prefs.append(tuple(gt.copy(index[a], i)
+                              for i in range(n_levels - 1, -1, -1) for a in inst.prefs[b]))
+    for k in range(len(inst.side_a)):
+        gt.prefs.extend((gt.copy(k, i - 1), gt.copy(k, i)) for i in range(1, n_levels))
     gt.rank.extend({v: r for r, v in enumerate(lst)} for lst in gt.prefs)
     return gt
 
@@ -146,14 +160,19 @@ _NAMERS = {"copy": copy_name, "dummy": dummy_name, "image": image_name}
 
 def build_gstar(inst: Instance) -> GStarInstance:
     """The derived instance on string names: the ids of `build_tables`, named."""
-    gt = build_tables(inst)
+    return _named(build_tables(inst))
+
+
+def _named(gt: GStarTables) -> GStarInstance:
+    """The ids of `gt` named, with its level count as `n0`."""
+    inst = gt.source
     origins = [gt.origin(u) for u in range(len(gt.prefs))]
     names = [_NAMERS[o[0]](*o[1:]) for o in origins]
     prefs = {names[u]: tuple(names[v] for v in lst) for u, lst in enumerate(gt.prefs)}
-    copies = gt.n0 * gt.n0
+    copies = gt.n_copies
     costs = {(names[u], names[v]): gt.cost((u, v)) for u in range(copies) for v in gt.prefs[u]}
     inner = Instance(tuple(names[:copies]), tuple(names[copies:]), prefs, costs)
-    return GStarInstance(inst, inner, gt.n0, dict(zip(names, origins)), gt)
+    return GStarInstance(inst, inner, gt.n_levels, dict(zip(names, origins)), gt)
 
 
 def _collapse(source: Instance, pairs, origin) -> Matching:
@@ -214,8 +233,8 @@ def place(gs: GStarInstance, m: Matching, level: dict[str, int]) -> Matching:
 
 
 def level_proposals(inst: Instance) -> tuple[Matching, dict[str, int]]:
-    """The canonical popular max-matching and its levels, without the
-    derived instance.
+    """The canonical popular max-matching and its levels in the paper's
+    derived instance, without building it.
 
     Every A-node proposes down its list at its current level; when the
     list is exhausted it moves up one level and starts again from the
@@ -229,14 +248,84 @@ def level_proposals(inst: Instance) -> tuple[Matching, dict[str, int]]:
     result is its project/levels: the returned map gives every source
     node its level, leftover B-nodes at 0. It costs O(|E| x levels used).
     """
-    held, level = _propose(inst, inst.side_a, len(inst.side_a) - 1)
+    return _level_run(inst, len(inst.side_a))
+
+
+def _level_run(inst: Instance, n_levels: int) -> tuple[Matching, dict[str, int]]:
+    """`level_proposals` in the derived instance with `n_levels` levels."""
+    held, level = _propose(inst, inst.side_a, n_levels - 1)
     m = make_matching(inst, held.items())
     level.update((b, level[held[b]] if b in held else 0) for b in inst.side_b)
     return m, level
 
 
+def _n_levels(inst: Instance) -> int:
+    """T = max(min(|A|, |B|), 1): the level count of the routes whose
+    output is a source matching. With k the size of a maximum matching,
+    k <= T <= |A|. Two claims keep their output that of |A| levels.
+
+    Level form. In a stable matching S of the T-level instance every dummy
+    is matched (copy a_i ranks dummy i first), so S = `place`(M, l) for
+    its projection M and levels l: a pair of M shares one level, leftover
+    A-nodes sit at T-1 and leftover B-nodes at 0. Reading off the
+    copy-image edges, `place`(M, l) is stable iff l maps into 0..T-1 and
+      (E) l(b) >= l(a) + wt(a, b)/2 on each edge outside M with both ends
+          matched (wt is `core.wt_edge`: the two votes summed);
+      (P) no edge joins two leftover nodes; a neighbor b of a leftover
+          A-node has l(b) = T-1 and prefers its partner; a neighbor a of
+          a leftover B-node has l(a) = 0 and prefers its partner.
+    For M fixed these are difference constraints. If feasible, their least
+    solution l_T^M is the longest-chain closure from the lower bounds (0
+    everywhere, T-1 at the top pins of (P)) along the pairs of M (both
+    ways, gain 0) and the edges of (E) (A-end to B-end, gain wt/2 <= 1);
+    M is feasible iff no chain cycle gains and l_T^M meets the upper
+    bounds T-1 and 0 at the bottom pins.
+
+    Chains. A chain that repeats no node alternates between pairs of M and
+    other edges, so one touching j pairs gains at most j-1 (with no gaining
+    cycle). Let D hold the A-nodes that some maximum matching leaves
+    unmatched, and their neighbors (Dulmage-Mendelsohn). For maximum M, D
+    is the set reached from leftover A-nodes by even alternating paths, so
+    it does not depend on M; each pair of M lies inside or outside D; a
+    chain that reaches D stays in it; the top pins lie in D, the bottom pins
+    outside it (else an augmenting path); and each matched node of D is
+    reached by a chain from a top pin along such a path, which keeps a
+    value of at least T - (pairs of M in D).
+
+    (a) For T >= max(k, 1) the stable matchings project onto exactly the
+    popular max-matchings. If M is not maximum, an augmenting path with
+    r < k pairs either joins two leftover nodes or runs a chain from a top
+    pin (T-1) to a bottom pin (0) that drops at most r-1: T <= r < k. If
+    M is maximum, neither a gaining cycle nor the preferences of (P)
+    involve T; off D, l_T^M(x) is the best gain of a chain into x, at
+    most k-1 <= T-1 and the same for every T. On D, l_T^M(x) = T-1 + g(x),
+    g(x) the best gain from a top pin and the same for every T. No other
+    chain beats the top chains: one starting in D starts at 0, and one
+    entering D from outside brings at most the pairs of M outside D, k
+    minus the pairs in D; the top chain there keeps at least T minus the
+    pairs in D, which is no less. So M meets the upper bounds at one
+    T >= k iff at all of them, and at T = |A| >= k the paper's theorem
+    makes that popularity (with |A| = 0 only the empty matching exists).
+
+    (b) The A-proposing run gives the same matching at T and at |A| levels.
+    Copy a_i ranks its lower dummy first, the images next and its upper
+    dummy last, so all copies fare at least as well in (M, l) as in
+    (M', l') iff for every A-node a, l(a) < l'(a), or l(a) = l'(a) and a
+    ranks M(a) no lower than M'(a) (being unmatched last). So the
+    A-optimal stable matching has least levels: it is the greatest element
+    of R_T = {(M, l_T^M) : M a popular max-matching}. By the proof of (a)
+    l_{T+1}^M = l_T^M + 1 on D (leftover A-nodes included) and unchanged
+    off it, with one D for all M. So (M, l_T^M) -> (M, l_{T+1}^M) is a
+    bijection R_T -> R_{T+1} (by (a) both list the popular max-matchings)
+    that keeps each A-node's comparison; it maps the greatest element to
+    the greatest element, with the same M. Induction takes T up to |A|.
+    """
+    return max(min(len(inst.side_a), len(inst.side_b)), 1)
+
+
 def popular_max_matching(inst: Instance) -> Matching:
     """The canonical popular max-matching: the projection of the
-    A-proposing deferred-acceptance run in the derived instance, run by
-    `level_proposals` on the source graph in O(|E| x levels used)."""
-    return level_proposals(inst)[0]
+    A-proposing deferred-acceptance run in the derived instance, run on
+    the source graph by `_level_run` with `_n_levels(inst)` levels, which
+    gives the matching of `level_proposals` in O(|E| x levels used)."""
+    return _level_run(inst, _n_levels(inst))[0]

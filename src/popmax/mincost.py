@@ -1,7 +1,8 @@
 """Exact min-cost popular max-matching and its machinery.
 
-The route: lay out the derived instance as integer tables (`gstar.build_tables`),
-with each copy-image edge costing its source edge and dummy edges free,
+The route: lay out the derived instance as integer tables, with
+max(min(|A|, |B|), 1) levels (see `min_cost_popular_max`) and each
+copy-image edge costing its source edge and dummy edges free,
 find a minimum-cost stable matching there, and project. Min-cost stable
 matching itself runs on the rotation poset: the stable matchings of a
 marriage instance are exactly the eliminations of downward-closed rotation
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from .certificates import DualCertificate, certify_popular_max
 from .core import Edge, Instance, Matching, make_matching, matching_cost
 from .errors import InternalError
-from .gstar import GStarTables, build_tables, level_proposals
+from .gstar import GStarTables, _level_run, _n_levels, _tables, build_tables
 from .stable import gale_shapley
 
 # ---------------------------------------------------------------------------
@@ -320,15 +321,34 @@ def min_cost_popular_max(inst: Instance) -> MinCostResult:
     costs its source edge and dummy edges are free, so the derived cost of
     a stable matching equals the source cost of its projection, and
     minimizing over stable matchings minimizes over all popular
-    max-matchings. The rotation walk starts from `level_proposals` placed
-    on the copies, which is the copies' proposer-optimal matching.
+    max-matchings. The tables have T = `gstar._n_levels(inst)` levels, so
+    |A| * T copies instead of the paper's |A| * |A|: by claim (a) of
+    `_n_levels` their stable matchings still project onto exactly the
+    popular max-matchings. The rotation walk starts from `_level_run` at T
+    levels placed on the copies, which is the copies' proposer-optimal
+    matching.
+
+    (c) The matching is the one |A| levels give. `_cheapest_elimination`
+    returns the inclusion-minimal min-weight closed rotation set (such
+    sets are closed under union and intersection), that is the greatest
+    min-cost stable matching in the order of `_n_levels` (b), in which
+    fewer eliminated rotations is better for every copy. Its levels are
+    least for its matching, so it is the greatest element of the part of
+    R_T whose matchings have minimum cost; the bijection of (b) keeps the
+    matchings and each A-node's comparison, so it maps that element to the
+    greatest element of the same part of R_|A|, with the same matching.
     """
-    gt = build_tables(inst)
-    m0, level = level_proposals(inst)
+    return _min_cost(inst, _n_levels(inst))
+
+
+def _min_cost(inst: Instance, n_levels: int) -> MinCostResult:
+    """`min_cost_popular_max` on the derived instance with `n_levels` levels."""
+    gt = _tables(inst, n_levels)
+    m0, level = _level_run(inst, n_levels)
     base = gt.place(m0.pairs, level)
     partner = dict(base)
     partner.update((v, u) for u, v in base)
-    cycles, preds = _rotation_walk(gt.prefs, gt.rank, range(gt.n0 * gt.n0), partner)
+    cycles, preds = _rotation_walk(gt.prefs, gt.rank, range(gt.n_copies), partner)
     s = _cheapest_elimination(base, cycles, preds, gt.cost)
     m = gt.project(s)
     if sum(map(gt.cost, s)) != matching_cost(inst, m):
@@ -374,7 +394,7 @@ def emit_lp(inst: Instance) -> str:
     """
     gt = build_tables(inst)
     nodes = range(len(gt.prefs))
-    copies_end = gt.n0 * gt.n0  # ids below are copies, the derived A-side
+    copies_end = gt.n_copies  # ids below are copies, the derived A-side
     dummies_start = copies_end + len(inst.side_b)
     token = [_lp_token(gt, u) for u in nodes]
     edges = [(u, v) for u in range(copies_end) for v in gt.prefs[u]]

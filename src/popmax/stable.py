@@ -26,31 +26,34 @@ def _propose(inst: Instance, proposers: tuple[str, ...],
     level higher, and stays unmatched at `top`. A receiver holds the
     proposer with the largest (level, own preference). Returns the
     receiver -> proposer map and every proposer's final level."""
+    prefs, rank = inst.prefs, inst._rank
     level = dict.fromkeys(proposers, 0)
     next_choice = dict.fromkeys(proposers, 0)
     held: dict[str, str] = {}
     queue = deque(proposers)
     while queue:
         u = queue.popleft()
-        lst = inst.prefs[u]
+        lst = prefs[u]
+        i, lv = next_choice[u], level[u]
         while True:
-            if next_choice[u] == len(lst):
-                if not lst or level[u] == top:
-                    level[u] = top
+            if i == len(lst):
+                if not lst or lv == top:
+                    lv = top
                     break
-                level[u] += 1
-                next_choice[u] = 0
-            v = lst[next_choice[u]]
-            next_choice[u] += 1
+                lv += 1
+                i = 0
+            v = lst[i]
+            i += 1
             current = held.get(v)
             if current is None:
                 held[v] = u
                 break
-            if level[u] > level[current] or (
-                    level[u] == level[current] and inst.prefers(v, u, current)):
+            lc = level[current]
+            if lv > lc or (lv == lc and rank[v][u] < rank[v][current]):
                 held[v] = u
                 queue.append(current)
                 break
+        next_choice[u], level[u] = i, lv
     return held, level
 
 

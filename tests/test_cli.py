@@ -316,6 +316,23 @@ def test_exit_code_bad_gen_random_arguments(capsys, argv):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("gen-random", "--na", "2", "--nb", "2", "--density", "0.5", "--seed", "1", "--cost-lo", "5"),
+     "--cost-lo needs --cost-hi"),
+    (("oracle", "matchings", "{i0}", "--bound", "-1"), "argument --bound"),
+    (("check-reduction", "{cnf}", "--max-vars", "-1"), "argument --max-vars"),
+    (("check-reduction", "{cnf}", "--max-clauses", "-1"), "argument --max-clauses"),
+    (("check-reduction", "{cnf}", "--max-clauses", "six"), "argument --max-clauses"),
+])
+def test_exit_code_bad_option_values(files, capsys, argv, message):
+    """Option values the command cannot honour exit 2 through the parser."""
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**files) for arg in argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage: popmax") and message in captured.err
+
+
 @pytest.mark.parametrize("pairs", [
     '[["a"]]', "5", "null", "[[]]", "[5000]", '[[["a"], "b"]]',
     pytest.param("[" * 1000 + "]" * 1000, id="nested-1000"),

@@ -10,8 +10,12 @@ run `verify`, `certify`, `--json certify` and `pareto`. Two larger costed
 instances (sides 13 and 17, density 0.3) run `emit-lp` only. Five edge
 cases of the derived-instance layout (|A| = 0, |A| = 1 so no dummies,
 |B| = 0, isolated nodes, and a level-heavy 7x2 costed instance) run
-`mincost`, `--json mincost` and `emit-lp`. The conftest fixtures and the
-stretch fixture also run `oracle popular-max` and `oracle min-cost`. Five
+`mincost`, `--json mincost` and `emit-lp`; the 7x2 one also runs `gstar`,
+whose derived instance keeps |A| levels. Seven level-heavy instances
+(|A| from 30 to 60, |B| from 1 to 6, four of them costed) run `solve`,
+`mincost` and `--json mincost`, which climb fewer levels than |A|. The
+conftest fixtures and the stretch fixture also run `oracle popular-max`
+and `oracle min-cost`. Five
 CNF formulas run `gen-hardness`, `check-reduction` and `--json
 check-reduction`: (1 or 2 or 3), (1 or 2 or 3)(not 1 or not 2), the
 unsatisfiable (1)(not 1) with `--pad-units`, a satisfiable one with 4
@@ -59,6 +63,17 @@ EDGE_CASES = {
     "edge-b0": "side A a1 a2 a3\nside B\n",
     "edge-isolated": "side A a1 a2 a3 a4\nside B b1 b2 b3\npref a1: b1 b3\npref a3: b3 b1\n"
                      "pref b1: a3 a1\npref b3: a1 a3\ncost a1 b1 4\ncost a3 b1 1\ncost a3 b3 2\n",
+}
+# |A| much larger than |B|: random_instance arguments
+LEVEL_COMMANDS = (("solve",), ("mincost",), ("--json", "mincost"))
+LEVEL_HEAVY = {
+    "heavy-40x3-s1": (40, 3, 1.0, 1),
+    "heavy-40x3-s2": (40, 3, 1.0, 2),
+    "heavy-40x3-s3": (40, 3, 1.0, 3),
+    "heavy-60x5-c1": (60, 5, 0.6, 1, (0, 9)),
+    "heavy-50x6-c4": (50, 6, 0.15, 4, (0, 9)),
+    "heavy-45x4-c5": (45, 4, 0.5, 5, (0, 1)),
+    "heavy-30x1-c3": (30, 1, 1.0, 3, (0, 9)),
 }
 ORACLE_COMMANDS = (("oracle", "popular-max"), ("oracle", "min-cost"))
 FIXTURES = ("i0", "i1", "i2", "i2_costed", "i3", "i5", "stretch")
@@ -128,7 +143,12 @@ def compute_digests(workdir: Path) -> dict[str, str]:
     for name, inst in edge_cases.items():
         path = workdir / f"{name}.txt"
         path.write_text(serialize_instance(inst))
-        for cmd in EDGE_COMMANDS:
+        for cmd in EDGE_COMMANDS + ((("gstar",),) if name == "edge-levels" else ()):
+            digests[f"{name} {' '.join(cmd)}"] = _digest(cmd + (str(path),))
+    for name, args in LEVEL_HEAVY.items():
+        path = workdir / f"{name}.txt"
+        path.write_text(serialize_instance(random_instance(*args)))
+        for cmd in LEVEL_COMMANDS:
             digests[f"{name} {' '.join(cmd)}"] = _digest(cmd + (str(path),))
     for name, (text, flags) in CNFS.items():
         path = workdir / f"{name}.cnf"

@@ -23,6 +23,7 @@ from popmax import (
     serialize_instance,
     wt_edge,
 )
+from popmax import cli
 from popmax.certificates import DualCertificate, extract_certificate
 from popmax.oracle import brute_popular_max, enumerate_stable
 from popmax.popularity import verify_popular_max
@@ -245,3 +246,40 @@ def test_solve_complete_level_heavy():
     assert len(m) == 5 and verify_popular_max(inst, m).popular
     _, level = level_proposals(inst)
     assert all(level[a] == 299 for a in inst.side_a if not m.is_matched(a))
+
+
+def test_solve_and_mincost_run_min_side_levels(monkeypatch, tmp_path, capsys):
+    """`solve` and `mincost` run the derived instance with min(|A|, |B|)
+    levels; `emit-lp` and `gstar` still lay out the paper's |A| levels."""
+    tops, copies = [], []
+    propose, init = popmax.gstar._propose, popmax.gstar.GStarTables.__init__
+
+    def recording_propose(inst, proposers, top):
+        held, level = propose(inst, proposers, top)
+        tops.append((top, max(level.values())))
+        return held, level
+
+    def recording_init(self, *args):
+        init(self, *args)
+        copies.append(self.n_copies)
+
+    monkeypatch.setattr(popmax.gstar, "_propose", recording_propose)
+    monkeypatch.setattr(popmax.gstar.GStarTables, "__init__", recording_init)
+
+    def run(command, inst):
+        path = tmp_path / "inst.txt"
+        path.write_text(serialize_instance(inst))
+        tops.clear()
+        copies.clear()
+        assert cli.main([command, str(path)]) == 0
+        capsys.readouterr()
+
+    heavy = popmax.random_instance(300, 5, 1.0, 7, (0, 9))
+    run("solve", heavy)
+    assert tops == [(4, 4)] and copies == []
+    run("mincost", heavy)
+    assert tops == [(4, 4)] and copies == [300 * 5]
+    small = popmax.random_instance(30, 5, 1.0, 7, (0, 9))
+    for command in ("emit-lp", "gstar"):
+        run(command, small)
+        assert tops == [] and copies == [30 * 30]

@@ -29,7 +29,7 @@ from popmax import (
     verify_certificate,
     verify_popular_max,
 )
-from popmax import mincost
+from popmax import gstar, mincost
 from popmax.gstar import build_gstar, project
 from popmax.mincost import RotationPoset, _enc
 from popmax.oracle import (
@@ -247,7 +247,8 @@ def test_min_cost_popular_max_matches_oracle():
 def test_gstar_table_walk_equals_walk_on_named_gstar(monkeypatch):
     """The rotation walk that `min_cost_popular_max` runs on the integer
     tables finds the rotations, in the same order and with the same
-    predecessor lists, as `find_rotations` on the string-named G*."""
+    predecessor lists, as `find_rotations` on the same tables named; so
+    does the walk on the paper's |A|-level tables against `build_gstar`."""
     walk = mincost._rotation_walk
     seen = []
 
@@ -260,15 +261,18 @@ def test_gstar_table_walk_equals_walk_on_named_gstar(monkeypatch):
     cases += [random_instance(na, 2, 0.5, seed, (0, 9)) for na, seed in ((7, 9427), (7, 9408), (9, 9419))]
     total = 0
     for inst in cases:
-        seen.clear()
-        min_cost_popular_max(inst)
-        inner = build_gstar(inst).inner
-        poset = find_rotations(inner)
-        (cycles, preds), _named = seen
-        assert list(poset.cycles) == [
-            tuple((inner.nodes[m], inner.nodes[w]) for m, w in cycle) for cycle in cycles]
-        assert poset.preds == preds
-        total += len(cycles)
+        runs = ((min_cost_popular_max,
+                 gstar._named(gstar._tables(inst, gstar._n_levels(inst))).inner),
+                (lambda i: mincost._min_cost(i, len(i.side_a)), build_gstar(inst).inner))
+        for solve, inner in runs:
+            seen.clear()
+            solve(inst)
+            poset = find_rotations(inner)
+            (cycles, preds), _named = seen
+            assert list(poset.cycles) == [
+                tuple((inner.nodes[m], inner.nodes[w]) for m, w in cycle) for cycle in cycles]
+            assert poset.preds == preds
+            total += len(cycles)
     assert total > 100
 
 
