@@ -42,13 +42,13 @@ class CertificateReport:
     violations: tuple[str, ...]
 
 
-def extract_certificate(inst: Instance, gs: GStarInstance, s: Matching) -> DualCertificate:
-    """Certificate for project(s) from the levels of stable s, restricted
-    to the matched nodes; see `_certificate_from_levels`."""
+def extract_certificate(gs: GStarInstance, s: Matching) -> DualCertificate:
+    """Certificate for project(s) in gs's source from the levels of stable
+    s, restricted to the matched nodes; see `_certificate_from_levels`."""
     level = levels(gs, s)  # raises NotStableError for unstable s
     m = project(gs, s)
-    _require_maximum(inst, m)
-    return _certificate_from_levels(inst, m, {u: level[u] for u in m.partner})
+    _require_maximum(gs.source, m)
+    return _certificate_from_levels(gs.source, m, {u: level[u] for u in m.partner})
 
 
 def _certificate_from_levels(inst: Instance, m: Matching, raw: dict[str, int]) -> DualCertificate:

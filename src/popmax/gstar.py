@@ -105,9 +105,32 @@ class GStarTables:
             out.extend((self.copy(k, j), self.dummy(k, j)) for j in range(i + 1, t))
         return out
 
-    def project(self, pairs) -> Matching:
-        """`project` of a set of id pairs."""
-        return _collapse(self.source, pairs, self.origin)
+    def read(self, pairs) -> tuple[Matching, dict[str, int]]:
+        """The source matching and levels a set of id pairs stands for: the
+        inverse of `place`.
+
+        Dummy pairs are dropped and each copy collapses to its A-node, the
+        pair taking the copy's subscript as the level of both ends. A
+        leftover A-node sits at T-1 and a leftover B-node at 0; one map
+        covers both sides, whose ids are disjoint. Raises if two copies of
+        one node hold images, which cannot happen when the pairs are stable.
+        """
+        level = dict.fromkeys(self.source.side_a, self.n_levels - 1)
+        level.update(dict.fromkeys(self.source.side_b, 0))
+        out: list[Edge] = []
+        seen_a = set()
+        for u, v in pairs:
+            kind = self.origin(v)
+            if kind[0] == "dummy":
+                continue
+            _, a, i = self.origin(u)
+            if a in seen_a:
+                raise ValidationError(
+                    f"projection is not a matching: two copies of {a!r} are matched to images")
+            seen_a.add(a)
+            out.append((a, kind[1]))
+            level[a] = level[kind[1]] = i
+        return make_matching(self.source, out), level
 
 
 def build_tables(inst: Instance) -> GStarTables:
@@ -145,13 +168,13 @@ def _tables(inst: Instance, n_levels: int) -> GStarTables:
 
 @dataclass(frozen=True)
 class GStarInstance:
-    """Derived marriage instance plus naming back-references to the source.
-    Node i of `inner.nodes` is id i of `tables`."""
+    """Derived marriage instance on string names. Node i of `inner.nodes`
+    is id i of `tables`, and `ids` maps each name back to its id."""
 
     source: Instance
     inner: Instance
     n0: int
-    origin: dict[str, tuple] = field(repr=False)  # node -> ("copy",a,i) | ("dummy",a,i) | ("image",b)
+    ids: dict[str, int] = field(repr=False)
     tables: GStarTables = field(repr=False)
 
 
@@ -166,31 +189,12 @@ def build_gstar(inst: Instance) -> GStarInstance:
 def _named(gt: GStarTables) -> GStarInstance:
     """The ids of `gt` named, with its level count as `n0`."""
     inst = gt.source
-    origins = [gt.origin(u) for u in range(len(gt.prefs))]
-    names = [_NAMERS[o[0]](*o[1:]) for o in origins]
+    names = [_NAMERS[o[0]](*o[1:]) for o in map(gt.origin, range(len(gt.prefs)))]
     prefs = {names[u]: tuple(names[v] for v in lst) for u, lst in enumerate(gt.prefs)}
     copies = gt.n_copies
     costs = {(names[u], names[v]): gt.cost((u, v)) for u in range(copies) for v in gt.prefs[u]}
     inner = Instance(tuple(names[:copies]), tuple(names[copies:]), prefs, costs)
-    return GStarInstance(inst, inner, gt.n_levels, dict(zip(names, origins)), gt)
-
-
-def _collapse(source: Instance, pairs, origin) -> Matching:
-    """Drop dummy pairs and collapse copies, reading each derived node
-    through `origin`."""
-    out: list[Edge] = []
-    seen_a = set()
-    for u, v in pairs:
-        kind = origin(v)
-        if kind[0] == "dummy":
-            continue
-        a = origin(u)[1]
-        if a in seen_a:
-            raise ValidationError(
-                f"projection is not a matching: two copies of {a!r} are matched to images")
-        seen_a.add(a)
-        out.append((a, kind[1]))
-    return make_matching(source, out)
+    return GStarInstance(inst, inner, gt.n_levels, {name: u for u, name in enumerate(names)}, gt)
 
 
 def project(gs: GStarInstance, s: Matching) -> Matching:
@@ -199,29 +203,18 @@ def project(gs: GStarInstance, s: Matching) -> Matching:
     Raises if two copies of the same node are matched to images, which
     cannot happen when s is stable.
     """
-    return _collapse(gs.source, s.pairs, gs.origin.__getitem__)
+    return gs.tables.read((gs.ids[u], gs.ids[v]) for u, v in s.pairs)[0]
 
 
 def levels(gs: GStarInstance, s: Matching) -> dict[str, int]:
     """Copy-subscript level of every source node, read off a stable
-    matching of the derived instance.
-
-    A matched A-node takes the subscript of its matched copy and its
-    partner the same level; a leftover A-node lands at level n0-1 and a
-    leftover B-node at level 0. One map covers both sides, whose ids are
-    disjoint.
+    matching of the derived instance by `GStarTables.read`: a matched
+    A-node and its partner take the subscript of its matched copy, a
+    leftover A-node n0-1 and a leftover B-node 0.
     """
     if not is_stable(gs.inner, s):
         raise NotStableError("levels require a stable matching of the derived instance")
-    level = {a: gs.n0 - 1 for a in gs.source.side_a}
-    level.update((b, 0) for b in gs.source.side_b)
-    for u, v in s.pairs:
-        if gs.origin[v][0] == "dummy":
-            continue
-        _, a, i = gs.origin[u]
-        _, b = gs.origin[v]
-        level[a] = level[b] = i
-    return level
+    return gs.tables.read((gs.ids[u], gs.ids[v]) for u, v in s.pairs)[1]
 
 
 def place(gs: GStarInstance, m: Matching, level: dict[str, int]) -> Matching:

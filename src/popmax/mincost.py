@@ -350,7 +350,7 @@ def _min_cost(inst: Instance, n_levels: int) -> MinCostResult:
     partner.update((v, u) for u, v in base)
     cycles, preds = _rotation_walk(gt.prefs, gt.rank, range(gt.n_copies), partner)
     s = _cheapest_elimination(base, cycles, preds, gt.cost)
-    m = gt.project(s)
+    m = gt.read(s)[0]
     if sum(map(gt.cost, s)) != matching_cost(inst, m):
         raise InternalError("cost lifting is not cost-preserving")
     cert = certify_popular_max(inst, m)
@@ -395,7 +395,7 @@ def emit_lp(inst: Instance) -> str:
     gt = build_tables(inst)
     nodes = range(len(gt.prefs))
     copies_end = gt.n_copies  # ids below are copies, the derived A-side
-    dummies_start = copies_end + len(inst.side_b)
+    kind = [gt.origin(u) for u in nodes]
     token = [_lp_token(gt, u) for u in nodes]
     edges = [(u, v) for u in range(copies_end) for v in gt.prefs[u]]
 
@@ -417,12 +417,12 @@ def emit_lp(inst: Instance) -> str:
     row = [[evar(x, y) if x < copies_end else evar(y, x) for y in gt.prefs[x]] for x in nodes]
     copies: dict[Edge, list[str]] = {e: [] for e in inst.edges}  # lowest copy first
     for u, v in edges:
-        if v >= dummies_start:
+        if kind[v][0] == "dummy":
             continue
         ru = gt.rank[u][v]
         expr = " + ".join(row[u][:ru] + row[v][:gt.rank[v][u]] + [row[u][ru]])
         lines.append(f" stab.{token[u]}.{token[v]}: {expr} >= 1")
-        copies[gt.origin(u)[1], gt.origin(v)[1]].append(row[u][ru])
+        copies[kind[u][1], kind[v][1]].append(row[u][ru])
 
     # the nodes every stable matching matches: those the dummy chains fill
     # when no source node is matched

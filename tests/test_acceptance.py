@@ -153,7 +153,7 @@ def test_criterion_5_duality():
         pops = {frozenset(m.pairs) for m in brute_popular_max(inst, bound=30)}
         for s in stables:
             m = project(gs, s)
-            cert = extract_certificate(inst, gs, s)
+            cert = extract_certificate(gs, s)
             report = verify_certificate(inst, m, cert)
             assert report.ok, report.violations         # all six checks
             assert frozenset(m.pairs) in pops           # verified cert => oracle popular

@@ -9,11 +9,15 @@ from popmax import (
     DualCertificate,
     NotMaximumError,
     NotPopularError,
+    NotStableError,
     build_gstar,
     certify_popular_max,
     extract_certificate,
     gale_shapley,
+    levels,
+    make_matching,
     parse_certificate,
+    popular_max_matching,
     project,
     serialize_certificate,
     verify_certificate,
@@ -26,14 +30,14 @@ from conftest import mk, random_cases
 
 def test_extract_single_level(i0):
     gs = build_gstar(i0)
-    cert = extract_certificate(i0, gs, gale_shapley(gs.inner))
+    cert = extract_certificate(gs, gale_shapley(gs.inner))
     assert cert.alpha == {"a": 0, "b": 0}
     assert cert.n0_prime == 1
 
 
 def test_extract_i1(i1):
     gs = build_gstar(i1)
-    cert = extract_certificate(i1, gs, gale_shapley(gs.inner))
+    cert = extract_certificate(gs, gale_shapley(gs.inner))
     assert cert.alpha == {"a1": -2, "b1": 2, "a2": 0, "b2": 0}
 
 
@@ -41,7 +45,7 @@ def test_extract_i3_compresses_levels(i3):
     # the only stable matching of the derived instance parks the matched
     # pair at the top copy; one matched pair forces alpha to zero.
     gs = build_gstar(i3)
-    cert = extract_certificate(i3, gs, gale_shapley(gs.inner))
+    cert = extract_certificate(gs, gale_shapley(gs.inner))
     assert cert.alpha == {"a1": 0, "b1": 0}
     assert cert.n0_prime == 1
 
@@ -57,6 +61,25 @@ def test_verify_all_zero_fails_feasibility(i1):
     report = verify_certificate(i1, m, DualCertificate({"a1": 0, "a2": 0, "b1": 0, "b2": 0}, 2))
     assert not report.ok
     assert any(v.startswith("F:") and "(a2,b1)" in v for v in report.violations)
+
+
+def test_unstable_preimage_and_infeasible_certificate_are_refused(i1):
+    """Reading levels needs a stable matching of the derived instance, and
+    lifting needs a certificate that verifies: a2#1 and b1~ block s, and
+    the all-zero certificate fails (F) at (a2,b1)."""
+    from popmax import lift
+
+    gs = build_gstar(i1)
+    s = make_matching(gs.inner, [("a1#0", "b1~"), ("a2#1", "b2~"),
+                                 ("a1#1", "a1!d1"), ("a2#0", "a2!d1")])
+    with pytest.raises(NotStableError):
+        levels(gs, s)
+    with pytest.raises(NotStableError):
+        extract_certificate(gs, s)
+    zero = DualCertificate({"a1": 0, "a2": 0, "b1": 0, "b2": 0}, 2)
+    with pytest.raises(CertificateError) as err:
+        lift(i1, popular_max_matching(i1), zero)
+    assert any(v.startswith("F:") and v.endswith("at (a2,b1)") for v in err.value.violations)
 
 
 def test_verify_rejects_edge_to_unmatched_node():
@@ -129,7 +152,7 @@ def test_certify_rejects_unpopular(i3):
 
 def test_certificate_file_roundtrip(i1):
     gs = build_gstar(i1)
-    cert = extract_certificate(i1, gs, gale_shapley(gs.inner))
+    cert = extract_certificate(gs, gale_shapley(gs.inner))
     text = serialize_certificate(i1, cert)
     assert text == "alpha a1 -2\nalpha a2 0\nalpha b1 2\nalpha b2 0\n"
     back = parse_certificate(text)
@@ -142,7 +165,7 @@ def test_extracted_certificates_verify_on_randoms():
     for _seed, inst in random_cases(50, 4, 8000):
         gs = build_gstar(inst)
         for s in enumerate_stable(gs.inner):
-            cert = extract_certificate(inst, gs, s)
+            cert = extract_certificate(gs, s)
             assert verify_certificate(inst, project(gs, s), cert).ok
 
 
@@ -153,7 +176,7 @@ def test_certificate_soundness_cross_check():
         gs = build_gstar(inst)
         for s in enumerate_stable(gs.inner):
             m = project(gs, s)
-            cert = extract_certificate(inst, gs, s)
+            cert = extract_certificate(gs, s)
             if verify_certificate(inst, m, cert).ok:
                 assert verify_popular_max(inst, m).popular
 
@@ -174,7 +197,7 @@ def test_extract_compresses_when_only_isolated_nodes_unmatched():
     inst = parse_instance("side A x z\nside B y\npref x: y\npref y: x\npref z:\n")
     gs = build_gstar(inst)
     for s in enumerate_stable(gs.inner):
-        cert = extract_certificate(inst, gs, s)
+        cert = extract_certificate(gs, s)
         assert cert.alpha == {"x": 0, "y": 0}
         m = project(gs, s)
         from popmax import lift

@@ -189,7 +189,7 @@ def test_lift_right_inverse_on_randoms():
         gs = build_gstar(inst)
         for s in enumerate_stable(gs.inner):
             m = project(gs, s)
-            cert = extract_certificate(inst, gs, s)
+            cert = extract_certificate(gs, s)
             assert place(gs, m, levels(gs, s)) == s
             lifted = lift(inst, m, cert)
             assert is_stable(gs.inner, lifted)

@@ -1,6 +1,7 @@
 """The package's module import graph has no cycle, only `gstar` knows the
-layout of the derived instance, `mincost` holds no stable-matching
-enumerator, and the stable-matching layer has one configuration."""
+layout of the derived instance and reads it in one place, `mincost` holds
+no stable-matching enumerator, and the stable-matching layer has one
+configuration."""
 
 from __future__ import annotations
 
@@ -73,3 +74,14 @@ def test_stable_layer_has_one_configuration():
     for module in (popmax.errors, popmax.mincost, popmax):
         for name in ("LimitExceededError", "Rotation"):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_derived_instance_has_one_reader():
+    """`GStarTables.read` is the one inverse of `place`: no second
+    projection, no name-to-origin copy, and certificates are extracted from
+    the derived instance alone, whose source cannot disagree with it."""
+    assert not hasattr(popmax.gstar, "_collapse")
+    assert not hasattr(popmax.gstar.GStarTables, "project")
+    fields = popmax.gstar.GStarInstance.__dataclass_fields__
+    assert "origin" not in fields and "ids" in fields
+    assert list(inspect.signature(popmax.extract_certificate).parameters) == ["gs", "s"]

@@ -360,7 +360,8 @@ def test_emit_lp_encodes_each_derived_node_once(monkeypatch):
 
     monkeypatch.setattr(mincost, "_lp_token", counted)
     emit_lp(inst)
-    assert encoded == Counter(build_gstar(inst).origin.values())
+    gt = gstar.build_tables(inst)
+    assert encoded == Counter(map(gt.origin, range(len(gt.prefs))))
 
 
 def test_emit_lp_distinct_ids_get_distinct_rows():

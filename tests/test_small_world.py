@@ -1,11 +1,14 @@
 """Exhaustive checks, on every small instance, of the claims that let
-`solve` and `mincost` run fewer levels than the paper's derived instance.
+`solve` and `mincost` run fewer levels than the paper's derived instance,
+and of every public verdict against the brute-force oracle.
 
 An instance is labelled: a bipartite graph on fixed sides plus strict
-preference lists. Only |A| > |B| is checked, since elsewhere the level
-count T = `gstar._n_levels` is |A| already. For each instance:
+preference lists. The level claims are checked only for |A| > |B|, since
+elsewhere the level count T = `gstar._n_levels` is |A| already. For each
+instance:
 - (a) the stable matchings of the T-level derived instance project onto
-  exactly `oracle.brute_popular_max`;
+  exactly `oracle.brute_popular_max`, and `GStarTables.read` and `place`
+  invert each other on them;
 - (b) the A-proposing run gives the same matching at T and at |A| levels,
   and its levels differ by |A| - T on the deficient part D (the A-nodes
   reached from unmatched ones by even alternating paths, and their
@@ -13,14 +16,19 @@ count T = `gstar._n_levels` is |A| already. For each instance:
 - (c) on every 0/1 cost vector, `min_cost_popular_max` (T levels) gives
   the matching of |A| levels, at the cost of
   `oracle.brute_min_cost_popular_max`.
+`check_verdicts` runs over every matching of an instance of any shape:
+`verify_popular_max`, `certify_popular_max`, `is_pareto_optimal` and
+`verify_certificate` must agree with the oracle.
 
 Tier-1 checks (a) and (b) on every instance of shapes 2x1, 3x1, 4x1 and
 3x2 (5, 16, 65 and 847 instances) and on one instance per relabelling of A
-of shape 4x2 (1,125 of 26,669), and (c) on every instance up to 4x1 and
-on one per relabelling of A of shape 3x2 (144 of 847). The full sweep,
-(a) and (b) on every instance up to 4x2 and (c) on every instance up to
-3x2, runs as a script:
-`PYTHONPATH=src python tests/test_small_world.py --full`.
+of shape 4x2 (1,125 of 26,669), (c) on every instance up to 4x1 and on
+one per relabelling of A of shape 3x2 (144 of 847), and the verdicts on
+every instance of shapes 2x2, 2x3 and 3x2 (47, 847 and 847). The full
+sweep, (a) and (b) on every instance up to 4x2, (c) on every instance up
+to 3x2, and the verdicts also on one instance per relabelling of A of
+shape 3x3 (22,506), there without enumerating certificates, runs as a
+script: `PYTHONPATH=src python tests/test_small_world.py --full`.
 """
 
 from __future__ import annotations
@@ -28,10 +36,30 @@ from __future__ import annotations
 import sys
 from itertools import permutations, product
 
-from popmax import Instance, gstar, mincost
-from popmax.oracle import brute_min_cost_popular_max, brute_popular_max, enumerate_stable
+import pytest
+
+from popmax import (
+    DualCertificate,
+    Instance,
+    NotMaximumError,
+    NotPopularError,
+    certify_popular_max,
+    gstar,
+    is_pareto_optimal,
+    mincost,
+    verify_certificate,
+    verify_popular_max,
+)
+from popmax.oracle import (
+    brute_min_cost_popular_max,
+    brute_popular_max,
+    brute_unpopularity_factor,
+    enum_matchings,
+    enumerate_stable,
+)
 
 SHAPES = ((2, 1), (3, 1), (4, 1), (3, 2), (4, 2))
+VERDICT_SHAPES = ((2, 2), (2, 3), (3, 2))
 
 
 def _b_lists(na: int, nb: int, canonical: bool, named: int = 0):
@@ -79,10 +107,17 @@ def _deficient(inst, m) -> set:
 
 
 def check_levels(inst) -> None:
-    """Claims (a) and (b) on one instance."""
+    """Claims (a) and (b) on one instance, with the read/place round trip
+    on every stable matching."""
     t, n = gstar._n_levels(inst), len(inst.side_a)
     gs = gstar._named(gstar._tables(inst, t))
-    projected = {gstar.project(gs, s).pairs for s in enumerate_stable(gs.inner)}
+    projected = set()
+    for s in enumerate_stable(gs.inner):
+        ids = {(gs.ids[u], gs.ids[v]) for u, v in s.pairs}
+        m, level = gs.tables.read(ids)
+        assert (m, level) == (gstar.project(gs, s), gstar.levels(gs, s)), inst
+        assert set(gs.tables.place(m.pairs, level)) == ids, inst
+        projected.add(m.pairs)
     assert projected == {m.pairs for m in brute_popular_max(inst)}, inst
     m, level = gstar._level_run(inst, t)
     m_n, level_n = gstar.level_proposals(inst)
@@ -99,6 +134,37 @@ def check_costs(inst) -> None:
         res = mincost.min_cost_popular_max(costed)
         assert res.matching.pairs == mincost._min_cost(costed, n).matching.pairs, costed
         assert res.cost == brute_min_cost_popular_max(costed)[1], costed
+
+
+def check_verdicts(inst, every_certificate: bool = True) -> None:
+    """Every verdict on every matching of one instance against the oracle:
+    popularity, certification, Pareto-optimality and, with
+    `every_certificate`, verification of every certificate in the value
+    range (k^(2k) of them on a maximum matching of k pairs)."""
+    matchings = enum_matchings(inst)
+    k = max(map(len, matchings))
+    popular = {m.pairs for m in brute_popular_max(inst)}
+    for m in matchings:
+        finite = brute_unpopularity_factor(inst, m) != float("inf")
+        assert is_pareto_optimal(inst, m).pareto == finite, (inst, m)
+        if len(m) < k:
+            for verdict in (verify_popular_max, certify_popular_max):
+                with pytest.raises(NotMaximumError):
+                    verdict(inst, m)
+            continue
+        assert verify_popular_max(inst, m).popular == (m.pairs in popular), (inst, m)
+        if m.pairs in popular:
+            assert verify_certificate(inst, m, certify_popular_max(inst, m)).ok, (inst, m)
+        else:
+            with pytest.raises(NotPopularError):
+                certify_popular_max(inst, m)
+        if not every_certificate:
+            continue
+        matched = sorted(m.partner)
+        ranges = [range(0, -2 * k, -2) if inst.is_a(u) else range(0, 2 * k, 2) for u in matched]
+        for values in product(*ranges):
+            cert = DualCertificate(dict(zip(matched, values)), k)
+            assert not verify_certificate(inst, m, cert).ok or m.pairs in popular, (inst, m, cert)
 
 
 def sweep(na: int, nb: int, canonical: bool, check) -> int:
@@ -120,11 +186,20 @@ def test_min_cost_claim_on_small_shapes():
     assert counts == [5, 16, 65, 144]
 
 
+def test_verdicts_on_small_shapes():
+    counts = [sweep(na, nb, False, check_verdicts) for na, nb in VERDICT_SHAPES]
+    assert counts == [47, 847, 847]
+
+
 def full_sweep() -> None:
     for na, nb in SHAPES:
         print(f"(a), (b) {na}x{nb}: {sweep(na, nb, False, check_levels)} instances")
     for na, nb in SHAPES[:4]:
         print(f"(c) {na}x{nb}: {sweep(na, nb, False, check_costs)} instances")
+    for na, nb in VERDICT_SHAPES:
+        print(f"verdicts {na}x{nb}: {sweep(na, nb, False, check_verdicts)} instances")
+    count = sweep(3, 3, True, lambda inst: check_verdicts(inst, every_certificate=False))
+    print(f"verdicts 3x3, one per relabelling of A, no certificate enumeration: {count} instances")
 
 
 if __name__ == "__main__":
