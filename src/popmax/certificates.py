@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance, Matching, _wt, is_maximum
+from .core import Instance, Matching, _weights, is_maximum
 from .errors import CertificateError, InternalError, NotMaximumError, NotPopularError, ParseError
 from .gstar import GStarInstance, build_gstar, levels, place, project
 from .popularity import Witness, _witness_or_potentials
@@ -147,7 +147,10 @@ def verify_certificate(inst: Instance, m: Matching, cert: DualCertificate) -> Ce
     (CS) alpha_a + alpha_b = 0 on matched pairs; (Z) the values sum to 0;
     (R) evenness and the ranges 0..-2(n0'-1) / 0..2(n0'-1); (P1) alpha_a = 0
     for neighbors of unmatched B-nodes; (P2) alpha_b = 2(n0'-1) for
-    neighbors of unmatched A-nodes.
+    neighbors of unmatched A-nodes. (Z) is implied by the others: alpha
+    must cover exactly the matched nodes, so its sum is the sum over the
+    matched pairs, each 0 under (CS); a (Z) violation always comes with a
+    (CS) one.
     """
     _require_maximum(inst, m)
     return _check_conditions(inst, m, cert)
@@ -187,10 +190,10 @@ def _check_conditions(inst: Instance, m: Matching, cert: DualCertificate) -> Cer
     total = sum(cert.alpha.values())
     if total != 0:
         violations.append(f"Z: certificate sums to {total} != 0")
-    for a, b in inst.edges:
-        if a in cert.alpha or b in cert.alpha:
-            s = cert.alpha.get(a, -top) + cert.alpha.get(b, 0)
-            w = _wt(inst, m, a, b)
+    alpha = cert.alpha
+    for a, b, w in _weights(inst, m):
+        if a in alpha or b in alpha:
+            s = alpha.get(a, -top) + alpha.get(b, 0)
             if s < w:
                 violations.append(f"F: alpha[{a}] + alpha[{b}] = {s} < wt = {w} at ({a},{b})")
     for b in inst.side_b:

@@ -12,7 +12,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ParseError, ValidationError
 
@@ -45,18 +45,21 @@ class Instance:
         a_set, b_set = set(side_a), set(side_b)
         if len(a_set) != len(side_a) or len(b_set) != len(side_b) or (a_set & b_set):
             raise ValidationError("duplicate node identifier")
-        for u in side_a + side_b:
-            # str.split() splits on exactly the characters str.isspace() accepts
-            if u.split() != [u] or ":" in u:
-                raise ValidationError(f"bad node identifier {u!r}")
+        # str.split() splits on exactly the characters str.isspace() accepts, so the
+        # ids, joined by spaces, split back into themselves iff none is empty or spaced
+        ids = side_a + side_b
+        joined = " ".join(ids)
+        if ":" in joined or joined.split() != list(ids):
+            u = next(u for u in ids if u.split() != [u] or ":" in u)
+            raise ValidationError(f"bad node identifier {u!r}")
         given = self.prefs
         unknown = [u for u in given if u not in a_set and u not in b_set]
         if unknown:
             raise ValidationError(f"preference list for unknown node {min(unknown)!r}")
         # one rank dict per list: its size finds duplicates, its keys the side
         prefs, rank = {}, {}
-        for ids, opposite in ((side_a, b_set), (side_b, a_set)):
-            for u in ids:
+        for side, opposite in ((side_a, b_set), (side_b, a_set)):
+            for u in side:
                 lst = tuple(given.get(u, ()))
                 r = {v: i for i, v in enumerate(lst)}
                 if len(r) != len(lst):
@@ -66,10 +69,12 @@ class Instance:
                     raise ValidationError(f"{u!r} lists {v!r}, which is not on the opposite side")
                 prefs[u] = lst
                 rank[u] = r
-        edges = tuple((a, b) for a in side_a for b in prefs[a])
-        for a, b in edges:
-            if a not in rank[b]:
-                raise ValidationError(f"non-mutual preference: {a!r} lists {b!r} but not vice versa")
+        edges = []
+        for a in side_a:
+            for b in prefs[a]:
+                if a not in rank[b]:
+                    raise ValidationError(f"non-mutual preference: {a!r} lists {b!r} but not vice versa")
+                edges.append((a, b))
         # every A-side entry is mirrored, so a B-side entry is unmirrored iff B lists more
         if sum(len(prefs[b]) for b in side_b) != len(edges):
             for b in side_b:
@@ -77,18 +82,19 @@ class Instance:
                     if b not in rank[a]:
                         raise ValidationError(f"non-mutual preference: {b!r} lists {a!r} but not vice versa")
         object.__setattr__(self, "prefs", prefs)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "_rank", rank)
         object.__setattr__(self, "_a_set", a_set)
         costs = {}
         for e, c in self.costs.items():
-            e = (e[0], e[1])
-            if e[0] not in a_set or e[1] not in rank[e[0]]:
-                raise ValidationError(f"cost on non-edge {e!r}")
-            if int(c) != c:
-                raise ValidationError(f"non-integer cost on {e!r}")
-            if int(c) != 0:
-                costs[e] = int(c)
+            a, b = e
+            if a not in a_set or b not in rank[a]:
+                raise ValidationError(f"cost on non-edge {(a, b)!r}")
+            value = int(c)
+            if value != c:
+                raise ValidationError(f"non-integer cost on {(a, b)!r}")
+            if value:
+                costs[a, b] = value
         object.__setattr__(self, "costs", costs)
 
     @property
@@ -103,22 +109,13 @@ class Instance:
 
     def as_edge(self, u: str, v: str) -> Edge:
         """Return (u, v) oriented as (A-node, B-node); raise if not an edge."""
-        if self.is_a(u):
-            a, b = u, v
-        else:
-            a, b = v, u
-        if not self.has_edge(a, b):
+        a, b = (u, v) if u in self._a_set else (v, u)
+        if b not in self._rank.get(a, ()):
             raise ValidationError(f"({u!r}, {v!r}) is not an edge")
         return (a, b)
 
     def rank(self, u: str, v: str) -> int:
         return self._rank[u][v]
-
-    def prefers(self, u: str, v: str, w: str | None) -> bool:
-        """True iff u strictly prefers neighbor v to w; w=None means unmatched."""
-        if w is None:
-            return True
-        return self._rank[u][v] < self._rank[u][w]
 
     def cost(self, e: Edge) -> int:
         return self.costs.get(e, 0)
@@ -176,23 +173,48 @@ def wt_edge(inst: Instance, m: Matching, e: Edge) -> int:
     both endpoints are matched and strictly prefer their partners to each
     other, 0 otherwise. In particular every edge of m has weight 0.
     """
-    return _wt(inst, m, *inst.as_edge(*e))
-
-
-def _wt(inst: Instance, m: Matching, a: str, b: str) -> int:
-    """`wt_edge` of the existing edge (a, b), without validating it."""
-    pa = m.partner.get(a)
-    if pa == b:
+    a, b = inst.as_edge(*e)
+    if m.partner.get(a) == b:
         return 0
-    pb = m.partner.get(b)
-    rank_a, rank_b = inst._rank[a], inst._rank[b]
-    a_wants = pa is None or rank_a[b] < rank_a[pa]
-    b_wants = pb is None or rank_b[a] < rank_b[pb]
-    if a_wants and b_wants:
-        return 2
-    if not a_wants and not b_wants:
-        return -2
-    return 0
+    rank = inst._rank
+    wants = sum(p is None or rank[u][v] < rank[u][p]
+                for u, v, p in ((a, b, m.partner.get(a)), (b, a, m.partner.get(b))))
+    return 2 * wants - 2
+
+
+def _cuts(inst: Instance, m: Matching) -> dict[str, int]:
+    """Each node's cut under m: the rank of its partner, or the length of its
+    list when it is unmatched. u votes +1 for a neighbor v over its
+    assignment iff rank(u, v) < cut(u), and -1 for a non-partner v behind
+    its partner, so wt(a, b) is the sum of the two votes."""
+    rank, partner = inst._rank, m.partner
+    return {u: rank[u][partner[u]] if u in partner else len(lst) for u, lst in inst.prefs.items()}
+
+
+def _weights(inst: Instance, m: Matching) -> Iterator[tuple[str, str, int]]:
+    """(a, b, wt(a, b)) for every edge, in `inst.edges` order. Each A-list is
+    read by position: a votes for the entries before its cut, sits at its
+    partner on the cut and votes against the rest, so only b's vote needs a
+    rank lookup. An edge of m has weight 0."""
+    rank, prefs, cut = inst._rank, inst.prefs, _cuts(inst, m)
+    for a in inst.side_a:
+        lst, c = prefs[a], cut[a]
+        for b in lst[:c]:
+            yield a, b, 2 if rank[b][a] < cut[b] else 0
+        if c < len(lst):
+            yield a, lst[c], 0
+            for b in lst[c + 1:]:
+                yield a, b, 0 if rank[b][a] < cut[b] else -2
+
+
+def _blocking(inst: Instance, m: Matching) -> Iterator[Edge]:
+    """The edges of weight 2, in `inst.edges` order: the entries b before
+    a's cut that rank a before their own cut."""
+    rank, prefs, cut = inst._rank, inst.prefs, _cuts(inst, m)
+    for a in inst.side_a:
+        for b in prefs[a][:cut[a]]:
+            if rank[b][a] < cut[b]:
+                yield a, b
 
 
 def compare(inst: Instance, m: Matching, n: Matching) -> VoteTally:
@@ -293,10 +315,9 @@ def parse_instance(text: str) -> Instance:
         return pos + 1
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = stripped.split()
         kind = tokens[0]
         if kind == "side":
             if len(tokens) < 2 or tokens[1] not in ("A", "B"):
@@ -345,9 +366,11 @@ def serialize_instance(inst: Instance) -> str:
     for u in inst.nodes:
         lst = inst.prefs[u]
         lines.append(f"pref {u}:" + ("" if not lst else " " + " ".join(lst)))
+    costs = inst.costs
     for e in inst.edges:
-        if inst.cost(e):
-            lines.append(f"cost {e[0]} {e[1]} {inst.cost(e)}")
+        c = costs.get(e)
+        if c:
+            lines.append(f"cost {e[0]} {e[1]} {c}")
     return "\n".join(lines) + "\n"
 
 
@@ -366,6 +389,7 @@ def parse_matching(inst: Instance, text: str) -> Matching:
     A pair listed twice, in either orientation, is rejected rather than
     collapsed into one.
     """
+    a_set = inst._a_set
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
@@ -382,22 +406,21 @@ def parse_matching(inst: Instance, text: str) -> Matching:
                 "matching JSON must be an object whose `pairs` is a list of [idA, idB] string pairs")
         seen = set()
         for u, v in pairs:
-            e = (u, v) if inst.is_a(u) else (v, u)
+            e = (u, v) if u in a_set else (v, u)
             if e in seen:
                 raise ValidationError(f"matching JSON lists the pair {e} twice")
             seen.add(e)
-        return make_matching(inst, [tuple(p) for p in pairs])
+        return make_matching(inst, pairs)
     pairs = []
     pair_lines: dict[Edge, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        s = raw.strip()
-        if not s or s.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = s.split()
         if len(tokens) != 2:
             raise ParseError("expected `<idA> <idB>`", lineno)
         u, v = tokens
-        e = (u, v) if inst.is_a(u) else (v, u)
+        e = (u, v) if u in a_set else (v, u)
         if e in pair_lines:
             raise ParseError(f"duplicate pair {e} (first at line {pair_lines[e]})", lineno)
         pair_lines[e] = lineno

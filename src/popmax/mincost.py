@@ -15,6 +15,7 @@ is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .certificates import DualCertificate, certify_popular_max
 from .core import Edge, Instance, Matching, make_matching, matching_cost
@@ -413,24 +414,26 @@ def emit_lp(inst: Instance) -> str:
     lines.append(" obj: " + " + ".join(terms))
     lines.append("Subject To")
 
-    # each node's edge variables in its preference order, formatted once
+    # each node's edge variables in its preference order, formatted and
+    # joined once; the first i terms with their separators end at start[x][i]
     row = [[evar(x, y) if x < copies_end else evar(y, x) for y in gt.prefs[x]] for x in nodes]
+    joined = [" + ".join(terms) for terms in row]
+    start = [list(accumulate((len(t) + 3 for t in terms), initial=0)) for terms in row]
     copies: dict[Edge, list[str]] = {e: [] for e in inst.edges}  # lowest copy first
     for u, v in edges:
         if kind[v][0] == "dummy":
             continue
-        ru = gt.rank[u][v]
-        expr = " + ".join(row[u][:ru] + row[v][:gt.rank[v][u]] + [row[u][ru]])
+        ru, rv = gt.rank[u][v], gt.rank[v][u]
+        expr = f"{joined[u][:start[u][ru]]}{joined[v][:start[v][rv]]}{row[u][ru]}"
         lines.append(f" stab.{token[u]}.{token[v]}: {expr} >= 1")
         copies[kind[u][1], kind[v][1]].append(row[u][ru])
 
     # the nodes every stable matching matches: those the dummy chains fill
     # when no source node is matched
     must_match = {x for e in gt.place((), {}) for x in e}
-    for node in nodes:
-        if not row[node]:
+    for node, expr in enumerate(joined):
+        if not expr:
             continue
-        expr = " + ".join(row[node])
         lines.append(f" deg.{token[node]}: {expr} <= 1")
         if node in must_match:
             lines.append(f" fix.{token[node]}: {expr} = 1")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Edge, Instance, Matching, _wt, is_maximum
+from .core import Edge, Instance, Matching, _blocking, _weights, is_maximum
 from .errors import InternalError, NotMaximumError
 
 Arc = tuple[int, int, str, str, int]  # (src vertex, dst vertex, a, b, weight)
@@ -31,25 +31,23 @@ class AlternatingDigraph:
 def build_alternating_digraph(inst: Instance, m: Matching) -> AlternatingDigraph:
     """One vertex per matched pair and per unmatched node; one arc per
     non-matching edge (a, b), from a's vertex to b's vertex."""
-    vertices: list[tuple] = []
-    vertex_of: dict[str, int] = {}
-    for a, b in sorted(m.pairs):
-        vertex_of[a] = vertex_of[b] = len(vertices)
-        vertices.append(("pair", a, b))
-    for a in inst.side_a:
-        if a not in vertex_of:
-            vertex_of[a] = len(vertices)
-            vertices.append(("ua", a))
-    for b in inst.side_b:
-        if b not in vertex_of:
-            vertex_of[b] = len(vertices)
-            vertices.append(("ub", b))
+    vertices, vertex_of = _vertices(inst, m)
     arcs = []
-    for a, b in inst.edges:
-        if m.partner.get(a) == b:
-            continue
-        arcs.append((vertex_of[a], vertex_of[b], a, b, _wt(inst, m, a, b)))
-    return AlternatingDigraph(tuple(vertices), tuple(arcs), vertex_of)
+    for a, b, w in _weights(inst, m):
+        src, dst = vertex_of[a], vertex_of[b]
+        if src != dst:  # only the two ends of a matched edge share a vertex
+            arcs.append((src, dst, a, b, w))
+    return AlternatingDigraph(vertices, tuple(arcs), vertex_of)
+
+
+def _vertices(inst: Instance, m: Matching) -> tuple[tuple[tuple, ...], dict[str, int]]:
+    """The matched pairs in sorted order, then the unmatched A-nodes and the
+    unmatched B-nodes in side order, and the vertex of every node."""
+    vertices = [("pair", a, b) for a, b in sorted(m.pairs)]
+    vertices += [("ua", a) for a in inst.side_a if a not in m.partner]
+    vertices += [("ub", b) for b in inst.side_b if b not in m.partner]
+    vertex_of = {u: i for i, vertex in enumerate(vertices) for u in vertex[1:]}
+    return tuple(vertices), vertex_of
 
 
 @dataclass(frozen=True)
@@ -101,13 +99,13 @@ def format_witness(m: Matching, witness: Witness) -> str:
     return f"{witness.kind}: " + " ".join(tokens) + f" wt={witness.weight}"
 
 
-def _witness(dg: AlternatingDigraph, kind: str, arcs: list[Arc]) -> Witness:
+def _witness(vertices: tuple[tuple, ...], kind: str, arcs: list[Arc]) -> Witness:
     """Convert a directed cycle or path of arcs into the alternating walk it
     encodes. Every pair vertex the walk enters adds its matched edge, so
     toggling stays a matching; a cycle starts at its least pair vertex, and
     a path first enters the source vertex of its first arc."""
     if kind == "cycle":
-        pivot = min(range(len(arcs)), key=lambda k: dg.vertices[arcs[k][1]])
+        pivot = min(range(len(arcs)), key=lambda k: vertices[arcs[k][1]])
         arcs = arcs[pivot:] + arcs[:pivot]
     steps = [((a, b), dst) for _src, dst, a, b, _w in arcs]
     if kind == "path":
@@ -117,7 +115,7 @@ def _witness(dg: AlternatingDigraph, kind: str, arcs: list[Arc]) -> Witness:
     for edge, v in steps:
         if edge is not None:
             edges.append(edge)
-        vertex = dg.vertices[v]
+        vertex = vertices[v]
         if vertex[0] == "pair":
             _, pa, pb = vertex
             nodes.extend([pb, pa])
@@ -199,19 +197,19 @@ def _witness_or_potentials(inst: Instance, m: Matching) -> Witness | dict[str, i
             break
         cycle = _pred_cycle(pred)
         if cycle is not None:
-            return _witness(dg, "cycle", cycle)
+            return _witness(dg.vertices, "cycle", cycle)
     else:
         raise InternalError("relaxation did not converge and no predecessor cycle formed")
 
     above_top = [i for i, v in enumerate(dg.vertices) if v[0] == "pair" and y[i] > top]
     if above_top:
-        return _witness(dg, "path", _collect_arcs(pred, _highest(y, above_top)))
+        return _witness(dg.vertices, "path", _collect_arcs(pred, _highest(y, above_top)))
     into_b = [i for i, v in enumerate(dg.vertices) if v[0] == "ub" and y[i] > 0]
     if into_b:
         seq = _collect_arcs(pred, _highest(y, into_b))
         if dg.vertices[seq[0][0]][0] == "ua":
             raise InternalError("augmenting path in a maximum matching")
-        return _witness(dg, "path", seq)
+        return _witness(dg.vertices, "path", seq)
     return {u: y[i] for i, v in enumerate(dg.vertices) if v[0] == "pair" for u in v[1:]}
 
 
@@ -238,17 +236,17 @@ def is_pareto_optimal(inst: Instance, m: Matching) -> ParetoVerdict:
     weight-2 arcs. Toggling the witness Pareto-dominates m. Cycles are
     reported in preference to paths.
     """
-    dg = build_alternating_digraph(inst, m)
-    n = len(dg.vertices)
+    vertices, vertex_of = _vertices(inst, m)
+    n = len(vertices)
     adj: list[list[Arc]] = [[] for _ in range(n)]
-    for arc in dg.arcs:
-        if arc[4] == 2:
-            adj[arc[0]].append(arc)
+    for a, b in _blocking(inst, m):
+        src = vertex_of[a]
+        adj[src].append((src, vertex_of[b], a, b, 2))
 
     color = [0] * n
     next_arc = [0] * n
     for root in range(n):
-        if color[root] != 0 or dg.vertices[root][0] != "pair":
+        if color[root] != 0 or vertices[root][0] != "pair":
             continue
         color[root] = 1
         walk = [root]
@@ -272,10 +270,10 @@ def is_pareto_optimal(inst: Instance, m: Matching) -> ParetoVerdict:
                 start = len(stack_arcs) - 1
                 while stack_arcs[start][0] != dst:
                     start -= 1
-                return ParetoVerdict(False, _witness(dg, "cycle", stack_arcs[start:] + [arc]))
+                return ParetoVerdict(False, _witness(vertices, "cycle", stack_arcs[start:] + [arc]))
 
     pred: list[Arc | None] = [None] * n
-    frontier = [i for i, v in enumerate(dg.vertices) if v[0] == "ua"]
+    frontier = [i for i, v in enumerate(vertices) if v[0] == "ua"]
     seen = set(frontier)
     while frontier:
         nxt = []
@@ -286,8 +284,8 @@ def is_pareto_optimal(inst: Instance, m: Matching) -> ParetoVerdict:
                     continue
                 seen.add(dst)
                 pred[dst] = arc
-                if dg.vertices[dst][0] == "ub":
-                    return ParetoVerdict(False, _witness(dg, "path", _collect_arcs(pred, dst)))
+                if vertices[dst][0] == "ub":
+                    return ParetoVerdict(False, _witness(vertices, "path", _collect_arcs(pred, dst)))
                 nxt.append(dst)
         frontier = nxt
     return ParetoVerdict(True, None)

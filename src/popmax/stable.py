@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .core import Edge, Instance, Matching, _wt, make_matching
+from .core import Edge, Instance, Matching, _blocking, make_matching
 
 
 def gale_shapley(inst: Instance) -> Matching:
@@ -60,7 +60,7 @@ def _propose(inst: Instance, proposers: tuple[str, ...],
 def blocking_edges(inst: Instance, m: Matching) -> list[Edge]:
     """All edges whose endpoints mutually prefer each other over their
     assignments (weight-2 edges), in instance edge order."""
-    return [(a, b) for a, b in inst.edges if _wt(inst, m, a, b) == 2]
+    return list(_blocking(inst, m))
 
 
 def is_stable(inst: Instance, m: Matching) -> bool:

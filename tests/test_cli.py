@@ -423,3 +423,49 @@ def test_exit_code_repeated_matching_pair(files, tmp_path, capsys, text, message
     for command in ("verify", "certify", "pareto"):
         code, out, err = run(capsys, command, files["i3"], str(m))
         assert code == 2 and out == "" and err == message
+
+
+_PQ = "side A a1 a2\nside B b1 b2\npref a1: b1 b2\npref a2: b1\npref b1: a2 a1\npref b2: a1\n"
+
+
+@pytest.mark.parametrize("instance, matching, message", [
+    ("side A a\nside B b\npref a b\n", "",
+     "error: line 3, column 6: expected `pref <id>: ...`\n"),
+    ("side A a\nside B b\n  pref a b\n", "",
+     "error: line 3, column 8: expected `pref <id>: ...`\n"),
+    ("side A a\nside B b\npref : b\n", "",
+     "error: line 3, column 6: empty node id before ':'\n"),
+    ("side A a\nside B b\npref a: b\npref b: a\n\tpref a: b\n", "",
+     "error: line 5, column 7: duplicate pref line for 'a' (first at line 3)\n"),
+    (_PQ + "cost a1 b1 3\n# again\ncost a1 b1 4\n", "",
+     "error: line 9, column 6: duplicate cost line for ('a1', 'b1') (first at line 7)\n"),
+    (_PQ + "cost a1 b1 x3\n", "", "error: line 7, column 12: bad integer 'x3'\n"),
+    (_PQ + "cost  a1 b1   3.0\n", "", "error: line 7, column 15: bad integer '3.0'\n"),
+    (_PQ + "cost a1 b2 x\ncost a1 b1\n", "", "error: line 7, column 12: bad integer 'x'\n"),
+    ("side A a1\nside B b1\nfoo a1\n", "", "error: line 3, column 1: unknown directive 'foo'\n"),
+    ("side C a1\n", "", "error: line 1, column 6: expected `side A ...` or `side B ...`\n"),
+    (_PQ + "pref z: b1\n", "", "error: pref line for undeclared node 'z' (line 7)\n"),
+    (_PQ + "cost b1 a1 3\n", "",
+     "error: cost line must name an A-node then a B-node (line 7)\n"),
+    ("side A a1 x:1 y:2\nside B b1\n", "", "error: bad node identifier 'x:1'\n"),
+    ("side A a1\nside B b1 b:2\n", "", "error: bad node identifier 'b:2'\n"),
+    ("side A a1\nside B b1\npref a1: b1 b1\n", "",
+     "error: duplicate entry in preference list of 'a1'\n"),
+    ("side A a1 a2\nside B b1\npref a1: a2\n", "",
+     "error: 'a1' lists 'a2', which is not on the opposite side\n"),
+    ("side A a1 a2\nside B b1\npref a1: b1\npref a2: b1\npref b1: a1\n", "",
+     "error: non-mutual preference: 'a2' lists 'b1' but not vice versa\n"),
+    ("side A a1 a2\nside B b1\npref a1: b1\npref b1: a1 a2\n", "",
+     "error: non-mutual preference: 'b1' lists 'a2' but not vice versa\n"),
+    (_PQ, "a1 b1\nb2 a2\n", "error: ('b2', 'a2') is not an edge\n"),
+    (_PQ, "a1 b1\na2 zz\n", "error: ('a2', 'zz') is not an edge\n"),
+    (_PQ, '{"pairs": [["b2", "a1"], ["a2", "b2"]]}', "error: ('a2', 'b2') is not an edge\n"),
+    (_PQ, "a2 b1\na1 b1\n", "error: matching edges are not node-disjoint\n"),
+    (_PQ, "a2 b1\n a1\n", "error: line 2, column 1: expected `<idA> <idB>`\n"),
+])
+def test_malformed_input_error_text(tmp_path, capsys, instance, matching, message):
+    """The exact exit-2 message, line and column for each input-layer check."""
+    (tmp_path / "i.txt").write_text(instance)
+    (tmp_path / "m.txt").write_text(matching)
+    code, out, err = run(capsys, "verify", str(tmp_path / "i.txt"), str(tmp_path / "m.txt"))
+    assert (code, out, err) == (2, "", message)

@@ -46,6 +46,85 @@ def test_digraph_build_does_not_revalidate_edges(monkeypatch):
     assert [(a, b, w) for _src, _dst, a, b, w in dg.arcs] == expected
 
 
+def _random_maximum(inst, rng):
+    """A maximum matching grown from a greedy one over shuffled edges by
+    augmenting along the paths `is_maximum` returns."""
+    from popmax import Matching
+
+    edges = list(inst.edges)
+    rng.shuffle(edges)
+    pairs, used = set(), set()
+    for a, b in edges:
+        if a not in used and b not in used:
+            pairs.add((a, b))
+            used.update((a, b))
+    m = Matching(frozenset(pairs))
+    while True:
+        maximum, path = is_maximum(inst, m)
+        if maximum:
+            return m
+        m = Matching(m.pairs ^ {inst.as_edge(u, v) for u, v in zip(path, path[1:])})
+
+
+def test_cut_scan_agrees_with_wt_edge():
+    """The weights read from partner-rank cuts equal `wt_edge`, edge for
+    edge, on maximum matchings that are not stable and leave nodes with
+    neighbors unmatched on both sides: the scan itself, the digraph's arcs,
+    the blocking arcs Pareto reads, `blocking_edges`, and the (F) lines of
+    `verify_certificate` on the all-zero certificate."""
+    import random
+
+    from popmax import (
+        DualCertificate,
+        Instance,
+        blocking_edges,
+        random_instance,
+        verify_certificate,
+        wt_edge,
+    )
+    from popmax.core import _blocking, _weights
+
+    rng = random.Random(17)
+    checked = f_lines = dominated = 0
+    for seed in range(60):
+        # side by side, a part with more A-nodes and one with more B-nodes
+        parts = ((random_instance(rng.randint(4, 7), rng.randint(2, 4), 0.5, seed), "p"),
+                 (random_instance(rng.randint(2, 4), rng.randint(4, 7), 0.5, seed + 1000), "q"))
+        inst = Instance(tuple(u + t for part, t in parts for u in part.side_a),
+                        tuple(u + t for part, t in parts for u in part.side_b),
+                        {u + t: tuple(v + t for v in lst)
+                         for part, t in parts for u, lst in part.prefs.items()})
+        m = _random_maximum(inst, rng)
+        wt = {e: wt_edge(inst, m, e) for e in inst.edges}
+        if not (2 in wt.values()
+                and any(inst.prefs[a] and not m.is_matched(a) for a in inst.side_a)
+                and any(inst.prefs[b] and not m.is_matched(b) for b in inst.side_b)):
+            continue
+        checked += 1
+        assert list(_weights(inst, m)) == [(a, b, wt[a, b]) for a, b in inst.edges]
+        dg = build_alternating_digraph(inst, m)
+        assert [arc[2:] for arc in dg.arcs] == \
+            [(a, b, wt[a, b]) for a, b in inst.edges if m.partner_of(a) != b]
+        assert all(arc[:2] == (dg.vertex_of[arc[2]], dg.vertex_of[arc[3]]) for arc in dg.arcs)
+        blocking = [e for e in inst.edges if wt[e] == 2]
+        assert list(_blocking(inst, m)) == blocking_edges(inst, m) == blocking
+        verdict = is_pareto_optimal(inst, m)
+        if not verdict.pareto:
+            dominated += 1
+            assert all(wt[e] == 2 for e in verdict.witness.edges if e not in m.pairs)
+        top = 2 * (len(m) - 1)
+        expected = []
+        for a, b in inst.edges:
+            if m.is_matched(a) or m.is_matched(b):
+                s = 0 if m.is_matched(a) else -top
+                if s < wt[a, b]:
+                    expected.append(f"F: alpha[{a}] + alpha[{b}] = {s} < wt = {wt[a, b]} at ({a},{b})")
+        report = verify_certificate(inst, m, DualCertificate(dict.fromkeys(m.partner, 0), len(m)))
+        assert [v for v in report.violations if v.startswith("F:")] == expected
+        f_lines += len(expected)
+    assert checked >= 40 and f_lines >= 200 and dominated >= 3
+
+
 def test_verifier_accepts_i1_perfect(i1):
     m = mk(i1, ("a1", "b1"), ("a2", "b2"))
     verdict = verify_popular_max(i1, m)

@@ -164,7 +164,11 @@ def check_verdicts(inst, every_certificate: bool = True) -> None:
         ranges = [range(0, -2 * k, -2) if inst.is_a(u) else range(0, 2 * k, 2) for u in matched]
         for values in product(*ranges):
             cert = DualCertificate(dict(zip(matched, values)), k)
-            assert not verify_certificate(inst, m, cert).ok or m.pairs in popular, (inst, m, cert)
+            report = verify_certificate(inst, m, cert)
+            assert not report.ok or m.pairs in popular, (inst, m, cert)
+            # (Z) is implied by the domain check and (CS)
+            failed = {v.split(":")[0] for v in report.violations}
+            assert "Z" not in failed or "CS" in failed, (inst, m, cert)
 
 
 def sweep(na: int, nb: int, canonical: bool, check) -> int:
