@@ -18,7 +18,7 @@ The compressor `_remap_levels` serves all three.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Instance, Matching, _weights, is_maximum
 from .errors import CertificateError, InternalError, NotMaximumError, NotPopularError, ParseError
@@ -27,8 +27,7 @@ from .popularity import Witness, _witness_or_potentials
 from .stable import is_stable
 
 
-@dataclass(frozen=True)
-class DualCertificate:
+class DualCertificate(NamedTuple):
     """alpha maps every matched node to an even integer; n0_prime is the
     number of matched pairs, which bounds the value range."""
 
@@ -36,8 +35,7 @@ class DualCertificate:
     n0_prime: int
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     ok: bool
     violations: tuple[str, ...]
 
@@ -164,8 +162,8 @@ def _require_maximum(inst: Instance, m: Matching) -> None:
 
 def _check_conditions(inst: Instance, m: Matching, cert: DualCertificate) -> CertificateReport:
     """The six conditions of verify_certificate, for a maximum m."""
-    matched = set(m.partner)
-    if set(cert.alpha) != matched:
+    alpha = cert.alpha
+    if set(alpha) != set(m.partner):
         raise CertificateError(
             "certificate domain mismatch: must assign exactly the matched nodes")
     if cert.n0_prime != len(m.pairs):
@@ -174,9 +172,9 @@ def _check_conditions(inst: Instance, m: Matching, cert: DualCertificate) -> Cer
     violations = []
     top = 2 * (cert.n0_prime - 1)
     for u in inst.nodes:
-        if u not in cert.alpha:
+        if u not in alpha:
             continue
-        v = cert.alpha[u]
+        v = alpha[u]
         if inst.is_a(u):
             if v % 2 or not (-top <= v <= 0):
                 violations.append(f"R: alpha[{u}] = {v} not in {{0, -2, ..., {-top}}}")
@@ -184,13 +182,12 @@ def _check_conditions(inst: Instance, m: Matching, cert: DualCertificate) -> Cer
             if v % 2 or not (0 <= v <= top):
                 violations.append(f"R: alpha[{u}] = {v} not in {{0, 2, ..., {top}}}")
     for a, b in sorted(m.pairs):
-        s = cert.alpha[a] + cert.alpha[b]
+        s = alpha[a] + alpha[b]
         if s != 0:
             violations.append(f"CS: alpha[{a}] + alpha[{b}] = {s} != 0 on matching edge")
-    total = sum(cert.alpha.values())
+    total = sum(alpha.values())
     if total != 0:
         violations.append(f"Z: certificate sums to {total} != 0")
-    alpha = cert.alpha
     for a, b, w in _weights(inst, m):
         if a in alpha or b in alpha:
             s = alpha.get(a, -top) + alpha.get(b, 0)
@@ -199,15 +196,15 @@ def _check_conditions(inst: Instance, m: Matching, cert: DualCertificate) -> Cer
     for b in inst.side_b:
         if not m.is_matched(b):
             for a in inst.prefs[b]:
-                if cert.alpha.get(a, 0) != 0:
+                if alpha.get(a, 0) != 0:
                     violations.append(
-                        f"P1: alpha[{a}] = {cert.alpha[a]} != 0 but {a} neighbors unmatched {b}")
+                        f"P1: alpha[{a}] = {alpha[a]} != 0 but {a} neighbors unmatched {b}")
     for a in inst.side_a:
         if not m.is_matched(a):
             for b in inst.prefs[a]:
-                if cert.alpha.get(b) != top:
+                if alpha.get(b) != top:
                     violations.append(
-                        f"P2: alpha[{b}] = {cert.alpha.get(b)} != {top} but {b} neighbors unmatched {a}")
+                        f"P2: alpha[{b}] = {alpha.get(b)} != {top} but {b} neighbors unmatched {a}")
     return CertificateReport(not violations, tuple(violations))
 
 
@@ -228,8 +225,8 @@ def certify_popular_max(inst: Instance, m: Matching) -> DualCertificate:
 
 def serialize_certificate(inst: Instance, cert: DualCertificate) -> str:
     """`alpha <node> <even-integer>` lines in instance node order."""
-    return "".join(
-        f"alpha {u} {cert.alpha[u]}\n" for u in inst.nodes if u in cert.alpha)
+    alpha = cert.alpha
+    return "".join(f"alpha {u} {alpha[u]}\n" for u in inst.nodes if u in alpha)
 
 
 def parse_certificate(text: str) -> DualCertificate:

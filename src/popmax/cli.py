@@ -3,17 +3,18 @@
 Exit codes: 0 success/verified, 1 verification rejected (witness printed),
 2 malformed input, 3 size bound exceeded, 4 internal error (a bug: a
 condition the theory rules out was met; `internal error: ...` on stderr).
+
+Every command uses `core` and `errors`; each handler imports the layers
+only it uses, so a command loads no more of the package than it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from fractions import Fraction
 
-from . import certificates, core, gstar, hardness, mincost, oracle, popularity
+from . import core
 from .errors import (
     BoundExceededError,
     InputError,
@@ -55,8 +56,9 @@ def _emit(args, status: str, result, witness=None, text: str = ""):
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-def _reject(args, m, w: popularity.Witness, result: dict) -> int:
+def _reject(args, m, w, result: dict) -> int:
     """Print a witness against m, as one line or in the JSON envelope."""
+    from . import popularity
     witness = {"kind": w.kind, "nodes": list(w.nodes),
                "edges": [list(e) for e in w.edges], "weight": w.weight}
     _emit(args, "rejected", result, witness, text=popularity.format_witness(m, w))
@@ -64,6 +66,7 @@ def _reject(args, m, w: popularity.Witness, result: dict) -> int:
 
 
 def cmd_solve(args) -> int:
+    from . import gstar
     inst = core.parse_instance(_read(args.instance))
     m = gstar.popular_max_matching(inst)
     _emit(args, "ok", core.matching_to_json(inst, m), text=core.serialize_matching(m))
@@ -71,6 +74,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_mincost(args) -> int:
+    from . import certificates, mincost
     inst = core.parse_instance(_read(args.instance))
     res = mincost.min_cost_popular_max(inst)
     text = core.serialize_matching(res.matching)
@@ -89,6 +93,7 @@ def _load_pair(args):
 
 
 def cmd_verify(args) -> int:
+    from . import popularity
     inst, m = _load_pair(args)
     verdict = popularity.verify_popular_max(inst, m)
     if not verdict.popular:
@@ -98,6 +103,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from . import certificates
     inst, m = _load_pair(args)
     try:
         cert = certificates.certify_popular_max(inst, m)
@@ -110,6 +116,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_pareto(args) -> int:
+    from . import popularity
     inst, m = _load_pair(args)
     verdict = popularity.is_pareto_optimal(inst, m)
     if not verdict.pareto:
@@ -119,6 +126,7 @@ def cmd_pareto(args) -> int:
 
 
 def cmd_emit_lp(args) -> int:
+    from . import mincost
     inst = core.parse_instance(_read(args.instance))
     text = mincost.emit_lp(inst)
     _emit(args, "ok", {"lp": text}, text=text)
@@ -126,6 +134,7 @@ def cmd_emit_lp(args) -> int:
 
 
 def cmd_gstar(args) -> int:
+    from . import gstar
     inst = core.parse_instance(_read(args.instance))
     gs = gstar.build_gstar(inst)
     text = core.serialize_instance(gs.inner)
@@ -143,7 +152,8 @@ def cmd_gen_random(args) -> int:
     return EXIT_OK
 
 
-def _load_formula(args) -> hardness.CnfFormula:
+def _load_formula(args):
+    from . import hardness
     f = hardness.parse_dimacs(_read(args.cnf))
     if args.pad_units:
         f = hardness.pad_unit_clauses(f)
@@ -151,6 +161,7 @@ def _load_formula(args) -> hardness.CnfFormula:
 
 
 def cmd_gen_hardness(args) -> int:
+    from . import hardness
     f = _load_formula(args)
     g = hardness.build_gadget_instance(hardness.transform_formula(f))
     text = core.serialize_instance(g.instance)
@@ -159,9 +170,10 @@ def cmd_gen_hardness(args) -> int:
 
 
 def cmd_check_reduction(args) -> int:
+    from . import hardness
     f = _load_formula(args)
     report = hardness.check_reduction(f, max_vars=args.max_vars, max_clauses=args.max_clauses)
-    result = dataclasses.asdict(report)
+    result = report._asdict()
     result["equivalence_holds"] = report.equivalence_holds
     _emit(args, "ok" if report.equivalence_holds else "rejected", result, text=str(report))
     return EXIT_OK if report.equivalence_holds else EXIT_REJECTED
@@ -173,21 +185,25 @@ def _matchings_text(ms) -> str:
 
 
 def cmd_oracle(args) -> int:
+    from fractions import Fraction
+
+    from . import oracle
+    bound = oracle.DEFAULT_BOUND if args.bound is None else args.bound
     inst = core.parse_instance(_read(args.instance))
     enumerators = {"matchings": oracle.enum_matchings,
                    "max-matchings": oracle.enum_max_matchings,
                    "popular-max": oracle.brute_popular_max}
     if args.what in enumerators:
-        ms = sorted(enumerators[args.what](inst, args.bound), key=lambda m: sorted(m.pairs))
+        ms = sorted(enumerators[args.what](inst, bound), key=lambda m: sorted(m.pairs))
         _emit(args, "ok", [[list(e) for e in sorted(m.pairs)] for m in ms],
               text=_matchings_text(ms))
     elif args.what == "min-cost":
-        m, cost = oracle.brute_min_cost_popular_max(inst, args.bound)
+        m, cost = oracle.brute_min_cost_popular_max(inst, bound)
         result = core.matching_to_json(inst, m)
         _emit(args, "ok", result, text=core.serialize_matching(m) + f"cost {cost}\n")
     elif args.what == "unpopularity":
         m = core.parse_matching(inst, _read(args.matching))
-        u = oracle.brute_unpopularity_factor(inst, m, args.bound)
+        u = oracle.brute_unpopularity_factor(inst, m, bound)
         if u == float("inf"):
             text = "inf"
         elif isinstance(u, Fraction) and u.denominator != 1:
@@ -269,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "min-cost", "unpopularity"])
     p.add_argument("instance")
     p.add_argument("matching", nargs="?")
-    p.add_argument("--bound", type=_count, default=oracle.DEFAULT_BOUND)
+    p.add_argument("--bound", type=_count, default=None)  # None: oracle.DEFAULT_BOUND
     p.set_defaults(func=cmd_oracle)
 
     return parser

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ParseError, ValidationError
@@ -19,24 +17,58 @@ from .errors import ParseError, ValidationError
 Edge = tuple[str, str]  # always oriented (A-side id, B-side id)
 
 
-@dataclass(frozen=True)
-class Instance:
+class _Frozen:
+    """A value on __slots__ whose fields are set once, through object.__setattr__,
+    and read-only after. Values of one class are equal when their `_compared`
+    fields are, which also give the hash, the repr and the constructor arguments."""
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return self.__class__, self._key()
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._compared)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class Instance(_Frozen):
     """A bipartite preference instance.
 
     `prefs[u]` lists u's neighbors from most to least preferred. Preference
     lists must be mutually consistent: b appears in prefs[a] iff a appears in
     prefs[b], and the edge set is exactly those mutual pairs. Costs default
     to 0 and are stored only for nonzero values; keys must be edges.
-    Instances are immutable; all operations on them are pure.
+    Instances are immutable (and unhashable); all operations on them are pure.
     """
 
-    side_a: tuple[str, ...]
-    side_b: tuple[str, ...]
-    prefs: dict[str, tuple[str, ...]]
-    costs: dict[Edge, int] = field(default_factory=dict)
-    edges: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
-    _rank: dict[str, dict[str, int]] = field(init=False, repr=False, compare=False)
-    _a_set: set[str] = field(init=False, repr=False, compare=False)
+    __slots__ = ("side_a", "side_b", "prefs", "costs", "edges", "_rank", "_a_set")
+    _compared = ("side_a", "side_b", "prefs", "costs")
+
+    def __init__(self, side_a: Sequence[str], side_b: Sequence[str],
+                 prefs: dict[str, Sequence[str]], costs: dict[Edge, int] | None = None):
+        object.__setattr__(self, "side_a", side_a)
+        object.__setattr__(self, "side_b", side_b)
+        object.__setattr__(self, "prefs", prefs)
+        object.__setattr__(self, "costs", {} if costs is None else costs)
+        self.__post_init__()
 
     def __post_init__(self):
         side_a, side_b = tuple(self.side_a), tuple(self.side_b)
@@ -121,12 +153,15 @@ class Instance:
         return self.costs.get(e, 0)
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(_Frozen):
     """A set of pairwise node-disjoint edges; `partner` is the derived map."""
 
-    pairs: frozenset[Edge]
-    partner: dict[str, str] = field(init=False, repr=False, compare=False)
+    __slots__ = ("pairs", "partner")
+    _compared = ("pairs",)
+
+    def __init__(self, pairs: Iterable[Edge]):
+        object.__setattr__(self, "pairs", pairs)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", frozenset(self.pairs))
@@ -454,12 +489,3 @@ def random_instance(na: int, nb: int, density: float, seed: int,
         rng.shuffle(incident[u])
     prefs = {u: tuple(v) for u, v in incident.items()}
     return Instance(side_a, side_b, prefs, costs)
-
-
-def unpopularity_ratio(phi_nm: int, phi_mn: int) -> Fraction | float:
-    """phi(N,M)/phi(M,N) with the conventions used for u(M)."""
-    if phi_nm == 0:
-        return Fraction(0)
-    if phi_mn == 0:
-        return float("inf")
-    return Fraction(phi_nm, phi_mn)

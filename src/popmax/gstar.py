@@ -19,7 +19,7 @@ levels, which yields the same matching (see `_n_levels`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import Edge, Instance, Matching, make_matching
 from .errors import NotStableError, ValidationError
@@ -166,16 +166,15 @@ def _tables(inst: Instance, n_levels: int) -> GStarTables:
     return gt
 
 
-@dataclass(frozen=True)
-class GStarInstance:
+class GStarInstance(NamedTuple):
     """Derived marriage instance on string names. Node i of `inner.nodes`
     is id i of `tables`, and `ids` maps each name back to its id."""
 
     source: Instance
     inner: Instance
     n0: int
-    ids: dict[str, int] = field(repr=False)
-    tables: GStarTables = field(repr=False)
+    ids: dict[str, int]
+    tables: GStarTables
 
 
 _NAMERS = {"copy": copy_name, "dummy": dummy_name, "image": image_name}

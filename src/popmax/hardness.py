@@ -12,9 +12,9 @@ cost-0 Pareto-optimal matching iff the formula is satisfiable, and
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .core import Edge, Instance, Matching, compare, make_matching, matching_cost, wt_edge
+from .core import Edge, Instance, Matching, _Frozen, compare, make_matching, matching_cost, wt_edge
 from .errors import (
     BoundExceededError,
     InternalError,
@@ -27,13 +27,12 @@ from .popularity import is_pareto_optimal
 Clause = tuple[int, ...]  # nonzero literals; negative int = negated variable
 
 
-@dataclass(frozen=True)
-class CnfFormula:
-    num_vars: int
-    clauses: tuple[Clause, ...]
+class CnfFormula(_Frozen):
+    __slots__ = _compared = ("num_vars", "clauses")
 
-    def __post_init__(self):
-        object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
+    def __init__(self, num_vars: int, clauses):
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "clauses", tuple(tuple(c) for c in clauses))
         for c in self.clauses:
             if not c:
                 raise ValidationError("empty clause")
@@ -125,8 +124,7 @@ def transform_formula(f: CnfFormula) -> CnfFormula:
 # Gadget construction
 
 
-@dataclass(frozen=True)
-class GadgetInstance:
+class GadgetInstance(NamedTuple):
     """The reduction graph with bookkeeping from formula parts to nodes.
 
     `pos[(clause_idx, slot)]` holds the (a, b, a', b') node names of that
@@ -137,9 +135,9 @@ class GadgetInstance:
 
     instance: Instance
     formula: CnfFormula
-    pos: dict[tuple[int, int], tuple[str, str, str, str]] = field(repr=False)
-    neg: dict[int, tuple[str, str, str, str]] = field(repr=False)
-    occurrences: dict[int, tuple[tuple[int, int], ...]] = field(repr=False)
+    pos: dict[tuple[int, int], tuple[str, str, str, str]]
+    neg: dict[int, tuple[str, str, str, str]]
+    occurrences: dict[int, tuple[tuple[int, int], ...]]
 
 
 def _shape_check(f: CnfFormula) -> tuple[list[int], list[int]]:
@@ -288,8 +286,7 @@ def matching_to_assignment(g: GadgetInstance, m: Matching) -> dict[int, bool]:
 # End-to-end checker
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(NamedTuple):
     satisfiable: bool
     cost0_pareto_exists: bool
     candidates_checked: int

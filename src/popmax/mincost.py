@@ -14,8 +14,8 @@ is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import NamedTuple
 
 from .certificates import DualCertificate, certify_popular_max
 from .core import Edge, Instance, Matching, make_matching, matching_cost
@@ -33,8 +33,7 @@ def _added(cycle):
     return tuple((cycle[i][0], cycle[(i + 1) % k][1]) for i in range(k))
 
 
-@dataclass(frozen=True)
-class RotationPoset:
+class RotationPoset(NamedTuple):
     """All rotations of an instance in one elimination order, with
     predecessor lists; closed subsets (all predecessors included) biject
     onto the stable matchings via elimination from `base`. A rotation is
@@ -42,7 +41,7 @@ class RotationPoset:
     listed man to the next pair's woman (cyclically), every woman to the
     previous pair's man."""
 
-    instance: Instance = field(repr=False)
+    instance: Instance
     cycles: tuple[tuple[tuple[str, str], ...], ...]
     preds: tuple[tuple[int, ...], ...]
     base: Matching
@@ -171,8 +170,7 @@ def _eliminate_closed(base, cycles, subset) -> set:
 # Max-flow / min-cut
 
 
-@dataclass(frozen=True)
-class FlowNetwork:
+class FlowNetwork(NamedTuple):
     """Integer-capacity directed network."""
 
     num_nodes: int
@@ -181,8 +179,7 @@ class FlowNetwork:
     sink: int
 
 
-@dataclass(frozen=True)
-class MaxFlowResult:
+class MaxFlowResult(NamedTuple):
     value: int
     source_side: frozenset[int]
     cut_capacity: int
@@ -195,7 +192,7 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
     for u, v, c in net.arcs:
         if c < 0:
             raise ValueError("capacities must be nonnegative")
-    n = net.num_nodes
+    n, source, sink = net.num_nodes, net.source, net.sink
     head: list[list[int]] = [[] for _ in range(n)]
     to: list[int] = []
     cap: list[int] = []
@@ -214,27 +211,27 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
     total = 0
     while True:
         level = [-1] * n
-        level[net.source] = 0
-        queue = [net.source]
+        level[source] = 0
+        queue = [source]
         for u in queue:
             for e in head[u]:
                 if cap[e] > 0 and level[to[e]] < 0:
                     level[to[e]] = level[u] + 1
                     queue.append(to[e])
-        if level[net.sink] < 0:
+        if level[sink] < 0:
             break
         it = [0] * n
         path: list[int] = []  # arcs of the level-graph walk from the source
-        u = net.source
+        u = source
         while True:
-            if u == net.sink:
+            if u == sink:
                 pushed = min(cap[e] for e in path)
                 for e in path:
                     cap[e] -= pushed
                     cap[e ^ 1] += pushed
                 total += pushed
                 path.clear()
-                u = net.source
+                u = source
                 continue
             while it[u] < len(head[u]):
                 e = head[u][it[u]]
@@ -251,8 +248,8 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
             else:
                 break
 
-    reach = {net.source}
-    stack = [net.source]
+    reach = {source}
+    stack = [source]
     while stack:
         u = stack.pop()
         for e in head[u]:
@@ -308,8 +305,7 @@ def _cheapest_elimination(base, cycles, preds, cost) -> set:
     return pairs
 
 
-@dataclass(frozen=True)
-class MinCostResult:
+class MinCostResult(NamedTuple):
     matching: Matching
     cost: int
     certificate: DualCertificate

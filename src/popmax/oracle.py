@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Instance, Matching, compare, make_matching, matching_cost, unpopularity_ratio
+from .core import Instance, Matching, compare, make_matching, matching_cost
 from .errors import BoundExceededError
 from .mincost import RotationPoset, _eliminate_closed, find_rotations
 
@@ -75,6 +75,15 @@ def brute_min_cost_popular_max(inst: Instance, bound: int = DEFAULT_BOUND) -> tu
     candidates = brute_popular_max(inst, bound)
     best = min(candidates, key=lambda m: (matching_cost(inst, m), sorted(m.pairs)))
     return best, matching_cost(inst, best)
+
+
+def unpopularity_ratio(phi_nm: int, phi_mn: int) -> Fraction | float:
+    """phi(N,M)/phi(M,N) with the conventions used for u(M)."""
+    if phi_nm == 0:
+        return Fraction(0)
+    if phi_mn == 0:
+        return float("inf")
+    return Fraction(phi_nm, phi_mn)
 
 
 def brute_unpopularity_factor(inst: Instance, m: Matching,

@@ -13,7 +13,7 @@ it stops at the first cycle of its predecessor graph, a positive cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Edge, Instance, Matching, _blocking, _weights, is_maximum
 from .errors import InternalError, NotMaximumError
@@ -21,8 +21,7 @@ from .errors import InternalError, NotMaximumError
 Arc = tuple[int, int, str, str, int]  # (src vertex, dst vertex, a, b, weight)
 
 
-@dataclass(frozen=True)
-class AlternatingDigraph:
+class AlternatingDigraph(NamedTuple):
     vertices: tuple[tuple, ...]  # ("pair", a, b) | ("ua", a) | ("ub", b)
     arcs: tuple[Arc, ...]
     vertex_of: dict[str, int]
@@ -46,12 +45,13 @@ def _vertices(inst: Instance, m: Matching) -> tuple[tuple[tuple, ...], dict[str,
     vertices = [("pair", a, b) for a, b in sorted(m.pairs)]
     vertices += [("ua", a) for a in inst.side_a if a not in m.partner]
     vertices += [("ub", b) for b in inst.side_b if b not in m.partner]
-    vertex_of = {u: i for i, vertex in enumerate(vertices) for u in vertex[1:]}
+    vertex_of: dict[str, int] = {}
+    for i, vertex in enumerate(vertices):  # a pair's two nodes, or one node twice
+        vertex_of[vertex[1]] = vertex_of[vertex[-1]] = i
     return tuple(vertices), vertex_of
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """An alternating cycle or path.
 
     `edges` is the ordered edge list of the walk (matching edges included);
@@ -66,14 +66,12 @@ class Witness:
     weight: int
 
 
-@dataclass(frozen=True)
-class PopularityVerdict:
+class PopularityVerdict(NamedTuple):
     popular: bool
     witness: Witness | None
 
 
-@dataclass(frozen=True)
-class ParetoVerdict:
+class ParetoVerdict(NamedTuple):
     pareto: bool
     witness: Witness | None
 

@@ -309,3 +309,72 @@ def test_random_instance_mutual_and_deterministic():
     b = random_instance(4, 5, 0.6, 42, (0, 9))
     assert a == b
     assert a == parse_instance(serialize_instance(a))
+
+
+# ---------------------------------------------------------------------------
+# Value types: read-only fields, equality, hashing, construction
+
+
+def test_value_type_fields_are_read_only(i1):
+    from popmax import CnfFormula, Witness, verify_popular_max
+
+    m = mk(i1, ("a1", "b1"), ("a2", "b2"))
+    formula = CnfFormula(2, [[1, -2]])
+    records = [verify_popular_max(i1, m), Witness("path", ("a1",), (), 2)]
+    for value in (i1, m, formula, *records):
+        names = getattr(type(value), "_fields", None) or type(value).__slots__
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        del m.partner
+    assert formula.clauses == ((1, -2),)
+
+
+def test_equal_matchings_hash_equal_and_instances_are_unhashable(i1):
+    from popmax import Matching
+
+    m, n = mk(i1, ("a1", "b1"), ("a2", "b2")), Matching([("a2", "b2"), ("a1", "b1")])
+    assert m == n and hash(m) == hash(n) and len({m, n, mk(i1)}) == 2
+    assert m != mk(i1) and m != m.pairs
+    with pytest.raises(TypeError):
+        hash(i1)
+    with pytest.raises(TypeError):
+        {i1}  # noqa: B018
+
+
+def test_value_types_copy_and_pickle(i2c):
+    import copy
+    import pickle
+
+    m = mk(i2c, ("a1", "b1"), ("a2", "b2"))
+    for value in (i2c, m):
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert clone == value and clone is not value
+    assert pickle.loads(pickle.dumps(m)).partner == m.partner
+
+
+def test_instance_keyword_construction_and_costs_default():
+    inst = Instance(side_a=["a"], side_b=["b"], prefs={"a": ["b"], "b": ["a"]})
+    assert inst.costs == {} and inst.edges == (("a", "b"),)
+    assert inst == Instance(("a",), ("b",), {"a": ("b",), "b": ("a",)}, costs={("a", "b"): 0})
+    assert repr(inst) == ("Instance(side_a=('a',), side_b=('b',), "
+                          "prefs={'a': ('b',), 'b': ('a',)}, costs={})")
+
+
+def test_replaced_post_init_is_seen_by_the_next_construction(monkeypatch, i1):
+    """A tracer times construction by wrapping `__post_init__` on the class."""
+    from popmax import Matching
+
+    seen = []
+    for cls in (Instance, Matching):
+        original = cls.__post_init__
+
+        def wrapped(self, original=original):
+            seen.append(type(self).__name__)
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", wrapped)
+    inst = parse_instance(I1_TEXT)
+    m = parse_matching(inst, "a2 b1\n")
+    assert seen == ["Instance", "Matching"] and m.partner == {"a2": "b1", "b1": "a2"}

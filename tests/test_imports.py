@@ -1,17 +1,53 @@
-"""The package's module import graph has no cycle, only `gstar` knows the
-layout of the derived instance and reads it in one place, `mincost` holds
-no stable-matching enumerator, and the stable-matching layer has one
-configuration."""
+"""The package's module import graph has no cycle, the package root and the
+CLI load layers only when they are used, no module imports `dataclasses`,
+only `gstar` knows the layout of the derived instance and reads it in one
+place, `mincost` holds no stable-matching enumerator, and the
+stable-matching layer has one configuration."""
 
 from __future__ import annotations
 
 import ast
 import inspect
+import json
+import os
+import subprocess
+import sys
+from importlib import import_module
 from pathlib import Path
+
+import pytest
 
 import popmax
 
+from conftest import I3_TEXT
+
 PACKAGE = Path(popmax.__file__).parent
+
+# the names the package root exported, by defining module, when it imported
+# every module eagerly
+EXPORTED = {module: names.split() for module, names in {
+    "certificates": "CertificateReport DualCertificate certify_popular_max extract_certificate "
+                    "lift parse_certificate serialize_certificate verify_certificate",
+    "core": "Edge Instance Matching VoteTally compare is_maximum make_matching matching_cost "
+            "matching_to_json parse_instance parse_matching random_instance "
+            "serialize_instance serialize_matching wt_edge",
+    "errors": "BoundExceededError CertificateError InputError InternalError NotMaximumError "
+              "NotPopularError NotStableError ParseError PopmaxError UnsupportedClauseError "
+              "ValidationError",
+    "gstar": "GStarInstance build_gstar level_proposals levels place popular_max_matching project",
+    "hardness": "CnfFormula GadgetInstance ReductionReport assignment_to_matching brute_sat "
+                "build_gadget_instance check_reduction matching_to_assignment "
+                "pad_unit_clauses parse_dimacs to_dimacs transform_formula",
+    "mincost": "FlowNetwork MaxFlowResult MinCostResult RotationPoset emit_lp find_rotations "
+               "max_flow min_cost_popular_max min_cost_stable",
+    "oracle": "closed_subsets eliminate enumerate_stable matching_of_closed_subset",
+    "popularity": "AlternatingDigraph ParetoVerdict PopularityVerdict Witness apply_witness "
+                  "build_alternating_digraph format_witness is_pareto_optimal verify_popular_max",
+    "stable": "blocking_edges gale_shapley is_stable",
+}.items()}
+ALL = sorted(name for names in EXPORTED.values() for name in names)
+SUBMODULES = ("certificates", "cli", "core", "errors", "gstar", "hardness", "mincost",
+              "oracle", "popularity", "stable")
 
 
 def _relative_imports(path: Path, modules: set[str]) -> set[str]:
@@ -82,6 +118,78 @@ def test_derived_instance_has_one_reader():
     the derived instance alone, whose source cannot disagree with it."""
     assert not hasattr(popmax.gstar, "_collapse")
     assert not hasattr(popmax.gstar.GStarTables, "project")
-    fields = popmax.gstar.GStarInstance.__dataclass_fields__
+    fields = popmax.gstar.GStarInstance._fields
     assert "origin" not in fields and "ids" in fields
     assert list(inspect.signature(popmax.extract_certificate).parameters) == ["gs", "s"]
+
+
+def test_no_module_imports_dataclasses():
+    """`dataclasses` (and `inspect` under it) cost more to import than the
+    records they would build; the value types use __slots__ or NamedTuple."""
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module.split(".")[0]]
+            else:
+                continue
+            assert "dataclasses" not in names, f"{path.name}:{node.lineno} imports dataclasses"
+
+
+def _loaded_by(code: str, tmp_path: Path) -> set[str]:
+    """The modules a fresh interpreter holds after running `code` that it did
+    not hold when the code began, i.e. beyond a `python -c pass` start."""
+    script = ("import json, sys; before = set(sys.modules)\n" + code +
+              "\nprint(json.dumps(sorted(set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, check=True)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+LAYERS = {f"popmax.{m}" for m in SUBMODULES} - {"popmax.cli", "popmax.core", "popmax.errors"}
+
+
+def test_importing_the_cli_loads_no_layer(tmp_path):
+    loaded = _loaded_by("import popmax.cli", tmp_path)
+    assert {"popmax.cli", "popmax.core", "popmax.errors"} <= loaded
+    assert not loaded & (LAYERS | {"dataclasses", "fractions", "inspect"})
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["verify", "i.txt", "m.txt"], {"popmax.popularity"}),
+    (["pareto", "i.txt", "m.txt"], {"popmax.popularity"}),
+    (["solve", "i.txt"], {"popmax.gstar", "popmax.stable"}),
+    (["gen-random", "--na", "2", "--nb", "2", "--density", "1", "--seed", "1"], set()),
+])
+def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
+    (tmp_path / "i.txt").write_text(I3_TEXT)
+    (tmp_path / "m.txt").write_text("a1 b1\n")
+    code = ("import contextlib, io, popmax.cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()): popmax.cli.main({argv!r})")
+    assert _loaded_by(code, tmp_path) & LAYERS == layers
+
+
+def test_package_root_exports_the_same_names():
+    assert sorted(popmax.__all__) == ALL and len(ALL) == 78
+    for module, names in EXPORTED.items():
+        for name in names:
+            value = getattr(popmax, name)
+            assert value is getattr(import_module(f"popmax.{module}"), name), name
+            if getattr(value, "__module__", "").startswith("popmax."):  # not Edge
+                assert value.__module__ == f"popmax.{module}", name
+    assert set(ALL) | set(SUBMODULES) <= set(dir(popmax))
+
+
+def test_package_root_rejects_unknown_names():
+    with pytest.raises(AttributeError, match="no attribute 'LimitExceededError'"):
+        popmax.LimitExceededError  # noqa: B018
+    assert not hasattr(popmax, "unpopularity_ratio")
+
+
+def test_star_import_binds_exactly_all():
+    namespace: dict = {}
+    exec("from popmax import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == ALL
