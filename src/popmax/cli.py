@@ -2,7 +2,9 @@
 
 Exit codes: 0 success/verified, 1 verification rejected (witness printed),
 2 malformed input, 3 size bound exceeded, 4 internal error (a bug: a
-condition the theory rules out was met; `internal error: ...` on stderr).
+condition the theory rules out was met; `internal error: ...` on stderr),
+141 (128 + SIGPIPE) stdout closed by its reader before the output was
+written, with nothing on stderr.
 
 Every command uses `core` and `errors`; each handler imports the layers
 only it uses, so a command loads no more of the package than it runs.
@@ -31,6 +33,10 @@ EXIT_REJECTED = 1
 EXIT_BAD_INPUT = 2
 EXIT_BOUND = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141
+
+# `emit-lp` writes its text in chunks of about this many characters
+CHUNK = 1 << 16
 
 
 def _read(path: str) -> str:
@@ -125,11 +131,40 @@ def cmd_pareto(args) -> int:
     return EXIT_OK
 
 
+def _chunks(pieces):
+    """Runs of whole lines joined into chunks of at least CHUNK characters
+    (the last one may be shorter), each ending where a line does."""
+    buf, size = [], 0
+    for piece in pieces:
+        buf.append(piece)
+        size += len(piece)
+        if size >= CHUNK:
+            yield "".join(buf)
+            buf, size = [], 0
+    if buf:
+        yield "".join(buf)
+
+
 def cmd_emit_lp(args) -> int:
+    """Write the LP text chunk by chunk as it is made; with --json, each
+    chunk escaped inside the envelope, the same bytes as `_emit` prints."""
     from . import mincost
     inst = core.parse_instance(_read(args.instance))
-    text = mincost.emit_lp(inst)
-    _emit(args, "ok", {"lp": text}, text=text)
+    chunks = _chunks(mincost._lp_text(inst))
+    first = next(chunks)  # checks the instance before a byte is written
+    out = sys.stdout
+    if args.json:
+        # json.dumps of the envelope with sort_keys, in pieces: escaping a
+        # string is per character, so the escaped chunks join to the whole
+        out.write('{"result": {"lp": "')
+        out.write(json.dumps(first)[1:-1])
+        for chunk in chunks:
+            out.write(json.dumps(chunk)[1:-1])
+        out.write('"}, "status": "ok"}\n')
+    else:
+        out.write(first)
+        for chunk in chunks:
+            out.write(chunk)
     return EXIT_OK
 
 
@@ -311,6 +346,20 @@ def main(argv=None) -> int:
     if getattr(args, "command", "") == "gen-random" and args.cost_lo is not None \
             and args.cost_hi is None:
         PARSER.error("gen-random --cost-lo needs --cost-hi")
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # a reader gone before the end shows here at the latest
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`popmax emit-lp i.txt | head`); point fd 1
+        # at the null device so the flush at exit writes the rest there quietly
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        return EXIT_PIPE
+
+
+def _run(args) -> int:
+    """Run the command, mapping each error to its exit code."""
     try:
         return args.func(args)
     except NotMaximumError as exc:

@@ -14,13 +14,15 @@ is exact integer arithmetic.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterator
 from itertools import accumulate
 from typing import NamedTuple
 
 from .certificates import DualCertificate, certify_popular_max
-from .core import Edge, Instance, Matching, make_matching, matching_cost
+from .core import Instance, Matching, make_matching, matching_cost
 from .errors import InternalError
-from .gstar import GStarTables, _level_run, _n_levels, _tables, build_tables
+from .gstar import _level_run, _n_levels, _tables, build_tables
 from .stable import gale_shapley
 
 # ---------------------------------------------------------------------------
@@ -369,13 +371,12 @@ def _enc(name: str) -> str:
     return "".join(out)
 
 
-def _lp_token(gt: GStarTables, u: int) -> str:
-    kind = gt.origin(u)
-    if kind[0] == "copy":
-        return f"{_enc(kind[1])}.c{kind[2]}"
-    if kind[0] == "dummy":
-        return f"{_enc(kind[1])}.d{kind[2]}"
-    return f"{_enc(kind[1])}.t"
+def _lp_token(origin: tuple, enc: dict[str, str]) -> str:
+    """The LP token of a derived node, from its `GStarTables.origin` and the
+    encodings of the source nodes."""
+    if origin[0] == "image":
+        return f"{enc[origin[1]]}.t"
+    return f"{enc[origin[1]]}.{'c' if origin[0] == 'copy' else 'd'}{origin[2]}"
 
 
 def emit_lp(inst: Instance) -> str:
@@ -386,43 +387,62 @@ def emit_lp(inst: Instance) -> str:
     node (equality for the nodes every stable matching must match), and a
     linkage row tying each source edge variable to the sum of its copies.
     Minimizing the cost objective over this polytope solves min-cost
-    popular max-matching; vertices are integral. The rows are written
-    from the derived instance's integer tables, one LP token per id.
+    popular max-matching; vertices are integral.
+
+    The text is the join of `_lp_text`, which the `emit-lp` command writes
+    as it goes, so the command never holds the whole text: the stability
+    rows grow as the square of each image's list, about n^4 characters on
+    a square instance with n nodes a side.
+    """
+    return "".join(_lp_text(inst))
+
+
+def _lp_text(inst: Instance) -> Iterator[str]:
+    """The text of `emit_lp` in pieces, each a run of whole lines, made as
+    they are consumed: the header, then per copy its stability rows, per
+    node its degree rows, per source edge its linkage row, per copy the
+    bounds of its edges, and the rest. The instance is checked on the
+    first `next`.
+
+    The rows are written from the derived instance's integer tables: each
+    source node is encoded once, and each derived edge's term is formatted
+    once and shared by the rows of both its ends and its bounds row.
     """
     gt = build_tables(inst)
     nodes = range(len(gt.prefs))
     copies_end = gt.n_copies  # ids below are copies, the derived A-side
-    kind = [gt.origin(u) for u in nodes]
-    token = [_lp_token(gt, u) for u in nodes]
-    edges = [(u, v) for u in range(copies_end) for v in gt.prefs[u]]
+    images = {gt.image(j) for j in range(len(inst.side_b))}
+    enc = {u: _enc(u) for u in inst.nodes}
+    token = [_lp_token(gt.origin(u), enc) for u in nodes]
+    pair = {e: f"{enc[e[0]]}.{enc[e[1]]}" for e in inst.edges}  # x.<pair> per source edge
 
-    def evar(u: int, v: int) -> str:
-        return f"xs.{token[u]}.{token[v]}"
-
-    def gvar(a: str, b: str) -> str:
-        return f"x.{_enc(a)}.{_enc(b)}"
-
-    lines = ["\\ extended formulation for the popular max-matching polytope"]
-    lines.append("Minimize")
-    terms = [f"{inst.cost(e)} {gvar(*e)}" for e in inst.edges]
-    if not terms and edges:
-        terms = [f"0 {evar(*edges[0])}"]
-    lines.append(" obj: " + " + ".join(terms))
-    lines.append("Subject To")
-
-    # each node's edge variables in its preference order, formatted and
-    # joined once; the first i terms with their separators end at start[x][i]
-    row = [[evar(x, y) if x < copies_end else evar(y, x) for y in gt.prefs[x]] for x in nodes]
+    # each copy's edge terms in its preference order, formatted once; every
+    # other node's row lists the same strings in its own order. Each row is
+    # joined once, and an image's first i terms with their separators end
+    # at start[image][i]
+    row = [[f"xs.{token[u]}.{token[v]}" for v in gt.prefs[u]] for u in range(copies_end)]
     joined = [" + ".join(terms) for terms in row]
-    start = [list(accumulate((len(t) + 3 for t in terms), initial=0)) for terms in row]
-    copies: dict[Edge, list[str]] = {e: [] for e in inst.edges}  # lowest copy first
-    for u, v in edges:
-        if kind[v][0] == "dummy":
-            continue
-        ru, rv = gt.rank[u][v], gt.rank[v][u]
-        expr = f"{joined[u][:start[u][ru]]}{joined[v][:start[v][rv]]}{row[u][ru]}"
-        lines.append(f" stab.{token[u]}.{token[v]}: {expr} >= 1")
-        copies[kind[u][1], kind[v][1]].append(row[u][ru])
+    start = {}
+    for x in nodes[copies_end:]:
+        terms = [row[y][gt.rank[y][x]] for y in gt.prefs[x]]
+        joined.append(" + ".join(terms))
+        if x in images:
+            start[x] = array("q", accumulate((len(t) + 3 for t in terms), initial=0))
+
+    terms = [f"{inst.cost(e)} x.{p}" for e, p in pair.items()]
+    if not terms:
+        terms = [f"0 {r[0]}" for r in row if r][:1]
+    yield ("\\ extended formulation for the popular max-matching polytope\n"
+           f"Minimize\n obj: {' + '.join(terms)}\nSubject To\n")
+
+    for u, terms in enumerate(row):
+        head, ju, end, rows = f" stab.{token[u]}.", joined[u], 0, []
+        for v, term in zip(gt.prefs[u], terms):
+            if v in start:
+                rows.append(f"{head}{token[v]}: {ju[:end]}"
+                            f"{joined[v][:start[v][gt.rank[v][u]]]}{term} >= 1\n")
+            end += len(term) + 3
+        yield "".join(rows)
 
     # the nodes every stable matching matches: those the dummy chains fill
     # when no source node is matched
@@ -430,17 +450,18 @@ def emit_lp(inst: Instance) -> str:
     for node, expr in enumerate(joined):
         if not expr:
             continue
-        lines.append(f" deg.{token[node]}: {expr} <= 1")
+        yield f" deg.{token[node]}: {expr} <= 1\n"
         if node in must_match:
-            lines.append(f" fix.{token[node]}: {expr} = 1")
+            yield f" fix.{token[node]}: {expr} = 1\n"
 
-    for a, b in inst.edges:
-        lines.append(f" link.{_enc(a)}.{_enc(b)}: {gvar(a, b)} - {' - '.join(copies[a, b])} = 0")
+    levels = range(gt.n_levels)
+    copies = [[gt.copy(k, i) for i in levels] for k in range(len(inst.side_a))]  # lowest first
+    for (a, b), p in pair.items():
+        v = gt.image(gt.index[b])
+        terms = [row[u][gt.rank[u][v]] for u in copies[gt.index[a]]]
+        yield f" link.{p}: x.{p} - {' - '.join(terms)} = 0\n"
 
-    lines.append("Bounds")
-    for u, v in edges:
-        lines.append(f" 0 <= {evar(u, v)} <= 1")
-    for a, b in inst.edges:
-        lines.append(f" 0 <= {gvar(a, b)} <= 1")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    yield "Bounds\n"
+    for terms in row:
+        yield "".join([f" 0 <= {term} <= 1\n" for term in terms])
+    yield "".join([f" 0 <= x.{p} <= 1\n" for p in pair.values()]) + "End\n"

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import popmax
+from popmax import random_instance, serialize_instance
 from popmax.cli import main
 
 from conftest import I0_TEXT, I2_COSTED_TEXT, I3_TEXT
@@ -199,6 +206,83 @@ def test_mincost_and_emit_lp_reject_reserved_ids(tmp_path, capsys):
         code, _, err = run(capsys, *cmd, str(p))
         assert code == 2
         assert "node id 'x#1' contains a character reserved for derived names (#!~)" in err
+
+
+def test_emit_lp_reserved_id_prints_no_partial_lp(tmp_path, capsys):
+    """The check of the derived names runs before `emit-lp` writes a byte:
+    stdout holds the error envelope or nothing, never the head of an LP."""
+    p = tmp_path / "reserved.txt"
+    p.write_text("side A x#1\nside B b\n")
+    message = "node id 'x#1' contains a character reserved for derived names (#!~)"
+    assert run(capsys, "emit-lp", str(p)) == (2, "", f"error: {message}\n")
+    envelope = json.dumps({"status": "error", "result": message}) + "\n"
+    assert run(capsys, "--json", "emit-lp", str(p)) == (2, envelope, f"error: {message}\n")
+
+
+class _Sink:
+    """A stdout that counts the nonempty writes made to it and keeps none
+    of their text."""
+
+    def __init__(self):
+        self.size = self.writes = 0
+        self.whole_lines = True
+
+    def write(self, text: str) -> int:
+        if text:
+            self.size += len(text)
+            self.writes += 1
+            self.whole_lines &= text.endswith("\n")
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_emit_lp_writes_as_it_goes(tmp_path):
+    """At n=40 the LP text is about 94 MB; `emit-lp` holds the tables, one
+    copy's stability rows and one chunk at a time, each chunk a run of
+    whole lines."""
+    import tracemalloc
+
+    p = tmp_path / "n40.txt"
+    p.write_text(serialize_instance(random_instance(40, 40, 0.3, 1264, (0, 9))))
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["emit-lp", str(p)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.size > 90_000_000
+    assert peak < sink.size / 10
+    assert sink.writes > 1 and sink.whole_lines
+
+
+def _closed_early(argv, keep: int, stdin: bytes = b""):
+    """Run popmax in a fresh process whose stdout reader leaves after `keep`
+    bytes, then feed it `stdin`: (bytes read, exit code, stderr)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(popmax.__file__).parents[1])}
+    with subprocess.Popen([sys.executable, "-m", "popmax.cli", *argv], stdin=subprocess.PIPE,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        head = proc.stdout.read(keep)
+        proc.stdout.close()
+        _, err = proc.communicate(stdin, timeout=60)
+    return head, proc.returncode, err
+
+
+def test_closed_stdout_exits_quietly(tmp_path, capsys):
+    """A reader that closes the pipe early (`popmax emit-lp i.txt | head`)
+    gets exit code 141 and nothing on stderr, not a traceback and not 1."""
+    inst = tmp_path / "c.txt"
+    inst.write_text(serialize_instance(random_instance(12, 12, 0.3, 1, (0, 9))))
+    code, lp, _ = run(capsys, "emit-lp", str(inst))
+    assert code == 0 and len(lp) > 4 * 65536  # more than a pipe holds
+    assert _closed_early(["emit-lp", str(inst)], 50) == (lp[:50].encode(), 141, b"")
+    # certify writes only once its matching, read from stdin, has come: by
+    # then the reader is gone
+    _, m, _ = run(capsys, "solve", str(inst))
+    assert _closed_early(["--json", "certify", str(inst), "-"], 0, m.encode()) == (b"", 141, b"")
 
 
 def test_gen_random_deterministic(capsys):

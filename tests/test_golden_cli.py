@@ -7,10 +7,11 @@ sides 1..5, the conftest fixtures and the stretch fixture. Each instance
 runs `solve`, `mincost`, `--json mincost`, `emit-lp` and `gstar`; up to six
 of its maximum matchings (popular ones first) and one non-maximum matching
 run `verify`, `certify`, `--json certify` and `pareto`. Two larger costed
-instances (sides 13 and 17, density 0.3) run `emit-lp` only. Five edge
-cases of the derived-instance layout (|A| = 0, |A| = 1 so no dummies,
-|B| = 0, isolated nodes, and a level-heavy 7x2 costed instance) run
-`mincost`, `--json mincost` and `emit-lp`; the 7x2 one also runs `gstar`,
+instances (sides 13 and 17, density 0.3) run `emit-lp` and `--json
+emit-lp` only. Five edge cases of the derived-instance layout (|A| = 0,
+|A| = 1 so no dummies, |B| = 0, isolated nodes, and a level-heavy 7x2
+costed instance) run `mincost`, `--json mincost`, `emit-lp` and `--json
+emit-lp`; the 7x2 one also runs `gstar`,
 whose derived instance keeps |A| levels. Seven level-heavy instances
 (|A| from 30 to 60, |B| from 1 to 6, four of them costed) run `solve`,
 `mincost` and `--json mincost`, which climb fewer levels than |A|. The
@@ -55,7 +56,8 @@ MATCHING_COMMANDS = (("verify",), ("certify",), ("--json", "certify"), ("pareto"
 MATCHINGS_PER_INSTANCE = 6
 # emit-lp alone on larger costed instances, whose stab.* rows are long
 LP_SIDES = (13, 17)
-EDGE_COMMANDS = (("mincost",), ("--json", "mincost"), ("emit-lp",))
+LP_COMMANDS = (("emit-lp",), ("--json", "emit-lp"))
+EDGE_COMMANDS = (("mincost",), ("--json", "mincost")) + LP_COMMANDS
 EDGE_CASES = {
     "edge-a0": "side A\nside B b1 b2\n",
     "edge-a1": "side A a\nside B b1 b2 b3\npref a: b2 b1\npref b1: a\npref b2: a\n"
@@ -137,7 +139,8 @@ def compute_digests(workdir: Path) -> dict[str, str]:
     for n in LP_SIDES:
         path = workdir / f"lp{n}.txt"
         path.write_text(serialize_instance(random_instance(n, n, 0.3, 500 + n, (0, 9))))
-        digests[f"lp{n} emit-lp"] = _digest(("emit-lp", str(path)))
+        for cmd in LP_COMMANDS:
+            digests[f"lp{n} {' '.join(cmd)}"] = _digest(cmd + (str(path),))
     edge_cases = {name: parse_instance(text) for name, text in EDGE_CASES.items()}
     edge_cases["edge-levels"] = random_instance(7, 2, 0.5, 9427, (0, 9))
     for name, inst in edge_cases.items():

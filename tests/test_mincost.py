@@ -347,21 +347,24 @@ def test_emit_lp_deterministic(i2c):
     assert emit_lp(i2c) == emit_lp(i2c)
 
 
-def test_emit_lp_encodes_each_derived_node_once(monkeypatch):
+def test_emit_lp_encodes_each_source_node_once(monkeypatch):
+    """Every derived node's token and every source edge's variable reuse
+    the one encoding of their source nodes."""
     from collections import Counter
 
     inst = random_instance(4, 5, 0.6, 3, (0, 9))
-    token = mincost._lp_token
+    enc = mincost._enc
     encoded = Counter()
 
-    def counted(gt, u):
-        encoded[gt.origin(u)] += 1
-        return token(gt, u)
+    def counted(name):
+        encoded[name] += 1
+        return enc(name)
 
-    monkeypatch.setattr(mincost, "_lp_token", counted)
-    emit_lp(inst)
-    gt = gstar.build_tables(inst)
-    assert encoded == Counter(map(gt.origin, range(len(gt.prefs))))
+    monkeypatch.setattr(mincost, "_enc", counted)
+    text = emit_lp(inst)
+    assert encoded == Counter(inst.nodes)
+    monkeypatch.setattr(mincost, "_enc", enc)
+    assert emit_lp(inst) == text
 
 
 def test_emit_lp_distinct_ids_get_distinct_rows():
