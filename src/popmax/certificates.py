@@ -8,12 +8,16 @@ and every edge with a matched endpoint satisfied, an unmatched node taking
 the extreme value of its side. Neighbors of unmatched B-nodes must sit at 0
 and neighbors of unmatched A-nodes at the top of the range. A level is half
 the absolute value. `certify_popular_max` reads a certificate off the
-potentials of the popularity pass, and `extract_certificate` off the
-levels of a stable matching of the derived instance; both compress the
-levels into the range the matched-pair count allows. `lift` goes the other
-way: it places a certificate's levels on the copies of the derived
-instance, stretched to its top copy when unmatched A-nodes demand it.
-The compressor `_remap_levels` serves all three.
+potentials of the popularity pass. A stable matching of the derived
+instance, given as id pairs of its tables, has one reader,
+`_read_certificate`: one `GStarTables.read` gives the projection and its
+levels, which become the certificate. `extract_certificate` reads a stable
+matching of the string-named instance through it, and `mincost` its
+min-cost stable matching. Both routes compress the levels into the range
+the matched-pair count allows. `lift` goes the other way: it places a
+certificate's levels on the copies of the derived instance, stretched to
+its top copy when unmatched A-nodes demand it. The compressor
+`_remap_levels` serves all of them.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .core import Instance, Matching, _weights, is_maximum
-from .errors import CertificateError, InternalError, NotMaximumError, NotPopularError, ParseError
-from .gstar import GStarInstance, build_gstar, levels, place, project
+from .errors import CertificateError, InternalError, NotMaximumError, NotPopularError, NotStableError, ParseError
+from .gstar import GStarInstance, GStarTables, build_gstar, place, project
 from .popularity import Witness, _witness_or_potentials
 from .stable import is_stable
 
@@ -42,11 +46,24 @@ class CertificateReport(NamedTuple):
 
 def extract_certificate(gs: GStarInstance, s: Matching) -> DualCertificate:
     """Certificate for project(s) in gs's source from the levels of stable
-    s, restricted to the matched nodes; see `_certificate_from_levels`."""
-    level = levels(gs, s)  # raises NotStableError for unstable s
-    m = project(gs, s)
-    _require_maximum(gs.source, m)
-    return _certificate_from_levels(gs.source, m, {u: level[u] for u in m.partner})
+    s, restricted to the matched nodes; see `_read_certificate`."""
+    if not is_stable(gs.inner, s):
+        raise NotStableError("certificates are read off stable matchings of the derived instance")
+    return _read_certificate(gs.tables, ((gs.ids[u], gs.ids[v]) for u, v in s.pairs))[1]
+
+
+def _read_certificate(gt: GStarTables, pairs) -> tuple[Matching, DualCertificate]:
+    """The source matching that stable id pairs of `gt` stand for, and its
+    certificate from their levels, in one `GStarTables.read`.
+
+    The projection of a stable matching is a popular max-matching, so a
+    projection that is not maximum is a bug, not a verdict on any input.
+    """
+    m, level = gt.read(pairs)
+    maximum, path = is_maximum(gt.source, m)
+    if not maximum:
+        raise InternalError(f"projection of a stable matching is not maximum; augmenting path: {' '.join(path)}")
+    return m, _certificate_from_levels(gt.source, m, {u: level[u] for u in m.partner})
 
 
 def _certificate_from_levels(inst: Instance, m: Matching, raw: dict[str, int]) -> DualCertificate:
@@ -150,14 +167,10 @@ def verify_certificate(inst: Instance, m: Matching, cert: DualCertificate) -> Ce
     matched pairs, each 0 under (CS); a (Z) violation always comes with a
     (CS) one.
     """
-    _require_maximum(inst, m)
-    return _check_conditions(inst, m, cert)
-
-
-def _require_maximum(inst: Instance, m: Matching) -> None:
     maximum, path = is_maximum(inst, m)
     if not maximum:
         raise NotMaximumError("certificates are only defined for maximum matchings", path)
+    return _check_conditions(inst, m, cert)
 
 
 def _check_conditions(inst: Instance, m: Matching, cert: DualCertificate) -> CertificateReport:

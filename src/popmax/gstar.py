@@ -245,7 +245,7 @@ def level_proposals(inst: Instance) -> tuple[Matching, dict[str, int]]:
 
 def _level_run(inst: Instance, n_levels: int) -> tuple[Matching, dict[str, int]]:
     """`level_proposals` in the derived instance with `n_levels` levels."""
-    held, level = _propose(inst, inst.side_a, n_levels - 1)
+    held, level = _propose(inst, n_levels - 1)
     m = make_matching(inst, held.items())
     level.update((b, level[held[b]] if b in held else 0) for b in inst.side_b)
     return m, level

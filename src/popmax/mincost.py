@@ -2,14 +2,15 @@
 
 The route: lay out the derived instance as integer tables, with
 max(min(|A|, |B|), 1) levels (see `min_cost_popular_max`) and each
-copy-image edge costing its source edge and dummy edges free,
-find a minimum-cost stable matching there, and project. Min-cost stable
-matching itself runs on the rotation poset: the stable matchings of a
-marriage instance are exactly the eliminations of downward-closed rotation
-sets from the proposer-optimal matching, so a cheapest one is a
-minimum-weight closed subset, found by max-flow/min-cut. One rotation walk
-serves both the string-named `Instance` and the integer tables. Everything
-is exact integer arithmetic.
+copy-image edge costing its source edge and dummy edges free, find a
+minimum-cost stable matching there, and project it, reading the
+certificate off its copy levels (claim (d) of `min_cost_popular_max`).
+Min-cost stable matching itself runs on the rotation poset: the stable
+matchings of a marriage instance are exactly the eliminations of
+downward-closed rotation sets from the proposer-optimal matching, so a
+cheapest one is a minimum-weight closed subset, found by max-flow/min-cut.
+One rotation walk serves both the string-named `Instance` and the integer
+tables. Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections.abc import Iterator
 from itertools import accumulate
 from typing import NamedTuple
 
-from .certificates import DualCertificate, certify_popular_max
+from .certificates import DualCertificate, _read_certificate
 from .core import Instance, Matching, make_matching, matching_cost
 from .errors import InternalError
 from .gstar import _level_run, _n_levels, _tables, build_tables
@@ -336,12 +337,36 @@ def min_cost_popular_max(inst: Instance) -> MinCostResult:
     R_T whose matchings have minimum cost; the bijection of (b) keeps the
     matchings and each A-node's comparison, so it maps that element to the
     greatest element of the same part of R_|A|, with the same matching.
+
+    (d) The certificate is the one `certify_popular_max` gives the
+    matching M, so `_min_cost` reads it off the levels of its own stable
+    matching (`certificates._read_certificate`) and runs no popularity
+    pass. Let k = |M|. Halved, the pass's potentials are the least levels
+    l_k^M of `_n_levels` on the matched nodes: its relaxation is the
+    longest-chain closure from 0 at the pairs and 2(k-1) at the unmatched
+    A-nodes, whose arcs weigh 0 when M is popular (the preferences of (P)),
+    and the arcs into unmatched B-nodes raise no pair. By (c) the min-cost
+    stable matching has the least levels l_T^M of its matching, which the
+    proof of (b) makes l_k^M + (T-k) on D and l_k^M off it. Both maps are
+    compressed by `_remap_levels`, which reads only the order of the
+    levels, their adjacency and the rigid gaps, and these agree:
+    - with d the pairs of M in D, a level off D is the gain of a chain that
+      stays off D, at most k-d-1, and a level on D is at least T-d >= k-d,
+      so every level off D lies below every level on D;
+    - no edge joins an A-node of D to a B-node off D (D holds the
+      neighbors of its A-nodes), and an edge from an A-node off D to a
+      B-node of D rises, so a rigid gap lies inside one part, where the
+      maps differ by a constant, and the gap between the parts is not
+      rigid.
+    So both maps are packed, pinned and widened alike into the same
+    certificate; the same argument holds at |A| levels.
     """
     return _min_cost(inst, _n_levels(inst))
 
 
 def _min_cost(inst: Instance, n_levels: int) -> MinCostResult:
-    """`min_cost_popular_max` on the derived instance with `n_levels` levels."""
+    """`min_cost_popular_max` on the derived instance with `n_levels` levels,
+    the certificate read off its levels (claim (d))."""
     gt = _tables(inst, n_levels)
     m0, level = _level_run(inst, n_levels)
     base = gt.place(m0.pairs, level)
@@ -349,11 +374,11 @@ def _min_cost(inst: Instance, n_levels: int) -> MinCostResult:
     partner.update((v, u) for u, v in base)
     cycles, preds = _rotation_walk(gt.prefs, gt.rank, range(gt.n_copies), partner)
     s = _cheapest_elimination(base, cycles, preds, gt.cost)
-    m = gt.read(s)[0]
-    if sum(map(gt.cost, s)) != matching_cost(inst, m):
+    m, cert = _read_certificate(gt, s)
+    cost = sum(map(gt.cost, s))
+    if cost != matching_cost(inst, m):
         raise InternalError("cost lifting is not cost-preserving")
-    cert = certify_popular_max(inst, m)
-    return MinCostResult(m, matching_cost(inst, m), cert)
+    return MinCostResult(m, cost, cert)
 
 
 # ---------------------------------------------------------------------------

@@ -15,18 +15,17 @@ def gale_shapley(inst: Instance) -> Matching:
     Nodes with exhausted lists stay unmatched. The B-optimal matching is
     this run on the instance with its sides swapped.
     """
-    held, _ = _propose(inst, inst.side_a, 0)
+    held, _ = _propose(inst, 0)
     return make_matching(inst, held.items())
 
 
-def _propose(inst: Instance, proposers: tuple[str, ...],
-             top: int) -> tuple[dict[str, str], dict[str, int]]:
-    """Deferred acceptance from a fixed queue in declaration order, with
-    levels 0..top: a proposer that exhausts its list starts it again one
-    level higher, and stays unmatched at `top`. A receiver holds the
+def _propose(inst: Instance, top: int) -> tuple[dict[str, str], dict[str, int]]:
+    """Deferred acceptance from side A, a fixed queue in declaration order,
+    with levels 0..top: a proposer that exhausts its list starts it again
+    one level higher, and stays unmatched at `top`. A receiver holds the
     proposer with the largest (level, own preference). Returns the
     receiver -> proposer map and every proposer's final level."""
-    prefs, rank = inst.prefs, inst._rank
+    prefs, rank, proposers = inst.prefs, inst._rank, inst.side_a
     level = dict.fromkeys(proposers, 0)
     next_choice = dict.fromkeys(proposers, 0)
     held: dict[str, str] = {}

@@ -169,6 +169,29 @@ def test_extracted_certificates_verify_on_randoms():
             assert verify_certificate(inst, project(gs, s), cert).ok
 
 
+def test_extract_reads_the_stable_matching_once(monkeypatch):
+    """`extract_certificate` takes the projection and its levels from one
+    `GStarTables.read`."""
+    from popmax.gstar import GStarTables
+
+    reads = []
+    read = GStarTables.read
+
+    def counting_read(self, pairs):
+        reads.append(1)
+        return read(self, pairs)
+
+    for _seed, inst in random_cases(20, 4, 8000):
+        gs = build_gstar(inst)
+        for s in enumerate_stable(gs.inner):
+            monkeypatch.setattr(GStarTables, "read", counting_read)
+            reads.clear()
+            cert = extract_certificate(gs, s)
+            assert len(reads) == 1
+            monkeypatch.undo()
+            assert verify_certificate(inst, project(gs, s), cert).ok
+
+
 def test_certificate_soundness_cross_check():
     """A matching carrying a verified certificate is popular (checked by
     cross-running both verifiers over the extraction corpus)."""

@@ -172,18 +172,21 @@ def test_gstar_and_emit_lp(files, capsys):
     assert code == 0 and out.startswith("\\") and "Minimize" in out
 
 
-def test_mincost_and_emit_lp_never_build_gstar(files, tmp_path, capsys, monkeypatch):
-    """`mincost` and `emit-lp` read the derived instance's integer tables;
-    the string-named instance is not built, and the output is unchanged."""
-    import popmax
-    from popmax import random_instance, serialize_instance
-
+def _costed_paths(files, tmp_path) -> list[str]:
+    """The conftest costed instance and two seeded random costed ones."""
     paths = [files["i2c"]]
     for k, inst in enumerate((random_instance(6, 6, 0.5, 9101, (0, 9)),
                               random_instance(7, 2, 0.5, 9427, (0, 9)))):
         p = tmp_path / f"r{k}.txt"
         p.write_text(serialize_instance(inst))
         paths.append(str(p))
+    return paths
+
+
+def test_mincost_and_emit_lp_never_build_gstar(files, tmp_path, capsys, monkeypatch):
+    """`mincost` and `emit-lp` read the derived instance's integer tables;
+    the string-named instance is not built, and the output is unchanged."""
+    paths = _costed_paths(files, tmp_path)
     commands = [(cmd, path) for path in paths
                 for cmd in (("mincost",), ("--json", "mincost"), ("emit-lp",))]
     expected = [run(capsys, *cmd, path) for cmd, path in commands]
@@ -197,6 +200,51 @@ def test_mincost_and_emit_lp_never_build_gstar(files, tmp_path, capsys, monkeypa
     for (cmd, path), want in zip(commands, expected):
         assert want[0] == 0
         assert run(capsys, *cmd, path) == want
+
+
+def test_mincost_makes_no_popularity_pass(files, tmp_path, capsys, monkeypatch):
+    """`mincost` reads its certificate off the levels of its own stable
+    matching of the derived instance: with the popularity pass refused,
+    its text and `--json` output are unchanged."""
+    from popmax import popularity
+
+    commands = [(cmd, path) for path in _costed_paths(files, tmp_path)
+                for cmd in (("mincost",), ("--json", "mincost"))]
+    expected = [run(capsys, *cmd, path) for cmd, path in commands]
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("mincost ran the popularity pass")
+
+    for mod in (popularity, popmax.certificates, popmax.mincost):
+        if hasattr(mod, "_witness_or_potentials"):
+            monkeypatch.setattr(mod, "_witness_or_potentials", refuse)
+    for (cmd, path), want in zip(commands, expected):
+        assert want[0] == 0
+        assert run(capsys, *cmd, path) == want
+
+
+def test_mincost_theory_failure_is_internal_error(files, tmp_path, capsys, monkeypatch):
+    """A min-cost stable matching that projects to a non-maximum matching
+    is a bug: exit 4 with `internal error:`, never the exit 1 of a
+    rejected matching."""
+    from popmax import mincost
+
+    cheapest = mincost._cheapest_elimination
+
+    def drop_one_image_pair(base, cycles, preds, cost):
+        pairs = cheapest(base, cycles, preds, cost)
+        gt = cost.__self__  # `_min_cost` passes the tables' own cost
+        pairs.remove(min(e for e in pairs if gt.origin(e[1])[0] == "image"))
+        return pairs
+
+    monkeypatch.setattr(mincost, "_cheapest_elimination", drop_one_image_pair)
+    for path in _costed_paths(files, tmp_path):
+        code, out, err = run(capsys, "mincost", path)
+        assert code == 4 and out == "", (path, out)
+        assert err.startswith("internal error: ") and "not maximum" in err
+        code, out, err = run(capsys, "--json", "mincost", path)
+        assert code == 4 and json.loads(out)["status"] == "error", (path, out)
+        assert err.startswith("internal error: ")
 
 
 def test_mincost_and_emit_lp_reject_reserved_ids(tmp_path, capsys):

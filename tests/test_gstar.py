@@ -254,8 +254,8 @@ def test_solve_and_mincost_run_min_side_levels(monkeypatch, tmp_path, capsys):
     tops, copies = [], []
     propose, init = popmax.gstar._propose, popmax.gstar.GStarTables.__init__
 
-    def recording_propose(inst, proposers, top):
-        held, level = propose(inst, proposers, top)
+    def recording_propose(inst, top):
+        held, level = propose(inst, top)
         tops.append((top, max(level.values())))
         return held, level
 

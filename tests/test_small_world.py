@@ -15,20 +15,24 @@ instance:
   neighbors) and nowhere else;
 - (c) on every 0/1 cost vector, `min_cost_popular_max` (T levels) gives
   the matching of |A| levels, at the cost of
-  `oracle.brute_min_cost_popular_max`.
+  `oracle.brute_min_cost_popular_max`;
+- (d) there, at T and at |A| levels, the certificate read off the levels
+  of the min-cost stable matching is `certify_popular_max`'s for its
+  matching.
 `check_verdicts` runs over every matching of an instance of any shape:
 `verify_popular_max`, `certify_popular_max`, `is_pareto_optimal` and
 `verify_certificate` must agree with the oracle.
 
 Tier-1 checks (a) and (b) on every instance of shapes 2x1, 3x1, 4x1 and
 3x2 (5, 16, 65 and 847 instances) and on one instance per relabelling of A
-of shape 4x2 (1,125 of 26,669), (c) on every instance up to 4x1 and on
-one per relabelling of A of shape 3x2 (144 of 847), and the verdicts on
-every instance of shapes 2x2, 2x3 and 3x2 (47, 847 and 847). The full
-sweep, (a) and (b) on every instance up to 4x2, (c) on every instance up
-to 3x2, and the verdicts also on one instance per relabelling of A of
-shape 3x3 (22,506), there without enumerating certificates, runs as a
-script: `PYTHONPATH=src python tests/test_small_world.py --full`.
+of shape 4x2 (1,125 of 26,669), (c) and (d) on every instance up to 4x1
+and on one per relabelling of A of shape 3x2 (144 of 847), and the
+verdicts on every instance of shapes 2x2, 2x3 and 3x2 (47, 847 and 847).
+The full sweep, (a) and (b) on every instance up to 4x2, (c) and (d) on
+every instance up to 3x2, and the verdicts also on one instance per
+relabelling of A of shape 3x3 (22,506), there without enumerating
+certificates, runs as a script:
+`PYTHONPATH=src python tests/test_small_world.py --full`.
 """
 
 from __future__ import annotations
@@ -127,13 +131,16 @@ def check_levels(inst) -> None:
 
 
 def check_costs(inst) -> None:
-    """Claim (c) on every 0/1 cost vector of one instance."""
+    """Claims (c) and (d) on every 0/1 cost vector of one instance."""
     n = len(inst.side_a)
     for bits in product((0, 1), repeat=len(inst.edges)):
         costed = Instance(inst.side_a, inst.side_b, inst.prefs, dict(zip(inst.edges, bits)))
         res = mincost.min_cost_popular_max(costed)
-        assert res.matching.pairs == mincost._min_cost(costed, n).matching.pairs, costed
+        full = mincost._min_cost(costed, n)
+        assert res.matching.pairs == full.matching.pairs, costed
         assert res.cost == brute_min_cost_popular_max(costed)[1], costed
+        assert res.certificate == certify_popular_max(costed, res.matching), costed
+        assert full.certificate == certify_popular_max(costed, full.matching), costed
 
 
 def check_verdicts(inst, every_certificate: bool = True) -> None:
@@ -199,7 +206,7 @@ def full_sweep() -> None:
     for na, nb in SHAPES:
         print(f"(a), (b) {na}x{nb}: {sweep(na, nb, False, check_levels)} instances")
     for na, nb in SHAPES[:4]:
-        print(f"(c) {na}x{nb}: {sweep(na, nb, False, check_costs)} instances")
+        print(f"(c), (d) {na}x{nb}: {sweep(na, nb, False, check_costs)} instances")
     for na, nb in VERDICT_SHAPES:
         print(f"verdicts {na}x{nb}: {sweep(na, nb, False, check_verdicts)} instances")
     count = sweep(3, 3, True, lambda inst: check_verdicts(inst, every_certificate=False))
