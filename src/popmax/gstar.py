@@ -8,13 +8,17 @@ of the derived instance and collapsing copies yields a popular
 max-matching; conversely every popular max-matching arises this way, and
 the copy subscripts carry the dual-certificate levels.
 
-The layout is written once, in `_tables`, on integer ids, for any number
-of levels T. The products keep the paper's T = n0: `build_tables` feeds
-the LP emitter, `build_gstar` names its ids for the `gstar` command and
-for `certificates.lift`, and `level_proposals` reports its levels. The
-routes that return only a source matching, `popular_max_matching` and
-min-cost optimization, run T = `_n_levels(inst)` = max(min(|A|, |B|), 1)
-levels, which yields the same matching (see `_n_levels`).
+The layout is written once, in `GStarTables`, on integer ids, for any
+number of levels T: its ids and the positions in each list are arithmetic
+on the source's lists. `_layout` gives that arithmetic alone, and `_tables`
+materializes the lists and rank maps through it. The products keep the
+paper's T = n0: the LP emitter reads `_layout`'s positions, `build_gstar`
+names the ids of `build_tables` for the `gstar` command and for
+`certificates.lift`, and `level_proposals` reports its levels. The routes
+that return only a source matching, `popular_max_matching` and min-cost
+optimization, run T = `_n_levels(inst)` = max(min(|A|, |B|), 1) levels,
+which yields the same matching (see `_n_levels`); min-cost optimization
+walks the lists of `_tables`.
 """
 
 from __future__ import annotations
@@ -48,18 +52,34 @@ class GStarTables:
     the image of the j-th B-node is n*T + j, and dummy i (1 <= i < T) of
     the k-th A-node is n*T + |B| + k*(T-1) + i-1. The copies, ids below
     `n_copies` = n*T, are the proposing side. The paper's instance has
-    T = n. `prefs[u]` lists ids from most to least preferred and `rank[u]`
-    maps each of them to its position; `index` gives every source node its
-    position on its side.
+    T = n. `index` gives every source node its position on its side.
+
+    The lists are arithmetic on the source's, and `image_start` and
+    `level_block` give where each id sits in its neighbors' lists:
+    - copy (a, i) lists its lower dummy when i >= 1, then the images of
+      `prefs[a]` in order, then its upper dummy when i <= T-2, so image b
+      sits at `image_start(i)` + rank_a(b);
+    - image b lists the copies of its neighbors level by level from the
+      top, each level in b's order, so copy (a, i) sits at
+      `level_block(i)` * deg(b) + rank_b(a);
+    - dummy i of a lists copy (a, i-1), then copy (a, i): it is the last
+      entry of its lower copy's list and the first of its upper copy's.
+    `_tables` materializes the lists through them: `prefs[u]` lists ids
+    from most to least preferred, `rank[u]` maps each to its position and
+    `costs[k]` maps the images of the k-th A-node to their edge costs.
+    `_layout` leaves all three None.
     """
 
-    __slots__ = ("source", "n_levels", "n_copies", "index", "prefs", "rank")
+    __slots__ = ("source", "n_levels", "n_copies", "n_nodes", "index", "prefs", "rank", "costs")
 
-    def __init__(self, source: Instance, n_levels: int, index: dict[str, int],
-                 prefs: list[tuple[int, ...]], rank: list[dict[int, int]]):
-        self.source, self.n_levels, self.index, self.prefs, self.rank = (
-            source, n_levels, index, prefs, rank)
-        self.n_copies = len(source.side_a) * n_levels
+    def __init__(self, source: Instance, n_levels: int):
+        self.source, self.n_levels = source, n_levels
+        self.index = {a: k for k, a in enumerate(source.side_a)}
+        self.index.update((b, j) for j, b in enumerate(source.side_b))
+        n_a = len(source.side_a)
+        self.n_copies = n_a * n_levels
+        self.n_nodes = self.n_copies + len(source.side_b) + n_a * (n_levels - 1)
+        self.prefs = self.rank = self.costs = None
 
     def copy(self, k: int, i: int) -> int:
         return k * self.n_levels + i
@@ -69,6 +89,27 @@ class GStarTables:
 
     def dummy(self, k: int, i: int) -> int:
         return self.n_copies + len(self.source.side_b) + k * (self.n_levels - 1) + i - 1
+
+    def copies(self, k: int) -> range:
+        """The ids of the k-th A-node's copies, by level."""
+        first = self.copy(k, 0)
+        return range(first, first + self.n_levels)
+
+    def dummies(self, k: int) -> range:
+        """The ids of the k-th A-node's dummies 1..T-1, by subscript."""
+        first = self.dummy(k, 1)
+        return range(first, first + self.n_levels - 1)
+
+    def image_start(self, i: int) -> int:
+        """Where the images begin in the list of a copy at level i: after
+        its lower dummy, which only copies above level 0 have."""
+        return 1 if i else 0
+
+    def level_block(self, i: int) -> int:
+        """Which block of an image's list holds the copies at level i: the
+        copies of the B-node's neighbors at one level form a block, in its
+        own order, and the higher levels come first."""
+        return self.n_levels - 1 - i
 
     def origin(self, u: int) -> tuple:
         """("copy", a, i), ("image", b) or ("dummy", a, i): the node id u stands for."""
@@ -84,10 +125,7 @@ class GStarTables:
 
     def cost(self, e: tuple[int, int]) -> int:
         """Cost of the edge (copy, partner): its source edge's, 0 for a dummy edge."""
-        j = e[1] - self.n_copies
-        if j >= len(self.source.side_b):
-            return 0
-        return self.source.cost((self.source.side_a[e[0] // self.n_levels], self.source.side_b[j]))
+        return self.costs[e[0] // self.n_levels].get(e[1], 0)
 
     def place(self, pairs, level: dict[str, int]) -> list[tuple[int, int]]:
         """The id pairs that put the source pairs at the given levels.
@@ -101,8 +139,9 @@ class GStarTables:
         out = [(self.copy(index[a], level[a]), self.image(index[b])) for a, b in pairs]
         for k, a in enumerate(self.source.side_a):
             i = level.get(a, t - 1)
-            out.extend((self.copy(k, j), self.dummy(k, j + 1)) for j in range(i))
-            out.extend((self.copy(k, j), self.dummy(k, j)) for j in range(i + 1, t))
+            copies, dummies = self.copies(k), self.dummies(k)  # dummy j is dummies[j - 1]
+            out.extend(zip(copies[:i], dummies[:i]))
+            out.extend(zip(copies[i + 1:], dummies[i:]))
         return out
 
     def read(self, pairs) -> tuple[Matching, dict[str, int]]:
@@ -139,30 +178,44 @@ def build_tables(inst: Instance) -> GStarTables:
     return _tables(inst, len(inst.side_a))
 
 
-def _tables(inst: Instance, n_levels: int) -> GStarTables:
-    """The derived instance with `n_levels` levels on integer ids."""
+def _layout(inst: Instance, n_levels: int) -> GStarTables:
+    """The ids and list positions of the derived instance with `n_levels`
+    levels, its lists not materialized; checks that no source id holds a
+    character reserved for derived names."""
     for u in inst.nodes:
         if any(c in RESERVED for c in u):
             raise ValidationError(
                 f"node id {u!r} contains a character reserved for derived names ({RESERVED})")
-    index = {a: k for k, a in enumerate(inst.side_a)}
-    index.update((b, j) for j, b in enumerate(inst.side_b))
-    gt = GStarTables(inst, n_levels, index, [], [])
+    return GStarTables(inst, n_levels)
+
+
+def _tables(inst: Instance, n_levels: int) -> GStarTables:
+    """The derived instance with `n_levels` levels on integer ids, its
+    lists, rank maps and cost rows laid out by `GStarTables`' positions."""
+    gt = _layout(inst, n_levels)
+    index, levels, prefs, costs = gt.index, range(n_levels), [], []
+    lower = [gt.image_start(i) for i in levels]  # the copies that list a lower dummy
     for k, a in enumerate(inst.side_a):
         images = tuple(gt.image(index[b]) for b in inst.prefs[a])
-        for i in range(n_levels):
+        dummies = gt.dummies(k)  # dummy i is dummies[i - 1]
+        costs.append({})
+        for i in levels:
             lst = images
-            if 1 <= i:
-                lst = (gt.dummy(k, i),) + lst
+            if lower[i]:
+                lst = (dummies[i - 1],) + lst
             if i <= n_levels - 2:
-                lst = lst + (gt.dummy(k, i + 1),)
-            gt.prefs.append(lst)
+                lst = lst + (dummies[i],)
+            prefs.append(lst)
+    copies = [gt.copies(k) for k in range(len(inst.side_a))]
+    blocks = sorted(levels, key=gt.level_block)
     for b in inst.side_b:
-        gt.prefs.append(tuple(gt.copy(index[a], i)
-                              for i in range(n_levels - 1, -1, -1) for a in inst.prefs[b]))
-    for k in range(len(inst.side_a)):
-        gt.prefs.extend((gt.copy(k, i - 1), gt.copy(k, i)) for i in range(1, n_levels))
-    gt.rank.extend({v: r for r, v in enumerate(lst)} for lst in gt.prefs)
+        prefs.append(tuple(copies[index[a]][i] for i in blocks for a in inst.prefs[b]))
+    for c in copies:
+        prefs.extend(zip(c, c[1:]))
+    for (a, b), c in inst.costs.items():  # the nonzero costs
+        costs[index[a]][gt.image(index[b])] = c
+    gt.prefs, gt.costs = prefs, costs
+    gt.rank = [{v: r for r, v in enumerate(lst)} for lst in prefs]
     return gt
 
 
@@ -188,7 +241,7 @@ def build_gstar(inst: Instance) -> GStarInstance:
 def _named(gt: GStarTables) -> GStarInstance:
     """The ids of `gt` named, with its level count as `n0`."""
     inst = gt.source
-    names = [_NAMERS[o[0]](*o[1:]) for o in map(gt.origin, range(len(gt.prefs)))]
+    names = [_NAMERS[o[0]](*o[1:]) for o in map(gt.origin, range(gt.n_nodes))]
     prefs = {names[u]: tuple(names[v] for v in lst) for u, lst in enumerate(gt.prefs)}
     copies = gt.n_copies
     costs = {(names[u], names[v]): gt.cost((u, v)) for u in range(copies) for v in gt.prefs[u]}

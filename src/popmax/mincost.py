@@ -16,14 +16,15 @@ tables. Everything is exact integer arithmetic.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections.abc import Iterator
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import NamedTuple
 
 from .certificates import DualCertificate, _read_certificate
 from .core import Instance, Matching, make_matching, matching_cost
 from .errors import InternalError
-from .gstar import _level_run, _n_levels, _tables, build_tables
+from .gstar import _layout, _level_run, _n_levels, _tables
 from .stable import gale_shapley
 
 # ---------------------------------------------------------------------------
@@ -32,8 +33,8 @@ from .stable import gale_shapley
 
 def _added(cycle):
     """The pairs a rotation's elimination creates: each man takes the next pair's woman."""
-    k = len(cycle)
-    return tuple((cycle[i][0], cycle[(i + 1) % k][1]) for i in range(k))
+    men, women = zip(*cycle)  # a rotation has at least one pair
+    return tuple(zip(men, women[1:] + women[:1]))
 
 
 class RotationPoset(NamedTuple):
@@ -79,7 +80,12 @@ def _rotation_walk(prefs, rank, men, base):
     Predecessor edges combine two rules: the rotations moving one man form
     a chain in elimination order, and a rotation skipping a man past some
     woman requires the earlier rotation that first lifted that woman's
-    partner above him.
+    partner above him. A rotation moves a woman from her partner to a man
+    she ranks higher, lifting her past the block of her list strictly
+    between them; her blocks are disjoint and move up her list, so
+    `lifted[w]` keeps one (-start, end, rotation) triple per rotation that
+    moved her, in ascending order of -start, and a suitor's block is found
+    by bisection.
     """
     order = {man: i for i, man in enumerate(men)}
     partner = dict(base)
@@ -87,19 +93,7 @@ def _rotation_walk(prefs, rank, men, base):
     cycles: list[tuple] = []
     preds: list[set[int]] = []
     last_move: dict = {}  # man -> the latest rotation moving him
-    lifted: dict = {}  # (w, man) -> rotation lifting w above man
-
-    def next_acceptor(man):
-        lst = prefs[man]
-        while ptr[man] < len(lst):
-            w = lst[ptr[man]]
-            p = partner.get(w)
-            if p is None:
-                return None
-            if rank[w][man] < rank[w][p]:
-                return w
-            ptr[man] += 1
-        return None
+    lifted: dict = {}  # w -> [(-start, end, rotation)]: the blocks of w's list lifted past
 
     fixed: set = set()
     stack: list = []
@@ -109,13 +103,25 @@ def _rotation_walk(prefs, rank, men, base):
             if not stack:
                 on_stack[start] = 0
                 stack.append(start)
-            w = next_acceptor(stack[-1])
-            if w is None or partner[w] in fixed:
+            # the next acceptor of the top man: the first woman from his list
+            # pointer on who would take him; None if she is unmatched or he has none
+            man = stack[-1]
+            lst, p, w = prefs[man], ptr[man], None
+            while p < len(lst):
+                x = lst[p]
+                nxt = partner.get(x)
+                if nxt is None:
+                    break
+                if rank[x][man] < rank[x][nxt]:
+                    w = x
+                    break
+                p += 1
+            ptr[man] = p
+            if w is None or nxt in fixed:
                 fixed.update(stack)
                 stack.clear()
                 on_stack.clear()
                 continue
-            nxt = partner[w]
             if nxt not in on_stack:
                 on_stack[nxt] = len(stack)
                 stack.append(nxt)
@@ -124,33 +130,35 @@ def _rotation_walk(prefs, rank, men, base):
             del stack[on_stack[nxt]:]
             for man in cycle_men:
                 del on_stack[man]
-            pivot = min(range(len(cycle_men)), key=lambda k: order[cycle_men[k]])
+            pivot = cycle_men.index(min(cycle_men, key=order.__getitem__))
             cycle_men = cycle_men[pivot:] + cycle_men[:pivot]
-            cycle = tuple((man, partner[man]) for man in cycle_men)
-            r = len(cycles)
+            cycle = tuple(zip(cycle_men, map(partner.__getitem__, cycle_men)))
+            r, pred = len(cycles), set()
             cycles.append(cycle)
-            preds.append(set())
-            k = len(cycle)
-            for i in range(k):
-                man, w = cycle[i]
-                new_partner = cycle[(i - 1) % k][0]
-                for between in prefs[w][rank[w][new_partner] + 1:rank[w][man]]:
-                    lifted[(w, between)] = r
+            preds.append(pred)
+            # each woman moves up to the previous pair's man
+            for (man, w), new_partner in zip(cycle, cycle_men[-1:] + cycle_men[:-1]):
+                start_w, end_w = rank[w][new_partner] + 1, rank[w][man]
+                if start_w < end_w:
+                    lifted.setdefault(w, []).append((-start_w, end_w, r))
             for (man, w_from), (_man, w_to) in zip(cycle, _added(cycle)):
                 if man in last_move:
-                    preds[r].add(last_move[man])
+                    pred.add(last_move[man])
                 last_move[man] = r
                 for w in prefs[man][rank[man][w_from] + 1:rank[man][w_to]]:
                     if w not in base:
                         raise InternalError("rotation skips a woman unmatched in stable matchings")
-                    if rank[w][base[w]] < rank[w][man]:
+                    q = rank[w][man]
+                    if rank[w][base[w]] < q:
                         continue  # she outranked him from the start
-                    sigma = lifted.get((w, man))
-                    if sigma is None:
+                    blocks = lifted.get(w, ())
+                    t = bisect_left(blocks, (-q,))
+                    if t == len(blocks) or q >= blocks[t][1]:
                         raise InternalError("no rotation lifts a woman past a skipped suitor")
+                    sigma = blocks[t][2]
                     if sigma >= r:
                         raise InternalError("precedence points forward in elimination order")
-                    preds[r].add(sigma)
+                    pred.add(sigma)
                 partner[man] = w_to
                 partner[w_to] = man
                 ptr[man] = rank[man][w_to] + 1
@@ -192,24 +200,18 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
     """Dinic's algorithm. The returned cut is the minimal source side
     (residual-reachable set); its capacity always equals the flow value,
     which is asserted on every call."""
-    for u, v, c in net.arcs:
-        if c < 0:
-            raise ValueError("capacities must be nonnegative")
     n, source, sink = net.num_nodes, net.source, net.sink
+    # arc 2x is the x-th given arc and arc 2x+1 its residual twin
     head: list[list[int]] = [[] for _ in range(n)]
     to: list[int] = []
     cap: list[int] = []
-
-    def add(u, v, c):
-        head[u].append(len(to))
-        to.append(v)
-        cap.append(c)
-        head[v].append(len(to))
-        to.append(u)
-        cap.append(0)
-
-    for u, v, c in net.arcs:
-        add(u, v, c)
+    for e, (u, v, c) in enumerate(net.arcs):
+        if c < 0:
+            raise ValueError("capacities must be nonnegative")
+        head[u].append(2 * e)
+        head[v].append(2 * e + 1)
+        to += (v, u)
+        cap += (c, 0)
 
     total = 0
     while True:
@@ -236,15 +238,16 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
                 path.clear()
                 u = source
                 continue
-            while it[u] < len(head[u]):
-                e = head[u][it[u]]
-                if cap[e] > 0 and level[to[e]] == level[u] + 1:
+            arcs, x, up = head[u], it[u], level[u] + 1
+            while x < len(arcs):
+                e = arcs[x]
+                if cap[e] > 0 and level[to[e]] == up:
                     break
-                it[u] += 1
-            if it[u] < len(head[u]):
-                e = head[u][it[u]]
-                path.append(e)
-                u = to[e]
+                x += 1
+            it[u] = x
+            if x < len(arcs):
+                path.append(arcs[x])
+                u = to[arcs[x]]
             elif path:
                 u = to[path.pop() ^ 1]  # dead end: retreat and skip the arc
                 it[u] += 1
@@ -385,6 +388,10 @@ def _min_cost(inst: Instance, n_levels: int) -> MinCostResult:
 # Extended formulation emitter
 
 
+_SEP = len(" + ")  # the separator between the terms of a row
+_NODES_PER_PIECE = 64  # the degree rows of this many derived nodes make one piece
+
+
 def _enc(name: str) -> str:
     """LP-safe encoding of a source node id: ASCII [A-Za-z0-9_] kept, every
     other UTF-8 byte written as %XX, so distinct ids never share a token.
@@ -394,14 +401,6 @@ def _enc(name: str) -> str:
         ch = chr(byte)
         out.append(ch if byte < 0x80 and (ch.isalnum() or ch == "_") else f"%{byte:02X}")
     return "".join(out)
-
-
-def _lp_token(origin: tuple, enc: dict[str, str]) -> str:
-    """The LP token of a derived node, from its `GStarTables.origin` and the
-    encodings of the source nodes."""
-    if origin[0] == "image":
-        return f"{enc[origin[1]]}.t"
-    return f"{enc[origin[1]]}.{'c' if origin[0] == 'copy' else 'd'}{origin[2]}"
 
 
 def emit_lp(inst: Instance) -> str:
@@ -425,68 +424,102 @@ def emit_lp(inst: Instance) -> str:
 def _lp_text(inst: Instance) -> Iterator[str]:
     """The text of `emit_lp` in pieces, each a run of whole lines, made as
     they are consumed: the header, then per copy its stability rows, per
-    node its degree rows, per source edge its linkage row, per copy the
-    bounds of its edges, and the rest. The instance is checked on the
-    first `next`.
+    run of nodes their degree rows, per A-node the linkage rows of its
+    edges and the bounds of its copies' edges, and the rest. The instance
+    is checked on the first `next`.
 
-    The rows are written from the derived instance's integer tables: each
-    source node is encoded once, and each derived edge's term is formatted
-    once and shared by the rows of both its ends and its bounds row.
+    The rows are written from the layout of the paper's derived instance,
+    `gstar._layout`, whose lists are never built: each source node is
+    encoded once, each copy's edge terms are formatted once in its own
+    list's order, and the rows of images and dummies, the stability rows
+    and the linkage rows pick the same strings at the positions
+    `GStarTables.image_start` and `level_block` give.
     """
-    gt = build_tables(inst)
-    nodes = range(len(gt.prefs))
-    copies_end = gt.n_copies  # ids below are copies, the derived A-side
-    images = {gt.image(j) for j in range(len(inst.side_b))}
+    gt = _layout(inst, len(inst.side_a))
+    levels, index, prefs, src_rank = range(gt.n_levels), gt.index, inst.prefs, inst._rank
+    shift = [gt.image_start(i) for i in levels]
     enc = {u: _enc(u) for u in inst.nodes}
-    token = [_lp_token(gt.origin(u), enc) for u in nodes]
     pair = {e: f"{enc[e[0]]}.{enc[e[1]]}" for e in inst.edges}  # x.<pair> per source edge
+    token = [""] * gt.n_nodes
+    for j, b in enumerate(inst.side_b):
+        token[gt.image(j)] = f"{enc[b]}.t"
+    for k, a in enumerate(inst.side_a):
+        for u, i in zip(gt.copies(k), levels):
+            token[u] = f"{enc[a]}.c{i}"
+        for u, i in zip(gt.dummies(k), levels[1:]):
+            token[u] = f"{enc[a]}.d{i}"
 
-    # each copy's edge terms in its preference order, formatted once; every
-    # other node's row lists the same strings in its own order. Each row is
-    # joined once, and an image's first i terms with their separators end
-    # at start[image][i]
-    row = [[f"xs.{token[u]}.{token[v]}" for v in gt.prefs[u]] for u in range(copies_end)]
-    joined = [" + ".join(terms) for terms in row]
-    start = {}
-    for x in nodes[copies_end:]:
-        terms = [row[y][gt.rank[y][x]] for y in gt.prefs[x]]
-        joined.append(" + ".join(terms))
-        if x in images:
-            start[x] = array("q", accumulate((len(t) + 3 for t in terms), initial=0))
+    # each copy's edge terms in its preference order, formatted once and
+    # kept by A-node and level; every other row lists the same strings in
+    # its own order. Each row is joined once
+    by_level = []  # by_level[k][i]: the terms of copy (k, i)
+    joined = [""] * gt.n_nodes
+    for k, a in enumerate(inst.side_a):
+        images = [token[gt.image(index[b])] for b in prefs[a]]
+        dummies = gt.dummies(k)  # dummy i is dummies[i - 1]
+        by_level.append([])
+        for i, u in zip(levels, gt.copies(k)):
+            head = f"xs.{token[u]}."
+            terms = [head + v for v in images]
+            if shift[i]:
+                terms.insert(0, head + token[dummies[i - 1]])
+            if i < gt.n_levels - 1:
+                terms.append(head + token[dummies[i]])
+            by_level[k].append(terms)
+            joined[u] = " + ".join(terms)
+        for d, lower, upper in zip(dummies, by_level[k], by_level[k][1:]):
+            joined[d] = f"{lower[-1]} + {upper[0]}"
+    # an image's first p terms with their separators end at start[j][p]
+    blocks = sorted(levels, key=gt.level_block)
+    start = []
+    for j, b in enumerate(inst.side_b):
+        lists = [(by_level[index[a]], src_rank[a][b]) for a in prefs[b]]
+        terms = [lst[i][shift[i] + r] for i in blocks for lst, r in lists]
+        joined[gt.image(j)] = " + ".join(terms)
+        start.append(array("q", accumulate(map(_SEP.__add__, map(len, terms)), initial=0)))
 
     terms = [f"{inst.cost(e)} x.{p}" for e, p in pair.items()]
     if not terms:
-        terms = [f"0 {r[0]}" for r in row if r][:1]
+        terms = [f"0 {r[0]}" for rows in by_level for r in rows if r][:1]
     yield ("\\ extended formulation for the popular max-matching polytope\n"
            f"Minimize\n obj: {' + '.join(terms)}\nSubject To\n")
 
-    for u, terms in enumerate(row):
-        head, ju, end, rows = f" stab.{token[u]}.", joined[u], 0, []
-        for v, term in zip(gt.prefs[u], terms):
-            if v in start:
-                rows.append(f"{head}{token[v]}: {ju[:end]}"
-                            f"{joined[v][:start[v][gt.rank[v][u]]]}{term} >= 1\n")
-            end += len(term) + 3
-        yield "".join(rows)
+    for k, a in enumerate(inst.side_a):
+        # per neighbor b: the token of its image, the image's row and term
+        # offsets, deg(b) and rank_b(a), so copy (k, i) sits at
+        # level_block(i) * deg(b) + rank_b(a) in the image's row
+        images = [(f"{token[gt.image(index[b])]}: ", joined[gt.image(index[b])], start[index[b]],
+                   len(prefs[b]), src_rank[b][a]) for b in prefs[a]]
+        for i, u, terms in zip(levels, gt.copies(k), by_level[k]):
+            head, ju, block = f" stab.{token[u]}.", joined[u], gt.level_block(i)
+            ends = accumulate(map(_SEP.__add__, map(len, terms)), initial=0)
+            parts = []  # the rows' pieces, joined once, so each row is copied once
+            for (name, jv, sv, deg, r), term, end in zip(images, terms[shift[i]:],
+                                                         islice(ends, shift[i], None)):
+                parts += (head, name, ju[:end], jv[:sv[block * deg + r]], term, " >= 1\n")
+            yield "".join(parts)
 
     # the nodes every stable matching matches: those the dummy chains fill
     # when no source node is matched
     must_match = {x for e in gt.place((), {}) for x in e}
-    for node, expr in enumerate(joined):
-        if not expr:
-            continue
-        yield f" deg.{token[node]}: {expr} <= 1\n"
-        if node in must_match:
-            yield f" fix.{token[node]}: {expr} = 1\n"
+    for run in range(0, gt.n_nodes, _NODES_PER_PIECE):
+        parts = []
+        for node in range(run, min(run + _NODES_PER_PIECE, gt.n_nodes)):
+            if joined[node]:
+                parts += (" deg.", token[node], ": ", joined[node], " <= 1\n")
+                if node in must_match:
+                    parts += (" fix.", token[node], ": ", joined[node], " = 1\n")
+        yield "".join(parts)
 
-    levels = range(gt.n_levels)
-    copies = [[gt.copy(k, i) for i in levels] for k in range(len(inst.side_a))]  # lowest first
-    for (a, b), p in pair.items():
-        v = gt.image(gt.index[b])
-        terms = [row[u][gt.rank[u][v]] for u in copies[gt.index[a]]]
-        yield f" link.{p}: x.{p} - {' - '.join(terms)} = 0\n"
+    for k, a in enumerate(inst.side_a):  # the source edges in order, A-node by A-node
+        rows = []
+        for b in prefs[a]:
+            p, r = pair[a, b], src_rank[a][b]
+            links = " - ".join([terms[shift[i] + r] for i, terms in enumerate(by_level[k])])
+            rows.append(f" link.{p}: x.{p} - {links} = 0\n")
+        yield "".join(rows)
 
     yield "Bounds\n"
-    for terms in row:
-        yield "".join([f" 0 <= {term} <= 1\n" for term in terms])
+    for rows in by_level:
+        yield "".join([f" 0 <= {term} <= 1\n" for terms in rows for term in terms])
     yield "".join([f" 0 <= x.{p} <= 1\n" for p in pair.values()]) + "End\n"

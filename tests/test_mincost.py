@@ -30,7 +30,7 @@ from popmax import (
     verify_popular_max,
 )
 from popmax import gstar, mincost
-from popmax.gstar import build_gstar, project
+from popmax.gstar import build_gstar, copy_name, image_name, place, project
 from popmax.mincost import RotationPoset, _enc
 from popmax.oracle import (
     brute_min_cost_popular_max,
@@ -365,6 +365,91 @@ def test_emit_lp_encodes_each_source_node_once(monkeypatch):
     assert encoded == Counter(inst.nodes)
     monkeypatch.setattr(mincost, "_enc", enc)
     assert emit_lp(inst) == text
+
+
+def _lp_token(gs, name: str) -> str:
+    """The LP token of a node of the named derived instance."""
+    kind, node, *level = gs.tables.origin(gs.ids[name])
+    suffix = {"copy": "c", "dummy": "d"}.get(kind, "t")
+    return f"{_enc(node)}.{suffix}{level[0] if level else ''}"
+
+
+def _expected_rows(inst):
+    """The rows of the extended formulation read off `build_gstar(inst)`:
+    name -> (coefficients, sense, right-hand side)."""
+    gs = build_gstar(inst)
+    inner = gs.inner
+    tok = {u: _lp_token(gs, u) for u in inner.nodes}
+    copies = set(inner.side_a)
+
+    def xs(u, v):  # the variable of the edge {u, v}, named copy first
+        return f"xs.{tok[u]}.{tok[v]}" if u in copies else f"xs.{tok[v]}.{tok[u]}"
+
+    rows = {}
+    for a, v in inner.edges:
+        if gs.tables.origin(gs.ids[v])[0] != "image":
+            continue
+        terms = [xs(a, v)]
+        terms += [xs(a, w) for w in inner.prefs[a][:inner.rank(a, v)]]
+        terms += [xs(c, v) for c in inner.prefs[v][:inner.rank(v, a)]]
+        rows[f"stab.{tok[a]}.{tok[v]}"] = (dict.fromkeys(terms, 1.0), ">=", 1.0)
+    filled = {u for e in place(gs, make_matching(inst, ()), {}).pairs for u in e}
+    for u in inner.nodes:
+        if inner.prefs[u]:
+            terms = dict.fromkeys((xs(u, v) for v in inner.prefs[u]), 1.0)
+            rows[f"deg.{tok[u]}"] = (terms, "<=", 1.0)
+            if u in filled:
+                rows[f"fix.{tok[u]}"] = (terms, "=", 1.0)
+    for a, b in inst.edges:
+        p = f"{_enc(a)}.{_enc(b)}"
+        terms = {f"x.{p}": 1.0}
+        terms.update((xs(copy_name(a, i), image_name(b)), -1.0) for i in range(gs.n0))
+        rows[f"link.{p}"] = (terms, "=", 0.0)
+    return rows
+
+
+def test_emit_lp_rows_mean_the_named_gstar_constraints():
+    """Every stability, degree, fix and linkage row of `emit_lp` is the
+    constraint read off the string-named derived instance: x(u, v) plus
+    the edges u and v each rank above the other, all of a node's edges,
+    exactly the nodes `place` fills when nothing is matched, and each
+    source edge against its copies. The golden digests pin the bytes on a
+    fixed corpus; this pins what the rows mean on any instance."""
+    cases = [random_instance(n, n, d, 9500 + n, (0, 9)) for n in (2, 4, 6) for d in (0.4, 0.8)]
+    cases += [random_instance(na, nb, 0.7, 9530 + na, (0, 9)) for na, nb in ((7, 2), (9, 3), (6, 1))]
+    cases += [random_instance(1, nb, 0.8, 9540 + nb, (0, 9)) for nb in (1, 3)]
+    cases += [random_instance(na, 0, 0.5, 9550 + na) for na in (1, 3)]
+    cases.append(parse_instance("side A x-1 a2 a3\nside B b1 b2 é\npref x-1: b1 é\n"
+                                "pref b1: x-1\npref é: x-1\ncost x-1 é 4\n"))
+    for inst in cases:
+        _obj, rows, bounds = _parse_lp(emit_lp(inst))
+        got = {name: (coefs, op, rhs) for name, coefs, op, rhs in rows}
+        assert len(got) == len(rows), "row names repeat"
+        assert got == _expected_rows(inst)
+        gs = build_gstar(inst)
+        assert set(bounds) == ({f"xs.{_lp_token(gs, a)}.{_lp_token(gs, v)}" for a, v in gs.inner.edges}
+                               | {f"x.{_enc(a)}.{_enc(b)}" for a, b in inst.edges})
+
+
+def test_rotation_walk_keeps_one_block_per_lift():
+    """The walk records each rotation's lift of a woman as one block of her
+    list, not one entry per suitor passed: its traced peak at n = 40 stays
+    below 2.8 MB (it was 3.4 MB with a (woman, suitor) key per suitor)."""
+    import tracemalloc
+
+    inst = random_instance(40, 40, 0.3, 1264, (0, 9))
+    gt = gstar._tables(inst, 40)
+    m0, level = gstar._level_run(inst, 40)
+    partner = dict(gt.place(m0.pairs, level))
+    partner.update((v, u) for u, v in list(partner.items()))
+    tracemalloc.start()
+    try:
+        cycles, _preds = mincost._rotation_walk(gt.prefs, gt.rank, range(gt.n_copies), partner)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cycles) > 500
+    assert peak < 2_800_000, peak
 
 
 def test_emit_lp_distinct_ids_get_distinct_rows():
