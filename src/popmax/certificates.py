@@ -49,12 +49,12 @@ def extract_certificate(gs: GStarInstance, s: Matching) -> DualCertificate:
     s, restricted to the matched nodes; see `_read_certificate`."""
     if not is_stable(gs.inner, s):
         raise NotStableError("certificates are read off stable matchings of the derived instance")
-    return _read_certificate(gs.tables, ((gs.ids[u], gs.ids[v]) for u, v in s.pairs))[1]
+    return _read_certificate(gs.tables, ((gs.ids[u], gs.ids[v]) for u, v in s.pairs))[2]
 
 
-def _read_certificate(gt: GStarTables, pairs) -> tuple[Matching, DualCertificate]:
-    """The source matching that stable id pairs of `gt` stand for, and its
-    certificate from their levels, in one `GStarTables.read`.
+def _read_certificate(gt: GStarTables, pairs) -> tuple[Matching, dict[str, int], DualCertificate]:
+    """The source matching and levels that stable id pairs of `gt` stand
+    for, and the certificate from those levels, in one `GStarTables.read`.
 
     The projection of a stable matching is a popular max-matching, so a
     projection that is not maximum is a bug, not a verdict on any input.
@@ -63,7 +63,7 @@ def _read_certificate(gt: GStarTables, pairs) -> tuple[Matching, DualCertificate
     maximum, path = is_maximum(gt.source, m)
     if not maximum:
         raise InternalError(f"projection of a stable matching is not maximum; augmenting path: {' '.join(path)}")
-    return m, _certificate_from_levels(gt.source, m, {u: level[u] for u in m.partner})
+    return m, level, _certificate_from_levels(gt.source, m, {u: level[u] for u in m.partner})
 
 
 def _certificate_from_levels(inst: Instance, m: Matching, raw: dict[str, int]) -> DualCertificate:

@@ -15,10 +15,13 @@ materializes the lists and rank maps through it. The products keep the
 paper's T = n0: the LP emitter reads `_layout`'s positions, `build_gstar`
 names the ids of `build_tables` for the `gstar` command and for
 `certificates.lift`, and `level_proposals` reports its levels. The routes
-that return only a source matching, `popular_max_matching` and min-cost
-optimization, run T = `_n_levels(inst)` = max(min(|A|, |B|), 1) levels,
-which yields the same matching (see `_n_levels`); min-cost optimization
-walks the lists of `_tables`.
+that return only a source matching run fewer. `popular_max_matching` runs
+T = `_n_levels(inst)` = max(min(|A|, |B|), 1) levels, which yields the
+same matching (see `_n_levels`). Min-cost optimization walks the lists of
+`_tables` at T levels or, when the run at T matches every node with
+neighbors, from two levels above the run's top one, doubling until a
+stopping rule fires (claim (f) of `mincost.min_cost_popular_max`), with
+the same result.
 """
 
 from __future__ import annotations
@@ -305,9 +308,11 @@ def _level_run(inst: Instance, n_levels: int) -> tuple[Matching, dict[str, int]]
 
 
 def _n_levels(inst: Instance) -> int:
-    """T = max(min(|A|, |B|), 1): the level count of the routes whose
-    output is a source matching. With k the size of a maximum matching,
-    k <= T <= |A|. Two claims keep their output that of |A| levels.
+    """T = max(min(|A|, |B|), 1): the level count of `popular_max_matching`,
+    and the most levels min-cost optimization runs (claim (f) of
+    `mincost.min_cost_popular_max` lets it stop below T). With k the size
+    of a maximum matching, k <= T <= |A|. Two claims keep their output that
+    of |A| levels.
 
     Level form. In a stable matching S of the T-level instance every dummy
     is matched (copy a_i ranks dummy i first), so S = `place`(M, l) for

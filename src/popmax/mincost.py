@@ -1,10 +1,10 @@
 """Exact min-cost popular max-matching and its machinery.
 
-The route: lay out the derived instance as integer tables, with
-max(min(|A|, |B|), 1) levels (see `min_cost_popular_max`) and each
-copy-image edge costing its source edge and dummy edges free, find a
-minimum-cost stable matching there, and project it, reading the
-certificate off its copy levels (claim (d) of `min_cost_popular_max`).
+The route: lay out the derived instance as integer tables, with at most
+max(min(|A|, |B|), 1) levels and often far fewer (claims (a) and (f) of
+`min_cost_popular_max`), each copy-image edge costing its source edge and
+dummy edges free, find a minimum-cost stable matching there, and project
+it, reading the certificate off its copy levels (claim (d)).
 Min-cost stable matching itself runs on the rotation poset: the stable
 matchings of a marriage instance are exactly the eliminations of
 downward-closed rotation sets from the proposer-optimal matching, so a
@@ -329,7 +329,12 @@ def min_cost_popular_max(inst: Instance) -> MinCostResult:
     `_n_levels` their stable matchings still project onto exactly the
     popular max-matchings. The rotation walk starts from `_level_run` at T
     levels placed on the copies, which is the copies' proposer-optimal
-    matching.
+    matching. When that run matches every node with a nonempty list, fewer
+    levels give the same result (claim (f)): the tables, the walk and the
+    max-flow run at t = top + 2 levels, top the run's highest level, then
+    at 2t, 4t, ... until the min-cost stable matching leaves every level
+    <= t-2, and at T at last, fewer than 3T levels in all. Any other
+    instance runs T levels once.
 
     (c) The matching is the one |A| levels give. `_cheapest_elimination`
     returns the inclusion-minimal min-weight closed rotation set (such
@@ -363,25 +368,88 @@ def min_cost_popular_max(inst: Instance) -> MinCostResult:
       rigid.
     So both maps are packed, pinned and widened alike into the same
     certificate; the same argument holds at |A| levels.
+
+    (f) On a pin-free instance, one whose run at T levels matches every
+    node with a nonempty list, the stopping rule gives the result of T
+    levels. Every maximum matching then matches those nodes (it has as many
+    pairs), so D is empty and (P) of `_n_levels` is vacuous. For t <= T,
+    let L_t be the stable matchings of the t-level instance, each read as
+    (M, l) with l the levels of M's matched nodes, and order them by what
+    the copies prefer: S <= S' when every copy likes S at least as well,
+    the reverse of (b)'s order. Per A-node that compares (level, rank of
+    the partner), so meet and join take levels pointwise min and max; the
+    meet eliminates the intersection of the two closed rotation sets and
+    the join their union. `_cheapest_elimination` returns the least
+    min-cost element of L_t (its (c) optimum), call it S_t.
+    - L_t is a down-set and a sublattice of L_T. By rural hospitals every
+      stable matching of an instance matches the same nodes, and a source
+      node is matched iff its image, or its top copy, is. So every element
+      of L_T matches what the run matches, and by the level form L_T holds
+      exactly the (M, l) with M matching those nodes and l in 0..T-1
+      meeting (E). The run's levels are pointwise least in L_T; let top be
+      their maximum. For t > top the run lies in L_t, so every element of
+      L_t matches the same nodes, L_t = {S in L_T : every level <= t-1},
+      and the run is the least element of L_t: the run at t levels.
+    - Shifts. (E) is a difference constraint, so S + c (every level plus
+      c) lies in L_t while its levels stay in 0..t-1.
+    - Cost is modular. The cost of S is that of M, so S + c costs as much
+      as S. It is also the base cost plus the rotation deltas of S's closed
+      set, so c(X ^ Y) + c(X v Y) = c(X) + c(Y).
+    - The rule. Let f(t) be the least cost in L_t, and let top < t < T
+      with every level of S_t <= t-2. L_t lies in L_{t+1}, so
+      f(t+1) <= f(t). Let S* be optimal in L_{t+1}. S_t + 1 lies in L_t,
+      and so does S* ^ (S_t + 1), whose levels are <= t-1; so it costs at
+      least f(t), and J = S* v (S_t + 1) costs at most
+      f(t+1) + f(t) - f(t) = f(t+1).
+      J's levels lie in 1..t, so J - 1 lies in L_t and f(t) <= f(t+1).
+      So S_t is optimal in L_{t+1}, hence S_{t+1} <= S_t, whose levels are
+      <= t-2; so S_{t+1} lies in L_t, is optimal there and S_t <= S_{t+1}.
+      With S_{t+1} = S_t, whose levels are <= (t+1)-2, induction gives
+      S_T = S_t: the same matching, levels and cost, and by (d) the same
+      certificate.
+    The levels of S_t are no lower than the run's, so the rule cannot fire
+    below t = top + 2, where the route starts.
     """
-    return _min_cost(inst, _n_levels(inst))
+    n_levels = _n_levels(inst)
+    m0, level = run = _level_run(inst, n_levels)
+    if all(u in m0.partner for u in inst.nodes if inst.prefs[u]):  # pin-free: claim (f)
+        run = m0, {a: level[a] for a, _ in m0.pairs}  # the run at every t > its top level
+        t = _top(m0, level) + 2
+        while t < n_levels:
+            res, level = _min_cost_run(inst, t, run)
+            if _top(res.matching, level) <= t - 2:
+                return res
+            t *= 2
+    return _min_cost_run(inst, n_levels, run)[0]
+
+
+def _top(m: Matching, level: dict[str, int]) -> int:
+    """The highest level of a matched A-node, -1 if none is matched."""
+    return max((level[a] for a, _ in m.pairs), default=-1)
 
 
 def _min_cost(inst: Instance, n_levels: int) -> MinCostResult:
     """`min_cost_popular_max` on the derived instance with `n_levels` levels,
     the certificate read off its levels (claim (d))."""
+    return _min_cost_run(inst, n_levels, _level_run(inst, n_levels))[0]
+
+
+def _min_cost_run(inst: Instance, n_levels: int, run) -> tuple[MinCostResult, dict[str, int]]:
+    """`_min_cost` started from `run`, the matching and levels of the
+    A-proposing run at `n_levels` levels (A-nodes missing from its levels
+    are leftovers), with the levels of the min-cost stable matching."""
     gt = _tables(inst, n_levels)
-    m0, level = _level_run(inst, n_levels)
+    m0, level = run
     base = gt.place(m0.pairs, level)
     partner = dict(base)
     partner.update((v, u) for u, v in base)
     cycles, preds = _rotation_walk(gt.prefs, gt.rank, range(gt.n_copies), partner)
     s = _cheapest_elimination(base, cycles, preds, gt.cost)
-    m, cert = _read_certificate(gt, s)
+    m, level, cert = _read_certificate(gt, s)
     cost = sum(map(gt.cost, s))
     if cost != matching_cost(inst, m):
         raise InternalError("cost lifting is not cost-preserving")
-    return MinCostResult(m, cost, cert)
+    return MinCostResult(m, cost, cert), level
 
 
 # ---------------------------------------------------------------------------

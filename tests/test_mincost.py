@@ -245,10 +245,11 @@ def test_min_cost_popular_max_matches_oracle():
 
 
 def test_gstar_table_walk_equals_walk_on_named_gstar(monkeypatch):
-    """The rotation walk that `min_cost_popular_max` runs on the integer
-    tables finds the rotations, in the same order and with the same
-    predecessor lists, as `find_rotations` on the same tables named; so
-    does the walk on the paper's |A|-level tables against `build_gstar`."""
+    """The rotation walk that `mincost._min_cost` runs on the integer
+    tables at T = `gstar._n_levels` levels finds the rotations, in the same
+    order and with the same predecessor lists, as `find_rotations` on the
+    same tables named; so does the walk on the paper's |A|-level tables
+    against `build_gstar`."""
     walk = mincost._rotation_walk
     seen = []
 
@@ -261,7 +262,7 @@ def test_gstar_table_walk_equals_walk_on_named_gstar(monkeypatch):
     cases += [random_instance(na, 2, 0.5, seed, (0, 9)) for na, seed in ((7, 9427), (7, 9408), (9, 9419))]
     total = 0
     for inst in cases:
-        runs = ((min_cost_popular_max,
+        runs = ((lambda i: mincost._min_cost(i, gstar._n_levels(i)),
                  gstar._named(gstar._tables(inst, gstar._n_levels(inst))).inner),
                 (lambda i: mincost._min_cost(i, len(i.side_a)), build_gstar(inst).inner))
         for solve, inner in runs:
@@ -274,6 +275,50 @@ def test_gstar_table_walk_equals_walk_on_named_gstar(monkeypatch):
             assert poset.preds == preds
             total += len(cycles)
     assert total > 100
+
+
+def test_mincost_runs_only_the_levels_its_answer_needs(monkeypatch):
+    """On a pin-free square `min_cost_popular_max` lays out no table with
+    more than 8 of its 60 levels and gives the result of 60 levels; a
+    bottom-pinned instance (a leftover B-node with neighbors) and one with
+    a leftover A-node with neighbors each lay out one table, at T."""
+    built = []
+    init = gstar.GStarTables.__init__
+
+    def recording(self, source, n_levels):
+        built.append(n_levels)
+        init(self, source, n_levels)
+
+    monkeypatch.setattr(gstar.GStarTables, "__init__", recording)
+    square = random_instance(60, 60, 0.3, 1264, (0, 9))
+    res = min_cost_popular_max(square)
+    assert built and max(built) <= 8
+    assert res == mincost._min_cost(square, 60)
+    for na, nb in ((9, 12), (12, 9)):
+        inst = random_instance(na, nb, 0.5, 3, (0, 9))
+        m = gstar._level_run(inst, 9)[0]
+        pinned = inst.side_a if na > nb else inst.side_b
+        assert any(inst.prefs[u] and not m.is_matched(u) for u in pinned)
+        built.clear()
+        min_cost_popular_max(inst)
+        assert built == [9]
+
+
+def test_stopping_rule_refuses_levels_that_cost_more():
+    """Pin-free squares whose min-cost stable matching at t = top + 2
+    levels, top the run's highest level, costs more than at T: it uses level
+    t - 1, so the rule of claim (f) does not stop there, and the route
+    still gives the result of T levels."""
+    for n, d, seed, t in ((13, 0.5, 484021, 2), (15, 0.5, 180173, 2), (15, 0.3, 111638, 2),
+                          (16, 0.2, 954387, 5)):
+        inst = random_instance(n, n, d, seed, (0, 9))
+        m0, level = gstar._level_run(inst, n)
+        assert max(level[a] for a, _ in m0.pairs) + 2 == t
+        early, early_level = mincost._min_cost_run(inst, t, (m0, {a: level[a] for a, _ in m0.pairs}))
+        full = mincost._min_cost(inst, n)
+        assert early.cost > full.cost
+        assert max(early_level[a] for a, _ in early.matching.pairs) == t - 1
+        assert min_cost_popular_max(inst) == full
 
 
 # ---------------------------------------------------------------------------

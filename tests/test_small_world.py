@@ -19,6 +19,14 @@ instance:
 - (d) there, at T and at |A| levels, the certificate read off the levels
   of the min-cost stable matching is `certify_popular_max`'s for its
   matching.
+Claim (f) of `min_cost_popular_max`, the stopping rule that lets `mincost`
+run fewer levels than T, is checked on the 3x3 instances whose A-proposing
+run matches every node with neighbors (`check_stopping_rule`): T = 3 is the
+least level count at which the rule can stop below T. On every such 3x3
+instance each popular max-matching already has levels in 0..top+1, top the
+run's highest level, so stopping at top + 2 levels unconditionally would
+pass there too; the seeded squares `FAR_LEVELS` have a popular
+max-matching that needs more levels, where the rule must refuse to stop.
 `check_verdicts` runs over every matching of an instance of any shape:
 `verify_popular_max`, `certify_popular_max`, `is_pareto_optimal` and
 `verify_certificate` must agree with the oracle.
@@ -26,12 +34,14 @@ instance:
 Tier-1 checks (a) and (b) on every instance of shapes 2x1, 3x1, 4x1 and
 3x2 (5, 16, 65 and 847 instances) and on one instance per relabelling of A
 of shape 4x2 (1,125 of 26,669), (c) and (d) on every instance up to 4x1
-and on one per relabelling of A of shape 3x2 (144 of 847), and the
-verdicts on every instance of shapes 2x2, 2x3 and 3x2 (47, 847 and 847).
-The full sweep, (a) and (b) on every instance up to 4x2, (c) and (d) on
-every instance up to 3x2, and the verdicts also on one instance per
-relabelling of A of shape 3x3 (22,506), there without enumerating
-certificates, runs as a script:
+and on one per relabelling of A of shape 3x2 (144 of 847), the verdicts
+on every instance of shapes 2x2, 2x3 and 3x2 (47, 847 and 847), and (f) on
+the 314 such 3x3 instances, one per relabelling of A and B, with at most 6
+edges and on the 4x4 one of `FAR_LEVELS`. The full sweep, (a) and (b) on
+every instance up to 4x2, (c) and (d) on every instance up to 3x2, (f) on
+all 3,630 such 3x3 instances and on `FAR_LEVELS`, and
+the verdicts also on one instance per relabelling of A of shape 3x3
+(22,506), there without enumerating certificates, runs as a script:
 `PYTHONPATH=src python tests/test_small_world.py --full`.
 """
 
@@ -51,6 +61,7 @@ from popmax import (
     gstar,
     is_pareto_optimal,
     mincost,
+    random_instance,
     verify_certificate,
     verify_popular_max,
 )
@@ -64,6 +75,9 @@ from popmax.oracle import (
 
 SHAPES = ((2, 1), (3, 1), (4, 1), (3, 2), (4, 2))
 VERDICT_SHAPES = ((2, 2), (2, 3), (3, 2))
+# pin-free squares (n, n, density, seed) whose n levels hold a popular
+# max-matching that top + 2 levels do not, top the run's highest level
+FAR_LEVELS = ((4, 4, 0.7, 937584), (5, 5, 0.7, 120933), (5, 5, 0.7, 839344), (6, 6, 0.5, 786280))
 
 
 def _b_lists(na: int, nb: int, canonical: bool, named: int = 0):
@@ -143,6 +157,84 @@ def check_costs(inst) -> None:
         assert full.certificate == certify_popular_max(costed, full.matching), costed
 
 
+def _stable_levels(inst, t: int) -> set:
+    """Each stable matching of the t-level derived instance, read as its
+    projection's pairs and the levels of its matched nodes."""
+    gs = gstar._named(gstar._tables(inst, t))
+    out = set()
+    for s in enumerate_stable(gs.inner):
+        m, level = gs.tables.read((gs.ids[u], gs.ids[v]) for u, v in s.pairs)
+        out.add((m.pairs, frozenset((u, level[u]) for u in m.partner)))
+    return out
+
+
+def check_stopping_rule(inst) -> int:
+    """Claim (f) of `mincost.min_cost_popular_max` on one pin-free instance.
+
+    At every t <= T: the stable matchings of the t-level instance that
+    match every node with neighbors are those of T levels with every level
+    <= t-1, they are closed under the shifts by +-1 that keep the levels
+    in 0..t-1, and all of them match those nodes iff t exceeds the run's
+    top level, where the run at t levels is the run at T. Then, on every
+    0/1 cost vector over the edges of the popular max-matchings, the route
+    gives `mincost._min_cost` at T, and so does the min-cost stable
+    matching at every t > top whose levels are all <= t-2. Other edges
+    keep cost 0: no pair of a stable matching of the derived instance
+    projects onto them, so `mincost` never reads their cost. Returns how
+    many (cost vector, t) pairs the rule fired on below T.
+    """
+    t_all = gstar._n_levels(inst)
+    m0, level0 = gstar._level_run(inst, t_all)
+    top = max((level0[a] for a, _ in m0.pairs), default=-1)
+    covered = {u for u in inst.nodes if inst.prefs[u]}
+    assert set(m0.partner) == covered, inst
+    stable = {t: _stable_levels(inst, t) for t in range(1, t_all + 1)}
+    for t, found in stable.items():
+        fit = {s for s in found if set(dict(s[1])) == covered}
+        assert fit == {s for s in stable[t_all] if max(dict(s[1]).values(), default=0) <= t - 1}, inst
+        for pairs, level in fit:
+            for c in (-1, 1):
+                if all(0 <= lv + c <= t - 1 for _u, lv in level):
+                    assert (pairs, frozenset((u, lv + c) for u, lv in level)) in fit, (inst, t, pairs)
+        assert (fit == found) == (t > top), (inst, t)
+        if t > top:
+            m, level = gstar._level_run(inst, t)
+            assert m.pairs == m0.pairs, (inst, t)
+            assert all(level[u] == level0[u] for u in m.partner), (inst, t)
+    edges = sorted(set().union(*(pairs for pairs, _level in stable[t_all])))
+    run = m0, {a: level0[a] for a, _ in m0.pairs}
+    fired = 0
+    for bits in product((0, 1), repeat=len(edges)):
+        costed = Instance(inst.side_a, inst.side_b, inst.prefs, dict(zip(edges, bits)))
+        full = mincost._min_cost(costed, t_all)
+        assert mincost.min_cost_popular_max(costed) == full, costed
+        for t in range(top + 1, t_all):
+            res, level = mincost._min_cost_run(costed, t, run)
+            if max((level[a] for a, _ in res.matching.pairs), default=-1) <= t - 2:
+                assert res == full, (costed, t)
+                fired += 1
+    return fired
+
+
+def _pin_free_3x3(keep=lambda inst: True):
+    """The 3x3 instances, one per relabelling of A and B, whose A-proposing
+    run matches every node with neighbors and that `keep` accepts."""
+    seen = set()
+    for inst in filter(keep, instances(3, 3, canonical=True)):
+        forms = []
+        for pa in permutations(inst.side_a):
+            for pb in permutations(inst.side_b):
+                name = dict(zip(inst.side_a + inst.side_b, pa + pb))
+                forms.append(sorted((name[u], [name[v] for v in lst]) for u, lst in inst.prefs.items()))
+        form = repr(min(forms))
+        if form in seen:
+            continue
+        seen.add(form)
+        m, _level = gstar._level_run(inst, 3)
+        if all(u in m.partner for u in inst.nodes if inst.prefs[u]):
+            yield inst
+
+
 def check_verdicts(inst, every_certificate: bool = True) -> None:
     """Every verdict on every matching of one instance against the oracle:
     popularity, certification, Pareto-optimality and, with
@@ -197,6 +289,12 @@ def test_min_cost_claim_on_small_shapes():
     assert counts == [5, 16, 65, 144]
 
 
+def test_stopping_rule_on_sparse_3x3_and_a_4x4():
+    fired = [check_stopping_rule(inst) for inst in _pin_free_3x3(lambda inst: len(inst.edges) <= 6)]
+    assert (len(fired), sum(fired)) == (314, 2157)
+    assert check_stopping_rule(random_instance(*FAR_LEVELS[0])) == 352
+
+
 def test_verdicts_on_small_shapes():
     counts = [sweep(na, nb, False, check_verdicts) for na, nb in VERDICT_SHAPES]
     assert counts == [47, 847, 847]
@@ -207,6 +305,12 @@ def full_sweep() -> None:
         print(f"(a), (b) {na}x{nb}: {sweep(na, nb, False, check_levels)} instances")
     for na, nb in SHAPES[:4]:
         print(f"(c), (d) {na}x{nb}: {sweep(na, nb, False, check_costs)} instances")
+    fired = [check_stopping_rule(inst) for inst in _pin_free_3x3()]
+    print(f"(f) 3x3 pin-free, one per relabelling of A and B: {len(fired)} instances, "
+          f"the rule stopped below T on {sum(fired)} (cost vector, t) pairs")
+    for args in FAR_LEVELS:
+        print(f"(f) random_instance{args}: the rule stopped below T on "
+              f"{check_stopping_rule(random_instance(*args))} (cost vector, t) pairs")
     for na, nb in VERDICT_SHAPES:
         print(f"verdicts {na}x{nb}: {sweep(na, nb, False, check_verdicts)} instances")
     count = sweep(3, 3, True, lambda inst: check_verdicts(inst, every_certificate=False))
