@@ -35,9 +35,6 @@ EXIT_BOUND = 3
 EXIT_INTERNAL = 4
 EXIT_PIPE = 141
 
-# `emit-lp` writes its text in chunks of about this many characters
-CHUNK = 1 << 16
-
 
 def _read(path: str) -> str:
     try:
@@ -131,40 +128,27 @@ def cmd_pareto(args) -> int:
     return EXIT_OK
 
 
-def _chunks(pieces):
-    """Runs of whole lines joined into chunks of at least CHUNK characters
-    (the last one may be shorter), each ending where a line does."""
-    buf, size = [], 0
-    for piece in pieces:
-        buf.append(piece)
-        size += len(piece)
-        if size >= CHUNK:
-            yield "".join(buf)
-            buf, size = [], 0
-    if buf:
-        yield "".join(buf)
-
-
 def cmd_emit_lp(args) -> int:
-    """Write the LP text chunk by chunk as it is made; with --json, each
-    chunk escaped inside the envelope, the same bytes as `_emit` prints."""
+    """Write the LP text piece by piece as `mincost._lp_text` makes it; with
+    --json, each piece escaped inside the envelope, the same bytes as
+    `_emit` prints."""
     from . import mincost
     inst = core.parse_instance(_read(args.instance))
-    chunks = _chunks(mincost._lp_text(inst))
-    first = next(chunks)  # checks the instance before a byte is written
-    out = sys.stdout
+    pieces = mincost._lp_text(inst)
+    first = next(pieces)  # checks the instance before a byte is written
+    write = sys.stdout.write
     if args.json:
         # json.dumps of the envelope with sort_keys, in pieces: escaping a
-        # string is per character, so the escaped chunks join to the whole
-        out.write('{"result": {"lp": "')
-        out.write(json.dumps(first)[1:-1])
-        for chunk in chunks:
-            out.write(json.dumps(chunk)[1:-1])
-        out.write('"}, "status": "ok"}\n')
+        # string is per character, so the escaped pieces join to the whole
+        write('{"result": {"lp": "')
+        write(json.dumps(first)[1:-1])
+        for piece in pieces:
+            write(json.dumps(piece)[1:-1])
+        write('"}, "status": "ok"}\n')
     else:
-        out.write(first)
-        for chunk in chunks:
-            out.write(chunk)
+        write(first)
+        for piece in pieces:
+            write(piece)
     return EXIT_OK
 
 

@@ -10,18 +10,18 @@ the copy subscripts carry the dual-certificate levels.
 
 The layout is written once, in `GStarTables`, on integer ids, for any
 number of levels T: its ids and the positions in each list are arithmetic
-on the source's lists. `_layout` gives that arithmetic alone, and `_tables`
-materializes the lists and rank maps through it. The products keep the
-paper's T = n0: the LP emitter reads `_layout`'s positions, `build_gstar`
-names the ids of `build_tables` for the `gstar` command and for
-`certificates.lift`, and `level_proposals` reports its levels. The routes
-that return only a source matching run fewer. `popular_max_matching` runs
-T = `_n_levels(inst)` = max(min(|A|, |B|), 1) levels, which yields the
-same matching (see `_n_levels`). Min-cost optimization walks the lists of
-`_tables` at T levels or, when the run at T matches every node with
-neighbors, from two levels above the run's top one, doubling until a
-stopping rule fires (claim (f) of `mincost.min_cost_popular_max`), with
-the same result.
+on the source's lists. Its constructor checks the source's ids and lays
+out the edge costs, and `_lists` builds the lists through its positions
+for the readers that walk them. The products keep the paper's T = n0: the
+LP emitter reads the positions alone, `build_gstar` names the ids and
+lists for the `gstar` command and for `certificates.lift`, and
+`level_proposals` reports its levels. The routes that return only a
+source matching run fewer. `popular_max_matching` runs T =
+`_n_levels(inst)` = max(min(|A|, |B|), 1) levels, which yields the same
+matching (see `_n_levels`). Min-cost optimization walks the lists at T
+levels or, when the run at T matches every node with neighbors, from two
+levels above the run's top one, doubling until a stopping rule fires
+(claim (f) of `mincost.min_cost_popular_max`), with the same result.
 """
 
 from __future__ import annotations
@@ -67,22 +67,29 @@ class GStarTables:
       `level_block(i)` * deg(b) + rank_b(a);
     - dummy i of a lists copy (a, i-1), then copy (a, i): it is the last
       entry of its lower copy's list and the first of its upper copy's.
-    `_tables` materializes the lists through them: `prefs[u]` lists ids
-    from most to least preferred, `rank[u]` maps each to its position and
-    `costs[k]` maps the images of the k-th A-node to their edge costs.
-    `_layout` leaves all three None.
+    `_lists` builds the lists through them. `costs[k]` maps the images of
+    the k-th A-node's neighbors to their nonzero edge costs.
+
+    Raises `ValidationError` if a source id holds a character reserved for
+    derived names.
     """
 
-    __slots__ = ("source", "n_levels", "n_copies", "n_nodes", "index", "prefs", "rank", "costs")
+    __slots__ = ("source", "n_levels", "n_copies", "n_nodes", "index", "costs")
 
     def __init__(self, source: Instance, n_levels: int):
+        for u in source.nodes:
+            if any(c in RESERVED for c in u):
+                raise ValidationError(
+                    f"node id {u!r} contains a character reserved for derived names ({RESERVED})")
         self.source, self.n_levels = source, n_levels
         self.index = {a: k for k, a in enumerate(source.side_a)}
         self.index.update((b, j) for j, b in enumerate(source.side_b))
         n_a = len(source.side_a)
         self.n_copies = n_a * n_levels
         self.n_nodes = self.n_copies + len(source.side_b) + n_a * (n_levels - 1)
-        self.prefs = self.rank = self.costs = None
+        self.costs = [{} for _ in source.side_a]
+        for (a, b), c in source.costs.items():  # the nonzero costs
+            self.costs[self.index[a]][self.image(self.index[b])] = c
 
     def copy(self, k: int, i: int) -> int:
         return k * self.n_levels + i
@@ -175,51 +182,29 @@ class GStarTables:
         return make_matching(self.source, out), level
 
 
-def build_tables(inst: Instance) -> GStarTables:
-    """Lay out the paper's derived instance, with |A| levels, on integer
-    ids; deterministic given source order."""
-    return _tables(inst, len(inst.side_a))
-
-
-def _layout(inst: Instance, n_levels: int) -> GStarTables:
-    """The ids and list positions of the derived instance with `n_levels`
-    levels, its lists not materialized; checks that no source id holds a
-    character reserved for derived names."""
-    for u in inst.nodes:
-        if any(c in RESERVED for c in u):
-            raise ValidationError(
-                f"node id {u!r} contains a character reserved for derived names ({RESERVED})")
-    return GStarTables(inst, n_levels)
-
-
-def _tables(inst: Instance, n_levels: int) -> GStarTables:
-    """The derived instance with `n_levels` levels on integer ids, its
-    lists, rank maps and cost rows laid out by `GStarTables`' positions."""
-    gt = _layout(inst, n_levels)
-    index, levels, prefs, costs = gt.index, range(n_levels), [], []
+def _lists(gt: GStarTables) -> list[tuple[int, ...]]:
+    """The preference lists of the derived instance by id, each from most
+    to least preferred, laid out by `gt`'s positions."""
+    inst, index, n_levels = gt.source, gt.index, gt.n_levels
+    levels, lists = range(n_levels), []
     lower = [gt.image_start(i) for i in levels]  # the copies that list a lower dummy
     for k, a in enumerate(inst.side_a):
         images = tuple(gt.image(index[b]) for b in inst.prefs[a])
         dummies = gt.dummies(k)  # dummy i is dummies[i - 1]
-        costs.append({})
         for i in levels:
             lst = images
             if lower[i]:
                 lst = (dummies[i - 1],) + lst
             if i <= n_levels - 2:
                 lst = lst + (dummies[i],)
-            prefs.append(lst)
+            lists.append(lst)
     copies = [gt.copies(k) for k in range(len(inst.side_a))]
     blocks = sorted(levels, key=gt.level_block)
     for b in inst.side_b:
-        prefs.append(tuple(copies[index[a]][i] for i in blocks for a in inst.prefs[b]))
+        lists.append(tuple(copies[index[a]][i] for i in blocks for a in inst.prefs[b]))
     for c in copies:
-        prefs.extend(zip(c, c[1:]))
-    for (a, b), c in inst.costs.items():  # the nonzero costs
-        costs[index[a]][gt.image(index[b])] = c
-    gt.prefs, gt.costs = prefs, costs
-    gt.rank = [{v: r for r, v in enumerate(lst)} for lst in prefs]
-    return gt
+        lists.extend(zip(c, c[1:]))
+    return lists
 
 
 class GStarInstance(NamedTuple):
@@ -237,17 +222,19 @@ _NAMERS = {"copy": copy_name, "dummy": dummy_name, "image": image_name}
 
 
 def build_gstar(inst: Instance) -> GStarInstance:
-    """The derived instance on string names: the ids of `build_tables`, named."""
-    return _named(build_tables(inst))
+    """The derived instance on string names: the paper's |A| levels, named;
+    deterministic given source order."""
+    return _named(GStarTables(inst, len(inst.side_a)))
 
 
 def _named(gt: GStarTables) -> GStarInstance:
-    """The ids of `gt` named, with its level count as `n0`."""
+    """The ids and lists of `gt` named, with its level count as `n0`."""
     inst = gt.source
     names = [_NAMERS[o[0]](*o[1:]) for o in map(gt.origin, range(gt.n_nodes))]
-    prefs = {names[u]: tuple(names[v] for v in lst) for u, lst in enumerate(gt.prefs)}
+    prefs = {names[u]: tuple(names[v] for v in lst) for u, lst in enumerate(_lists(gt))}
+    costs = {(names[u], names[v]): c for k, row in enumerate(gt.costs)
+             for v, c in row.items() for u in gt.copies(k)}
     copies = gt.n_copies
-    costs = {(names[u], names[v]): gt.cost((u, v)) for u in range(copies) for v in gt.prefs[u]}
     inner = Instance(tuple(names[:copies]), tuple(names[copies:]), prefs, costs)
     return GStarInstance(inst, inner, gt.n_levels, {name: u for u, name in enumerate(names)}, gt)
 

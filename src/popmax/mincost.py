@@ -24,7 +24,7 @@ from typing import NamedTuple
 from .certificates import DualCertificate, _read_certificate
 from .core import Instance, Matching, make_matching, matching_cost
 from .errors import InternalError
-from .gstar import _layout, _level_run, _n_levels, _tables
+from .gstar import GStarTables, _level_run, _lists, _n_levels
 from .stable import gale_shapley
 
 # ---------------------------------------------------------------------------
@@ -437,13 +437,16 @@ def _min_cost(inst: Instance, n_levels: int) -> MinCostResult:
 def _min_cost_run(inst: Instance, n_levels: int, run) -> tuple[MinCostResult, dict[str, int]]:
     """`_min_cost` started from `run`, the matching and levels of the
     A-proposing run at `n_levels` levels (A-nodes missing from its levels
-    are leftovers), with the levels of the min-cost stable matching."""
-    gt = _tables(inst, n_levels)
+    are leftovers), with the levels of the min-cost stable matching. The
+    walk reads the lists of `gstar._lists` and the rank maps built here."""
+    gt = GStarTables(inst, n_levels)
+    prefs = _lists(gt)
+    rank = [{v: r for r, v in enumerate(lst)} for lst in prefs]
     m0, level = run
     base = gt.place(m0.pairs, level)
     partner = dict(base)
     partner.update((v, u) for u, v in base)
-    cycles, preds = _rotation_walk(gt.prefs, gt.rank, range(gt.n_copies), partner)
+    cycles, preds = _rotation_walk(prefs, rank, range(gt.n_copies), partner)
     s = _cheapest_elimination(base, cycles, preds, gt.cost)
     m, level, cert = _read_certificate(gt, s)
     cost = sum(map(gt.cost, s))
@@ -457,7 +460,6 @@ def _min_cost_run(inst: Instance, n_levels: int, run) -> tuple[MinCostResult, di
 
 
 _SEP = len(" + ")  # the separator between the terms of a row
-_NODES_PER_PIECE = 64  # the degree rows of this many derived nodes make one piece
 
 
 def _enc(name: str) -> str:
@@ -492,18 +494,18 @@ def emit_lp(inst: Instance) -> str:
 def _lp_text(inst: Instance) -> Iterator[str]:
     """The text of `emit_lp` in pieces, each a run of whole lines, made as
     they are consumed: the header, then per copy its stability rows, per
-    run of nodes their degree rows, per A-node the linkage rows of its
-    edges and the bounds of its copies' edges, and the rest. The instance
-    is checked on the first `next`.
+    node its degree rows, per A-node the linkage rows of its edges and the
+    bounds of its copies' edges, and the rest. The instance is checked on
+    the first `next`.
 
     The rows are written from the layout of the paper's derived instance,
-    `gstar._layout`, whose lists are never built: each source node is
+    a `gstar.GStarTables`, whose lists are never built: each source node is
     encoded once, each copy's edge terms are formatted once in its own
     list's order, and the rows of images and dummies, the stability rows
     and the linkage rows pick the same strings at the positions
     `GStarTables.image_start` and `level_block` give.
     """
-    gt = _layout(inst, len(inst.side_a))
+    gt = GStarTables(inst, len(inst.side_a))
     levels, index, prefs, src_rank = range(gt.n_levels), gt.index, inst.prefs, inst._rank
     shift = [gt.image_start(i) for i in levels]
     enc = {u: _enc(u) for u in inst.nodes}
@@ -570,14 +572,12 @@ def _lp_text(inst: Instance) -> Iterator[str]:
     # the nodes every stable matching matches: those the dummy chains fill
     # when no source node is matched
     must_match = {x for e in gt.place((), {}) for x in e}
-    for run in range(0, gt.n_nodes, _NODES_PER_PIECE):
-        parts = []
-        for node in range(run, min(run + _NODES_PER_PIECE, gt.n_nodes)):
-            if joined[node]:
-                parts += (" deg.", token[node], ": ", joined[node], " <= 1\n")
-                if node in must_match:
-                    parts += (" fix.", token[node], ": ", joined[node], " = 1\n")
-        yield "".join(parts)
+    for node, row in enumerate(joined):
+        if row:
+            parts = [" deg.", token[node], ": ", row, " <= 1\n"]
+            if node in must_match:
+                parts += (" fix.", token[node], ": ", row, " = 1\n")
+            yield "".join(parts)
 
     for k, a in enumerate(inst.side_a):  # the source edges in order, A-node by A-node
         rows = []

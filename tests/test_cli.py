@@ -204,7 +204,7 @@ def test_mincost_and_emit_lp_never_build_gstar(files, tmp_path, capsys, monkeypa
 
 def test_emit_lp_materializes_no_tables(files, tmp_path, capsys, monkeypatch):
     """`emit-lp` reads the derived instance's layout arithmetic, not its
-    lists: with the tables refused, its text and `--json` output are
+    lists: with the lists refused, its text and `--json` output are
     unchanged."""
     paths = _costed_paths(files, tmp_path) + [files["i3"]]
     commands = [(cmd, path) for path in paths for cmd in (("emit-lp",), ("--json", "emit-lp"))]
@@ -214,7 +214,7 @@ def test_emit_lp_materializes_no_tables(files, tmp_path, capsys, monkeypatch):
         raise AssertionError("the derived instance's lists were built")
 
     for mod in (popmax.gstar, popmax.mincost):
-        monkeypatch.setattr(mod, "_tables", refuse)
+        monkeypatch.setattr(mod, "_lists", refuse)
     for (cmd, path), want in zip(commands, expected):
         assert want[0] == 0
         assert run(capsys, *cmd, path) == want

@@ -75,6 +75,33 @@ def test_reserved_characters_rejected():
         build_gstar(inst)
 
 
+def test_tables_check_ids_when_made():
+    """Every way to make the derived instance checks the source's ids: a
+    `GStarTables` made directly raises as `build_gstar` does."""
+    inst = parse_instance("side A x#1\nside B b\npref x#1: b\npref b: x#1\n")
+    message = "node id 'x#1' contains a character reserved for derived names (#!~)"
+    for n_levels in (1, 3):
+        with pytest.raises(ValidationError) as err:
+            popmax.gstar.GStarTables(inst, n_levels)
+        assert str(err.value) == message
+
+
+def test_tables_are_whole_when_made():
+    """A `GStarTables` holds no preference lists or rank maps, and answers
+    `cost` as soon as it is made: copy-image edges cost their source edge,
+    dummy edges nothing."""
+    inst = parse_instance("side A a1 a2\nside B b1 b2\npref a1: b1 b2\npref a2: b1\n"
+                          "pref b1: a2 a1\npref b2: a1\ncost a1 b2 5\ncost a2 b1 -3\n")
+    gt = popmax.gstar.GStarTables(inst, 2)
+    assert not hasattr(gt, "prefs") and not hasattr(gt, "rank")
+    b1, b2 = gt.image(0), gt.image(1)
+    costs = {(u, v): gt.cost((u, v)) for u, lst in enumerate(popmax.gstar._lists(gt))
+             if u < gt.n_copies for v in lst}
+    assert costs == {(0, b1): 0, (0, b2): 5, (0, gt.dummy(0, 1)): 0,
+                     (1, gt.dummy(0, 1)): 0, (1, b1): 0, (1, b2): 5,
+                     (2, b1): -3, (2, gt.dummy(1, 1)): 0, (3, gt.dummy(1, 1)): 0, (3, b1): -3}
+
+
 def test_gstar_serializes_in_core_format(i1):
     gs = build_gstar(i1)
     assert parse_instance(serialize_instance(gs.inner)) == gs.inner

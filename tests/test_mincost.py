@@ -263,7 +263,7 @@ def test_gstar_table_walk_equals_walk_on_named_gstar(monkeypatch):
     total = 0
     for inst in cases:
         runs = ((lambda i: mincost._min_cost(i, gstar._n_levels(i)),
-                 gstar._named(gstar._tables(inst, gstar._n_levels(inst))).inner),
+                 gstar._named(gstar.GStarTables(inst, gstar._n_levels(inst))).inner),
                 (lambda i: mincost._min_cost(i, len(i.side_a)), build_gstar(inst).inner))
         for solve, inner in runs:
             seen.clear()
@@ -483,13 +483,15 @@ def test_rotation_walk_keeps_one_block_per_lift():
     import tracemalloc
 
     inst = random_instance(40, 40, 0.3, 1264, (0, 9))
-    gt = gstar._tables(inst, 40)
+    gt = gstar.GStarTables(inst, 40)
+    prefs = gstar._lists(gt)
+    rank = [{v: r for r, v in enumerate(lst)} for lst in prefs]
     m0, level = gstar._level_run(inst, 40)
     partner = dict(gt.place(m0.pairs, level))
     partner.update((v, u) for u, v in list(partner.items()))
     tracemalloc.start()
     try:
-        cycles, _preds = mincost._rotation_walk(gt.prefs, gt.rank, range(gt.n_copies), partner)
+        cycles, _preds = mincost._rotation_walk(prefs, rank, range(gt.n_copies), partner)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -29,13 +29,16 @@ pass there too; the seeded squares `FAR_LEVELS` have a popular
 max-matching that needs more levels, where the rule must refuse to stop.
 `check_verdicts` runs over every matching of an instance of any shape:
 `verify_popular_max`, `certify_popular_max`, `is_pareto_optimal` and
-`verify_certificate` must agree with the oracle.
+`verify_certificate` must agree with the oracle, and `lift` must turn each
+certificate that `verify_certificate` accepts into a stable matching of
+the derived instance that projects to its matching.
 
 Tier-1 checks (a) and (b) on every instance of shapes 2x1, 3x1, 4x1 and
 3x2 (5, 16, 65 and 847 instances) and on one instance per relabelling of A
 of shape 4x2 (1,125 of 26,669), (c) and (d) on every instance up to 4x1
 and on one per relabelling of A of shape 3x2 (144 of 847), the verdicts
-on every instance of shapes 2x2, 2x3 and 3x2 (47, 847 and 847), and (f) on
+on every instance of shapes 2x2, 2x3 and 3x2 (47, 847 and 847; 2,591
+accepted certificates lifted), and (f) on
 the 314 such 3x3 instances, one per relabelling of A and B, with at most 6
 edges and on the 4x4 one of `FAR_LEVELS`. The full sweep, (a) and (b) on
 every instance up to 4x2, (c) and (d) on every instance up to 3x2, (f) on
@@ -60,6 +63,8 @@ from popmax import (
     certify_popular_max,
     gstar,
     is_pareto_optimal,
+    is_stable,
+    lift,
     mincost,
     random_instance,
     verify_certificate,
@@ -128,7 +133,7 @@ def check_levels(inst) -> None:
     """Claims (a) and (b) on one instance, with the read/place round trip
     on every stable matching."""
     t, n = gstar._n_levels(inst), len(inst.side_a)
-    gs = gstar._named(gstar._tables(inst, t))
+    gs = gstar._named(gstar.GStarTables(inst, t))
     projected = set()
     for s in enumerate_stable(gs.inner):
         ids = {(gs.ids[u], gs.ids[v]) for u, v in s.pairs}
@@ -160,7 +165,7 @@ def check_costs(inst) -> None:
 def _stable_levels(inst, t: int) -> set:
     """Each stable matching of the t-level derived instance, read as its
     projection's pairs and the levels of its matched nodes."""
-    gs = gstar._named(gstar._tables(inst, t))
+    gs = gstar._named(gstar.GStarTables(inst, t))
     out = set()
     for s in enumerate_stable(gs.inner):
         m, level = gs.tables.read((gs.ids[u], gs.ids[v]) for u, v in s.pairs)
@@ -235,11 +240,15 @@ def _pin_free_3x3(keep=lambda inst: True):
             yield inst
 
 
-def check_verdicts(inst, every_certificate: bool = True) -> None:
+def check_verdicts(inst, every_certificate: bool = True) -> int:
     """Every verdict on every matching of one instance against the oracle:
     popularity, certification, Pareto-optimality and, with
     `every_certificate`, verification of every certificate in the value
-    range (k^(2k) of them on a maximum matching of k pairs)."""
+    range (k^(2k) of them on a maximum matching of k pairs), each accepted
+    one lifted to a stable matching of the derived instance that projects
+    to its matching. Returns how many certificates were lifted."""
+    lifted = 0
+    gs = gstar.build_gstar(inst) if every_certificate else None
     matchings = enum_matchings(inst)
     k = max(map(len, matchings))
     popular = {m.pairs for m in brute_popular_max(inst)}
@@ -265,9 +274,14 @@ def check_verdicts(inst, every_certificate: bool = True) -> None:
             cert = DualCertificate(dict(zip(matched, values)), k)
             report = verify_certificate(inst, m, cert)
             assert not report.ok or m.pairs in popular, (inst, m, cert)
+            if report.ok:
+                s = lift(inst, m, cert)
+                assert is_stable(gs.inner, s) and gstar.project(gs, s) == m, (inst, m, cert)
+                lifted += 1
             # (Z) is implied by the domain check and (CS)
             failed = {v.split(":")[0] for v in report.violations}
             assert "Z" not in failed or "CS" in failed, (inst, m, cert)
+    return lifted
 
 
 def sweep(na: int, nb: int, canonical: bool, check) -> int:
@@ -296,8 +310,10 @@ def test_stopping_rule_on_sparse_3x3_and_a_4x4():
 
 
 def test_verdicts_on_small_shapes():
-    counts = [sweep(na, nb, False, check_verdicts) for na, nb in VERDICT_SHAPES]
-    assert counts == [47, 847, 847]
+    lifted = []
+    counts = [sweep(na, nb, False, lambda inst: lifted.append(check_verdicts(inst)))
+              for na, nb in VERDICT_SHAPES]
+    assert counts == [47, 847, 847] and sum(lifted) == 2591
 
 
 def full_sweep() -> None:
@@ -312,7 +328,9 @@ def full_sweep() -> None:
         print(f"(f) random_instance{args}: the rule stopped below T on "
               f"{check_stopping_rule(random_instance(*args))} (cost vector, t) pairs")
     for na, nb in VERDICT_SHAPES:
-        print(f"verdicts {na}x{nb}: {sweep(na, nb, False, check_verdicts)} instances")
+        lifted = []
+        count = sweep(na, nb, False, lambda inst: lifted.append(check_verdicts(inst)))
+        print(f"verdicts {na}x{nb}: {count} instances, {sum(lifted)} accepted certificates lifted")
     count = sweep(3, 3, True, lambda inst: check_verdicts(inst, every_certificate=False))
     print(f"verdicts 3x3, one per relabelling of A, no certificate enumeration: {count} instances")
 
