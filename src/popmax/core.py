@@ -18,12 +18,16 @@ Edge = tuple[str, str]  # always oriented (A-side id, B-side id)
 
 
 class _Frozen:
-    """A value on __slots__ whose fields are set once, through object.__setattr__,
-    and read-only after. Values of one class are equal when their `_compared`
+    """A value on __slots__ whose fields are set once, through `_set`, and
+    read-only after. Values of one class are equal when their `_compared`
     fields are, which also give the hash, the repr and the constructor arguments."""
 
     __slots__ = ()
     _compared: tuple[str, ...] = ()
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
         return tuple(getattr(self, f) for f in self._compared)
@@ -59,75 +63,82 @@ class Instance(_Frozen):
     Instances are immutable (and unhashable); all operations on them are pure.
     """
 
-    __slots__ = ("side_a", "side_b", "prefs", "costs", "edges", "_rank", "_a_set")
+    __slots__ = ("side_a", "side_b", "prefs", "costs", "_rank", "_a_set")
     _compared = ("side_a", "side_b", "prefs", "costs")
 
     def __init__(self, side_a: Sequence[str], side_b: Sequence[str],
                  prefs: dict[str, Sequence[str]], costs: dict[Edge, int] | None = None):
-        object.__setattr__(self, "side_a", side_a)
-        object.__setattr__(self, "side_b", side_b)
-        object.__setattr__(self, "prefs", prefs)
-        object.__setattr__(self, "costs", {} if costs is None else costs)
+        self._set(side_a=side_a, side_b=side_b, prefs=prefs, costs={} if costs is None else costs)
         self.__post_init__()
 
     def __post_init__(self):
-        side_a, side_b = tuple(self.side_a), tuple(self.side_b)
-        object.__setattr__(self, "side_a", side_a)
-        object.__setattr__(self, "side_b", side_b)
-        a_set, b_set = set(side_a), set(side_b)
-        if len(a_set) != len(side_a) or len(b_set) != len(side_b) or (a_set & b_set):
+        # each entry is checked once. A value of the wrong Python type makes a check
+        # of its part raise, and the part's `try` (free from Python 3.11 on, until
+        # something raises) reports it as a ValidationError
+        try:
+            side_a, side_b = tuple(self.side_a), tuple(self.side_b)
+            a_set, b_set = set(side_a), set(side_b)
+            ids = side_a + side_b
+            # str.split() splits on exactly the characters str.isspace() accepts, so the
+            # ids, joined by spaces, split back into themselves iff none is empty or spaced
+            joined = " ".join(ids)
+        except TypeError:
+            raise ValidationError("node identifiers must be strings") from None
+        known = a_set | b_set
+        if len(known) != len(ids):
             raise ValidationError("duplicate node identifier")
-        # str.split() splits on exactly the characters str.isspace() accepts, so the
-        # ids, joined by spaces, split back into themselves iff none is empty or spaced
-        ids = side_a + side_b
-        joined = " ".join(ids)
         if ":" in joined or joined.split() != list(ids):
             u = next(u for u in ids if u.split() != [u] or ":" in u)
             raise ValidationError(f"bad node identifier {u!r}")
-        given = self.prefs
-        unknown = [u for u in given if u not in a_set and u not in b_set]
-        if unknown:
-            raise ValidationError(f"preference list for unknown node {min(unknown)!r}")
+        if not known.issuperset(self.prefs):
+            raise ValidationError(f"preference list for unknown node {min(set(self.prefs) - known)!r}")
         # one rank dict per list: its size finds duplicates, its keys the side
-        prefs, rank = {}, {}
-        for side, opposite in ((side_a, b_set), (side_b, a_set)):
-            for u in side:
-                lst = tuple(given.get(u, ()))
-                r = {v: i for i, v in enumerate(lst)}
-                if len(r) != len(lst):
-                    raise ValidationError(f"duplicate entry in preference list of {u!r}")
-                if not opposite.issuperset(r):
-                    v = next(v for v in lst if v not in opposite)
-                    raise ValidationError(f"{u!r} lists {v!r}, which is not on the opposite side")
-                prefs[u] = lst
-                rank[u] = r
-        edges = []
+        prefs, rank, get = {}, {}, self.prefs.get
+        try:
+            for side, opposite in ((side_a, b_set), (side_b, a_set)):
+                within = opposite.issuperset
+                for u in side:
+                    lst = tuple(get(u, ()))
+                    r = {v: i for i, v in enumerate(lst)}
+                    if len(r) != len(lst):
+                        raise ValidationError(f"duplicate entry in preference list of {u!r}")
+                    if not within(r):
+                        v = next(v for v in lst if v not in opposite)
+                        raise ValidationError(f"{u!r} lists {v!r}, which is not on the opposite side")
+                    prefs[u] = lst
+                    rank[u] = r
+        except TypeError:
+            raise ValidationError(f"bad preference list for {u!r}") from None
         for a in side_a:
             for b in prefs[a]:
                 if a not in rank[b]:
                     raise ValidationError(f"non-mutual preference: {a!r} lists {b!r} but not vice versa")
-                edges.append((a, b))
         # every A-side entry is mirrored, so a B-side entry is unmirrored iff B lists more
-        if sum(len(prefs[b]) for b in side_b) != len(edges):
+        if sum(map(len, prefs.values())) != 2 * sum(map(len, map(prefs.__getitem__, side_a))):
             for b in side_b:
                 for a in prefs[b]:
                     if b not in rank[a]:
                         raise ValidationError(f"non-mutual preference: {b!r} lists {a!r} but not vice versa")
-        object.__setattr__(self, "prefs", prefs)
-        object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "_rank", rank)
-        object.__setattr__(self, "_a_set", a_set)
         costs = {}
-        for e, c in self.costs.items():
-            a, b = e
-            if a not in a_set or b not in rank[a]:
-                raise ValidationError(f"cost on non-edge {(a, b)!r}")
-            value = int(c)
-            if value != c:
-                raise ValidationError(f"non-integer cost on {(a, b)!r}")
-            if value:
-                costs[a, b] = value
-        object.__setattr__(self, "costs", costs)
+        try:
+            for e, c in self.costs.items():
+                a, b = e
+                if a not in a_set or b not in rank[a]:
+                    raise ValidationError(f"cost on non-edge {(a, b)!r}")
+                value = int(c)
+                if value != c:
+                    raise ValidationError(f"non-integer cost on {(a, b)!r}")
+                if value:
+                    costs[e if type(e) is tuple else (a, b)] = value
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"bad cost entry {e!r}: {c!r}") from None
+        self._set(side_a=side_a, side_b=side_b, prefs=prefs, costs=costs, _rank=rank, _a_set=a_set)
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """Every edge (a, b), A-node by A-node in side order and each in a's
+        list order; computed on each read, so read it once per use."""
+        return tuple((a, b) for a in self.side_a for b in self.prefs[a])
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -160,18 +171,17 @@ class Matching(_Frozen):
     _compared = ("pairs",)
 
     def __init__(self, pairs: Iterable[Edge]):
-        object.__setattr__(self, "pairs", pairs)
+        self._set(pairs=pairs)
         self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
-        partner: dict[str, str] = {}
-        for a, b in self.pairs:
+        pairs, partner = frozenset(self.pairs), {}
+        for a, b in pairs:
             if a in partner or b in partner:
                 raise ValidationError("matching edges are not node-disjoint")
             partner[a] = b
             partner[b] = a
-        object.__setattr__(self, "partner", partner)
+        self._set(pairs=pairs, partner=partner)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -335,39 +345,35 @@ def parse_instance(text: str) -> Instance:
     side_b: list[str] = []
     prefs: dict[str, tuple[str, ...]] = {}
     costs: dict[Edge, int] = {}
-    pref_lines: dict[str, int] = {}
-    cost_lines: dict[Edge, int] = {}
+    lines = text.splitlines()
 
     def column(line: str, token_index: int) -> int:
-        pos = 0
-        for _ in range(token_index):
-            while pos < len(line) and line[pos].isspace():
-                pos += 1
-            while pos < len(line) and not line[pos].isspace():
-                pos += 1
-        while pos < len(line) and line[pos].isspace():
-            pos += 1
-        return pos + 1
+        rest = line.split(None, token_index)[token_index:]  # the line from that token on
+        return len(line) - len(rest[0] if rest else "") + 1
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    def first_line(*head: str) -> int:
+        """The number of the first line whose tokens begin with `head`; only
+        an error message needs it, so only an error walks the lines again."""
+        return next(n for n, raw in enumerate(lines, 1) if raw.split()[:len(head)] == list(head))
+
+    for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split()
         if not tokens or tokens[0][0] == "#":
             continue
         kind = tokens[0]
-        if kind == "side":
-            if len(tokens) < 2 or tokens[1] not in ("A", "B"):
-                raise ParseError("expected `side A ...` or `side B ...`", lineno, column(raw, 1))
-            (side_a if tokens[1] == "A" else side_b).extend(tokens[2:])
-        elif kind == "pref":
+        if kind == "pref":  # most lines are pref lines
             if len(tokens) < 2 or not tokens[1].endswith(":"):
                 raise ParseError("expected `pref <id>: ...`", lineno, column(raw, 1))
             node = tokens[1][:-1]
             if not node:
                 raise ParseError("empty node id before ':'", lineno, column(raw, 1))
-            if node in pref_lines:
-                raise ParseError(f"duplicate pref line for {node!r} (first at line {pref_lines[node]})", lineno, column(raw, 1))
-            pref_lines[node] = lineno
+            if node in prefs:
+                raise ParseError(f"duplicate pref line for {node!r} (first at line {first_line(kind, tokens[1])})", lineno, column(raw, 1))
             prefs[node] = tuple(tokens[2:])
+        elif kind == "side":
+            if len(tokens) < 2 or tokens[1] not in ("A", "B"):
+                raise ParseError("expected `side A ...` or `side B ...`", lineno, column(raw, 1))
+            (side_a if tokens[1] == "A" else side_b).extend(tokens[2:])
         elif kind == "cost":
             if len(tokens) != 4:
                 raise ParseError("expected `cost <idA> <idB> <integer>`", lineno, column(raw, 1))
@@ -376,21 +382,21 @@ def parse_instance(text: str) -> Instance:
             except ValueError:
                 raise ParseError(f"bad integer {tokens[3]!r}", lineno, column(raw, 3)) from None
             e = (tokens[1], tokens[2])
-            if e in cost_lines:
-                raise ParseError(f"duplicate cost line for {e} (first at line {cost_lines[e]})", lineno, column(raw, 1))
-            cost_lines[e] = lineno
+            if e in costs:
+                raise ParseError(f"duplicate cost line for {e} (first at line {first_line(kind, *e)})", lineno, column(raw, 1))
             costs[e] = value
         else:
             raise ParseError(f"unknown directive {kind!r}", lineno, column(raw, 0))
 
-    set_a, set_b = set(side_a), set(side_b)
-    known = set_a | set_b
-    for node in prefs:
-        if node not in known:
-            raise ValidationError(f"pref line for undeclared node {node!r} (line {pref_lines[node]})")
-    for (u, v), lineno in cost_lines.items():
-        if u not in set_a or v not in set_b:
-            raise ValidationError(f"cost line must name an A-node then a B-node (line {lineno})")
+    known = set(side_a).union(side_b)
+    if not known.issuperset(prefs):
+        node = next(node for node in prefs if node not in known)
+        raise ValidationError(f"pref line for undeclared node {node!r} (line {first_line('pref', node + ':')})")
+    if costs:
+        set_a, set_b = set(side_a), set(side_b)
+        for u, v in costs:
+            if u not in set_a or v not in set_b:
+                raise ValidationError(f"cost line must name an A-node then a B-node (line {first_line('cost', u, v)})")
     return Instance(tuple(side_a), tuple(side_b), prefs, costs)
 
 
@@ -401,11 +407,13 @@ def serialize_instance(inst: Instance) -> str:
     for u in inst.nodes:
         lst = inst.prefs[u]
         lines.append(f"pref {u}:" + ("" if not lst else " " + " ".join(lst)))
-    costs = inst.costs
-    for e in inst.edges:
-        c = costs.get(e)
-        if c:
-            lines.append(f"cost {e[0]} {e[1]} {c}")
+    costs, prefs = inst.costs, inst.prefs
+    if costs:  # cost lines in edge order
+        for a in inst.side_a:
+            for b in prefs[a]:
+                c = costs.get((a, b))
+                if c:
+                    lines.append(f"cost {a} {b} {c}")
     return "\n".join(lines) + "\n"
 
 
@@ -422,11 +430,12 @@ def parse_matching(inst: Instance, text: str) -> Matching:
     """Parse a matching file: `<idA> <idB>` lines, or the JSON alternative.
 
     A pair listed twice, in either orientation, is rejected rather than
-    collapsed into one.
+    collapsed into one. One loop orients, de-duplicates and edge-checks each
+    pair: a malformed line or a repeated pair is reported first, then the
+    first pair that is not an edge, then pairs that share a node.
     """
-    a_set = inst._a_set
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    a_set, rank = inst._a_set, inst._rank
+    if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -439,28 +448,34 @@ def parse_matching(inst: Instance, text: str) -> Matching:
                 for p in pairs):
             raise ValidationError(
                 "matching JSON must be an object whose `pairs` is a list of [idA, idB] string pairs")
-        seen = set()
-        for u, v in pairs:
-            e = (u, v) if u in a_set else (v, u)
-            if e in seen:
+        entries = ((u, v, 0) for u, v in pairs)  # line 0: JSON pairs have no line
+    else:
+        entries = _pair_lines(text)
+    first: dict[Edge, int] = {}  # oriented pair -> its line
+    non_edge = None
+    for u, v, lineno in entries:
+        e = (u, v) if u in a_set else (v, u)
+        if e in first:
+            if not lineno:
                 raise ValidationError(f"matching JSON lists the pair {e} twice")
-            seen.add(e)
-        return make_matching(inst, pairs)
-    pairs = []
-    pair_lines: dict[Edge, int] = {}
+            raise ParseError(f"duplicate pair {e} (first at line {first[e]})", lineno)
+        first[e] = lineno
+        if non_edge is None and e[1] not in rank.get(e[0], ()):
+            non_edge = u, v
+    if non_edge:
+        raise ValidationError(f"({non_edge[0]!r}, {non_edge[1]!r}) is not an edge")
+    return Matching(first)
+
+
+def _pair_lines(text: str) -> Iterator[tuple[str, str, int]]:
+    """(u, v, line number) for each `<idA> <idB>` line of a matching file."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens or tokens[0][0] == "#":
             continue
         if len(tokens) != 2:
             raise ParseError("expected `<idA> <idB>`", lineno)
-        u, v = tokens
-        e = (u, v) if u in a_set else (v, u)
-        if e in pair_lines:
-            raise ParseError(f"duplicate pair {e} (first at line {pair_lines[e]})", lineno)
-        pair_lines[e] = lineno
-        pairs.append((u, v))
-    return make_matching(inst, pairs)
+        yield tokens[0], tokens[1], lineno
 
 
 def random_instance(na: int, nb: int, density: float, seed: int,

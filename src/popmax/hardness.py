@@ -31,8 +31,7 @@ class CnfFormula(_Frozen):
     __slots__ = _compared = ("num_vars", "clauses")
 
     def __init__(self, num_vars: int, clauses):
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "clauses", tuple(tuple(c) for c in clauses))
+        self._set(num_vars=num_vars, clauses=tuple(tuple(c) for c in clauses))
         for c in self.clauses:
             if not c:
                 raise ValidationError("empty clause")

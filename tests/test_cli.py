@@ -541,6 +541,45 @@ def test_bad_flag_same_error_every_call(files, capsys):
     assert seen[0][2].startswith("usage: popmax") and "--no-such-flag" in seen[0][2]
 
 
+def test_verdict_commands_never_read_edges(files, tmp_path, capsys, monkeypatch):
+    """`Instance.edges` is computed when read; verify, pareto, solve and
+    certify never read it, so they print the same bytes while it raises."""
+    import copy
+    import pickle
+
+    from popmax import build_gadget_instance, build_gstar, core, parse_dimacs, transform_formula
+
+    from conftest import random_cases
+
+    inst = random_instance(14, 12, 0.35, 7, (0, 9))
+    (tmp_path / "r.txt").write_text(serialize_instance(inst))
+    (tmp_path / "r.match").write_text(run(capsys, "solve", str(tmp_path / "r.txt"))[1])
+    (tmp_path / "bad.json").write_text('{"pairs": [["b1", "a3"]]}')
+    cases = [("solve", files["i3"]), ("solve", str(tmp_path / "r.txt"))]
+    for i, m in ((files["i3"], files["bad"]), (files["i3"], files["good3"]),
+                 (files["i3"], str(tmp_path / "bad.json")),
+                 (str(tmp_path / "r.txt"), str(tmp_path / "r.match"))):
+        cases += [(command, i, m) for command in ("verify", "pareto", "certify")]
+    argvs = [argv for case in cases for argv in (case, ("--json", *case))]
+    expected = [run(capsys, *argv) for argv in argvs]
+    assert {code for code, _, _ in expected} == {0, 1}
+
+    def unread(self):
+        raise AssertionError("Instance.edges was read")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(core.Instance, "edges", property(unread))
+        assert [run(capsys, *argv) for argv in argvs] == expected
+
+    gadget = build_gadget_instance(transform_formula(parse_dimacs("p cnf 3 2\n1 2 3 0\n-1 -2 0\n")))
+    instances = [inst for _, inst in random_cases(20, 6, 2400, min_side=0, costs=(0, 3))]
+    instances += [gadget.instance, build_gstar(inst).inner]
+    for x in instances:
+        assert x.edges == tuple((a, b) for a in x.side_a for b in x.prefs[a])
+        for clone in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert clone == x and clone.edges == x.edges
+
+
 def test_main_constructs_no_parser(files, capsys, monkeypatch):
     import argparse
 
@@ -595,6 +634,12 @@ _PQ = "side A a1 a2\nside B b1 b2\npref a1: b1 b2\npref a2: b1\npref b1: a2 a1\n
     ("side A a1\nside B b1\nfoo a1\n", "", "error: line 3, column 1: unknown directive 'foo'\n"),
     ("side C a1\n", "", "error: line 1, column 6: expected `side A ...` or `side B ...`\n"),
     (_PQ + "pref z: b1\n", "", "error: pref line for undeclared node 'z' (line 7)\n"),
+    # the first undeclared node by line, on neither the first pref line nor the first line
+    ("side A a1\nside B b1\npref a1: b1\n\n# pref yy: b1\npref zz: a1\npref b1: a1\npref yy: b1\n", "",
+     "error: pref line for undeclared node 'zz' (line 6)\n"),
+    # a comment that reads like the pref line is not its first copy
+    ("# pref a: b\nside A a\npref  a: b\nside B b\npref a: b\n", "",
+     "error: line 5, column 6: duplicate pref line for 'a' (first at line 3)\n"),
     (_PQ + "cost b1 a1 3\n", "",
      "error: cost line must name an A-node then a B-node (line 7)\n"),
     ("side A a1 x:1 y:2\nside B b1\n", "", "error: bad node identifier 'x:1'\n"),
@@ -610,6 +655,10 @@ _PQ = "side A a1 a2\nside B b1 b2\npref a1: b1 b2\npref a2: b1\npref b1: a2 a1\n
     (_PQ, "a1 b1\nb2 a2\n", "error: ('b2', 'a2') is not an edge\n"),
     (_PQ, "a1 b1\na2 zz\n", "error: ('a2', 'zz') is not an edge\n"),
     (_PQ, '{"pairs": [["b2", "a1"], ["a2", "b2"]]}', "error: ('a2', 'b2') is not an edge\n"),
+    # a repeated pair is reported before an earlier pair that is no edge
+    (_PQ, "b2 a2\na1 b1\nb1 a1\n", "error: line 3, column 1: duplicate pair ('a1', 'b1') (first at line 2)\n"),
+    (_PQ, '{"pairs": [["b2", "a2"], ["a1", "b1"], ["b1", "a1"]]}',
+     "error: matching JSON lists the pair ('a1', 'b1') twice\n"),
     (_PQ, "a2 b1\na1 b1\n", "error: matching edges are not node-disjoint\n"),
     (_PQ, "a2 b1\n a1\n", "error: line 2, column 1: expected `<idA> <idB>`\n"),
 ])

@@ -173,6 +173,25 @@ def test_instance_fault_precedence(prefs, message):
     assert _rejection(["a1", "a2"], ["b1", "b2"], prefs) == message
 
 
+_AB = {"a1": ("b1",), "b1": ("a1",)}
+
+
+@pytest.mark.parametrize("side_a, prefs, costs, message", [
+    (["a1"], _AB, {("a1", "b1"): "x"}, "bad cost entry ('a1', 'b1'): 'x'"),
+    (["a1"], _AB, {("a1", "b1"): None}, "bad cost entry ('a1', 'b1'): None"),
+    (["a1"], _AB, {("a1",): 1}, "bad cost entry ('a1',): 1"),
+    (["a1"], _AB, {("a1", "b1", "x"): 1}, "bad cost entry ('a1', 'b1', 'x'): 1"),
+    (["a1"], _AB, {5: 1}, "bad cost entry 5: 1"),
+    (["a1"], {**_AB, "a1": None}, {}, "bad preference list for 'a1'"),
+    (["a1"], {**_AB, "b1": 5}, {}, "bad preference list for 'b1'"),
+    (["a1"], {**_AB, "a1": (["b1"],)}, {}, "bad preference list for 'a1'"),
+    (["a1", 5], _AB, {}, "node identifiers must be strings"),
+])
+def test_instance_rejects_values_of_the_wrong_type(side_a, prefs, costs, message):
+    """A bad Python value is a ValidationError, not a bare TypeError or ValueError."""
+    assert _rejection(side_a, ["b1"], prefs, costs) == message
+
+
 def test_instance_cost_checks():
     prefs = {"a1": ("b1",), "a2": (), "b1": ("a1",)}
     for e in (("b1", "a1"), ("a2", "b1"), ("a1", "a2")):
