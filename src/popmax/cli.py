@@ -8,13 +8,21 @@ written, with nothing on stderr.
 
 Every command uses `core` and `errors`; each handler imports the layers
 only it uses, so a command loads no more of the package than it runs.
+
+`main` matches an argv of the form `[--json] <command> <path>...`, where
+the command is one of `FILE_COMMANDS` and no path starts with `-`, and
+builds its namespace without argparse. Every other argv (help, options,
+`-` for stdin, usage errors) goes to the argparse parser, built from the
+same table on first need, so argparse alone writes usage, help and error
+text, and importing this module imports no argparse. Either way the
+handler is looked up by command name (`cmd_<command>`) when `main` runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from . import core
 from .errors import (
@@ -36,17 +44,35 @@ EXIT_INTERNAL = 4
 EXIT_PIPE = 141
 
 
+# the commands whose only arguments are files: name -> (file arguments, help)
+FILE_COMMANDS = {
+    "solve": (("instance",), "compute a popular max-matching"),
+    "mincost": (("instance",), "min-cost popular max-matching with certificate"),
+    "verify": (("instance", "matching"), "verify a matching is a popular max-matching"),
+    "certify": (("instance", "matching"), "produce a dual certificate for a matching"),
+    "pareto": (("instance", "matching"), "check Pareto-optimality of a matching"),
+    "emit-lp": (("instance",), "emit the extended LP formulation"),
+    "gstar": (("instance",), "serialize the derived auxiliary instance"),
+}
+
+
 def _read(path: str) -> str:
+    """The file (`-`: stdin) as UTF-8 text, each CRLF and lone CR read as LF
+    as text mode reads them; the bytes are read unbuffered and decoded here,
+    which skips the text layer."""
     try:
         if path == "-":
-            if hasattr(sys.stdin, "buffer"):
-                # the text layer of stdin may escape bad bytes instead of failing
-                return sys.stdin.buffer.read().decode("utf-8")
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            if sys.stdin is None:  # started with fd 0 closed
+                raise OSError("standard input is closed")
+            # the text layer of stdin may escape bad bytes instead of failing
+            data = sys.stdin.buffer.read() if hasattr(sys.stdin, "buffer") else sys.stdin.read()
+        else:
+            with open(path, "rb", buffering=0) as fh:
+                data = fh.read()
+        text = data if isinstance(data, str) else data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _emit(args, status: str, result, witness=None, text: str = ""):
@@ -235,6 +261,7 @@ def cmd_oracle(args) -> int:
 
 def _count(text: str) -> int:
     """A nonnegative integer option value."""
+    import argparse
     try:
         value = int(text)
     except ValueError:
@@ -244,7 +271,10 @@ def _count(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of every command, the file commands from
+    `FILE_COMMANDS`; it alone writes usage, help and error text."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="popmax",
         description="Popular maximum matchings: solve, verify, certify, optimize.")
@@ -252,30 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="machine-readable {status, result, witness?} envelope")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="compute a popular max-matching")
-    p.add_argument("instance")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("mincost", help="min-cost popular max-matching with certificate")
-    p.add_argument("instance")
-    p.set_defaults(func=cmd_mincost)
-
-    for name, func, help_text in (
-            ("verify", cmd_verify, "verify a matching is a popular max-matching"),
-            ("certify", cmd_certify, "produce a dual certificate for a matching"),
-            ("pareto", cmd_pareto, "check Pareto-optimality of a matching")):
+    for name, (files, help_text) in FILE_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("instance")
-        p.add_argument("matching")
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("emit-lp", help="emit the extended LP formulation")
-    p.add_argument("instance")
-    p.set_defaults(func=cmd_emit_lp)
-
-    p = sub.add_parser("gstar", help="serialize the derived auxiliary instance")
-    p.add_argument("instance")
-    p.set_defaults(func=cmd_gstar)
+        for file in files:
+            p.add_argument(file)
 
     p = sub.add_parser("gen-random", help="generate a random instance")
     p.add_argument("--na", type=int, required=True)
@@ -284,20 +294,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--cost-lo", type=int, default=None, help="needs --cost-hi (default 0)")
     p.add_argument("--cost-hi", type=int, default=None)
-    p.set_defaults(func=cmd_gen_random)
 
     p = sub.add_parser("gen-hardness", help="generate the reduction gadget instance")
     p.add_argument("cnf")
     p.add_argument("--pad-units", action="store_true",
                    help="pad 1-literal clauses to (l or l) before transforming")
-    p.set_defaults(func=cmd_gen_hardness)
 
     p = sub.add_parser("check-reduction", help="confirm the reduction equivalence (tiny inputs)")
     p.add_argument("cnf")
     p.add_argument("--pad-units", action="store_true")
     p.add_argument("--max-vars", type=_count, default=4)
     p.add_argument("--max-clauses", type=_count, default=6)
-    p.set_defaults(func=cmd_check_reduction)
 
     p = sub.add_parser("oracle", help="exponential ground-truth routines (desk scale)")
     p.add_argument("what", choices=["matchings", "max-matchings", "popular-max",
@@ -305,14 +312,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("matching", nargs="?")
     p.add_argument("--bound", type=_count, default=None)  # None: oracle.DEFAULT_BOUND
-    p.set_defaults(func=cmd_oracle)
 
     return parser
 
 
-# Built once, at import. `parse_args` fills a fresh namespace on every call,
-# so one parser serves every `main` call; the handlers are bound here.
-PARSER = build_parser()
+# Built on first need, by `_parse`. `parse_args` fills a fresh namespace on
+# every call, so one parser serves every later call.
+_PARSER = None
+
+
+def _match(argv: list[str]):
+    """The namespace argparse makes of `[--json] <command> <path>...` for a
+    command of `FILE_COMMANDS` with no path starting with `-`, or None."""
+    as_json = argv[:1] == ["--json"]
+    command, *paths = argv[as_json:] or ("",)
+    entry = FILE_COMMANDS.get(command)
+    if entry is None or len(paths) != len(entry[0]) or any(p[:1] == "-" for p in paths):
+        return None
+    return SimpleNamespace(json=as_json, command=command, **dict(zip(entry[0], paths)))
+
+
+def _parse(argv: list[str]):
+    """Parse with argparse; it exits 2 with usage text on a usage error."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
+    if args.command == "oracle" and args.what == "unpopularity" and not args.matching:
+        _PARSER.error("oracle unpopularity needs a MATCHFILE")
+    if args.command == "gen-random" and args.cost_lo is not None and args.cost_hi is None:
+        _PARSER.error("gen-random --cost-lo needs --cost-hi")
+    return args
 
 
 def _report_error(args, label: str, exc: Exception, code: int) -> int:
@@ -323,13 +353,8 @@ def _report_error(args, label: str, exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
-    if getattr(args, "command", "") == "oracle" and args.what == "unpopularity" \
-            and not args.matching:
-        PARSER.error("oracle unpopularity needs a MATCHFILE")
-    if getattr(args, "command", "") == "gen-random" and args.cost_lo is not None \
-            and args.cost_hi is None:
-        PARSER.error("gen-random --cost-lo needs --cost-hi")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _match(argv) or _parse(argv)
     try:
         code = _run(args)
         sys.stdout.flush()  # a reader gone before the end shows here at the latest
@@ -343,9 +368,11 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
-    """Run the command, mapping each error to its exit code."""
+    """Run the command's handler, looked up by name here so that a replaced
+    `cmd_*` is the one that runs, mapping each error to its exit code."""
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except NotMaximumError as exc:
         # verify and certify reject a matching that is not maximum
         _emit(args, "rejected", {"popular": False, "maximum": False,

@@ -90,10 +90,17 @@ class Instance(_Frozen):
         if ":" in joined or joined.split() != list(ids):
             u = next(u for u in ids if u.split() != [u] or ":" in u)
             raise ValidationError(f"bad node identifier {u!r}")
-        if not known.issuperset(self.prefs):
-            raise ValidationError(f"preference list for unknown node {min(set(self.prefs) - known)!r}")
+        try:
+            get = self.prefs.get
+            unknown = not known.issuperset(self.prefs)
+        except (AttributeError, TypeError):
+            raise ValidationError("preferences must map nodes to lists") from None
+        if unknown:
+            # the least unknown key, string keys first: keys of mixed types do not compare
+            u = min(set(self.prefs) - known, key=lambda u: (not isinstance(u, str), str(u)))
+            raise ValidationError(f"preference list for unknown node {u!r}")
         # one rank dict per list: its size finds duplicates, its keys the side
-        prefs, rank, get = {}, {}, self.prefs.get
+        prefs, rank = {}, {}
         try:
             for side, opposite in ((side_a, b_set), (side_b, a_set)):
                 within = opposite.issuperset
@@ -119,9 +126,13 @@ class Instance(_Frozen):
                 for a in prefs[b]:
                     if b not in rank[a]:
                         raise ValidationError(f"non-mutual preference: {b!r} lists {a!r} but not vice versa")
+        try:
+            items = self.costs.items()
+        except AttributeError:
+            raise ValidationError("costs must map edges to integers") from None
         costs = {}
         try:
-            for e, c in self.costs.items():
+            for e, c in items:
                 a, b = e
                 if a not in a_set or b not in rank[a]:
                     raise ValidationError(f"cost on non-edge {(a, b)!r}")

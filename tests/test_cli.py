@@ -438,6 +438,14 @@ def test_exit_code_non_utf8_stdin(capsys, monkeypatch):
     assert code == 2 and out == "" and err.startswith("error: cannot read -")
 
 
+def test_exit_code_closed_stdin(capsys, monkeypatch):
+    """Started with fd 0 closed (`popmax solve - <&-`), Python sets
+    `sys.stdin` to None; that is unreadable input, not a rejection."""
+    monkeypatch.setattr("sys.stdin", None)
+    code, out, err = run(capsys, "solve", "-")
+    assert (code, out, err) == (2, "", "error: cannot read -: standard input is closed\n")
+
+
 def test_exit_code_bad_dimacs_header(tmp_path, capsys):
     p = tmp_path / "x.cnf"
     p.write_text("p cnf x 2\n1 2 0\n-1 -2 0\n")
@@ -580,8 +588,12 @@ def test_verdict_commands_never_read_edges(files, tmp_path, capsys, monkeypatch)
             assert clone == x and clone.edges == x.edges
 
 
-def test_main_constructs_no_parser(files, capsys, monkeypatch):
+def test_parser_is_built_only_off_the_table_and_once(files, capsys, monkeypatch):
+    """The file commands construct no `ArgumentParser`; the argparse route
+    builds one parser per process, however often it runs."""
     import argparse
+
+    from popmax import cli
 
     init = argparse.ArgumentParser.__init__
     built = []
@@ -591,12 +603,125 @@ def test_main_constructs_no_parser(files, capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    assert run(capsys, "solve", files["i0"])[0] == 0
-    assert run(capsys, "--json", "certify", files["i3"], files["good3"])[0] == 0
-    assert run(capsys, "oracle", "popular-max", files["i3"])[0] == 0
-    with pytest.raises(SystemExit):
-        main(["oracle", "unpopularity", files["i3"]])
+    monkeypatch.setattr(cli, "_PARSER", None)
+    for head in ((), ("--json",)):
+        for command in ("solve", "mincost", "emit-lp", "gstar"):
+            assert run(capsys, *head, command, files["i3"])[0] == 0
+        for command in ("verify", "certify", "pareto"):
+            assert run(capsys, *head, command, files["i3"], files["good3"])[0] == 0
     assert built == []
+    for _ in range(3):
+        assert run(capsys, "oracle", "popular-max", files["i3"])[0] == 0
+        with pytest.raises(SystemExit):
+            main(["oracle", "unpopularity", files["i3"]])
+    assert built.count("popmax") == 1
+
+
+def test_main_looks_up_the_handler_when_it_runs(files, capsys, monkeypatch):
+    """Both routes find `cmd_<command>` by name at each call, so a replaced
+    or wrapped handler is the one that runs."""
+    import io
+
+    from popmax import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "cmd_solve", lambda args: calls.append(vars(args)) or 0)
+    monkeypatch.setattr("sys.stdin", io.StringIO(I0_TEXT))
+    assert main(["solve", files["i0"]]) == 0  # the table
+    assert main(["--json", "solve", "-"]) == 0  # argparse
+    assert calls == [{"json": False, "command": "solve", "instance": files["i0"]},
+                     {"json": True, "command": "solve", "instance": "-"}]
+
+
+# paths that argparse reads as options or stdin, or that look like a command
+_TOKENS = ("i.txt", "-", "--", "-h", "--js", "", " -x", "a=b", "solve", "verify", "--json")
+
+
+def _argvs() -> list[list[str]]:
+    """[--json] <command> with every 0-2 tokens, and a seeded sample with 3."""
+    import itertools
+    import random
+
+    from popmax.cli import FILE_COMMANDS
+
+    commands = [*FILE_COMMANDS, "gen-random", "gen-hardness", "check-reduction", "oracle", "nope"]
+    heads = [[*json_flag, command] for json_flag in ((), ("--json",)) for command in commands]
+    argvs = [[], ["--json"], ["--js", "solve", "i.txt"], ["--json", "--json", "solve", "i.txt"]]
+    argvs += [head + list(tokens) for head in heads for n in range(3)
+              for tokens in itertools.product(_TOKENS, repeat=n)]
+    rng = random.Random(2)
+    argvs += [rng.choice(heads) + rng.choices(_TOKENS, k=3) for _ in range(1500)]
+    return argvs
+
+
+def test_table_gives_argparses_namespace_or_declines(capsys):
+    """Where the table matches an argv, argparse parses it to the same
+    namespace; where it declines one argparse accepts, the argv has an
+    option, a `-` path or a command that takes more than files."""
+    from popmax import cli
+
+    parser = cli.build_parser()
+    matched = set()
+    for argv in _argvs():
+        table = cli._match(argv)
+        try:
+            parsed = vars(parser.parse_args(argv))
+        except SystemExit:
+            parsed = None
+        if table is not None:
+            assert vars(table) == parsed, argv
+            matched.add((table.json, table.command))
+        elif parsed is not None and parsed["command"] in cli.FILE_COMMANDS:
+            rest = argv[1:] if argv[:1] == ["--json"] else argv
+            assert any(arg[:1] == "-" for arg in rest), argv
+    capsys.readouterr()
+    assert matched == {(j, c) for j in (False, True) for c in cli.FILE_COMMANDS}
+
+
+_READS = {
+    "lf": b"side A a\nside B b\n",
+    "crlf": b"side A a\r\nside B b\r\n",
+    "cr": b"side A a\rside B b\r",
+    "mixed": b"a\r\nb\rc\n\r\n\r",
+    "bom": b"\xef\xbb\xbfside A a\n",
+    "invalid-past-8k": b"#" * 9000 + b"\xff\n",
+    "truncated": b"side A \xe2\x82",
+}
+
+
+@pytest.mark.parametrize("kind", [*_READS, "directory", "missing"])
+def test_read_gives_what_text_mode_gives(tmp_path, monkeypatch, kind):
+    """`_read` decodes the bytes itself: the same text, line ends and error
+    text as a text-mode read, from a file and from stdin."""
+    import io
+
+    from popmax.cli import _read
+    from popmax.errors import InputError
+
+    def text_mode(name: str) -> str:
+        try:
+            with open(name, encoding="utf-8") as fh:
+                return fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read {name}: {exc}") from None
+
+    def outcome(read, name: str) -> str:
+        try:
+            return read(name)
+        except InputError as exc:
+            return f"error: {exc}"
+
+    path = tmp_path / "input.txt"
+    if kind == "directory":
+        path.mkdir()
+    elif kind in _READS:
+        path.write_bytes(_READS[kind])
+    expected = outcome(text_mode, str(path))
+    assert outcome(_read, str(path)) == expected
+    if kind in _READS:
+        stdin = io.TextIOWrapper(io.BytesIO(_READS[kind]), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert outcome(_read, "-") == expected.replace(str(path), "-")
 
 
 @pytest.mark.parametrize("text, message", [

@@ -186,6 +186,10 @@ _AB = {"a1": ("b1",), "b1": ("a1",)}
     (["a1"], {**_AB, "b1": 5}, {}, "bad preference list for 'b1'"),
     (["a1"], {**_AB, "a1": (["b1"],)}, {}, "bad preference list for 'a1'"),
     (["a1", 5], _AB, {}, "node identifiers must be strings"),
+    (["a1"], [], {}, "preferences must map nodes to lists"),
+    (["a1"], None, {}, "preferences must map nodes to lists"),
+    (["a1"], _AB, [(("a1", "b1"), 1)], "costs must map edges to integers"),
+    (["a1"], {**_AB, 5: (), "zz": ()}, {}, "preference list for unknown node 'zz'"),
 ])
 def test_instance_rejects_values_of_the_wrong_type(side_a, prefs, costs, message):
     """A bad Python value is a ValidationError, not a bare TypeError or ValueError."""

@@ -1,5 +1,6 @@
 """The package's module import graph has no cycle, the package root and the
-CLI load layers only when they are used, no module imports `dataclasses`,
+CLI load layers only when they are used, the CLI's file commands never load
+argparse, no module imports `dataclasses`,
 only `gstar` knows the layout of the derived instance and reads it in one
 place, `mincost` holds no stable-matching enumerator, and the
 stable-matching layer has one configuration."""
@@ -152,23 +153,32 @@ LAYERS = {f"popmax.{m}" for m in SUBMODULES} - {"popmax.cli", "popmax.core", "po
 
 
 def test_importing_the_cli_loads_no_layer(tmp_path):
+    """Nor argparse: the file commands never build a parser."""
     loaded = _loaded_by("import popmax.cli", tmp_path)
     assert {"popmax.cli", "popmax.core", "popmax.errors"} <= loaded
-    assert not loaded & (LAYERS | {"dataclasses", "fractions", "inspect"})
+    assert not loaded & (LAYERS | {"argparse", "dataclasses", "fractions", "inspect"})
+
+
+_CERTIFY = {"popmax.certificates", "popmax.gstar", "popmax.popularity", "popmax.stable"}
 
 
 @pytest.mark.parametrize("argv, layers", [
     (["verify", "i.txt", "m.txt"], {"popmax.popularity"}),
     (["pareto", "i.txt", "m.txt"], {"popmax.popularity"}),
+    (["certify", "i.txt", "m.txt"], _CERTIFY),
     (["solve", "i.txt"], {"popmax.gstar", "popmax.stable"}),
-    (["gen-random", "--na", "2", "--nb", "2", "--density", "1", "--seed", "1"], set()),
+    (["gstar", "i.txt"], {"popmax.gstar", "popmax.stable"}),
+    (["mincost", "i.txt"], _CERTIFY | {"popmax.mincost"}),
+    (["--json", "emit-lp", "i.txt"], _CERTIFY | {"popmax.mincost"}),
+    (["gen-random", "--na", "2", "--nb", "2", "--density", "1", "--seed", "1"], {"argparse"}),
 ])
 def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
+    """A file command loads no argparse; a command with options does."""
     (tmp_path / "i.txt").write_text(I3_TEXT)
     (tmp_path / "m.txt").write_text("a1 b1\n")
     code = ("import contextlib, io, popmax.cli\n"
             f"with contextlib.redirect_stdout(io.StringIO()): popmax.cli.main({argv!r})")
-    assert _loaded_by(code, tmp_path) & LAYERS == layers
+    assert _loaded_by(code, tmp_path) & (LAYERS | {"argparse"}) == layers
 
 
 def test_package_root_exports_the_same_names():
