@@ -230,8 +230,6 @@ def _matchings_text(ms) -> str:
 
 
 def cmd_oracle(args) -> int:
-    from fractions import Fraction
-
     from . import oracle
     bound = oracle.DEFAULT_BOUND if args.bound is None else args.bound
     inst = core.parse_instance(_read(args.instance))
@@ -248,13 +246,7 @@ def cmd_oracle(args) -> int:
         _emit(args, "ok", result, text=core.serialize_matching(m) + f"cost {cost}\n")
     elif args.what == "unpopularity":
         m = core.parse_matching(inst, _read(args.matching))
-        u = oracle.brute_unpopularity_factor(inst, m, bound)
-        if u == float("inf"):
-            text = "inf"
-        elif isinstance(u, Fraction) and u.denominator != 1:
-            text = f"{u.numerator}/{u.denominator}"
-        else:
-            text = str(int(u))
+        text = str(oracle.brute_unpopularity_factor(inst, m, bound))  # inf, 3 or 1/2
         _emit(args, "ok", {"unpopularity_factor": text}, text=text)
     return EXIT_OK
 

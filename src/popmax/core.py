@@ -60,7 +60,10 @@ class Instance(_Frozen):
     lists must be mutually consistent: b appears in prefs[a] iff a appears in
     prefs[b], and the edge set is exactly those mutual pairs. Costs default
     to 0 and are stored only for nonzero values; keys must be edges.
-    Instances are immutable (and unhashable); all operations on them are pure.
+    Fields cannot be rebound, and all operations on instances are pure; the
+    `prefs` and `costs` dicts must not be mutated either, since the rank
+    maps built from the lists at construction would go stale. Instances
+    are unhashable.
     """
 
     __slots__ = ("side_a", "side_b", "prefs", "costs", "_rank", "_a_set")
@@ -176,7 +179,8 @@ class Instance(_Frozen):
 
 
 class Matching(_Frozen):
-    """A set of pairwise node-disjoint edges; `partner` is the derived map."""
+    """A set of pairwise node-disjoint edges; `partner` is the derived map,
+    a dict that must not be mutated."""
 
     __slots__ = ("pairs", "partner")
     _compared = ("pairs",)

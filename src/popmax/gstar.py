@@ -11,11 +11,12 @@ the copy subscripts carry the dual-certificate levels.
 The layout is written once, in `GStarTables`, on integer ids, for any
 number of levels T: its ids and the positions in each list are arithmetic
 on the source's lists. Its constructor checks the source's ids and lays
-out the edge costs, and `_lists` builds the lists through its positions
-for the readers that walk them. The products keep the paper's T = n0: the
-LP emitter reads the positions alone, `build_gstar` names the ids and
-lists for the `gstar` command and for `certificates.lift`, and
-`level_proposals` reports its levels. The routes that return only a
+out the edge costs, and its `copy_lists` and `other_lists` are the one
+place the three list orders are written, on any labels: `_lists` reads
+them with ids, and the LP emitter with its terms. The products keep the
+paper's T = n0: the LP emitter builds no id lists, `build_gstar` names
+the ids and lists for the `gstar` command and for `certificates.lift`,
+and `level_proposals` reports its levels. The routes that return only a
 source matching run fewer. `popular_max_matching` runs T =
 `_n_levels(inst)` = max(min(|A|, |B|), 1) levels, which yields the same
 matching (see `_n_levels`). Min-cost optimization walks the lists at T
@@ -26,6 +27,7 @@ levels above the run's top one, doubling until a stopping rule fires
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .core import Edge, Instance, Matching, make_matching
@@ -33,6 +35,7 @@ from .errors import NotStableError, ValidationError
 from .stable import _propose, is_stable
 
 RESERVED = "#!~"
+_RESERVED = frozenset(RESERVED)
 
 
 def copy_name(a: str, i: int) -> str:
@@ -67,8 +70,9 @@ class GStarTables:
       `level_block(i)` * deg(b) + rank_b(a);
     - dummy i of a lists copy (a, i-1), then copy (a, i): it is the last
       entry of its lower copy's list and the first of its upper copy's.
-    `_lists` builds the lists through them. `costs[k]` maps the images of
-    the k-th A-node's neighbors to their nonzero edge costs.
+    `copy_lists` and `other_lists` compose the lists in these orders on any
+    labels, and are the only code that writes them. `costs[k]` maps the
+    images of the k-th A-node's neighbors to their nonzero edge costs.
 
     Raises `ValidationError` if a source id holds a character reserved for
     derived names.
@@ -78,7 +82,7 @@ class GStarTables:
 
     def __init__(self, source: Instance, n_levels: int):
         for u in source.nodes:
-            if any(c in RESERVED for c in u):
+            if not _RESERVED.isdisjoint(u):
                 raise ValidationError(
                     f"node id {u!r} contains a character reserved for derived names ({RESERVED})")
         self.source, self.n_levels = source, n_levels
@@ -120,6 +124,33 @@ class GStarTables:
         copies of the B-node's neighbors at one level form a block, in its
         own order, and the higher levels come first."""
         return self.n_levels - 1 - i
+
+    def copy_lists(self, images, dummies) -> list[list]:
+        """The lists of one A-node's copies by level, given the labels of its
+        images in its own order and of its dummies 1..T-1, both sequences:
+        copy i lists dummy i when i >= 1, then the images, then dummy i+1
+        when i <= T-2."""
+        if not dummies:  # T = 1: the one copy has neither dummy
+            return [[*images]]
+        return [[*images, dummies[0]],
+                *[[lower, *images, upper] for lower, upper in zip(dummies, dummies[1:])],
+                [dummies[-1], *images]]
+
+    def other_lists(self, rows) -> Iterator:
+        """The lists of the images, then of the dummies, in id order, made of
+        the labels in `rows`: `rows[k][i][p]` labels the edge at entry p of
+        copy (k, i)'s list as `copy_lists` lays it out, and an image or dummy
+        lists each of its edges by the label its copy gives it. Image b
+        lists the copies of its neighbors level by level from the top, each
+        level in b's order; dummy i lists its lower copy i-1, then its upper
+        copy i."""
+        inst, index = self.source, self.index
+        at = [(i, self.image_start(i)) for i in sorted(range(self.n_levels), key=self.level_block)]
+        for b in inst.side_b:
+            picks = [(rows[index[a]], inst._rank[a][b]) for a in inst.prefs[b]]
+            yield [row[i][start + r] for i, start in at for row, r in picks]
+        yield from zip([lower[-1] for row in rows for lower in row[:-1]],
+                       [upper[0] for row in rows for upper in row[1:]])
 
     def origin(self, u: int) -> tuple:
         """("copy", a, i), ("image", b) or ("dummy", a, i): the node id u stands for."""
@@ -182,28 +213,16 @@ class GStarTables:
         return make_matching(self.source, out), level
 
 
-def _lists(gt: GStarTables) -> list[tuple[int, ...]]:
+def _lists(gt: GStarTables) -> list:
     """The preference lists of the derived instance by id, each from most
-    to least preferred, laid out by `gt`'s positions."""
-    inst, index, n_levels = gt.source, gt.index, gt.n_levels
-    levels, lists = range(n_levels), []
-    lower = [gt.image_start(i) for i in levels]  # the copies that list a lower dummy
+    to least preferred, composed by `gt`'s `copy_lists` and `other_lists`."""
+    inst, index, t = gt.source, gt.index, gt.n_levels
+    lists = []
     for k, a in enumerate(inst.side_a):
-        images = tuple(gt.image(index[b]) for b in inst.prefs[a])
-        dummies = gt.dummies(k)  # dummy i is dummies[i - 1]
-        for i in levels:
-            lst = images
-            if lower[i]:
-                lst = (dummies[i - 1],) + lst
-            if i <= n_levels - 2:
-                lst = lst + (dummies[i],)
-            lists.append(lst)
-    copies = [gt.copies(k) for k in range(len(inst.side_a))]
-    blocks = sorted(levels, key=gt.level_block)
-    for b in inst.side_b:
-        lists.append(tuple(copies[index[a]][i] for i in blocks for a in inst.prefs[b]))
-    for c in copies:
-        lists.extend(zip(c, c[1:]))
+        lists += gt.copy_lists([gt.image(index[b]) for b in inst.prefs[a]], gt.dummies(k))
+    # each copy's own id at every entry of its list, grouped by A-node
+    owners = [[u] * len(lst) for u, lst in enumerate(lists)]
+    lists += gt.other_lists([owners[k * t:(k + 1) * t] for k in range(len(inst.side_a))])
     return lists
 
 

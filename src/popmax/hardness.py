@@ -31,12 +31,20 @@ class CnfFormula(_Frozen):
     __slots__ = _compared = ("num_vars", "clauses")
 
     def __init__(self, num_vars: int, clauses):
-        self._set(num_vars=num_vars, clauses=tuple(tuple(c) for c in clauses))
-        for c in self.clauses:
+        if not isinstance(num_vars, int) or num_vars < 0:
+            raise ValidationError(f"variable count {num_vars!r} is not a nonnegative integer")
+        try:
+            clauses = tuple(tuple(c) for c in clauses)
+        except TypeError:
+            raise ValidationError("clauses must be lists of literals") from None
+        self._set(num_vars=num_vars, clauses=clauses)
+        for c in clauses:
             if not c:
                 raise ValidationError("empty clause")
             for lit in c:
-                if lit == 0 or abs(lit) > self.num_vars:
+                if not isinstance(lit, int):
+                    raise ValidationError(f"literal {lit!r} is not an integer")
+                if lit == 0 or abs(lit) > num_vars:
                     raise ValidationError(f"literal {lit} out of range")
 
 
@@ -82,6 +90,11 @@ def to_dimacs(f: CnfFormula) -> str:
 
 
 def evaluate(f: CnfFormula, assignment: dict[int, bool]) -> bool:
+    """Whether `assignment` satisfies f. Raises `ValidationError` naming the
+    least variable of f's clauses that it gives no value."""
+    unset = {abs(l) for c in f.clauses for l in c}.difference(assignment)
+    if unset:
+        raise ValidationError(f"assignment gives no value to variable {min(unset)}")
     return all(
         any(assignment[abs(l)] == (l > 0) for l in c) for c in f.clauses)
 

@@ -499,11 +499,12 @@ def _lp_text(inst: Instance) -> Iterator[str]:
     the first `next`.
 
     The rows are written from the layout of the paper's derived instance,
-    a `gstar.GStarTables`, whose lists are never built: each source node is
-    encoded once, each copy's edge terms are formatted once in its own
-    list's order, and the rows of images and dummies, the stability rows
-    and the linkage rows pick the same strings at the positions
-    `GStarTables.image_start` and `level_block` give.
+    a `gstar.GStarTables`, whose id lists are never built: each source node
+    is encoded once, each copy's edge terms are formatted once in the order
+    of `GStarTables.copy_lists`, and `other_lists` lists the same strings
+    for the images and dummies. The stability and linkage rows find a
+    copy's terms in an image's row at the positions `image_start` and
+    `level_block` give.
     """
     gt = GStarTables(inst, len(inst.side_a))
     levels, index, prefs, src_rank = range(gt.n_levels), gt.index, inst.prefs, inst._rank
@@ -519,34 +520,23 @@ def _lp_text(inst: Instance) -> Iterator[str]:
         for u, i in zip(gt.dummies(k), levels[1:]):
             token[u] = f"{enc[a]}.d{i}"
 
-    # each copy's edge terms in its preference order, formatted once and
-    # kept by A-node and level; every other row lists the same strings in
-    # its own order. Each row is joined once
+    # each copy's edge terms in its list's order, formatted once and kept by
+    # A-node and level; the images and dummies list the same strings. Each
+    # row is joined once, into `joined` by node id
     by_level = []  # by_level[k][i]: the terms of copy (k, i)
-    joined = [""] * gt.n_nodes
     for k, a in enumerate(inst.side_a):
-        images = [token[gt.image(index[b])] for b in prefs[a]]
-        dummies = gt.dummies(k)  # dummy i is dummies[i - 1]
-        by_level.append([])
-        for i, u in zip(levels, gt.copies(k)):
-            head = f"xs.{token[u]}."
-            terms = [head + v for v in images]
-            if shift[i]:
-                terms.insert(0, head + token[dummies[i - 1]])
-            if i < gt.n_levels - 1:
-                terms.append(head + token[dummies[i]])
-            by_level[k].append(terms)
-            joined[u] = " + ".join(terms)
-        for d, lower, upper in zip(dummies, by_level[k], by_level[k][1:]):
-            joined[d] = f"{lower[-1]} + {upper[0]}"
+        lists = gt.copy_lists([token[gt.image(index[b])] for b in prefs[a]],
+                              [token[d] for d in gt.dummies(k)])
+        heads = [f"xs.{token[u]}." for u in gt.copies(k)]
+        by_level.append([[head + v for v in lst] for head, lst in zip(heads, lists)])
+    joined = [" + ".join(terms) for rows in by_level for terms in rows]
     # an image's first p terms with their separators end at start[j][p]
-    blocks = sorted(levels, key=gt.level_block)
     start = []
-    for j, b in enumerate(inst.side_b):
-        lists = [(by_level[index[a]], src_rank[a][b]) for a in prefs[b]]
-        terms = [lst[i][shift[i] + r] for i in blocks for lst, r in lists]
-        joined[gt.image(j)] = " + ".join(terms)
+    others = gt.other_lists(by_level)  # the images' terms, then the dummies'
+    for terms in islice(others, len(inst.side_b)):
+        joined.append(" + ".join(terms))
         start.append(array("q", accumulate(map(_SEP.__add__, map(len, terms)), initial=0)))
+    joined += map(" + ".join, others)
 
     terms = [f"{inst.cost(e)} x.{p}" for e, p in pair.items()]
     if not terms:

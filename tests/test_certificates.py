@@ -10,6 +10,7 @@ from popmax import (
     NotMaximumError,
     NotPopularError,
     NotStableError,
+    ParseError,
     build_gstar,
     certify_popular_max,
     extract_certificate,
@@ -159,6 +160,18 @@ def test_certificate_file_roundtrip(i1):
     assert back.alpha == cert.alpha and back.n0_prime == cert.n0_prime
     shuffled = "".join(sorted(text.splitlines(keepends=True), reverse=True))
     assert parse_certificate(shuffled).alpha == cert.alpha
+
+
+@pytest.mark.parametrize("text, message", [
+    ("alpha a x\n", "line 1, column 1: bad integer 'x'"),
+    ("alpha a 0\nalpha b 0\n# again\nalpha a 2\n", "line 4, column 1: duplicate alpha line for 'a'"),
+    ("alpha a 0\nalpha b 0\nalpha c 0\n",
+     "line 1, column 1: certificate must cover matched nodes, an even count"),
+])
+def test_parse_certificate_error_text(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_certificate(text)
+    assert str(err.value) == message
 
 
 def test_extracted_certificates_verify_on_randoms():

@@ -380,6 +380,33 @@ def test_oracle_subcommands(files, capsys):
     assert code == 0 and out.strip() == "2"
 
 
+@pytest.mark.parametrize("matching, factor", [
+    ("", "inf"),
+    ("a2 b3\na3 b2\n", "3"),
+    ("a2 b2\na3 b3\n", "1/2"),
+])
+def test_oracle_unpopularity_renderings(tmp_path, capsys, matching, factor):
+    """The factor prints as `str` of the oracle's value, in text and JSON."""
+    (tmp_path / "i.txt").write_text(serialize_instance(random_instance(3, 3, 0.7, 0)))
+    (tmp_path / "m.txt").write_text(matching)
+    paths = str(tmp_path / "i.txt"), str(tmp_path / "m.txt")
+    assert run(capsys, "oracle", "unpopularity", *paths) == (0, factor + "\n", "")
+    code, out, _ = run(capsys, "--json", "oracle", "unpopularity", *paths)
+    assert code == 0 and json.loads(out)["result"] == {"unpopularity_factor": factor}
+
+
+@pytest.mark.parametrize("cnf, message", [
+    ("p cnf 1 1\n0\n", "empty clause"),
+    ("p cnf 1 1\n2 0\n", "literal 2 out of range"),
+    ("p cnf 4 1\n1 2 3 4 0\n", "clauses must have at most 3 literals"),
+])
+def test_exit_code_bad_formula(tmp_path, capsys, cnf, message):
+    p = tmp_path / "f.cnf"
+    p.write_text(cnf)
+    for command in ("gen-hardness", "check-reduction"):
+        assert run(capsys, command, str(p)) == (2, "", f"error: {message}\n")
+
+
 def test_oracle_matchings_long_star(tmp_path, capsys):
     """One A-node listing 1,200 B-nodes: 1,201 matchings, enumerated past
     the interpreter's recursion limit."""
@@ -756,6 +783,8 @@ _PQ = "side A a1 a2\nside B b1 b2\npref a1: b1 b2\npref a2: b1\npref b1: a2 a1\n
     (_PQ + "cost a1 b1 x3\n", "", "error: line 7, column 12: bad integer 'x3'\n"),
     (_PQ + "cost  a1 b1   3.0\n", "", "error: line 7, column 15: bad integer '3.0'\n"),
     (_PQ + "cost a1 b2 x\ncost a1 b1\n", "", "error: line 7, column 12: bad integer 'x'\n"),
+    ("side A a1\nside B b1\npref a1: b1\npref b1: a1\ncost a1 b1\n", "",
+     "error: line 5, column 6: expected `cost <idA> <idB> <integer>`\n"),
     ("side A a1\nside B b1\nfoo a1\n", "", "error: line 3, column 1: unknown directive 'foo'\n"),
     ("side C a1\n", "", "error: line 1, column 6: expected `side A ...` or `side B ...`\n"),
     (_PQ + "pref z: b1\n", "", "error: pref line for undeclared node 'z' (line 7)\n"),

@@ -105,6 +105,48 @@ def test_mixed_clause_rejected():
         build_gadget_instance(CnfFormula(2, ((1, -2),)))
 
 
+@pytest.mark.parametrize("num_vars, clauses, message", [
+    (2, [("1",)], "literal '1' is not an integer"),
+    (2, [(1.5,)], "literal 1.5 is not an integer"),
+    ("2", [(1,)], "variable count '2' is not a nonnegative integer"),
+    (-1, [], "variable count -1 is not a nonnegative integer"),
+    (2, [1], "clauses must be lists of literals"),
+    (2, [()], "empty clause"),
+    (2, [(1, 3)], "literal 3 out of range"),
+])
+def test_formula_rejects_bad_values(num_vars, clauses, message):
+    """A value of the wrong type or range is a `ValidationError` naming it."""
+    with pytest.raises(ValidationError) as err:
+        CnfFormula(num_vars, clauses)
+    assert str(err.value) == message
+
+
+def test_assignment_must_set_every_variable():
+    """An assignment that leaves a variable of the formula unset is a
+    `ValidationError` naming the least such variable, not a `KeyError`."""
+    g = build_gadget_instance(transform_formula(CnfFormula(2, ((1, 2),))))
+    for assignment, missing in (({1: True}, 2), ({1: True, 2: True, 4: False}, 3), ({}, 1)):
+        with pytest.raises(ValidationError) as err:
+            assignment_to_matching(g, assignment)
+        assert str(err.value) == f"assignment gives no value to variable {missing}"
+
+
+@pytest.mark.parametrize("clauses, message", [
+    (((1, 2), (-1, -2), (1, -2)), "clause 2 mixes positive and negative literals"),
+    (((1, 2), (-1, -2, -3)), "negative clause 1 must have exactly 2 literals"),
+    (((1, 2), (-1, -2), (-1, -3)), "negative literal -1 occurs more than once"),
+    (((1, 2), (-1, -3)), "variable X2 has no negation clause"),
+    (((1, 2, 3, 4),), "clause 0 has more than 3 literals"),
+])
+def test_gadget_rejects_each_unsupported_shape(clauses, message):
+    with pytest.raises(UnsupportedClauseError, match=f"^{message}"):
+        build_gadget_instance(CnfFormula(4, clauses))
+
+
+def test_dimacs_keeps_an_unterminated_last_clause():
+    assert parse_dimacs("p cnf 3 2\n1 -2 0\n2 3\n").clauses == ((1, -2), (2, 3))
+
+
 def test_assignment_to_matching_patterns():
     ft = transform_formula(CnfFormula(1, ()))
     g = build_gadget_instance(ft)

@@ -101,6 +101,11 @@ def test_max_flow_disconnected():
     assert max_flow(FlowNetwork(3, (), 0, 2)).value == 0
 
 
+def test_max_flow_rejects_negative_capacity():
+    with pytest.raises(ValueError, match="^capacities must be nonnegative$"):
+        max_flow(FlowNetwork(2, ((0, 1, 3), (0, 1, -1)), 0, 1))
+
+
 def test_max_flow_random_cut_certificates():
     rng = random.Random(99)
     for _ in range(30):
@@ -456,10 +461,11 @@ def _expected_rows(inst):
 def test_emit_lp_rows_mean_the_named_gstar_constraints():
     """Every stability, degree, fix and linkage row of `emit_lp` is the
     constraint read off the string-named derived instance: x(u, v) plus
-    the edges u and v each rank above the other, all of a node's edges,
-    exactly the nodes `place` fills when nothing is matched, and each
-    source edge against its copies. The golden digests pin the bytes on a
-    fixed corpus; this pins what the rows mean on any instance."""
+    the edges u and v each rank above the other, all of a node's edges in
+    its list's order, exactly the nodes `place` fills when nothing is
+    matched, and each source edge against its copies. The golden digests
+    pin the bytes on a fixed corpus; this pins what the rows mean on any
+    instance."""
     cases = [random_instance(n, n, d, 9500 + n, (0, 9)) for n in (2, 4, 6) for d in (0.4, 0.8)]
     cases += [random_instance(na, nb, 0.7, 9530 + na, (0, 9)) for na, nb in ((7, 2), (9, 3), (6, 1))]
     cases += [random_instance(1, nb, 0.8, 9540 + nb, (0, 9)) for nb in (1, 3)]
@@ -470,10 +476,31 @@ def test_emit_lp_rows_mean_the_named_gstar_constraints():
         _obj, rows, bounds = _parse_lp(emit_lp(inst))
         got = {name: (coefs, op, rhs) for name, coefs, op, rhs in rows}
         assert len(got) == len(rows), "row names repeat"
-        assert got == _expected_rows(inst)
+        expected = _expected_rows(inst)
+        assert got == expected
+        for name, (terms, _op, _rhs) in expected.items():
+            if name.startswith("deg."):
+                assert list(got[name][0]) == list(terms), f"{name} is not in list order"
         gs = build_gstar(inst)
         assert set(bounds) == ({f"xs.{_lp_token(gs, a)}.{_lp_token(gs, v)}" for a, v in gs.inner.edges}
                                | {f"x.{_enc(a)}.{_enc(b)}" for a, b in inst.edges})
+
+
+@pytest.mark.parametrize("method", ["copy_lists", "other_lists"])
+def test_every_list_order_comes_from_the_tables(monkeypatch, method):
+    """`GStarTables.copy_lists` and `other_lists` are the one place the
+    derived instance's list orders are written: with either refused, the
+    LP text, the named derived instance and the min-cost route all fail
+    through it."""
+    inst = random_instance(4, 4, 0.6, 9560, (0, 9))
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError(f"{method} was called")
+
+    monkeypatch.setattr(gstar.GStarTables, method, refuse)
+    for run in (emit_lp, build_gstar, min_cost_popular_max):
+        with pytest.raises(AssertionError, match=f"^{method} was called$"):
+            run(inst)
 
 
 def test_rotation_walk_keeps_one_block_per_lift():
