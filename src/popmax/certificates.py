@@ -133,7 +133,10 @@ def lift(inst: Instance, m: Matching, cert: DualCertificate) -> Matching:
     A-node at its level. When some unmatched A-node has neighbors, they
     must sit at the top copy, so the levels are remapped by `_remap_levels`
     into the copies of the derived instance; otherwise the certificate
-    levels are used as they are.
+    levels are used as they are. Raises `CertificateError`, with its
+    violations, for a certificate that does not verify. One that does
+    always lifts to a stable matching, by (E) and (P) of `gstar._n_levels`,
+    so an unstable lift is an `InternalError`.
     """
     report = verify_certificate(inst, m, cert)
     if not report.ok:
@@ -145,9 +148,7 @@ def lift(inst: Instance, m: Matching, cert: DualCertificate) -> Matching:
         level = {u: remap[l] for u, l in level.items()}
     lifted = place(gs, m, level)
     if not is_stable(gs.inner, lifted):
-        raise CertificateError(
-            "certificate does not lift to a stable matching; "
-            "the matching is likely not a popular max-matching")
+        raise InternalError("a verified certificate does not lift to a stable matching")
     if project(gs, lifted).pairs != m.pairs:
         raise InternalError("lift does not project back to the input matching")
     return lifted

@@ -19,10 +19,11 @@ the ids and lists for the `gstar` command and for `certificates.lift`,
 and `level_proposals` reports its levels. The routes that return only a
 source matching run fewer. `popular_max_matching` runs T =
 `_n_levels(inst)` = max(min(|A|, |B|), 1) levels, which yields the same
-matching (see `_n_levels`). Min-cost optimization walks the lists at T
-levels or, when the run at T matches every node with neighbors, from two
-levels above the run's top one, doubling until a stopping rule fires
-(claim (f) of `mincost.min_cost_popular_max`), with the same result.
+matching (see `_n_levels`). Min-cost optimization walks the lists in one
+loop over level counts: from T or, when the run at T matches every node
+with neighbors, from two levels above the run's top one, doubling up to T
+until a stopping rule fires (claim (f) of `mincost.min_cost_popular_max`),
+with the same result.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ class GStarTables:
     Ids follow `build_gstar`'s node order. With T = `n_levels` levels and
     n = |A| A-nodes, copy i (0 <= i < T) of the k-th A-node is k*T + i,
     the image of the j-th B-node is n*T + j, and dummy i (1 <= i < T) of
-    the k-th A-node is n*T + |B| + k*(T-1) + i-1. The copies, ids below
+    the k-th A-node is n*T + |B| + k*(T-1) + i-1. `copies(k)`, `image(j)`
+    and `dummies(k)` are the one way to these ids. The copies, ids below
     `n_copies` = n*T, are the proposing side. The paper's instance has
     T = n. `index` gives every source node its position on its side.
 
@@ -95,23 +97,17 @@ class GStarTables:
         for (a, b), c in source.costs.items():  # the nonzero costs
             self.costs[self.index[a]][self.image(self.index[b])] = c
 
-    def copy(self, k: int, i: int) -> int:
-        return k * self.n_levels + i
-
     def image(self, j: int) -> int:
         return self.n_copies + j
 
-    def dummy(self, k: int, i: int) -> int:
-        return self.n_copies + len(self.source.side_b) + k * (self.n_levels - 1) + i - 1
-
     def copies(self, k: int) -> range:
-        """The ids of the k-th A-node's copies, by level."""
-        first = self.copy(k, 0)
-        return range(first, first + self.n_levels)
+        """The ids of the k-th A-node's copies, by level: copy i is `copies(k)[i]`."""
+        return range(k * self.n_levels, (k + 1) * self.n_levels)
 
     def dummies(self, k: int) -> range:
-        """The ids of the k-th A-node's dummies 1..T-1, by subscript."""
-        first = self.dummy(k, 1)
+        """The ids of the k-th A-node's dummies 1..T-1, by subscript: dummy i
+        is `dummies(k)[i - 1]`."""
+        first = self.n_copies + len(self.source.side_b) + k * (self.n_levels - 1)
         return range(first, first + self.n_levels - 1)
 
     def image_start(self, i: int) -> int:
@@ -177,10 +173,10 @@ class GStarTables:
         the leftover level T-1, where only its top copy is free.
         """
         t, index = self.n_levels, self.index
-        out = [(self.copy(index[a], level[a]), self.image(index[b])) for a, b in pairs]
+        out = [(self.copies(index[a])[level[a]], self.image(index[b])) for a, b in pairs]
         for k, a in enumerate(self.source.side_a):
             i = level.get(a, t - 1)
-            copies, dummies = self.copies(k), self.dummies(k)  # dummy j is dummies[j - 1]
+            copies, dummies = self.copies(k), self.dummies(k)
             out.extend(zip(copies[:i], dummies[:i]))
             out.extend(zip(copies[i + 1:], dummies[i:]))
         return out

@@ -327,14 +327,17 @@ def min_cost_popular_max(inst: Instance) -> MinCostResult:
     max-matchings. The tables have T = `gstar._n_levels(inst)` levels, so
     |A| * T copies instead of the paper's |A| * |A|: by claim (a) of
     `_n_levels` their stable matchings still project onto exactly the
-    popular max-matchings. The rotation walk starts from `_level_run` at T
-    levels placed on the copies, which is the copies' proposer-optimal
-    matching. When that run matches every node with a nonempty list, fewer
-    levels give the same result (claim (f)): the tables, the walk and the
-    max-flow run at t = top + 2 levels, top the run's highest level, then
-    at 2t, 4t, ... until the min-cost stable matching leaves every level
-    <= t-2, and at T at last, fewer than 3T levels in all. Any other
-    instance runs T levels once.
+    popular max-matchings. One loop runs `_min_cost_run` (the tables, the
+    rotation walk and the max-flow) once per level count t, each time from
+    `_level_run` at T levels placed on the copies with its leftover A-nodes
+    at the top copy, which is the copies' proposer-optimal matching at
+    every t the loop runs. t starts at T. When the run matches every node
+    with a nonempty list, fewer levels give the same result (claim (f)),
+    and t starts at top + 2 instead, top the run's highest level. Each pass
+    reports the highest level of its min-cost stable matching; the loop
+    returns at t = T or once that level is <= t-2, and otherwise doubles t,
+    capped at T: fewer than 3T levels in all. Any other instance runs T
+    levels once.
 
     (c) The matching is the one |A| levels give. `_cheapest_elimination`
     returns the inclusion-minimal min-weight closed rotation set (such
@@ -411,21 +414,16 @@ def min_cost_popular_max(inst: Instance) -> MinCostResult:
     below t = top + 2, where the route starts.
     """
     n_levels = _n_levels(inst)
-    m0, level = run = _level_run(inst, n_levels)
+    m0, level = _level_run(inst, n_levels)
+    run = m0, {a: level[a] for a, _ in m0.pairs}  # leftover A-nodes sit at the top copy
+    t = n_levels
     if all(u in m0.partner for u in inst.nodes if inst.prefs[u]):  # pin-free: claim (f)
-        run = m0, {a: level[a] for a, _ in m0.pairs}  # the run at every t > its top level
-        t = _top(m0, level) + 2
-        while t < n_levels:
-            res, level = _min_cost_run(inst, t, run)
-            if _top(res.matching, level) <= t - 2:
-                return res
-            t *= 2
-    return _min_cost_run(inst, n_levels, run)[0]
-
-
-def _top(m: Matching, level: dict[str, int]) -> int:
-    """The highest level of a matched A-node, -1 if none is matched."""
-    return max((level[a] for a, _ in m.pairs), default=-1)
+        t = min(max(run[1].values(), default=-1) + 2, n_levels)
+    while True:
+        res, top = _min_cost_run(inst, t, run)
+        if t == n_levels or top <= t - 2:
+            return res
+        t = min(2 * t, n_levels)
 
 
 def _min_cost(inst: Instance, n_levels: int) -> MinCostResult:
@@ -434,11 +432,12 @@ def _min_cost(inst: Instance, n_levels: int) -> MinCostResult:
     return _min_cost_run(inst, n_levels, _level_run(inst, n_levels))[0]
 
 
-def _min_cost_run(inst: Instance, n_levels: int, run) -> tuple[MinCostResult, dict[str, int]]:
+def _min_cost_run(inst: Instance, n_levels: int, run) -> tuple[MinCostResult, int]:
     """`_min_cost` started from `run`, the matching and levels of the
     A-proposing run at `n_levels` levels (A-nodes missing from its levels
-    are leftovers), with the levels of the min-cost stable matching. The
-    walk reads the lists of `gstar._lists` and the rank maps built here."""
+    are leftovers), with the highest level of a matched A-node in the
+    min-cost stable matching, -1 if none is matched. The walk reads the
+    lists of `gstar._lists` and the rank maps built here."""
     gt = GStarTables(inst, n_levels)
     prefs = _lists(gt)
     rank = [{v: r for r, v in enumerate(lst)} for lst in prefs]
@@ -452,7 +451,7 @@ def _min_cost_run(inst: Instance, n_levels: int, run) -> tuple[MinCostResult, di
     cost = sum(map(gt.cost, s))
     if cost != matching_cost(inst, m):
         raise InternalError("cost lifting is not cost-preserving")
-    return MinCostResult(m, cost, cert), level
+    return MinCostResult(m, cost, cert), max((level[a] for a, _ in m.pairs), default=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -122,3 +122,24 @@ def random_cases(count, max_side, seed0, min_side=1, density=(0.3, 1.0), costs=N
         nb = rng.randint(min_side, max_side)
         d = rng.uniform(*density)
         yield seed, random_instance(na, nb, d, seed0 + 100_000 + seed, costs)
+
+
+def chain(L, ladder=False, reverse=False):
+    """The adversarial path families of the verdict and `mincost` routes,
+    with their popular max-matching M = {a_i b_i : i = 1..L}; a0 is the
+    leftover node.
+
+    chain(L): A = a0..aL and B = b1..bL; a0 lists (b1), a_i lists
+    (b_i, b_{i+1}) and a_L only b_L; b_i lists (a_i, a_{i-1}). The ladder
+    adds the edges (a_{i+1}, b_i) for i = 1..L-1, each last in both lists,
+    which makes the pair vertices one strongly connected component.
+    `reverse` declares side A as aL..a0.
+    """
+    a = [f"a{i}" for i in range(L + 1)]
+    b = [None] + [f"b{i}" for i in range(1, L + 1)]
+    prefs = {a[0]: [b[1]]}
+    for i in range(1, L + 1):
+        prefs[a[i]] = [b[i]] + ([b[i + 1]] if i < L else []) + ([b[i - 1]] if ladder and i > 1 else [])
+        prefs[b[i]] = [a[i], a[i - 1]] + ([a[i + 1]] if ladder and i < L else [])
+    inst = Instance(a[::-1] if reverse else a, b[1:], prefs)
+    return inst, make_matching(inst, [(a[i], b[i]) for i in range(1, L + 1)])

@@ -83,6 +83,19 @@ def test_unstable_preimage_and_infeasible_certificate_are_refused(i1):
     assert any(v.startswith("F:") and v.endswith("at (a2,b1)") for v in err.value.violations)
 
 
+def test_lift_reports_an_unstable_lift_as_internal(i1, monkeypatch):
+    """A certificate that verifies always lifts to a stable matching, so a
+    lift that is not stable is an `InternalError`, not a verdict on the
+    matching: made here by accepting the all-zero certificate, which fails
+    (F) at (a2,b1)."""
+    from popmax import CertificateReport, InternalError, certificates, lift
+
+    monkeypatch.setattr(certificates, "verify_certificate", lambda *_args: CertificateReport(True, ()))
+    zero = DualCertificate({"a1": 0, "a2": 0, "b1": 0, "b2": 0}, 2)
+    with pytest.raises(InternalError):
+        lift(i1, popular_max_matching(i1), zero)
+
+
 def test_verify_rejects_edge_to_unmatched_node():
     """F also holds on edges with one unmatched endpoint: a1 prefers the
     unmatched b4 to its partner b5, so the all-zero certificate must fail

@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 import popmax
-from popmax import random_instance, serialize_instance
+from popmax import random_instance, serialize_instance, serialize_matching
 from popmax.cli import main
 
-from conftest import I0_TEXT, I2_COSTED_TEXT, I3_TEXT
+from conftest import I0_TEXT, I2_COSTED_TEXT, I3_TEXT, chain
 
 
 @pytest.fixture
@@ -418,6 +418,41 @@ def test_oracle_matchings_long_star(tmp_path, capsys):
     star.write_text("\n".join(lines) + "\n")
     code, out, _ = run(capsys, "oracle", "matchings", str(star), "--bound", "5000")
     assert code == 0 and len(out.splitlines()) == n + 1
+
+
+@pytest.fixture(scope="module")
+def chain_files(tmp_path_factory):
+    """The instance and matching files of chain(20,000), made once per family and order."""
+    made = {}
+
+    def files(ladder, reverse):
+        if (ladder, reverse) not in made:
+            inst, m = chain(20_000, ladder, reverse)
+            folder = tmp_path_factory.mktemp("chain")
+            made[ladder, reverse] = folder / "chain.txt", folder / "chain.match"
+            made[ladder, reverse][0].write_text(serialize_instance(inst))
+            made[ladder, reverse][1].write_text(serialize_matching(m))
+        return made[ladder, reverse]
+
+    return files
+
+
+@pytest.mark.parametrize("command, ladder, reverse", [
+    ("verify", False, False), ("certify", False, False), ("pareto", False, False),
+    ("verify", True, False), ("certify", True, False), ("pareto", True, False),
+    ("pareto", False, True), ("pareto", True, True)])
+def test_chain_families_at_any_size(chain_files, command, ladder, reverse):
+    """The verdict commands finish on chain(20,000) and ladder(20,000) in a
+    fresh process within 60 s, with exit 0 and no traceback. Left out:
+    `solve` and `mincost`, quadratic on the chain; `gstar` and `emit-lp`,
+    whose output grows as |A| * |E|; and reversed-order `verify` and
+    `certify`, whose popularity pass takes L - 1 rounds there."""
+    inst_path, m_path = chain_files(ladder, reverse)
+    env = {**os.environ, "PYTHONPATH": str(Path(popmax.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "popmax.cli", command, str(inst_path), str(m_path)],
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert b"Traceback" not in proc.stderr
 
 
 def test_exit_code_bad_input(tmp_path, capsys):

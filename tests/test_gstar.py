@@ -95,11 +95,11 @@ def test_tables_are_whole_when_made():
     gt = popmax.gstar.GStarTables(inst, 2)
     assert not hasattr(gt, "prefs") and not hasattr(gt, "rank")
     b1, b2 = gt.image(0), gt.image(1)
+    d1, d2 = gt.dummies(0)[0], gt.dummies(1)[0]
     costs = {(u, v): gt.cost((u, v)) for u, lst in enumerate(popmax.gstar._lists(gt))
              if u < gt.n_copies for v in lst}
-    assert costs == {(0, b1): 0, (0, b2): 5, (0, gt.dummy(0, 1)): 0,
-                     (1, gt.dummy(0, 1)): 0, (1, b1): 0, (1, b2): 5,
-                     (2, b1): -3, (2, gt.dummy(1, 1)): 0, (3, gt.dummy(1, 1)): 0, (3, b1): -3}
+    assert costs == {(0, b1): 0, (0, b2): 5, (0, d1): 0, (1, d1): 0, (1, b1): 0, (1, b2): 5,
+                     (2, b1): -3, (2, d2): 0, (3, d2): 0, (3, b1): -3}
 
 
 def test_gstar_serializes_in_core_format(i1):

@@ -14,6 +14,7 @@ from popmax import (
     Instance,
     InternalError,
     Matching,
+    certify_popular_max,
     emit_lp,
     enumerate_stable,
     find_rotations,
@@ -40,7 +41,7 @@ from popmax.oracle import (
     matching_of_closed_subset,
 )
 
-from conftest import b_optimal, random_cases
+from conftest import b_optimal, chain, random_cases
 
 
 def _brute_stable(inst, bound=30):
@@ -284,7 +285,9 @@ def test_gstar_table_walk_equals_walk_on_named_gstar(monkeypatch):
 
 def test_mincost_runs_only_the_levels_its_answer_needs(monkeypatch):
     """On a pin-free square `min_cost_popular_max` lays out no table with
-    more than 8 of its 60 levels and gives the result of 60 levels; a
+    more than 8 of its 60 levels and gives the result of 60 levels; on a
+    pin-free 6x6 square, whose stopping rule fails at top + 2 = 2 levels
+    and fires at 4, it lays out tables at exactly 2 and 4 levels; a
     bottom-pinned instance (a leftover B-node with neighbors) and one with
     a leftover A-node with neighbors each lay out one table, at T."""
     built = []
@@ -299,6 +302,11 @@ def test_mincost_runs_only_the_levels_its_answer_needs(monkeypatch):
     res = min_cost_popular_max(square)
     assert built and max(built) <= 8
     assert res == mincost._min_cost(square, 60)
+    small = random_instance(6, 6, 0.5, 7602, (0, 9))
+    built.clear()
+    res = min_cost_popular_max(small)
+    assert built == [2, 4]
+    assert res == mincost._min_cost(small, 6)
     for na, nb in ((9, 12), (12, 9)):
         inst = random_instance(na, nb, 0.5, 3, (0, 9))
         m = gstar._level_run(inst, 9)[0]
@@ -307,6 +315,34 @@ def test_mincost_runs_only_the_levels_its_answer_needs(monkeypatch):
         built.clear()
         min_cost_popular_max(inst)
         assert built == [9]
+
+
+@pytest.mark.parametrize("size", [10, 20, 40])
+def test_mincost_on_the_chain_walks_every_rotation(monkeypatch, size):
+    """On chain(L) the leftover a0 has a neighbor, so `min_cost_popular_max`
+    lays out one table, at T = L levels; its walk finds all L(L-1)/2
+    rotations, and it returns M at cost 0 with `certify_popular_max`'s
+    certificate."""
+    built, rotations = [], []
+    init, walk = gstar.GStarTables.__init__, mincost._rotation_walk
+
+    def recording(self, source, n_levels):
+        built.append(n_levels)
+        init(self, source, n_levels)
+
+    def counting(*args):
+        cycles, preds = walk(*args)
+        rotations.append(len(cycles))
+        return cycles, preds
+
+    monkeypatch.setattr(gstar.GStarTables, "__init__", recording)
+    monkeypatch.setattr(mincost, "_rotation_walk", counting)
+    inst, m = chain(size)
+    res = min_cost_popular_max(inst)
+    assert built == [size]
+    assert rotations == [size * (size - 1) // 2]
+    assert res.matching == m and res.cost == 0
+    assert res.certificate == certify_popular_max(inst, m)
 
 
 def test_stopping_rule_refuses_levels_that_cost_more():
@@ -319,10 +355,10 @@ def test_stopping_rule_refuses_levels_that_cost_more():
         inst = random_instance(n, n, d, seed, (0, 9))
         m0, level = gstar._level_run(inst, n)
         assert max(level[a] for a, _ in m0.pairs) + 2 == t
-        early, early_level = mincost._min_cost_run(inst, t, (m0, {a: level[a] for a, _ in m0.pairs}))
+        early, top = mincost._min_cost_run(inst, t, (m0, {a: level[a] for a, _ in m0.pairs}))
         full = mincost._min_cost(inst, n)
         assert early.cost > full.cost
-        assert max(early_level[a] for a, _ in early.matching.pairs) == t - 1
+        assert top == t - 1
         assert min_cost_popular_max(inst) == full
 
 

@@ -20,7 +20,7 @@ from popmax.oracle import (
     enum_matchings,
 )
 
-from conftest import mk, random_cases
+from conftest import chain, mk, random_cases
 
 
 def test_digraph_arc_count(i1, i2):
@@ -297,3 +297,37 @@ def test_cycle_witnesses_are_closed_and_win():
             assert is_maximum(inst, flipped)[0]
             assert compare(inst, flipped, m).delta >= 1
     assert cycles >= 50
+
+
+def _rounds_and_verdicts(monkeypatch, inst, m):
+    """The improving rounds of `verify_popular_max`'s pass on m, counted by
+    wrapping `popularity._pred_cycle`, which runs once after each round
+    that raised a value; and m's three verdicts, each checked."""
+    from popmax import certify_popular_max, popularity, verify_certificate
+
+    rounds = [0]
+    pred_cycle = popularity._pred_cycle
+
+    def counted(pred):
+        rounds[0] += 1
+        return pred_cycle(pred)
+
+    monkeypatch.setattr(popularity, "_pred_cycle", counted)
+    assert verify_popular_max(inst, m).popular
+    monkeypatch.setattr(popularity, "_pred_cycle", pred_cycle)
+    assert verify_certificate(inst, m, certify_popular_max(inst, m)).ok
+    assert is_pareto_optimal(inst, m).pareto
+    return rounds[0]
+
+
+@pytest.mark.parametrize("ladder", [False, True], ids=["chain", "ladder"])
+def test_popularity_rounds_on_the_chain_families(monkeypatch, ladder):
+    """On the chain and ladder families M is popular, certified and
+    Pareto-optimal. Declared in natural order the pass converges in one
+    improving round. Reversed, each round carries the values one arc
+    against the path, so it takes L - 1 rounds: today's bound, which a pass
+    whose cost does not depend on the input order would lower."""
+    for size in (200, 400):
+        assert _rounds_and_verdicts(monkeypatch, *chain(size, ladder)) == 1
+    for size in (250, 500, 1000):
+        assert _rounds_and_verdicts(monkeypatch, *chain(size, ladder, reverse=True)) == size - 1

@@ -214,8 +214,8 @@ def check_stopping_rule(inst) -> int:
         full = mincost._min_cost(costed, t_all)
         assert mincost.min_cost_popular_max(costed) == full, costed
         for t in range(top + 1, t_all):
-            res, level = mincost._min_cost_run(costed, t, run)
-            if max((level[a] for a, _ in res.matching.pairs), default=-1) <= t - 2:
+            res, res_top = mincost._min_cost_run(costed, t, run)
+            if res_top <= t - 2:
                 assert res == full, (costed, t)
                 fired += 1
     return fired
