@@ -6,13 +6,14 @@ A certificate assigns each matched node an even integer: nonpositive on the
 A-side, nonnegative on the B-side, summing to 0, with matched pairs tight
 and every edge with a matched endpoint satisfied, an unmatched node taking
 the extreme value of its side. Neighbors of unmatched B-nodes must sit at 0
-and neighbors of unmatched A-nodes at the top of the range. A level is half
-the absolute value. `certify_popular_max` reads a certificate off the
-potentials of the popularity pass. A stable matching of the derived
-instance, given as id pairs of its tables, has one reader,
-`_read_certificate`: one `GStarTables.read` gives the projection and its
-levels, which become the certificate. `extract_certificate` reads a stable
-matching of the string-named instance through it, and `mincost` its
+and neighbors of unmatched A-nodes at the top of the range: the pins of
+rule (P), which `core._pins` lists for the verifier, `_remap_levels` and
+`lift` alike. A level is half the absolute value. `certify_popular_max`
+reads a certificate off the potentials of the popularity pass. A stable
+matching of the derived instance, given as id pairs of its tables, has one
+reader, `_read_certificate`: one `GStarTables.read` gives the projection
+and its levels, which become the certificate. `extract_certificate` reads a
+stable matching of the string-named instance through it, and `mincost` its
 min-cost stable matching. Both routes compress the levels into the range
 the matched-pair count allows. `lift` goes the other way: it places a
 certificate's levels on the copies of the derived instance, stretched to
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import Instance, Matching, _weights, is_maximum
+from .core import Instance, Matching, _pins, _weights, is_maximum
 from .errors import CertificateError, InternalError, NotMaximumError, NotPopularError, NotStableError, ParseError
 from .gstar import GStarInstance, GStarTables, build_gstar, place, project
 from .popularity import Witness, _witness_or_potentials
@@ -96,8 +97,8 @@ def _remap_levels(inst: Instance, m: Matching, level: dict[str, int],
     0..n_levels-1.
 
     `level` maps every matched node to its level, a pair sharing one. The
-    occupied levels are packed one apart from 0 up, with two pins worked
-    out from inst and m: when some unmatched A-node has neighbors (they
+    occupied levels are packed one apart from 0 up, with the two kinds of
+    pin `core._pins` lists: when some unmatched A-node has neighbors (they
     are matched, and a certificate must put them at the top), the highest
     level goes to n_levels-1; when in addition some unmatched B-node has
     neighbors (which must sit at 0), the lowest stays at 0 and the slack
@@ -109,10 +110,11 @@ def _remap_levels(inst: Instance, m: Matching, level: dict[str, int],
     occupied = sorted({level[a] for a, _ in m.pairs})
     slack = n_levels - len(occupied)
     pos = list(range(len(occupied)))
-    if any(inst.prefs[a] and not m.is_matched(a) for a in inst.side_a):
+    top_pins, bottom_pins = _pins(inst, m)
+    if top_pins:
         if slack < 0:
             raise InternalError("certificate level span exceeds the derived instance")
-        if not any(inst.prefs[b] and not m.is_matched(b) for b in inst.side_b):
+        if not bottom_pins:
             pos = [p + slack for p in pos]
         elif slack:
             matched = m.partner
@@ -143,7 +145,7 @@ def lift(inst: Instance, m: Matching, cert: DualCertificate) -> Matching:
         raise CertificateError("certificate invalid for the matching", report.violations)
     gs = build_gstar(inst)
     level = {u: abs(v) // 2 for u, v in cert.alpha.items()}
-    if any(inst.prefs[a] and not m.is_matched(a) for a in inst.side_a):
+    if _pins(inst, m)[0]:
         remap = _remap_levels(inst, m, level, gs.n0)
         level = {u: remap[l] for u, l in level.items()}
     lifted = place(gs, m, level)
@@ -185,16 +187,11 @@ def _check_conditions(inst: Instance, m: Matching, cert: DualCertificate) -> Cer
             f"certificate n0_prime={cert.n0_prime} but the matching has {len(m.pairs)} pairs")
     violations = []
     top = 2 * (cert.n0_prime - 1)
-    for u in inst.nodes:
-        if u not in alpha:
-            continue
-        v = alpha[u]
-        if inst.is_a(u):
-            if v % 2 or not (-top <= v <= 0):
-                violations.append(f"R: alpha[{u}] = {v} not in {{0, -2, ..., {-top}}}")
-        else:
-            if v % 2 or not (0 <= v <= top):
-                violations.append(f"R: alpha[{u}] = {v} not in {{0, 2, ..., {top}}}")
+    for side, sign in ((inst.side_a, -1), (inst.side_b, 1)):  # A-values <= 0, B-values >= 0
+        for u in filter(alpha.__contains__, side):
+            v = alpha[u]
+            if v % 2 or not 0 <= sign * v <= top:
+                violations.append(f"R: alpha[{u}] = {v} not in {{0, {2 * sign}, ..., {sign * top}}}")
     for a, b in sorted(m.pairs):
         s = alpha[a] + alpha[b]
         if s != 0:
@@ -207,18 +204,12 @@ def _check_conditions(inst: Instance, m: Matching, cert: DualCertificate) -> Cer
             s = alpha.get(a, -top) + alpha.get(b, 0)
             if s < w:
                 violations.append(f"F: alpha[{a}] + alpha[{b}] = {s} < wt = {w} at ({a},{b})")
-    for b in inst.side_b:
-        if not m.is_matched(b):
-            for a in inst.prefs[b]:
-                if alpha.get(a, 0) != 0:
-                    violations.append(
-                        f"P1: alpha[{a}] = {alpha[a]} != 0 but {a} neighbors unmatched {b}")
-    for a in inst.side_a:
-        if not m.is_matched(a):
-            for b in inst.prefs[a]:
-                if alpha.get(b) != top:
-                    violations.append(
-                        f"P2: alpha[{b}] = {alpha.get(b)} != {top} but {b} neighbors unmatched {a}")
+    # m is maximum, so every neighbor of an unmatched node is matched
+    top_pins, bottom_pins = _pins(inst, m)
+    for rule, pins, want in (("P1", bottom_pins, 0), ("P2", top_pins, top)):
+        for u, v in pins:
+            if alpha[v] != want:
+                violations.append(f"{rule}: alpha[{v}] = {alpha[v]} != {want} but {v} neighbors unmatched {u}")
     return CertificateReport(not violations, tuple(violations))
 
 

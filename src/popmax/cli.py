@@ -337,7 +337,7 @@ def _parse(argv: list[str]):
     return args
 
 
-def _report_error(args, label: str, exc: Exception, code: int) -> int:
+def _report_error(args, label: str, exc: Exception | str, code: int) -> int:
     print(f"{label}: {exc}", file=sys.stderr)
     if args.json:
         print(json.dumps({"status": "error", "result": str(exc)}))
@@ -375,6 +375,8 @@ def _run(args) -> int:
         return _report_error(args, "error", exc, EXIT_BAD_INPUT)
     except BoundExceededError as exc:
         return _report_error(args, "error", exc, EXIT_BOUND)
+    except MemoryError:
+        return _report_error(args, "error", "out of memory", EXIT_BOUND)
     except InternalError as exc:
         return _report_error(args, "internal error", exc, EXIT_INTERNAL)
 

@@ -277,6 +277,17 @@ def _blocking(inst: Instance, m: Matching) -> Iterator[Edge]:
                 yield a, b
 
 
+def _pins(inst: Instance, m: Matching) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
+    """The pins of rule (P) (`gstar._n_levels`) under m, side by side: the
+    (unmatched A-node, neighbor) pairs, whose neighbor sits at the top
+    level, and the (unmatched B-node, neighbor) pairs, whose neighbor sits
+    at level 0; each in side order and list order. This is the one scan for
+    unmatched nodes with neighbors."""
+    partner, prefs = m.partner, inst.prefs
+    return tuple([(u, v) for u in side if u not in partner for v in prefs[u]]
+                 for side in (inst.side_a, inst.side_b))
+
+
 def compare(inst: Instance, m: Matching, n: Matching) -> VoteTally:
     """Count the nodes preferring m over n and vice versa.
 

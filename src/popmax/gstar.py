@@ -126,11 +126,8 @@ class GStarTables:
         images in its own order and of its dummies 1..T-1, both sequences:
         copy i lists dummy i when i >= 1, then the images, then dummy i+1
         when i <= T-2."""
-        if not dummies:  # T = 1: the one copy has neither dummy
-            return [[*images]]
-        return [[*images, dummies[0]],
-                *[[lower, *images, upper] for lower, upper in zip(dummies, dummies[1:])],
-                [dummies[-1], *images]]
+        ends = [(), *zip(dummies), ()]  # copy i: ends[i] below the images, ends[i+1] above
+        return [[*lower, *images, *upper] for lower, upper in zip(ends, ends[1:])]
 
     def other_lists(self, rows) -> Iterator:
         """The lists of the images, then of the dummies, in id order, made of
@@ -325,7 +322,8 @@ def _n_levels(inst: Instance) -> int:
           matched (wt is `core.wt_edge`: the two votes summed);
       (P) no edge joins two leftover nodes; a neighbor b of a leftover
           A-node has l(b) = T-1 and prefers its partner; a neighbor a of
-          a leftover B-node has l(a) = 0 and prefers its partner.
+          a leftover B-node has l(a) = 0 and prefers its partner
+          (`core._pins` lists these top and bottom pins).
     For M fixed these are difference constraints. If feasible, their least
     solution l_T^M is the longest-chain closure from the lower bounds (0
     everywhere, T-1 at the top pins of (P)) along the pairs of M (both

@@ -49,7 +49,8 @@ class CnfFormula(_Frozen):
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    """DIMACS CNF: `p cnf <vars> <clauses>` header, clauses 0-terminated."""
+    """DIMACS CNF: `p cnf <vars> <clauses>` header, clauses 0-terminated.
+    A line starting with `%`, SATLIB's end marker, ends the formula."""
     num_vars = 0
     clauses: list[Clause] = []
     current: list[int] = []
@@ -58,6 +59,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         s = raw.strip()
         if not s or s.startswith("c") or s.startswith("#"):
             continue
+        if s.startswith("%"):
+            break
         if s.startswith("p"):
             parts = s.split()
             if (len(parts) != 4 or parts[1] != "cnf"

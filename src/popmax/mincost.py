@@ -22,7 +22,7 @@ from itertools import accumulate, islice
 from typing import NamedTuple
 
 from .certificates import DualCertificate, _read_certificate
-from .core import Instance, Matching, make_matching, matching_cost
+from .core import Instance, Matching, _pins, make_matching, matching_cost
 from .errors import InternalError
 from .gstar import GStarTables, _level_run, _lists, _n_levels
 from .stable import gale_shapley
@@ -417,7 +417,7 @@ def min_cost_popular_max(inst: Instance) -> MinCostResult:
     m0, level = _level_run(inst, n_levels)
     run = m0, {a: level[a] for a, _ in m0.pairs}  # leftover A-nodes sit at the top copy
     t = n_levels
-    if all(u in m0.partner for u in inst.nodes if inst.prefs[u]):  # pin-free: claim (f)
+    if not any(_pins(inst, m0)):  # pin-free: claim (f)
         t = min(max(run[1].values(), default=-1) + 2, n_levels)
     while True:
         res, top = _min_cost_run(inst, t, run)

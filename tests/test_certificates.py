@@ -18,6 +18,7 @@ from popmax import (
     levels,
     make_matching,
     parse_certificate,
+    parse_instance,
     popular_max_matching,
     project,
     serialize_certificate,
@@ -333,3 +334,46 @@ def test_certify_and_verifier_soundness_against_oracle():
             for cert in offered:
                 if verify_certificate(inst, m, cert).ok:
                     assert m.pairs in popular
+
+
+def _rule_texts(inst, m, alpha):
+    """The R, P1 and P2 violations `verify_certificate` reports for alpha, in order."""
+    report = verify_certificate(inst, m, DualCertificate(alpha, len(m.pairs)))
+    return [v for v in report.violations if v.split(":")[0] in ("R", "P1", "P2")]
+
+
+def test_range_and_pin_texts_with_one_pair(i3):
+    """n0' = 1 leaves the range {0}: both sides name it with the stride of
+    their sign, and each unmatched A-node pins b1 in side order."""
+    m = mk(i3, ("a1", "b1"))
+    assert _rule_texts(i3, m, {"a1": -2, "b1": 2}) == [
+        "R: alpha[a1] = -2 not in {0, -2, ..., 0}",
+        "R: alpha[b1] = 2 not in {0, 2, ..., 0}",
+        "P2: alpha[b1] = 2 != 0 but b1 neighbors unmatched a2",
+        "P2: alpha[b1] = 2 != 0 but b1 neighbors unmatched a3",
+    ]
+
+
+def test_range_and_pin_texts_with_unmatched_nodes_on_both_sides():
+    """An unmatched node on each side, with two neighbors each: the range
+    violations come A-side first, each side in its order, then P1 and P2,
+    each in the unmatched node's list order. Moving the pinned values to
+    their pins makes the certificate valid."""
+    inst = parse_instance(
+        "side A u a1 a2 a3 a4\nside B b1 b2 b3 b4 v\n"
+        "pref u: b1 b2\npref a1: b1\npref a2: b2\npref a3: b3 v\npref a4: b4 v\n"
+        "pref b1: a1 u\npref b2: a2 u\npref b3: a3\npref b4: a4\npref v: a3 a4\n")
+    m = mk(inst, ("a1", "b1"), ("a2", "b2"), ("a3", "b3"), ("a4", "b4"))
+    alpha = {"a1": -2, "b1": 2, "a2": -5, "b2": 5, "a3": -4, "b3": 4, "a4": -8, "b4": 8}
+    assert _rule_texts(inst, m, alpha) == [
+        "R: alpha[a2] = -5 not in {0, -2, ..., -6}",
+        "R: alpha[a4] = -8 not in {0, -2, ..., -6}",
+        "R: alpha[b2] = 5 not in {0, 2, ..., 6}",
+        "R: alpha[b4] = 8 not in {0, 2, ..., 6}",
+        "P1: alpha[a3] = -4 != 0 but a3 neighbors unmatched v",
+        "P1: alpha[a4] = -8 != 0 but a4 neighbors unmatched v",
+        "P2: alpha[b1] = 2 != 6 but b1 neighbors unmatched u",
+        "P2: alpha[b2] = 5 != 6 but b2 neighbors unmatched u",
+    ]
+    alpha.update(a1=-6, b1=6, a2=-6, b2=6, a3=0, b3=0, a4=0, b4=0)
+    assert verify_certificate(inst, m, DualCertificate(alpha, 4)).ok

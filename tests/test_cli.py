@@ -368,6 +368,18 @@ def test_gen_hardness_and_check_reduction(files, capsys):
     assert code == 0 and "equivalence holds:                True" in out
 
 
+def test_gen_hardness_reads_satlib_files(tmp_path, capsys):
+    """A SATLIB file, the formula followed by its `%` and `0` end lines,
+    gives the same gadget bytes as the formula alone."""
+    plain, satlib = tmp_path / "f.cnf", tmp_path / "satlib.cnf"
+    plain.write_text("p cnf 3 2\n1 2 3 0\n-1 -2 0\n")
+    satlib.write_text(plain.read_text() + "%\n0\n\n")
+    expected = run(capsys, "gen-hardness", str(plain))
+    assert expected[0] == 0 and expected[1].startswith("side A")
+    assert run(capsys, "gen-hardness", str(satlib)) == expected
+    assert run(capsys, "check-reduction", str(satlib)) == run(capsys, "check-reduction", str(plain))
+
+
 def test_oracle_subcommands(files, capsys):
     code, out, _ = run(capsys, "oracle", "matchings", files["i0"])
     assert code == 0 and out == "[]\n" + json.dumps([["a", "b"]]) + "\n"
@@ -575,6 +587,21 @@ def test_exit_code_internal_error(files, capsys, monkeypatch):
     code, out, err = run(capsys, "solve", files["i0"])
     assert code == 4 and out == ""
     assert err == "internal error: a condition the theory rules out\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_exit_code_out_of_memory(files, capsys, monkeypatch, flags):
+    """A command that runs out of memory exits 3 with one line on stderr and
+    no traceback, and under --json writes the error envelope."""
+    from popmax import cli
+
+    def exhausted(_args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_solve", exhausted)
+    code, out, err = run(capsys, *flags, "solve", files["i0"])
+    assert code == 3 and err == "error: out of memory\n"
+    assert out == ('{"status": "error", "result": "out of memory"}\n' if flags else "")
 
 
 def test_two_calls_share_no_state(files, capsys, monkeypatch):

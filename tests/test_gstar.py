@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import types
 
 import pytest
 
@@ -21,14 +22,15 @@ from popmax import (
     popular_max_matching,
     project,
     serialize_instance,
+    serialize_matching,
     wt_edge,
 )
-from popmax import cli
+from popmax import cli, gstar
 from popmax.certificates import DualCertificate, extract_certificate
 from popmax.oracle import brute_popular_max, enumerate_stable
 from popmax.popularity import verify_popular_max
 
-from conftest import mk, random_cases
+from conftest import chain, mk, random_cases
 
 
 def test_single_copy_degenerate(i0):
@@ -310,3 +312,32 @@ def test_solve_and_mincost_run_min_side_levels(monkeypatch, tmp_path, capsys):
     for command in ("emit-lp", "gstar"):
         run(command, small)
         assert tops == [] and copies == [30 * 30]
+
+
+@pytest.mark.parametrize("size", [100, 200])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_solve_on_the_chain_makes_a_quadratic_count_of_proposals(tmp_path, capsys, monkeypatch,
+                                                                 size, reverse):
+    """`solve` on chain(L) reads exactly L(L+1) list entries in
+    `stable._propose`, one per proposal, in either order of side A: the
+    bound ROADMAP item 12 pins until item 2 lowers it."""
+    reads = []
+
+    class Entries(tuple):
+        def __getitem__(self, i):
+            reads.append(i)
+            return tuple.__getitem__(self, i)
+
+    propose = gstar._propose
+
+    def counting(inst, top):
+        prefs = {u: Entries(lst) for u, lst in inst.prefs.items()}
+        return propose(types.SimpleNamespace(side_a=inst.side_a, prefs=prefs, _rank=inst._rank), top)
+
+    monkeypatch.setattr(gstar, "_propose", counting)
+    inst, m = chain(size, reverse=reverse)
+    path = tmp_path / "chain.txt"
+    path.write_text(serialize_instance(inst))
+    assert cli.main(["solve", str(path)]) == 0
+    assert capsys.readouterr().out == serialize_matching(m)
+    assert len(reads) == size * (size + 1)

@@ -147,6 +147,14 @@ def test_dimacs_keeps_an_unterminated_last_clause():
     assert parse_dimacs("p cnf 3 2\n1 -2 0\n2 3\n").clauses == ((1, -2), (2, 3))
 
 
+@pytest.mark.parametrize("trailer", ["%\n0\n\n", "  %\n0\n", "%\n0 bad %\n"])
+def test_dimacs_stops_at_the_satlib_end_marker(trailer):
+    """SATLIB's files end in a `%` line and a `0` line: reading stops at the
+    `%`, so the formula is the one without the trailer."""
+    text = "c SATLIB\np cnf 3 2\n 1 -2 3 0\n-1 2 0\n"
+    assert parse_dimacs(text + trailer) == parse_dimacs(text) == CnfFormula(3, ((1, -2, 3), (-1, 2)))
+
+
 def test_assignment_to_matching_patterns():
     ft = transform_formula(CnfFormula(1, ()))
     g = build_gadget_instance(ft)

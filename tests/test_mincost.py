@@ -321,9 +321,9 @@ def test_mincost_runs_only_the_levels_its_answer_needs(monkeypatch):
 def test_mincost_on_the_chain_walks_every_rotation(monkeypatch, size):
     """On chain(L) the leftover a0 has a neighbor, so `min_cost_popular_max`
     lays out one table, at T = L levels; its walk finds all L(L-1)/2
-    rotations, and it returns M at cost 0 with `certify_popular_max`'s
-    certificate."""
-    built, rotations = [], []
+    rotations with (L-1)(L-2) precedence arcs (ROADMAP item 12), and it
+    returns M at cost 0 with `certify_popular_max`'s certificate."""
+    built, rotations, arcs = [], [], []
     init, walk = gstar.GStarTables.__init__, mincost._rotation_walk
 
     def recording(self, source, n_levels):
@@ -333,6 +333,7 @@ def test_mincost_on_the_chain_walks_every_rotation(monkeypatch, size):
     def counting(*args):
         cycles, preds = walk(*args)
         rotations.append(len(cycles))
+        arcs.append(sum(map(len, preds)))
         return cycles, preds
 
     monkeypatch.setattr(gstar.GStarTables, "__init__", recording)
@@ -341,6 +342,7 @@ def test_mincost_on_the_chain_walks_every_rotation(monkeypatch, size):
     res = min_cost_popular_max(inst)
     assert built == [size]
     assert rotations == [size * (size - 1) // 2]
+    assert arcs == [(size - 1) * (size - 2)]
     assert res.matching == m and res.cost == 0
     assert res.certificate == certify_popular_max(inst, m)
 
