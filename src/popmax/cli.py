@@ -4,7 +4,8 @@ Exit codes: 0 success/verified, 1 verification rejected (witness printed),
 2 malformed input, 3 size bound exceeded, 4 internal error (a bug: a
 condition the theory rules out was met; `internal error: ...` on stderr),
 141 (128 + SIGPIPE) stdout closed by its reader before the output was
-written, with nothing on stderr.
+written, with nothing on stderr. A command started with stdout or stderr
+closed writes to it as to the null device and keeps its own exit code.
 
 Every command uses `core` and `errors`; each handler imports the layers
 only it uses, so a command loads no more of the package than it runs.
@@ -21,6 +22,7 @@ handler is looked up by command name (`cmd_<command>`) when `main` runs.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -57,9 +59,9 @@ FILE_COMMANDS = {
 
 
 def _read(path: str) -> str:
-    """The file (`-`: stdin) as UTF-8 text, each CRLF and lone CR read as LF
-    as text mode reads them; the bytes are read unbuffered and decoded here,
-    which skips the text layer."""
+    """The file (`-`: stdin) as UTF-8 text, a leading byte-order mark dropped
+    and each CRLF and lone CR read as LF as text mode reads them; the bytes
+    are read unbuffered and decoded here, which skips the text layer."""
     try:
         if path == "-":
             if sys.stdin is None:  # started with fd 0 closed
@@ -69,7 +71,7 @@ def _read(path: str) -> str:
         else:
             with open(path, "rb", buffering=0) as fh:
                 data = fh.read()
-        text = data if isinstance(data, str) else data.decode("utf-8")
+        text = (data if isinstance(data, str) else data.decode("utf-8")).removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
@@ -338,7 +340,10 @@ def _parse(argv: list[str]):
 
 
 def _report_error(args, label: str, exc: Exception | str, code: int) -> int:
-    print(f"{label}: {exc}", file=sys.stderr)
+    try:
+        print(f"{label}: {exc}", file=sys.stderr)
+    except OSError:  # fd 2 was closed, and a file opened since holds it
+        pass
     if args.json:
         print(json.dumps({"status": "error", "result": str(exc)}))
     return code
@@ -346,6 +351,9 @@ def _report_error(args, label: str, exc: Exception | str, code: int) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    for name in ("stdout", "stderr"):
+        if getattr(sys, name) is None:  # started with its fd closed: write nowhere
+            setattr(sys, name, open(os.devnull, "w"))
     args = _match(argv) or _parse(argv)
     try:
         code = _run(args)
@@ -354,7 +362,6 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader closed stdout (`popmax emit-lp i.txt | head`); point fd 1
         # at the null device so the flush at exit writes the rest there quietly
-        import os
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         return EXIT_PIPE
 

@@ -197,9 +197,10 @@ class MaxFlowResult(NamedTuple):
 
 
 def max_flow(net: FlowNetwork) -> MaxFlowResult:
-    """Dinic's algorithm. The returned cut is the minimal source side
-    (residual-reachable set); its capacity always equals the flow value,
-    which is asserted on every call."""
+    """Dinic's algorithm. The returned cut is the minimal source side: the
+    nodes that the last breadth-first search, the one that misses the sink,
+    reached in the residual graph. Its capacity always equals the flow
+    value, which is asserted on every call."""
     n, source, sink = net.num_nodes, net.source, net.sink
     # arc 2x is the x-th given arc and arc 2x+1 its residual twin
     head: list[list[int]] = [[] for _ in range(n)]
@@ -254,18 +255,11 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
             else:
                 break
 
-    reach = {source}
-    stack = [source]
-    while stack:
-        u = stack.pop()
-        for e in head[u]:
-            if cap[e] > 0 and to[e] not in reach:
-                reach.add(to[e])
-                stack.append(to[e])
-    cut = sum(c for u, v, c in net.arcs if u in reach and v not in reach)
+    reach = frozenset(u for u in range(n) if level[u] >= 0)
+    cut = sum(c for u, v, c in net.arcs if level[u] >= 0 > level[v])
     if cut != total:
         raise InternalError(f"max-flow {total} does not certify against min-cut {cut}")
-    return MaxFlowResult(total, frozenset(reach), cut)
+    return MaxFlowResult(total, reach, cut)
 
 
 # ---------------------------------------------------------------------------

@@ -22,38 +22,19 @@ DEFAULT_BOUND = 24
 def enum_matchings(inst: Instance, bound: int = DEFAULT_BOUND) -> list[Matching]:
     """All matchings of the instance, including the empty one.
 
-    Depth-first over edges on an explicit stack, skipping edge i before
-    taking it, with disjointness pruning; visits every partial matching
-    exactly once. Refuses instances with more than `bound` edges.
+    By prefix extension over the edges, with no recursion: the matchings of
+    the first i + 1 edges are those of the first i, then, with edge i added,
+    each of them that leaves both its ends free; so each is listed once.
+    Refuses instances with more than `bound` edges.
     """
     edges = inst.edges
     if len(edges) > bound:
         raise BoundExceededError(
             f"enumeration bound exceeded: {len(edges)} edges > bound {bound}")
-    out: list[Matching] = []
-    chosen: list = []
-    used: set[str] = set()
-    stack = [(0, "skip")]  # (edge index, next step there: skip, take or undo)
-    while stack:
-        i, step = stack.pop()
-        if i == len(edges):
-            out.append(Matching(frozenset(chosen)))
-            continue
-        a, b = edges[i]
-        if step == "skip":
-            stack.append((i, "take"))
-            stack.append((i + 1, "skip"))
-        elif step == "take":
-            if a not in used and b not in used:
-                chosen.append(edges[i])
-                used.add(a)
-                used.add(b)
-                stack.append((i, "undo"))
-                stack.append((i + 1, "skip"))
-        else:
-            chosen.pop()
-            used.discard(a)
-            used.discard(b)
+    out = [Matching(())]
+    for a, b in edges:
+        out += [Matching(m.pairs | {(a, b)}) for m in out
+                if a not in m.partner and b not in m.partner]
     return out
 
 
@@ -107,24 +88,14 @@ def brute_unpopularity_factor(inst: Instance, m: Matching,
 
 
 def closed_subsets(poset: RotationPoset) -> list[frozenset[int]]:
-    """All downward-closed rotation sets, in a fixed depth-first order:
-    each rotation is first left out, then taken when its predecessors are."""
-    k = len(poset.cycles)
-    out: list[frozenset[int]] = []
-    taken = [False] * k
-    chosen: set[int] = set()
-    while True:
-        out.append(frozenset(chosen))
-        i = k - 1
-        while i >= 0 and (taken[i] or not all(p in chosen for p in poset.preds[i])):
-            if taken[i]:
-                taken[i] = False
-                chosen.discard(i)
-            i -= 1
-        if i < 0:
-            return out
-        taken[i] = True
-        chosen.add(i)
+    """All downward-closed rotation sets, in prefix order: the closed sets of
+    rotations 0..r-1, then, with r added, each of them that holds r's
+    predecessors. Rotation indices are an elimination order (every
+    predecessor of r comes before r), so each closed set is listed once."""
+    out = [frozenset()]
+    for r, preds in enumerate(poset.preds):
+        out += [s | {r} for s in out if s.issuperset(preds)]
+    return out
 
 
 def matching_of_closed_subset(poset: RotationPoset, subset: frozenset[int]) -> Matching:

@@ -41,7 +41,10 @@ def build_alternating_digraph(inst: Instance, m: Matching) -> AlternatingDigraph
 
 def _vertices(inst: Instance, m: Matching) -> tuple[tuple[tuple, ...], dict[str, int]]:
     """The matched pairs in sorted order, then the unmatched A-nodes and the
-    unmatched B-nodes in side order, and the vertex of every node."""
+    unmatched B-nodes in side order, and the vertex of every node. With
+    p = |m|, the pairs are the vertices [0, p), the unmatched A-nodes
+    [p, |A|) and the unmatched B-nodes [|A|, n): the passes read a vertex's
+    kind off its index."""
     vertices = [("pair", a, b) for a, b in sorted(m.pairs)]
     vertices += [("ua", a) for a in inst.side_a if a not in m.partner]
     vertices += [("ub", b) for b in inst.side_b if b not in m.partner]
@@ -154,11 +157,6 @@ def _pred_cycle(pred: list) -> list[Arc] | None:
     return None
 
 
-def _highest(y: list[int], candidates: list[int]) -> int:
-    """The candidate with the largest value, the first one on ties."""
-    return max(candidates, key=lambda i: (y[i], -i))
-
-
 def _witness_or_potentials(inst: Instance, m: Matching) -> Witness | dict[str, int]:
     """One longest-walk pass over the alternating digraph of m.
 
@@ -179,9 +177,9 @@ def _witness_or_potentials(inst: Instance, m: Matching) -> Witness | dict[str, i
         raise NotMaximumError(
             "matching is not maximum; popularity among maximum matchings is undefined", path)
     dg = build_alternating_digraph(inst, m)
-    n = len(dg.vertices)
-    top = 2 * (len(m.pairs) - 1)
-    y = [top if v[0] == "ua" else 0 for v in dg.vertices]
+    n, p, na = len(dg.vertices), len(m.pairs), len(inst.side_a)
+    top = 2 * (p - 1)
+    y = [0] * p + [top] * (na - p) + [0] * (n - na)  # see `_vertices`
     pred: list[Arc | None] = [None] * n
     for _round in range(n + 1):
         improved = False
@@ -199,16 +197,16 @@ def _witness_or_potentials(inst: Instance, m: Matching) -> Witness | dict[str, i
     else:
         raise InternalError("relaxation did not converge and no predecessor cycle formed")
 
-    above_top = [i for i, v in enumerate(dg.vertices) if v[0] == "pair" and y[i] > top]
-    if above_top:
-        return _witness(dg.vertices, "path", _collect_arcs(pred, _highest(y, above_top)))
-    into_b = [i for i, v in enumerate(dg.vertices) if v[0] == "ub" and y[i] > 0]
-    if into_b:
-        seq = _collect_arcs(pred, _highest(y, into_b))
-        if dg.vertices[seq[0][0]][0] == "ua":
-            raise InternalError("augmenting path in a maximum matching")
-        return _witness(dg.vertices, "path", seq)
-    return {u: y[i] for i, v in enumerate(dg.vertices) if v[0] == "pair" for u in v[1:]}
+    # the highest pair vertex above top, else the highest unmatched B-node
+    # above 0, the first on ties, ends a positive path
+    for span, floor in ((range(p), top), (range(na, n), 0)):
+        v = max(span, key=y.__getitem__, default=None)
+        if v is not None and y[v] > floor:
+            seq = _collect_arcs(pred, v)
+            if v >= na and seq[0][0] >= p:  # from an unmatched A-node
+                raise InternalError("augmenting path in a maximum matching")
+            return _witness(dg.vertices, "path", seq)
+    return {u: y[i] for i in range(p) for u in dg.vertices[i][1:]}
 
 
 def verify_popular_max(inst: Instance, m: Matching) -> PopularityVerdict:
@@ -235,7 +233,7 @@ def is_pareto_optimal(inst: Instance, m: Matching) -> ParetoVerdict:
     reported in preference to paths.
     """
     vertices, vertex_of = _vertices(inst, m)
-    n = len(vertices)
+    n, p, na = len(vertices), len(m.pairs), len(inst.side_a)
     adj: list[list[Arc]] = [[] for _ in range(n)]
     for a, b in _blocking(inst, m):
         src = vertex_of[a]
@@ -243,35 +241,33 @@ def is_pareto_optimal(inst: Instance, m: Matching) -> ParetoVerdict:
 
     color = [0] * n
     next_arc = [0] * n
-    for root in range(n):
-        if color[root] != 0 or vertices[root][0] != "pair":
+    for root in range(p):
+        if color[root] != 0:
             continue
         color[root] = 1
-        walk = [root]
-        stack_arcs: list[Arc] = []  # the arcs of the walk, root first
-        while walk:
-            v = walk[-1]
+        walk: list[Arc] = []  # the arcs of the walk from root; the last one's head is current
+        while True:
+            v = walk[-1][1] if walk else root
             if next_arc[v] == len(adj[v]):
                 color[v] = 2
+                if not walk:
+                    break
                 walk.pop()
-                if stack_arcs:
-                    stack_arcs.pop()
                 continue
             arc = adj[v][next_arc[v]]
             next_arc[v] += 1
             dst = arc[1]
             if color[dst] == 0:
                 color[dst] = 1
-                walk.append(dst)
-                stack_arcs.append(arc)
+                walk.append(arc)
             elif color[dst] == 1:
-                start = len(stack_arcs) - 1
-                while stack_arcs[start][0] != dst:
+                start = len(walk) - 1
+                while walk[start][0] != dst:
                     start -= 1
-                return ParetoVerdict(False, _witness(vertices, "cycle", stack_arcs[start:] + [arc]))
+                return ParetoVerdict(False, _witness(vertices, "cycle", walk[start:] + [arc]))
 
     pred: list[Arc | None] = [None] * n
-    frontier = [i for i, v in enumerate(vertices) if v[0] == "ua"]
+    frontier = list(range(p, na))  # the unmatched A-nodes
     seen = set(frontier)
     while frontier:
         nxt = []
@@ -282,7 +278,7 @@ def is_pareto_optimal(inst: Instance, m: Matching) -> ParetoVerdict:
                     continue
                 seen.add(dst)
                 pred[dst] = arc
-                if vertices[dst][0] == "ub":
+                if dst >= na:  # an unmatched B-node
                     return ParetoVerdict(False, _witness(vertices, "path", _collect_arcs(pred, dst)))
                 nxt.append(dst)
         frontier = nxt

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -351,6 +352,48 @@ def test_closed_stdout_exits_quietly(tmp_path, capsys):
     assert _closed_early(["--json", "certify", str(inst), "-"], 0, m.encode()) == (b"", 141, b"")
 
 
+def _sh(argv, redirect: str):
+    """Run popmax in a fresh process through `sh -c` with `redirect` after
+    it: (exit code, stdout, stderr)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(popmax.__file__).parents[1])}
+    command = shlex.join([sys.executable, "-m", "popmax.cli", *argv])
+    proc = subprocess.run(["sh", "-c", f"{command} {redirect}"], capture_output=True,
+                          env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.fixture
+def nonedge(tmp_path):
+    """An instance and a matching whose one pair is not an edge of it."""
+    inst, m = tmp_path / "path.txt", tmp_path / "nonedge.match"
+    inst.write_text("side A a1 a2\nside B b1 b2\npref a1: b1\npref a2: b1 b2\n"
+                    "pref b1: a2 a1\npref b2: a2\n")
+    m.write_text("a1 b2\n")
+    return str(inst), str(m)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("verify", "i3", "good3"), 0), (("verify", "i3", "bad"), 1),
+    (("verify", "path", "nonedge"), 2), (("emit-lp", "i2c"), 0)])
+def test_closed_stdout_runs_as_to_the_null_device(files, nonedge, argv, code):
+    """Started with fd 1 closed (`>&-`), a command runs, writes nothing and
+    exits with its own code, as with stdout at the null device."""
+    paths = {**files, "path": nonedge[0], "nonedge": nonedge[1]}
+    argv = [paths.get(a, a) for a in argv]
+    got = _sh(argv, ">&-")
+    assert got == _sh(argv, ">/dev/null")
+    assert got[0] == code and b"Traceback" not in got[2]
+
+
+def test_closed_stderr_keeps_the_envelope(nonedge, capsys):
+    """Started with fd 2 closed (`2>&-`), malformed input exits 2 with its
+    error envelope alone on stdout."""
+    argv = ["--json", "verify", *nonedge]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and json.loads(out)["status"] == "error" and "not an edge" in err
+    assert _sh(argv, "2>&-")[:2] == (2, out.encode())
+
+
 def test_gen_random_deterministic(capsys):
     code, out1, _ = run(capsys, "gen-random", "--na", "3", "--nb", "3",
                         "--density", "0.7", "--seed", "5")
@@ -378,6 +421,26 @@ def test_gen_hardness_reads_satlib_files(tmp_path, capsys):
     assert expected[0] == 0 and expected[1].startswith("side A")
     assert run(capsys, "gen-hardness", str(satlib)) == expected
     assert run(capsys, "check-reduction", str(satlib)) == run(capsys, "check-reduction", str(plain))
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "i3"), ("verify", "i3", "good3"), ("verify", "i3", "bad"),
+    ("--json", "verify", "i3", "bad"), ("gen-hardness", "cnf", "--pad-units")])
+def test_byte_order_mark_reads_as_nothing(files, tmp_path, capsys, monkeypatch, argv):
+    """Instance, matching and CNF files, and stdin, that start with a UTF-8
+    byte-order mark give the same bytes and exit code as without it."""
+    import io
+
+    expected = run(capsys, *[files.get(a, a) for a in argv])
+    marked = {}
+    for name, path in files.items():
+        marked[name] = tmp_path / f"bom-{Path(path).name}"
+        marked[name].write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+    assert run(capsys, *[str(marked[a]) if a in marked else a for a in argv]) == expected
+    first = next(a for a in argv if a in files)
+    stdin = io.TextIOWrapper(io.BytesIO(marked[first].read_bytes()), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert run(capsys, *["-" if a == first else files.get(a, a) for a in argv]) == expected
 
 
 def test_oracle_subcommands(files, capsys):
@@ -781,7 +844,8 @@ _READS = {
 @pytest.mark.parametrize("kind", [*_READS, "directory", "missing"])
 def test_read_gives_what_text_mode_gives(tmp_path, monkeypatch, kind):
     """`_read` decodes the bytes itself: the same text, line ends and error
-    text as a text-mode read, from a file and from stdin."""
+    text as a text-mode read that drops a leading byte-order mark, from a
+    file and from stdin."""
     import io
 
     from popmax.cli import _read
@@ -789,7 +853,7 @@ def test_read_gives_what_text_mode_gives(tmp_path, monkeypatch, kind):
 
     def text_mode(name: str) -> str:
         try:
-            with open(name, encoding="utf-8") as fh:
+            with open(name, encoding="utf-8-sig") as fh:
                 return fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {name}: {exc}") from None

@@ -127,6 +127,67 @@ def test_max_flow_long_path():
     assert res.source_side == frozenset({0})
 
 
+def test_max_flow_source_side_is_the_least_minimum_cut():
+    """By brute force over every s-t cut of seeded networks with at most 8
+    nodes: the source side has the least capacity, and it is the
+    intersection of the source sides of all minimum cuts. The inclusion-
+    minimal closure of claim (c) rests on this."""
+    rng = random.Random(2024)
+    for _ in range(200):
+        n = rng.randint(2, 8)
+        arcs = tuple((u, v, rng.randint(0, 9)) for u, v in
+                     ((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 24)))
+                     if u != v)
+        res = max_flow(FlowNetwork(n, arcs, 0, n - 1))
+        cuts = {}
+        for bits in range(2 ** (n - 2)):
+            side = frozenset([0] + [v for v in range(1, n - 1) if bits >> (v - 1) & 1])
+            cuts[side] = sum(c for u, v, c in arcs if u in side and v not in side)
+        least = min(cuts.values())
+        assert res.value == res.cut_capacity == cuts[res.source_side] == least
+        assert res.source_side == frozenset.intersection(
+            *(side for side, c in cuts.items() if c == least))
+
+
+def _closed_by_brute_force(preds):
+    """The index sets of 0..k-1 that hold the predecessors of each member."""
+    k = len(preds)
+    subsets = (frozenset(r for r in range(k) if bits >> r & 1) for bits in range(2 ** k))
+    return {s for s in subsets if all(s.issuperset(preds[r]) for r in s)}
+
+
+def _assert_closed_subsets(poset):
+    got = closed_subsets(poset)
+    assert len(got) == len(set(got))
+    assert set(got) == _closed_by_brute_force(poset.preds)
+
+
+def test_closed_subsets_of_found_posets():
+    """Every closed set of the rotations of seeded instances and of their
+    derived instances, which have more, each once."""
+    sizes = set()
+    for _seed, inst in random_cases(60, 4, 7300, min_side=2):
+        for poset in (find_rotations(inst), find_rotations(build_gstar(inst).inner)):
+            if len(poset.cycles) <= 12:
+                _assert_closed_subsets(poset)
+                sizes.add(len(poset.cycles))
+    assert len(sizes) >= 10
+
+
+def test_closed_subsets_of_hand_made_posets(i0):
+    """Every closed set of seeded posets with up to 12 rotations, each
+    once; every predecessor comes before its rotation, as in an
+    elimination order."""
+    rng = random.Random(4711)
+    base = gale_shapley(i0)
+    for _ in range(150):
+        k = rng.randint(0, 12)
+        density = rng.random()
+        preds = tuple(tuple(p for p in range(r) if rng.random() < density / 2)
+                      for r in range(k))
+        _assert_closed_subsets(RotationPoset(i0, ((("a", "b"),),) * k, preds, base))
+
+
 def test_closed_subsets_long_chain(i0):
     """A chain deeper than the recursion limit is enumerated without
     recursion: its closed sets are exactly its k + 1 prefixes."""

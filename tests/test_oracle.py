@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -15,7 +16,7 @@ from popmax.oracle import (
     enum_max_matchings,
 )
 
-from conftest import mk
+from conftest import mk, random_cases
 
 
 def test_enum_counts(i0, i1, i3):
@@ -33,6 +34,22 @@ def test_enum_max_counts(i0, i1, i3):
 def test_enum_duplicate_free(i1):
     ms = enum_matchings(i1)
     assert len({m.pairs for m in ms}) == len(ms)
+
+
+def test_enum_matchings_are_the_disjoint_edge_subsets():
+    """Each pairwise-disjoint edge subset is listed once, on seeded
+    instances with at most 12 edges."""
+    checked = 0
+    for _seed, inst in random_cases(300, 4, 5100):
+        edges = inst.edges
+        if len(edges) > 12:
+            continue
+        want = {frozenset(c) for k in range(len(edges) + 1) for c in combinations(edges, k)
+                if len({u for e in c for u in e}) == 2 * k}
+        got = [m.pairs for m in enum_matchings(inst)]
+        assert len(got) == len(set(got)) and set(got) == want
+        checked += 1
+    assert checked >= 200
 
 
 def test_bound_is_loud():
