@@ -160,23 +160,21 @@ def cmd_emit_lp(args) -> int:
     """Write the LP text piece by piece as `mincost._lp_text` makes it; with
     --json, each piece escaped inside the envelope, the same bytes as
     `_emit` prints."""
+    from itertools import chain
     from . import mincost
     inst = core.parse_instance(_read(args.instance))
     pieces = mincost._lp_text(inst)
     first = next(pieces)  # checks the instance before a byte is written
     write = sys.stdout.write
+    # json.dumps of the envelope with sort_keys, in pieces: escaping a
+    # string is per character, so the escaped pieces join to the whole
+    escape = (lambda piece: json.dumps(piece)[1:-1]) if args.json else str
     if args.json:
-        # json.dumps of the envelope with sort_keys, in pieces: escaping a
-        # string is per character, so the escaped pieces join to the whole
         write('{"result": {"lp": "')
-        write(json.dumps(first)[1:-1])
-        for piece in pieces:
-            write(json.dumps(piece)[1:-1])
+    for piece in chain((first,), pieces):
+        write(escape(piece))
+    if args.json:
         write('"}, "status": "ok"}\n')
-    else:
-        write(first)
-        for piece in pieces:
-            write(piece)
     return EXIT_OK
 
 
@@ -226,11 +224,6 @@ def cmd_check_reduction(args) -> int:
     return EXIT_OK if report.equivalence_holds else EXIT_REJECTED
 
 
-def _matchings_text(ms) -> str:
-    lines = [json.dumps([list(e) for e in sorted(m.pairs)]) for m in ms]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def cmd_oracle(args) -> int:
     from . import oracle
     bound = oracle.DEFAULT_BOUND if args.bound is None else args.bound
@@ -239,9 +232,8 @@ def cmd_oracle(args) -> int:
                    "max-matchings": oracle.enum_max_matchings,
                    "popular-max": oracle.brute_popular_max}
     if args.what in enumerators:
-        ms = sorted(enumerators[args.what](inst, bound), key=lambda m: sorted(m.pairs))
-        _emit(args, "ok", [[list(e) for e in sorted(m.pairs)] for m in ms],
-              text=_matchings_text(ms))
+        rows = sorted([list(e) for e in sorted(m.pairs)] for m in enumerators[args.what](inst, bound))
+        _emit(args, "ok", rows, text="".join(json.dumps(row) + "\n" for row in rows))
     elif args.what == "min-cost":
         m, cost = oracle.brute_min_cost_popular_max(inst, bound)
         result = core.matching_to_json(inst, m)

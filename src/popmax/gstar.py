@@ -58,7 +58,8 @@ class GStarTables:
     n = |A| A-nodes, copy i (0 <= i < T) of the k-th A-node is k*T + i,
     the image of the j-th B-node is n*T + j, and dummy i (1 <= i < T) of
     the k-th A-node is n*T + |B| + k*(T-1) + i-1. `copies(k)`, `image(j)`
-    and `dummies(k)` are the one way to these ids. The copies, ids below
+    and `dummies(k)` are the one way to these ids and `origin` the one way
+    back, which `names` reads to label them all. The copies, ids below
     `n_copies` = n*T, are the proposing side. The paper's instance has
     T = n. `index` gives every source node its position on its side.
 
@@ -157,6 +158,12 @@ class GStarTables:
         k, i = divmod(u - len(side_b), t - 1)  # dummies exist only when T >= 2
         return ("dummy", self.source.side_a[k], i + 1)
 
+    def names(self, copy, image, dummy) -> list:
+        """Every id's label in id order, read off `origin`: `copy(a, i)`,
+        `image(b)` or `dummy(a, i)` of the node it stands for."""
+        label = {"copy": copy, "image": image, "dummy": dummy}
+        return [label[o[0]](*o[1:]) for o in map(self.origin, range(self.n_nodes))]
+
     def cost(self, e: tuple[int, int]) -> int:
         """Cost of the edge (copy, partner): its source edge's, 0 for a dummy edge."""
         return self.costs[e[0] // self.n_levels].get(e[1], 0)
@@ -230,9 +237,6 @@ class GStarInstance(NamedTuple):
     tables: GStarTables
 
 
-_NAMERS = {"copy": copy_name, "dummy": dummy_name, "image": image_name}
-
-
 def build_gstar(inst: Instance) -> GStarInstance:
     """The derived instance on string names: the paper's |A| levels, named;
     deterministic given source order."""
@@ -242,7 +246,7 @@ def build_gstar(inst: Instance) -> GStarInstance:
 def _named(gt: GStarTables) -> GStarInstance:
     """The ids and lists of `gt` named, with its level count as `n0`."""
     inst = gt.source
-    names = [_NAMERS[o[0]](*o[1:]) for o in map(gt.origin, range(gt.n_nodes))]
+    names = gt.names(copy_name, image_name, dummy_name)
     prefs = {names[u]: tuple(names[v] for v in lst) for u, lst in enumerate(_lists(gt))}
     costs = {(names[u], names[v]): c for k, row in enumerate(gt.costs)
              for v, c in row.items() for u in gt.copies(k)}

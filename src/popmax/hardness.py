@@ -155,58 +155,46 @@ class GadgetInstance(NamedTuple):
     occurrences: dict[int, tuple[tuple[int, int], ...]]
 
 
-def _shape_check(f: CnfFormula) -> tuple[list[int], list[int]]:
-    """Classify clause indices into positive/negative and validate the
-    transformed shape."""
+def build_gadget_instance(f: CnfFormula) -> GadgetInstance:
+    """Build the reduction graph for a formula in transformed shape. Each
+    clause's shape is checked as its gadgets are named, in clause order,
+    then every variable is checked to have a negation clause."""
     pos_idx, neg_idx = [], []
-    neg_seen: set[int] = set()
+    pos: dict[tuple[int, int], tuple[str, str, str, str]] = {}
+    neg: dict[int, tuple[str, str, str, str]] = {}
+    occurrences: dict[int, list[tuple[int, int]]] = {}
     for ci, c in enumerate(f.clauses):
-        signs = {l > 0 for l in c}
-        if len(signs) != 1:
+        if len({l > 0 for l in c}) != 1:
             raise UnsupportedClauseError(
                 f"clause {ci} mixes positive and negative literals; run transform_formula first")
         if c[0] > 0:
             if len(c) == 1:
                 raise UnsupportedClauseError(
                     f"clause {ci} is a 1-literal positive clause, which has no gadget; "
-                    "pad it to (l or l) with pad_unit_clauses before transforming")
+                    "pad it to (l or l) with --pad-units (pad_unit_clauses) before transforming")
             if len(c) > 3:
                 raise UnsupportedClauseError(f"clause {ci} has more than 3 literals")
             pos_idx.append(ci)
+            for slot, v in enumerate(c):
+                stem = f"X{v}c{ci}o{slot}"
+                pos[(ci, slot)] = (f"a{stem}", f"b{stem}", f"ap{stem}", f"bp{stem}")
+                occurrences.setdefault(v, []).append((ci, slot))
         else:
             if len(c) != 2:
                 raise UnsupportedClauseError(
                     f"negative clause {ci} must have exactly 2 literals")
-            for l in c:
-                if -l in neg_seen:
-                    raise UnsupportedClauseError(
-                        f"negative literal {l} occurs more than once")
-                neg_seen.add(-l)
             neg_idx.append(ci)
-    used = {abs(l) for c in f.clauses for l in c}
-    for v in used:
-        if v not in neg_seen:
+            for lit in c:
+                v = -lit
+                if v in neg:
+                    raise UnsupportedClauseError(
+                        f"negative literal {lit} occurs more than once")
+                neg[v] = (f"cX{v}", f"dX{v}", f"cpX{v}", f"dpX{v}")
+                occurrences.setdefault(v, [])
+    for v in {abs(l) for c in f.clauses for l in c}:
+        if v not in neg:
             raise UnsupportedClauseError(
                 f"variable X{v} has no negation clause; the consistency wiring needs one")
-    return pos_idx, neg_idx
-
-
-def build_gadget_instance(f: CnfFormula) -> GadgetInstance:
-    """Build the reduction graph for a formula in transformed shape."""
-    pos_idx, neg_idx = _shape_check(f)
-    pos: dict[tuple[int, int], tuple[str, str, str, str]] = {}
-    neg: dict[int, tuple[str, str, str, str]] = {}
-    occurrences: dict[int, list[tuple[int, int]]] = {}
-    for ci in pos_idx:
-        for slot, v in enumerate(f.clauses[ci]):
-            stem = f"X{v}c{ci}o{slot}"
-            pos[(ci, slot)] = (f"a{stem}", f"b{stem}", f"ap{stem}", f"bp{stem}")
-            occurrences.setdefault(v, []).append((ci, slot))
-    for ci in neg_idx:
-        for lit in f.clauses[ci]:
-            v = -lit
-            neg[v] = (f"cX{v}", f"dX{v}", f"cpX{v}", f"dpX{v}")
-            occurrences.setdefault(v, [])
 
     side_a: list[str] = []
     side_b: list[str] = []
@@ -358,28 +346,27 @@ def check_reduction(f: CnfFormula, max_vars: int = 4, max_clauses: int = 6) -> R
     through the gadget; every non-perfect cost-0 matching leaves two
     adjacent nodes unmatched; and each falsified-clause and
     consistency-violation pattern carries its all-blocking cycle, certified
-    by an explicit vote count.
+    by an explicit vote count. The one pass over the assignments also finds
+    whether the transformed formula is satisfiable, which must agree with
+    the input formula.
     """
     if f.num_vars > max_vars:
         raise BoundExceededError(f"{f.num_vars} variables > bound {max_vars}")
     if len(f.clauses) > max_clauses:
         raise BoundExceededError(f"{len(f.clauses)} clauses > bound {max_clauses}")
     ft = transform_formula(f)
-    satisfiable = brute_sat(f)
-    if brute_sat(ft) != satisfiable:
-        raise InternalError("transformation broke satisfiability")
     g = build_gadget_instance(ft)
     inst = g.instance
 
     canonical_iff_ok = True
     converse_ok = True
     exists = False
-    count = 0
+    ft_satisfiable = False
     for bits in itertools.product((False, True), repeat=ft.num_vars):
         beta = dict(zip(range(1, ft.num_vars + 1), bits))
         sat = evaluate(ft, beta)
+        ft_satisfiable |= sat
         m = _pattern_pairs(g, beta)  # what `assignment_to_matching(g, beta)` builds
-        count += 1
         if matching_cost(inst, m) != 0 or len(m.pairs) * 2 != len(inst.nodes):
             raise InternalError("pattern matching is not perfect and free")
         pareto = is_pareto_optimal(inst, m).pareto
@@ -389,6 +376,9 @@ def check_reduction(f: CnfFormula, max_vars: int = 4, max_clauses: int = 6) -> R
             exists = True
         if sat and (not pareto or _read_assignment(g, m) != beta):
             converse_ok = False
+    satisfiable = brute_sat(f)
+    if ft_satisfiable != satisfiable:
+        raise InternalError("transformation broke satisfiability")
 
     perfect_ok = True
     for x, y, xp, yp in list(g.pos.values()) + list(g.neg.values()):
@@ -437,7 +427,7 @@ def check_reduction(f: CnfFormula, max_vars: int = 4, max_clauses: int = 6) -> R
     return ReductionReport(
         satisfiable=satisfiable,
         cost0_pareto_exists=exists,
-        candidates_checked=count,
+        candidates_checked=2 ** ft.num_vars,
         canonical_iff_ok=canonical_iff_ok,
         converse_ok=converse_ok,
         perfect_ok=perfect_ok,

@@ -493,7 +493,8 @@ def _lp_text(inst: Instance) -> Iterator[str]:
 
     The rows are written from the layout of the paper's derived instance,
     a `gstar.GStarTables`, whose id lists are never built: each source node
-    is encoded once, each copy's edge terms are formatted once in the order
+    is encoded once, `GStarTables.names` labels every derived node with its
+    encoding, each copy's edge terms are formatted once in the order
     of `GStarTables.copy_lists`, and `other_lists` lists the same strings
     for the images and dummies. The stability and linkage rows find a
     copy's terms in an image's row at the positions `image_start` and
@@ -504,14 +505,8 @@ def _lp_text(inst: Instance) -> Iterator[str]:
     shift = [gt.image_start(i) for i in levels]
     enc = {u: _enc(u) for u in inst.nodes}
     pair = {e: f"{enc[e[0]]}.{enc[e[1]]}" for e in inst.edges}  # x.<pair> per source edge
-    token = [""] * gt.n_nodes
-    for j, b in enumerate(inst.side_b):
-        token[gt.image(j)] = f"{enc[b]}.t"
-    for k, a in enumerate(inst.side_a):
-        for u, i in zip(gt.copies(k), levels):
-            token[u] = f"{enc[a]}.c{i}"
-        for u, i in zip(gt.dummies(k), levels[1:]):
-            token[u] = f"{enc[a]}.d{i}"
+    token = gt.names(lambda a, i: f"{enc[a]}.c{i}", lambda b: f"{enc[b]}.t",
+                     lambda a, i: f"{enc[a]}.d{i}")
 
     # each copy's edge terms in its list's order, formatted once and kept by
     # A-node and level; the images and dummies list the same strings. Each

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from popmax import (
@@ -21,6 +23,7 @@ from popmax import (
     parse_instance,
     popular_max_matching,
     project,
+    random_instance,
     serialize_certificate,
     verify_certificate,
     verify_popular_max,
@@ -377,3 +380,38 @@ def test_range_and_pin_texts_with_unmatched_nodes_on_both_sides():
     ]
     alpha.update(a1=-6, b1=6, a2=-6, b2=6, a3=0, b3=0, a4=0, b4=0)
     assert verify_certificate(inst, m, DualCertificate(alpha, 4)).ok
+
+
+def test_certify_with_pins_on_both_sides_on_randoms():
+    """Every seeded instance whose popular max-matching has pins at both
+    ends certifies with a certificate that verifies. The levels are then
+    stretched at the lowest gap that is not rigid, one whose A-end sits one
+    level above its B-end; seeds 63 and 894 need that gap named right."""
+    from popmax.core import _pins
+
+    pinned = []
+    for seed in range(1000):
+        rng = random.Random(seed)
+        inst = random_instance(rng.randint(2, 9), rng.randint(2, 9),
+                               rng.choice([0.2, 0.3, 0.5]), seed)
+        m = popular_max_matching(inst)
+        if all(_pins(inst, m)):
+            pinned.append(seed)
+            assert verify_certificate(inst, m, certify_popular_max(inst, m)).ok, seed
+    assert len(pinned) == 53 and {63, 894} <= set(pinned)
+
+
+def test_feasibility_counts_an_unmatched_b_node_as_zero():
+    """(F) on the edge (a1, b2) to the unmatched b2 reads alpha[b2] as 0, so
+    alpha[a1] = -1 falls short of wt = 0; every violation is pinned, in
+    order."""
+    inst = parse_instance(
+        "side A a1\nside B b1 b2\npref a1: b1 b2\npref b1: a1\npref b2: a1\n")
+    m = mk(inst, ("a1", "b1"))
+    report = verify_certificate(inst, m, DualCertificate({"a1": -1, "b1": 1}, 1))
+    assert report.violations == (
+        "R: alpha[a1] = -1 not in {0, -2, ..., 0}",
+        "R: alpha[b1] = 1 not in {0, 2, ..., 0}",
+        "F: alpha[a1] + alpha[b2] = -1 < wt = 0 at (a1,b2)",
+        "P1: alpha[a1] = -1 != 0 but a1 neighbors unmatched b2",
+    )

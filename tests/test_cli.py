@@ -411,6 +411,17 @@ def test_gen_hardness_and_check_reduction(files, capsys):
     assert code == 0 and "equivalence holds:                True" in out
 
 
+def test_unit_clause_error_names_the_flag(files, capsys):
+    """A 1-literal clause is refused with the flag that pads it, which a CLI
+    user can pass, next to the function behind it."""
+    for command in ("gen-hardness", "check-reduction"):
+        code, out, err = run(capsys, command, files["cnf"])
+        assert (code, out) == (2, "")
+        assert err == ("error: clause 0 is a 1-literal positive clause, which has no gadget; "
+                       "pad it to (l or l) with --pad-units (pad_unit_clauses) "
+                       "before transforming\n")
+
+
 def test_gen_hardness_reads_satlib_files(tmp_path, capsys):
     """A SATLIB file, the formula followed by its `%` and `0` end lines,
     gives the same gadget bytes as the formula alone."""

@@ -21,6 +21,7 @@ from popmax import (
     place,
     popular_max_matching,
     project,
+    random_instance,
     serialize_instance,
     serialize_matching,
     wt_edge,
@@ -86,6 +87,27 @@ def test_tables_check_ids_when_made():
         with pytest.raises(ValidationError) as err:
             popmax.gstar.GStarTables(inst, n_levels)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("na, nb", [(1, 0), (1, 3), (3, 0), (2, 2), (4, 3), (3, 5)])
+def test_names_label_every_id(na, nb):
+    """`GStarTables.names` gives `build_gstar`'s node names in id order, and
+    each id the label its kind and the forward rule (`copies`, `image`,
+    `dummies`) give it; |A| = 1 has no dummies, |B| = 0 no images."""
+    for seed in range(3):
+        inst = random_instance(na, nb, 0.5, seed)
+        gt = popmax.gstar.GStarTables(inst, len(inst.side_a))
+        names = gt.names(gstar.copy_name, gstar.image_name, gstar.dummy_name)
+        assert names == list(build_gstar(inst).inner.nodes)
+        expected = [None] * gt.n_nodes
+        for k, a in enumerate(inst.side_a):
+            for i, u in enumerate(gt.copies(k)):
+                expected[u] = gstar.copy_name(a, i)
+            for i, u in enumerate(gt.dummies(k), start=1):
+                expected[u] = gstar.dummy_name(a, i)
+        for j, b in enumerate(inst.side_b):
+            expected[gt.image(j)] = gstar.image_name(b)
+        assert names == expected
 
 
 def test_tables_are_whole_when_made():

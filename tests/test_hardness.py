@@ -137,6 +137,10 @@ def test_assignment_must_set_every_variable():
     (((1, 2), (-1, -2), (-1, -3)), "negative literal -1 occurs more than once"),
     (((1, 2), (-1, -3)), "variable X2 has no negation clause"),
     (((1, 2, 3, 4),), "clause 0 has more than 3 literals"),
+    # each clause is checked in clause order, before the negation check
+    (((1, 2, 3, 4), (1, -2)), "clause 0 has more than 3 literals"),
+    (((1, 2), (-1, -2), (3, -1)), "clause 2 mixes positive and negative literals"),
+    (((-1, -1),), "negative literal -1 occurs more than once"),
 ])
 def test_gadget_rejects_each_unsupported_shape(clauses, message):
     with pytest.raises(UnsupportedClauseError, match=f"^{message}"):
@@ -318,3 +322,23 @@ def test_check_reduction_pareto_checks_each_pattern_once(monkeypatch, f, expecte
     with_occurrences = sum(1 for occs in g.occurrences.values() if occs)
     assert rep.equivalence_holds
     assert len(calls) == rep.candidates_checked + with_occurrences + len(ft.clauses) == expected
+
+
+@pytest.mark.parametrize("f", [
+    CnfFormula(3, ((1, 2, 3), (-1, -2))),
+    pad_unit_clauses(CnfFormula(1, ((1,), (-1,)))),
+])
+def test_check_reduction_enumerates_the_transformed_formula_once(monkeypatch, f):
+    """`brute_sat` runs on the input formula only: the loop over the
+    transformed formula's assignments finds its satisfiability itself."""
+    calls = []
+
+    def recorded(g):
+        calls.append(g)
+        return brute_sat(g)
+
+    monkeypatch.setattr(hardness, "brute_sat", recorded)
+    rep = check_reduction(f)
+    assert calls == [f]
+    assert rep.satisfiable == brute_sat(f) and rep.equivalence_holds
+    assert rep.candidates_checked == 2 ** transform_formula(f).num_vars

@@ -159,6 +159,26 @@ def test_pareto_i5_cycle_witness(i5):
     assert compare(i5, flipped, m) == (4, 0, 4)
 
 
+def test_pareto_cycle_closes_on_a_vertex_still_on_the_path():
+    """The search enters b2 from the root, then b1, whose arc back to b2
+    closes the cycle while b2 is still on the path. A search that marked an
+    entered vertex as finished would miss it and call M Pareto-optimal,
+    which the oracle refutes (a matching beats M unopposed)."""
+    from popmax import parse_instance
+
+    inst = parse_instance(
+        "side A a0 a1 a2\nside B b0 b1 b2\n"
+        "pref a0: b2 b0\npref a1: b1 b2\npref a2: b2 b1\n"
+        "pref b0: a0\npref b1: a1 a2\npref b2: a0 a2 a1\n")
+    m = mk(inst, ("a0", "b0"), ("a1", "b2"), ("a2", "b1"))
+    assert brute_unpopularity_factor(inst, m) == float("inf")
+    verdict = is_pareto_optimal(inst, m)
+    assert not verdict.pareto
+    assert format_witness(m, verdict.witness) == "cycle: (b2,a1) (b1,a2) wt=4"
+    tally = compare(inst, apply_witness(m, verdict.witness), m)
+    assert tally.phi_mn > 0 and tally.phi_nm == 0
+
+
 def test_pareto_stable_matching(i2):
     from popmax import gale_shapley
 
