@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import Instance, Matching, _pins, _weights, is_maximum
+from .core import Instance, Matching, _lines, _pins, _weights, is_maximum
 from .errors import CertificateError, InternalError, NotMaximumError, NotPopularError, NotStableError, ParseError
 from .gstar import GStarInstance, GStarTables, build_gstar, place, project
 from .popularity import Witness, _witness_or_potentials
@@ -237,7 +237,7 @@ def serialize_certificate(inst: Instance, cert: DualCertificate) -> str:
 def parse_certificate(text: str) -> DualCertificate:
     """Parse certificate lines; order-insensitive."""
     alpha: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         s = raw.strip()
         if not s or s.startswith("#"):
             continue

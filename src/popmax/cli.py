@@ -21,6 +21,7 @@ handler is looked up by command name (`cmd_<command>`) when `main` runs.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -342,20 +343,30 @@ def _report_error(args, label: str, exc: Exception | str, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    for name in ("stdout", "stderr"):
-        if getattr(sys, name) is None:  # started with its fd closed: write nowhere
-            setattr(sys, name, open(os.devnull, "w"))
-    args = _match(argv) or _parse(argv)
+    """Run one command and return its exit code. The cyclic collector is off
+    while it runs: a command's objects hold no reference cycles, so reference
+    counting frees them, and the collector would only traverse the survivors.
+    Its state is restored on every exit, a raised `SystemExit` included."""
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        code = _run(args)
-        sys.stdout.flush()  # a reader gone before the end shows here at the latest
-        return code
-    except BrokenPipeError:
-        # the reader closed stdout (`popmax emit-lp i.txt | head`); point fd 1
-        # at the null device so the flush at exit writes the rest there quietly
-        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
-        return EXIT_PIPE
+        argv = sys.argv[1:] if argv is None else list(argv)
+        for name in ("stdout", "stderr"):
+            if getattr(sys, name) is None:  # started with its fd closed: write nowhere
+                setattr(sys, name, open(os.devnull, "w"))
+        args = _match(argv) or _parse(argv)
+        try:
+            code = _run(args)
+            sys.stdout.flush()  # a reader gone before the end shows here at the latest
+            return code
+        except BrokenPipeError:
+            # the reader closed stdout (`popmax emit-lp i.txt | head`); point fd 1
+            # at the null device so the flush at exit writes the rest there quietly
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+            return EXIT_PIPE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _run(args) -> int:

@@ -62,11 +62,11 @@ class Instance(_Frozen):
     to 0 and are stored only for nonzero values; keys must be edges.
     Fields cannot be rebound, and all operations on instances are pure; the
     `prefs` and `costs` dicts must not be mutated either, since the rank
-    maps built from the lists at construction would go stale. Instances
+    maps built from the lists on their first read would go stale. Instances
     are unhashable.
     """
 
-    __slots__ = ("side_a", "side_b", "prefs", "costs", "_rank", "_a_set")
+    __slots__ = ("side_a", "side_b", "prefs", "costs", "_ranks", "_a_set")
     _compared = ("side_a", "side_b", "prefs", "costs")
 
     def __init__(self, side_a: Sequence[str], side_b: Sequence[str],
@@ -102,32 +102,32 @@ class Instance(_Frozen):
             # the least unknown key, string keys first: keys of mixed types do not compare
             u = min(set(self.prefs) - known, key=lambda u: (not isinstance(u, str), str(u)))
             raise ValidationError(f"preference list for unknown node {u!r}")
-        # one rank dict per list: its size finds duplicates, its keys the side
-        prefs, rank = {}, {}
+        # one set per list: its size finds duplicates, its members the side and the mirror
+        prefs, listed = {}, {}
         try:
             for side, opposite in ((side_a, b_set), (side_b, a_set)):
                 within = opposite.issuperset
                 for u in side:
                     lst = tuple(get(u, ()))
-                    r = {v: i for i, v in enumerate(lst)}
-                    if len(r) != len(lst):
+                    members = set(lst)
+                    if len(members) != len(lst):
                         raise ValidationError(f"duplicate entry in preference list of {u!r}")
-                    if not within(r):
+                    if not within(members):
                         v = next(v for v in lst if v not in opposite)
                         raise ValidationError(f"{u!r} lists {v!r}, which is not on the opposite side")
                     prefs[u] = lst
-                    rank[u] = r
+                    listed[u] = members
         except TypeError:
             raise ValidationError(f"bad preference list for {u!r}") from None
         for a in side_a:
             for b in prefs[a]:
-                if a not in rank[b]:
+                if a not in listed[b]:
                     raise ValidationError(f"non-mutual preference: {a!r} lists {b!r} but not vice versa")
         # every A-side entry is mirrored, so a B-side entry is unmirrored iff B lists more
         if sum(map(len, prefs.values())) != 2 * sum(map(len, map(prefs.__getitem__, side_a))):
             for b in side_b:
                 for a in prefs[b]:
-                    if b not in rank[a]:
+                    if b not in listed[a]:
                         raise ValidationError(f"non-mutual preference: {b!r} lists {a!r} but not vice versa")
         try:
             items = self.costs.items()
@@ -137,7 +137,7 @@ class Instance(_Frozen):
         try:
             for e, c in items:
                 a, b = e
-                if a not in a_set or b not in rank[a]:
+                if a not in a_set or b not in listed[a]:
                     raise ValidationError(f"cost on non-edge {(a, b)!r}")
                 value = int(c)
                 if value != c:
@@ -146,7 +146,16 @@ class Instance(_Frozen):
                     costs[e if type(e) is tuple else (a, b)] = value
         except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"bad cost entry {e!r}: {c!r}") from None
-        self._set(side_a=side_a, side_b=side_b, prefs=prefs, costs=costs, _rank=rank, _a_set=a_set)
+        self._set(side_a=side_a, side_b=side_b, prefs=prefs, costs=costs, _ranks=None, _a_set=a_set)
+
+    @property
+    def _rank(self) -> dict[str, dict[str, int]]:
+        """Each node's rank map, v -> the position of v in prefs[u]: built by
+        `_rank_maps` on the first read and kept. Only the solvers, `rank`,
+        `compare` and `wt_edge` read it; a verdict reads positions off the lists."""
+        if self._ranks is None:
+            self._set(_ranks=_rank_maps(self.prefs))
+        return self._ranks
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -162,12 +171,12 @@ class Instance(_Frozen):
         return u in self._a_set
 
     def has_edge(self, u: str, v: str) -> bool:
-        return v in self._rank.get(u, {})
+        return v in self.prefs.get(u, ())
 
     def as_edge(self, u: str, v: str) -> Edge:
         """Return (u, v) oriented as (A-node, B-node); raise if not an edge."""
         a, b = (u, v) if u in self._a_set else (v, u)
-        if b not in self._rank.get(a, ()):
+        if b not in self.prefs.get(a, ()):
             raise ValidationError(f"({u!r}, {v!r}) is not an edge")
         return (a, b)
 
@@ -176,6 +185,11 @@ class Instance(_Frozen):
 
     def cost(self, e: Edge) -> int:
         return self.costs.get(e, 0)
+
+
+def _rank_maps(prefs: dict[str, tuple[str, ...]]) -> dict[str, dict[str, int]]:
+    """u -> (v -> position of v in prefs[u]), for every list."""
+    return {u: {v: i for i, v in enumerate(lst)} for u, lst in prefs.items()}
 
 
 class Matching(_Frozen):
@@ -242,38 +256,42 @@ def wt_edge(inst: Instance, m: Matching, e: Edge) -> int:
     return 2 * wants - 2
 
 
-def _cuts(inst: Instance, m: Matching) -> dict[str, int]:
-    """Each node's cut under m: the rank of its partner, or the length of its
-    list when it is unmatched. u votes +1 for a neighbor v over its
-    assignment iff rank(u, v) < cut(u), and -1 for a non-partner v behind
-    its partner, so wt(a, b) is the sum of the two votes."""
-    rank, partner = inst._rank, m.partner
-    return {u: rank[u][partner[u]] if u in partner else len(lst) for u, lst in inst.prefs.items()}
+def _cuts(inst: Instance, m: Matching) -> tuple[dict[str, int], dict[str, set[str]]]:
+    """Each A-node's cut under m, and the set of nodes each B-node lists
+    ahead of its own cut. A node's cut is the position of its partner in its
+    list, or the length of its list when it is unmatched. u votes +1 for a
+    neighbor v over its assignment iff v is ahead of u's cut, and -1 for a
+    non-partner v behind it, so wt(a, b) is the sum of the two votes."""
+    prefs, partner = inst.prefs, m.partner
+    return ({a: prefs[a].index(partner[a]) if a in partner else len(prefs[a]) for a in inst.side_a},
+            {b: set(prefs[b][:prefs[b].index(partner[b])] if b in partner else prefs[b])
+             for b in inst.side_b})
 
 
 def _weights(inst: Instance, m: Matching) -> Iterator[tuple[str, str, int]]:
     """(a, b, wt(a, b)) for every edge, in `inst.edges` order. Each A-list is
     read by position: a votes for the entries before its cut, sits at its
     partner on the cut and votes against the rest, so only b's vote needs a
-    rank lookup. An edge of m has weight 0."""
-    rank, prefs, cut = inst._rank, inst.prefs, _cuts(inst, m)
+    lookup, in the set of nodes b lists ahead of its cut. An edge of m has
+    weight 0."""
+    prefs, (cut, ahead) = inst.prefs, _cuts(inst, m)
     for a in inst.side_a:
         lst, c = prefs[a], cut[a]
         for b in lst[:c]:
-            yield a, b, 2 if rank[b][a] < cut[b] else 0
+            yield a, b, 2 if a in ahead[b] else 0
         if c < len(lst):
             yield a, lst[c], 0
             for b in lst[c + 1:]:
-                yield a, b, 0 if rank[b][a] < cut[b] else -2
+                yield a, b, 0 if a in ahead[b] else -2
 
 
 def _blocking(inst: Instance, m: Matching) -> Iterator[Edge]:
     """The edges of weight 2, in `inst.edges` order: the entries b before
-    a's cut that rank a before their own cut."""
-    rank, prefs, cut = inst._rank, inst.prefs, _cuts(inst, m)
+    a's cut that list a ahead of their own cut."""
+    prefs, (cut, ahead) = inst.prefs, _cuts(inst, m)
     for a in inst.side_a:
         for b in prefs[a][:cut[a]]:
-            if rank[b][a] < cut[b]:
+            if a in ahead[b]:
                 yield a, b
 
 
@@ -295,13 +313,14 @@ def compare(inst: Instance, m: Matching, n: Matching) -> VoteTally:
     a node matched in both prefers the better partner; otherwise it abstains.
     """
     phi_mn = phi_nm = 0
+    rank = inst._rank
     for u in inst.nodes:
         pm = m.partner_of(u)
         pn = n.partner_of(u)
         if pm == pn:
             continue
-        rm = inst._rank[u][pm] if pm is not None else None
-        rn = inst._rank[u][pn] if pn is not None else None
+        rm = rank[u][pm] if pm is not None else None
+        rn = rank[u][pn] if pn is not None else None
         if rn is None or (rm is not None and rm < rn):
             phi_mn += 1
         elif rm is None or rn < rm:
@@ -360,6 +379,15 @@ def matching_cost(inst: Instance, m: Matching) -> int:
 # File formats
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of `text`, ended only at LF, CRLF and a lone CR, as text mode
+    ends them; `str.splitlines` would also end one at VT, FF, FS, GS, RS,
+    NEL, LS and PS, which `str.split` reads as whitespace inside a line."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the line-based instance format.
 
@@ -371,7 +399,7 @@ def parse_instance(text: str) -> Instance:
     side_b: list[str] = []
     prefs: dict[str, tuple[str, ...]] = {}
     costs: dict[Edge, int] = {}
-    lines = text.splitlines()
+    lines = _lines(text)
 
     def column(line: str, token_index: int) -> int:
         rest = line.split(None, token_index)[token_index:]  # the line from that token on
@@ -460,7 +488,7 @@ def parse_matching(inst: Instance, text: str) -> Matching:
     pair: a malformed line or a repeated pair is reported first, then the
     first pair that is not an edge, then pairs that share a node.
     """
-    a_set, rank = inst._a_set, inst._rank
+    a_set, prefs = inst._a_set, inst.prefs
     if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
@@ -486,7 +514,7 @@ def parse_matching(inst: Instance, text: str) -> Matching:
                 raise ValidationError(f"matching JSON lists the pair {e} twice")
             raise ParseError(f"duplicate pair {e} (first at line {first[e]})", lineno)
         first[e] = lineno
-        if non_edge is None and e[1] not in rank.get(e[0], ()):
+        if non_edge is None and e[1] not in prefs.get(e[0], ()):
             non_edge = u, v
     if non_edge:
         raise ValidationError(f"({non_edge[0]!r}, {non_edge[1]!r}) is not an edge")
@@ -495,7 +523,7 @@ def parse_matching(inst: Instance, text: str) -> Matching:
 
 def _pair_lines(text: str) -> Iterator[tuple[str, str, int]]:
     """(u, v, line number) for each `<idA> <idB>` line of a matching file."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         tokens = raw.split()
         if not tokens or tokens[0][0] == "#":
             continue

@@ -139,9 +139,10 @@ class GStarTables:
         level in b's order; dummy i lists its lower copy i-1, then its upper
         copy i."""
         inst, index = self.source, self.index
+        rank = inst._rank
         at = [(i, self.image_start(i)) for i in sorted(range(self.n_levels), key=self.level_block)]
         for b in inst.side_b:
-            picks = [(rows[index[a]], inst._rank[a][b]) for a in inst.prefs[b]]
+            picks = [(rows[index[a]], rank[a][b]) for a in inst.prefs[b]]
             yield [row[i][start + r] for i, start in at for row, r in picks]
         yield from zip([lower[-1] for row in rows for lower in row[:-1]],
                        [upper[0] for row in rows for upper in row[1:]])

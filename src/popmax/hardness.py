@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .core import Edge, Instance, Matching, _Frozen, compare, make_matching, matching_cost, wt_edge
+from .core import Edge, Instance, Matching, _Frozen, _lines, compare, make_matching, matching_cost, wt_edge
 from .errors import (
     BoundExceededError,
     InternalError,
@@ -55,7 +55,7 @@ def parse_dimacs(text: str) -> CnfFormula:
     clauses: list[Clause] = []
     current: list[int] = []
     saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         s = raw.strip()
         if not s or s.startswith("c") or s.startswith("#"):
             continue

@@ -143,3 +143,21 @@ def chain(L, ladder=False, reverse=False):
         prefs[b[i]] = [a[i], a[i - 1]] + ([a[i + 1]] if ladder and i < L else [])
     inst = Instance(a[::-1] if reverse else a, b[1:], prefs)
     return inst, make_matching(inst, [(a[i], b[i]) for i in range(1, L + 1)])
+
+
+def planted_gadget(nvars, seed):
+    """The gadget instance of a seeded 3-CNF with 4 clauses per variable, each
+    satisfied by a hidden assignment, and the matching of that assignment:
+    `pareto` accepts it and `verify` rejects it, as on the benchmark's gadgets."""
+    from popmax import CnfFormula, assignment_to_matching, build_gadget_instance, transform_formula
+
+    rng = random.Random(seed)
+    hidden = {v: rng.random() < 0.5 for v in range(1, nvars + 1)}
+    clauses = []
+    while len(clauses) < 4 * nvars:
+        clause = tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nvars + 1), 3))
+        if any(hidden[abs(lit)] == (lit > 0) for lit in clause):
+            clauses.append(clause)
+    g = build_gadget_instance(transform_formula(CnfFormula(nvars, tuple(clauses))))
+    assignment = {**hidden, **{nvars + v: not x for v, x in hidden.items()}}
+    return g.instance, assignment_to_matching(g, assignment)

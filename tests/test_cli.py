@@ -16,7 +16,8 @@ import popmax
 from popmax import random_instance, serialize_instance, serialize_matching
 from popmax.cli import main
 
-from conftest import I0_TEXT, I2_COSTED_TEXT, I3_TEXT, chain
+import conftest
+from conftest import I0_TEXT, I2_COSTED_TEXT, I3_TEXT, chain, planted_gadget
 
 
 @pytest.fixture
@@ -959,3 +960,158 @@ def test_malformed_input_error_text(tmp_path, capsys, instance, matching, messag
     (tmp_path / "m.txt").write_text(matching)
     code, out, err = run(capsys, "verify", str(tmp_path / "i.txt"), str(tmp_path / "m.txt"))
     assert (code, out, err) == (2, "", message)
+
+
+def _verdict_files(tmp_path):
+    """(instance path, matching path) pairs: every maximum matching of each
+    conftest fixture and one non-maximum matching of it, and a planted gadget
+    with its assignment matching."""
+    from popmax import make_matching, parse_instance
+    from popmax.oracle import enum_max_matchings
+
+    named = [(name, parse_instance(getattr(conftest, f"{name}_TEXT")))
+             for name in ("I0", "I1", "I2", "I2_COSTED", "I3", "I5", "STRETCH")]
+    gadget, assigned = planted_gadget(3, 5)
+    pairs = []
+    for name, inst in named + [("gadget", gadget)]:
+        path = tmp_path / f"{name}.txt"
+        path.write_text(serialize_instance(inst))
+        matchings = [assigned] if name == "gadget" else list(enum_max_matchings(inst, 30))
+        matchings.append(make_matching(inst, sorted(matchings[0].pairs)[1:]))
+        for k, m in enumerate(matchings):
+            mpath = tmp_path / f"{name}.m{k}.txt"
+            mpath.write_text(serialize_matching(m))
+            pairs.append((str(path), str(mpath)))
+    return pairs
+
+
+def test_verdicts_build_no_rank_map(tmp_path, capsys, monkeypatch):
+    """`verify`, `pareto` and `certify` read positions off the lists: with
+    the rank-map builder raising, they print the same bytes, text and JSON."""
+    from popmax import core
+
+    argvs = [(*flags, command, i, m) for i, m in _verdict_files(tmp_path)
+             for command in ("verify", "pareto", "certify") for flags in ((), ("--json",))]
+    expected = [run(capsys, *argv) for argv in argvs]
+    assert {code for code, _, _ in expected} == {0, 1}
+
+    def unbuilt(_prefs):
+        raise AssertionError("rank maps were built")
+
+    monkeypatch.setattr(core, "_rank_maps", unbuilt)
+    assert [run(capsys, *argv) for argv in argvs] == expected
+
+
+def test_solvers_build_the_rank_maps_at_most_once(tmp_path, capsys, monkeypatch):
+    """`solve`, `mincost` and `emit-lp` read the rank maps of their one
+    instance, built on the first read and kept."""
+    from popmax import core
+
+    build = core._rank_maps
+    calls = []
+
+    def counted(prefs):
+        calls.append(len(prefs))
+        return build(prefs)
+
+    monkeypatch.setattr(core, "_rank_maps", counted)
+    paths = {i for i, _ in _verdict_files(tmp_path)}
+    costed = tmp_path / "costed.txt"
+    costed.write_text(serialize_instance(random_instance(9, 8, 0.4, 3, (0, 9))))
+    for path in sorted(paths | {str(costed)}):
+        for command in ("solve", "mincost", "emit-lp"):
+            calls.clear()
+            code, _, _ = run(capsys, command, path)
+            assert code == 0 and len(calls) <= 1, (command, path, calls)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_collector(files, capsys, monkeypatch, enabled):
+    """A command runs with the cyclic collector off, and `main` leaves it as
+    it found it on every exit: each exit code, argparse's `SystemExit` and an
+    exception it does not catch."""
+    import gc
+
+    from popmax import cli
+    from popmax.errors import InternalError, NotMaximumError, ParseError
+
+    seen = []
+
+    def raising(exc):
+        def handler(_args):
+            seen.append(gc.isenabled())
+            if isinstance(exc, int):
+                return exc
+            raise exc
+        return handler
+
+    monkeypatch.setattr(os, "dup2", lambda *_: None)  # exit 141 would repoint fd 1
+    outcomes = [(0, 0), (NotMaximumError("no", ["a"]), 1), (ParseError("bad", 1), 2),
+                (MemoryError(), 3), (InternalError("bug"), 4), (BrokenPipeError(), 141)]
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for exc, code in outcomes:
+            monkeypatch.setattr(cli, "cmd_solve", raising(exc))
+            assert main(["solve", files["i0"]]) == code
+            assert gc.isenabled() is enabled
+        monkeypatch.setattr(cli, "cmd_solve", raising(RuntimeError("uncaught")))
+        with pytest.raises(RuntimeError):
+            main(["solve", files["i0"]])
+        assert gc.isenabled() is enabled
+        for argv, code in ((["verify", files["i0"]], 2), (["--help"], 0)):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code and gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert seen == [False] * (len(outcomes) + 1)
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path, monkeypatch):
+    """No collection starts inside a command of the golden corpus, and after
+    one warm-up call per command (its imports make cycles) every collection
+    until the end of the corpus, one full collection included, finds
+    nothing: reference counting frees what a command makes."""
+    import gc
+
+    import test_golden_cli
+    from popmax import cli
+
+    command_main = cli.main
+    state, warmed, inside, found = {"in": None}, set(), [], []
+
+    def note(phase, info):
+        if phase == "start":
+            inside.append(state["in"] == "command")
+        elif state["in"] != "warm-up":
+            found.append(info["collected"])
+
+    def main_once_warm(argv):
+        command = tuple(a for a in argv if a[:1] == "-" or "/" not in a)
+        if command not in warmed:
+            warmed.add(command)
+            gc.collect()  # what the commands before left is found here
+            state["in"] = "warm-up"
+            command_main(argv)
+            gc.collect()
+        state["in"] = "command"
+        try:
+            return command_main(argv)
+        finally:
+            state["in"] = None
+
+    monkeypatch.setattr(cli, "main", main_once_warm)
+    gc.collect()
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(note)
+    try:
+        test_golden_cli.compute_digests(tmp_path)
+        gc.collect()
+    finally:
+        gc.callbacks.remove(note)
+        (gc.enable if was else gc.disable)()
+    assert len(warmed) > 10 and inside and not any(inside)
+    assert not any(found)

@@ -241,6 +241,20 @@ def test_wt_values_in_range(i2):
             assert wt_edge(i2, m, e) in (-2, 0, 2)
 
 
+def test_weights_and_blocking_read_by_position_agree_with_wt_edge():
+    """`_weights` and `_blocking` read the lists by position; `wt_edge` reads
+    the rank maps. They agree on every edge under every matching, matched,
+    partial and empty, of seeded small instances."""
+    from popmax.core import _blocking, _weights
+    from popmax.oracle import enum_matchings
+
+    for _, inst in random_cases(40, 4, 6100):
+        for m in enum_matchings(inst, 30):
+            expected = [(a, b, wt_edge(inst, m, (a, b))) for a, b in inst.edges]
+            assert list(_weights(inst, m)) == expected
+            assert list(_blocking(inst, m)) == [(a, b) for a, b, w in expected if w == 2]
+
+
 def test_compare_self_is_zero(i1):
     m = mk(i1, ("a1", "b1"), ("a2", "b2"))
     assert compare(i1, m, m) == (0, 0, 0)
@@ -332,6 +346,17 @@ def test_random_instance_mutual_and_deterministic():
     b = random_instance(4, 5, 0.6, 42, (0, 9))
     assert a == b
     assert a == parse_instance(serialize_instance(a))
+
+
+def test_random_instance_takes_the_ends_of_its_ranges():
+    """Density 0 and 1 and a one-value cost range are valid arguments, and an
+    empty cost range is named low end first."""
+    assert random_instance(3, 4, 0.0, 5).edges == ()
+    assert len(random_instance(3, 4, 1.0, 5).edges) == 12
+    assert set(random_instance(3, 4, 1.0, 5, (4, 4)).costs.values()) == {4}
+    with pytest.raises(ValidationError) as err:
+        random_instance(3, 4, 1.0, 5, (5, 3))
+    assert str(err.value) == "empty cost range 5..3"
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ return the image of their answer on the original, because the
 proposer-optimal stable matching of the derived instance, the least
 potentials and the inclusion-minimal optimal closure are each unique.
 `verify` and `pareto` must give the same verdict; a witness may differ, so
-each is checked only by toggling it.
+each is checked only by toggling it. On larger instances (sides 20-40) and
+a planted gadget, whose lists are read by position, the relation is
+checked on the verdicts of `verify`, `pareto` and `certify` alone.
 
 Swap the sides: popularity among maximum matchings is symmetric, so
 `mincost` keeps its cost, and the swapped instance's `solve` matching is a
@@ -22,6 +24,7 @@ import pytest
 
 from popmax import (
     Instance,
+    NotPopularError,
     apply_witness,
     certify_popular_max,
     compare,
@@ -35,7 +38,7 @@ from popmax import (
     verify_popular_max,
 )
 
-from conftest import chain
+from conftest import chain, planted_gadget
 
 
 def _random_cases(count, seed0):
@@ -51,6 +54,19 @@ def _chains():
         for ladder in (False, True):
             for reverse in (False, True):
                 yield chain(L, ladder, reverse)[0]
+
+
+def _sizable_cases():
+    """Seeded instances with sides 20-40, each with the matchings
+    `_some_matchings` reaches and `solve`'s, and a planted gadget with its
+    assignment matching too."""
+    for seed in range(9100, 9110):
+        rng = random.Random(seed)
+        inst = random_instance(rng.randint(20, 40), rng.randint(20, 40),
+                               rng.choice([0.1, 0.2, 0.3]), seed)
+        yield inst, [*_some_matchings(inst, rng), popular_max_matching(inst)]
+    inst, assigned = planted_gadget(3, 9110)
+    yield inst, [assigned, popular_max_matching(inst)]
 
 
 def _relabel(inst: Instance, rng: random.Random) -> tuple[Instance, dict[str, str]]:
@@ -119,6 +135,15 @@ def _verdicts(inst: Instance, m):
     return popular, verdict.pareto
 
 
+def _certified(inst: Instance, m):
+    """certify's answer on a maximum matching: its certificate, or None."""
+    try:
+        cert = certify_popular_max(inst, m)
+    except NotPopularError:
+        return None
+    return cert.alpha, cert.n0_prime
+
+
 @pytest.mark.parametrize("cases", [
     pytest.param(lambda: _random_cases(100, 7000), id="random"),
     pytest.param(_chains, id="chains"),
@@ -145,6 +170,27 @@ def test_relabel_and_reorder(cases):
 
         for n in _some_matchings(inst, rng):
             assert _verdicts(other, _image(other, n, ren)) == _verdicts(inst, n)
+
+
+def test_relabel_and_reorder_verdicts_on_sizable_instances():
+    rng = random.Random(2)
+    seen = set()
+    for inst, matchings in _sizable_cases():
+        other, ren = _relabel(inst, rng)
+        for n in matchings:
+            image = _image(other, n, ren)
+            verdicts = _verdicts(inst, n)
+            assert _verdicts(other, image) == verdicts
+            seen.add(verdicts)
+            if verdicts[0] is not None:  # certify takes maximum matchings only
+                cert, image_cert = _certified(inst, n), _certified(other, image)
+                assert (cert is not None) == verdicts[0]
+                if cert is None:
+                    assert image_cert is None
+                else:
+                    assert image_cert == ({ren[u]: v for u, v in cert[0].items()}, cert[1])
+    assert {popular for popular, _ in seen} == {None, False, True}
+    assert {pareto for _, pareto in seen} == {False, True}
 
 
 def test_swap_the_sides():

@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from popmax import PopmaxError, parse_certificate, parse_instance, parse_matching
+from popmax import ParseError, PopmaxError, parse_certificate, parse_instance, parse_matching
 from popmax.hardness import parse_dimacs
 
 from conftest import I2_TEXT
@@ -72,3 +73,28 @@ def test_parse_certificate_total(text):
 @given(texts)
 def test_parse_dimacs_total(text):
     parses_or_popmax_error(parse_dimacs, text)
+
+
+# the characters `str.splitlines` ends a line at and text mode does not
+NOT_LINE_ENDS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=[f"U+{ord(c):04X}" for c in NOT_LINE_ENDS])
+def test_lines_end_only_where_text_mode_ends_them(char):
+    """Inside a line each of these characters reads as a space, in every
+    parser, and an error on a later line names the line that LF ends."""
+    cases = [
+        (parse_instance, "side A a1\nside B b1 b2\npref a1: b1{}b2\npref b1: a1\npref b2: a1\n",
+         "x\n", "line 6, column 1: unknown directive 'x'"),
+        (lambda text: parse_matching(INSTANCE, text), "a1{}b1\na2 b2\n",
+         "b1\n", "line 3, column 1: expected `<idA> <idB>`"),
+        (parse_dimacs, "p cnf 3 2\n1{}2 3 0\n-1 -2 0\n",
+         "x 0\n", "line 4, column 1: bad literal 'x'"),
+        (parse_certificate, "alpha a1{}2\nalpha b1 2\n",
+         "alpha\n", "line 3, column 1: expected `alpha <node> <even-integer>`"),
+    ]
+    for parse, text, later, message in cases:
+        assert parse(text.format(char)) == parse(text.format(" "))
+        with pytest.raises(ParseError) as err:
+            parse(text.format(char) + later)
+        assert str(err.value) == message
