@@ -75,7 +75,7 @@ def _read(path: str) -> str:
         text = (data if isinstance(data, str) else data.decode("utf-8")).removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+    return core._line_ends(text)
 
 
 def _emit(args, status: str, result, witness=None, text: str = ""):
@@ -91,9 +91,7 @@ def _emit(args, status: str, result, witness=None, text: str = ""):
 def _reject(args, m, w, result: dict) -> int:
     """Print a witness against m, as one line or in the JSON envelope."""
     from . import popularity
-    witness = {"kind": w.kind, "nodes": list(w.nodes),
-               "edges": [list(e) for e in w.edges], "weight": w.weight}
-    _emit(args, "rejected", result, witness, text=popularity.format_witness(m, w))
+    _emit(args, "rejected", result, w._asdict(), text=popularity.format_witness(m, w))
     return EXIT_REJECTED
 
 
@@ -113,7 +111,7 @@ def cmd_mincost(args) -> int:
     text += f"cost {res.cost}\n"
     text += certificates.serialize_certificate(inst, res.certificate)
     result = core.matching_to_json(inst, res.matching)
-    result["certificate"] = {u: v for u, v in sorted(res.certificate.alpha.items())}
+    result["certificate"] = res.certificate.alpha
     _emit(args, "ok", result, text=text)
     return EXIT_OK
 
@@ -124,14 +122,20 @@ def _load_pair(args):
     return inst, m
 
 
+def _verdict(args, judge, key: str, ok_text: str) -> int:
+    """Print `judge(inst, m)`, a (bool, witness) verdict: `{key: True}` and
+    `ok_text`, or the witness against m."""
+    inst, m = _load_pair(args)
+    holds, witness = judge(inst, m)
+    if not holds:
+        return _reject(args, m, witness, {key: False})
+    _emit(args, "ok", {key: True}, text=ok_text)
+    return EXIT_OK
+
+
 def cmd_verify(args) -> int:
     from . import popularity
-    inst, m = _load_pair(args)
-    verdict = popularity.verify_popular_max(inst, m)
-    if not verdict.popular:
-        return _reject(args, m, verdict.witness, {"popular": False})
-    _emit(args, "ok", {"popular": True}, text="popular")
-    return EXIT_OK
+    return _verdict(args, popularity.verify_popular_max, "popular", "popular")
 
 
 def cmd_certify(args) -> int:
@@ -141,20 +145,13 @@ def cmd_certify(args) -> int:
         cert = certificates.certify_popular_max(inst, m)
     except NotPopularError as exc:
         return _reject(args, m, exc.witness, {"popular": False})
-    _emit(args, "ok", {"alpha": {u: v for u, v in sorted(cert.alpha.items())},
-                       "n0_prime": cert.n0_prime},
-          text=certificates.serialize_certificate(inst, cert))
+    _emit(args, "ok", cert._asdict(), text=certificates.serialize_certificate(inst, cert))
     return EXIT_OK
 
 
 def cmd_pareto(args) -> int:
     from . import popularity
-    inst, m = _load_pair(args)
-    verdict = popularity.is_pareto_optimal(inst, m)
-    if not verdict.pareto:
-        return _reject(args, m, verdict.witness, {"pareto_optimal": False})
-    _emit(args, "ok", {"pareto_optimal": True}, text="pareto-optimal")
-    return EXIT_OK
+    return _verdict(args, popularity.is_pareto_optimal, "pareto_optimal", "pareto-optimal")
 
 
 def cmd_emit_lp(args) -> int:

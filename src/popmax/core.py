@@ -83,15 +83,17 @@ class Instance(_Frozen):
             a_set, b_set = set(side_a), set(side_b)
             ids = side_a + side_b
             # str.split() splits on exactly the characters str.isspace() accepts, so the
-            # ids, joined by spaces, split back into themselves iff none is empty or spaced
+            # ids, joined by spaces, split back into themselves iff none is empty or spaced;
+            # then some id starts with '#' (a matching line it began would read as a
+            # comment) iff a '#' begins the string or follows a space
             joined = " ".join(ids)
         except TypeError:
             raise ValidationError("node identifiers must be strings") from None
         known = a_set | b_set
         if len(known) != len(ids):
             raise ValidationError("duplicate node identifier")
-        if ":" in joined or joined.split() != list(ids):
-            u = next(u for u in ids if u.split() != [u] or ":" in u)
+        if ":" in joined or joined.split() != list(ids) or joined[:1] == "#" or " #" in joined:
+            u = next(u for u in ids if u.split() != [u] or ":" in u or u[:1] == "#")
             raise ValidationError(f"bad node identifier {u!r}")
         try:
             get = self.prefs.get
@@ -379,13 +381,16 @@ def matching_cost(inst: Instance, m: Matching) -> int:
 # File formats
 
 
+def _line_ends(text: str) -> str:
+    """`text` with each CRLF and lone CR read as LF, as text mode reads them."""
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def _lines(text: str) -> list[str]:
     """The lines of `text`, ended only at LF, CRLF and a lone CR, as text mode
     ends them; `str.splitlines` would also end one at VT, FF, FS, GS, RS,
     NEL, LS and PS, which `str.split` reads as whitespace inside a line."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n")
+    return _line_ends(text).split("\n")
 
 
 def parse_instance(text: str) -> Instance:

@@ -14,7 +14,7 @@ import pytest
 
 import popmax
 from popmax import random_instance, serialize_instance, serialize_matching
-from popmax.cli import main
+from popmax.cli import FILE_COMMANDS, main
 
 import conftest
 from conftest import I0_TEXT, I2_COSTED_TEXT, I3_TEXT, chain, planted_gadget
@@ -960,6 +960,30 @@ def test_malformed_input_error_text(tmp_path, capsys, instance, matching, messag
     (tmp_path / "m.txt").write_text(matching)
     code, out, err = run(capsys, "verify", str(tmp_path / "i.txt"), str(tmp_path / "m.txt"))
     assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("instance, bad", [
+    ("side A #a a2\nside B b1 b2\npref #a: b1\npref a2: b1 b2\npref b1: #a a2\npref b2: a2\n", "#a"),
+    ("side A a1 a2\nside B #b b2\npref a1: #b\npref a2: #b b2\npref #b: a2 a1\npref b2: a2\n", "#b"),
+])
+def test_identifier_starting_with_hash_is_bad_input(tmp_path, capsys, instance, bad):
+    """Every file command rejects an id that starts with '#': a matching line
+    that began with it would read back as a comment."""
+    (tmp_path / "i.txt").write_text(instance)
+    (tmp_path / "m.txt").write_text("")
+    for command, (files, _) in FILE_COMMANDS.items():
+        paths = [str(tmp_path / name) for name in ("i.txt", "m.txt")[:len(files)]]
+        assert run(capsys, command, *paths) == (2, "", f"error: bad node identifier {bad!r}\n")
+
+
+def test_readme_instance_example_solves(tmp_path, capsys):
+    """The instance shown under File formats in README.md is a valid one."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("**Instance**", 1)[1].split("```\n")[1]
+    (tmp_path / "i.txt").write_text(block)
+    assert run(capsys, "solve", str(tmp_path / "i.txt")) == (0, "a1 b2\na2 b1\n", "")
+    assert run(capsys, "mincost", str(tmp_path / "i.txt")) == (
+        0, "a1 b2\na2 b1\ncost 0\nalpha a1 0\nalpha a2 0\nalpha b1 0\nalpha b2 0\n", "")
 
 
 def _verdict_files(tmp_path):

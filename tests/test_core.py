@@ -114,6 +114,16 @@ def test_instance_rejects_bad_identifier(bad):
     assert _rejection(["a"], ["b", bad], prefs) == f"bad node identifier {bad!r}"
 
 
+@pytest.mark.parametrize("side_a, side_b", [
+    (["#a", "a2"], ["b"]), (["a2", "#a"], ["b"]), (["a"], ["b", "#a"]), ([], ["#a", "b"]),
+])
+def test_instance_rejects_identifier_starting_with_hash(side_a, side_b):
+    """A matching line that began with such an id would read as a comment;
+    a B-node may begin one too, since a pair may name its B-node first."""
+    assert _rejection(side_a, side_b, {}) == "bad node identifier '#a'"
+    assert Instance(["a#1"], ["b#"], {}).side_b == ("b#",)
+
+
 def test_first_bad_identifier_is_reported_under_every_hash_seed(tmp_path):
     """The ids are walked in declaration order, not in set order."""
     path = tmp_path / "i.txt"

@@ -6,7 +6,7 @@ with `golden_cli.json`. The corpus is 30 seeded costed instances with
 sides 1..5, the conftest fixtures and the stretch fixture. Each instance
 runs `solve`, `mincost`, `--json mincost`, `emit-lp` and `gstar`; up to six
 of its maximum matchings (popular ones first) and one non-maximum matching
-run `verify`, `certify`, `--json certify` and `pareto`. Two larger costed
+run `verify`, `certify` and `pareto`, each also with `--json`. Two larger costed
 instances (sides 13 and 17, density 0.3) run `emit-lp` and `--json
 emit-lp` only. Five edge cases of the derived-instance layout (|A| = 0,
 |A| = 1 so no dummies, |B| = 0, isolated nodes, and a level-heavy 7x2
@@ -52,7 +52,8 @@ import conftest
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 INSTANCE_COMMANDS = (("solve",), ("mincost",), ("--json", "mincost"), ("emit-lp",), ("gstar",))
-MATCHING_COMMANDS = (("verify",), ("certify",), ("--json", "certify"), ("pareto",))
+MATCHING_COMMANDS = (("verify",), ("--json", "verify"), ("certify",), ("--json", "certify"),
+                     ("pareto",), ("--json", "pareto"))
 MATCHINGS_PER_INSTANCE = 6
 # emit-lp alone on larger costed instances, whose stab.* rows are long
 LP_SIDES = (13, 17)

@@ -151,6 +151,18 @@ def test_dimacs_keeps_an_unterminated_last_clause():
     assert parse_dimacs("p cnf 3 2\n1 -2 0\n2 3\n").clauses == ((1, -2), (2, 3))
 
 
+def test_dimacs_without_header_counts_the_variables_it_uses():
+    """With no header the variable count is the largest variable a clause
+    uses, and 0 when there is no clause."""
+    assert parse_dimacs("c only a comment\n") == CnfFormula(0, ())
+    assert parse_dimacs("1 -3 0\n") == CnfFormula(3, ((1, -3),))
+
+
+def test_pad_unit_clauses_pads_only_one_literal_clauses():
+    f = CnfFormula(3, ((1,), (-2,), (1, -2), (-1, 2, 3)))
+    assert pad_unit_clauses(f).clauses == ((1, 1), (-2, -2), (1, -2), (-1, 2, 3))
+
+
 @pytest.mark.parametrize("trailer", ["%\n0\n\n", "  %\n0\n", "%\n0 bad %\n"])
 def test_dimacs_stops_at_the_satlib_end_marker(trailer):
     """SATLIB's files end in a `%` line and a `0` line: reading stops at the

@@ -7,9 +7,12 @@ return the image of their answer on the original, because the
 proposer-optimal stable matching of the derived instance, the least
 potentials and the inclusion-minimal optimal closure are each unique.
 `verify` and `pareto` must give the same verdict; a witness may differ, so
-each is checked only by toggling it. On larger instances (sides 20-40) and
-a planted gadget, whose lists are read by position, the relation is
-checked on the verdicts of `verify`, `pareto` and `certify` alone.
+each is checked only by toggling it. All of this is checked on small
+costed instances, the chain families, larger costed instances (sides
+20-40) and the `FAR_LEVELS` squares, which hold a popular max-matching
+beyond the top + 2 levels of the run. On larger instances (sides 20-40) and a planted gadget, whose lists are read
+by position, the relation is checked on the verdicts of `verify`,
+`pareto` and `certify` alone.
 
 Swap the sides: popularity among maximum matchings is symmetric, so
 `mincost` keeps its cost, and the swapped instance's `solve` matching is a
@@ -39,6 +42,7 @@ from popmax import (
 )
 
 from conftest import chain, planted_gadget
+from test_small_world import FAR_LEVELS
 
 
 def _random_cases(count, seed0):
@@ -54,6 +58,17 @@ def _chains():
         for ladder in (False, True):
             for reverse in (False, True):
                 yield chain(L, ladder, reverse)[0]
+
+
+def _sizable_costed_cases():
+    """Seeded costed instances with sides 20-40 and costs 0-9, then the
+    `FAR_LEVELS` squares."""
+    for seed in range(9200, 9210):
+        rng = random.Random(seed)
+        yield random_instance(rng.randint(20, 40), rng.randint(20, 40),
+                              rng.choice([0.1, 0.2, 0.3]), seed, (0, 9))
+    for args in FAR_LEVELS:
+        yield random_instance(*args)
 
 
 def _sizable_cases():
@@ -147,6 +162,7 @@ def _certified(inst: Instance, m):
 @pytest.mark.parametrize("cases", [
     pytest.param(lambda: _random_cases(100, 7000), id="random"),
     pytest.param(_chains, id="chains"),
+    pytest.param(_sizable_costed_cases, id="sizable-costed"),
 ])
 def test_relabel_and_reorder(cases):
     rng = random.Random(1)

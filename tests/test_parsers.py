@@ -6,10 +6,19 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from popmax import ParseError, PopmaxError, parse_certificate, parse_instance, parse_matching
+from popmax import (
+    ParseError,
+    PopmaxError,
+    parse_certificate,
+    parse_instance,
+    parse_matching,
+    popular_max_matching,
+    serialize_instance,
+    serialize_matching,
+)
 from popmax.hardness import parse_dimacs
 
 from conftest import I2_TEXT
@@ -73,6 +82,39 @@ def test_parse_certificate_total(text):
 @given(texts)
 def test_parse_dimacs_total(text):
     parses_or_popmax_error(parse_dimacs, text)
+
+
+# ids over an alphabet with '#' in it, at the start of an id or inside it
+node_ids = st.text(alphabet="ab1#", min_size=1, max_size=3)
+
+
+@st.composite
+def instance_texts(draw):
+    """An instance text with mutual preference lists over drawn ids."""
+    side_a = draw(st.lists(node_ids, min_size=1, max_size=4, unique=True))
+    side_b = draw(st.lists(node_ids.filter(lambda u: u not in side_a), max_size=4, unique=True))
+    edges = draw(st.sets(st.tuples(st.sampled_from(side_a), st.sampled_from(side_b)))
+                 if side_b else st.just(set()))
+    lines = [f"side A {' '.join(side_a)}", f"side B {' '.join(side_b)}"]
+    for u in side_a + side_b:
+        nbrs = sorted(v for e in edges if u in e for v in e if v != u)
+        lines.append(f"pref {u}: {' '.join(draw(st.permutations(nbrs)))}")
+    return "\n".join(lines) + "\n"
+
+
+@SETTINGS
+@given(instance_texts())
+@example("side A #a a2\nside B b1 b2\npref #a: b1\npref a2: b1 b2\npref b1: #a a2\npref b2: a2\n")
+def test_accepted_instances_and_their_matchings_read_back(text):
+    """What `parse_instance` accepts, and the matching `solve` finds on it,
+    each read back from its serialization as itself."""
+    try:
+        inst = parse_instance(text)
+    except PopmaxError:
+        return
+    assert parse_instance(serialize_instance(inst)) == inst
+    m = popular_max_matching(inst)
+    assert parse_matching(inst, serialize_matching(m)) == m
 
 
 # the characters `str.splitlines` ends a line at and text mode does not
