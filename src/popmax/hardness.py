@@ -4,7 +4,12 @@ A formula is first normalized so every clause is purely positive (2-3
 literals) or purely negative (exactly 2 literals, each negative literal
 occurring once). Every positive literal occurrence gets a 4-node gadget,
 every variable a 4-node gadget for its negation, wired by cost-1
-consistency edges; gadget-internal edges cost 0. The instance then has a
+consistency edges; gadget-internal edges cost 0. A clause is a ring of
+gadgets (x, y, x', y'), its occurrence gadgets if it is positive and the
+negation gadgets of its variables if not: each x lists the previous
+gadget's y first, at cost 1, and each y lists the next gadget's x first.
+One `_ring` lays every clause out for `build_gadget_instance` and gives
+`check_reduction` every clause's falsifying cycle. The instance then has a
 cost-0 Pareto-optimal matching iff the formula is satisfiable, and
 `check_reduction` confirms both directions exhaustively at tiny scale.
 """
@@ -51,10 +56,9 @@ class CnfFormula(_Frozen):
 def parse_dimacs(text: str) -> CnfFormula:
     """DIMACS CNF: `p cnf <vars> <clauses>` header, clauses 0-terminated.
     A line starting with `%`, SATLIB's end marker, ends the formula."""
-    num_vars = 0
+    num_vars = None
     clauses: list[Clause] = []
     current: list[int] = []
-    saw_header = False
     for lineno, raw in enumerate(_lines(text), start=1):
         s = raw.strip()
         if not s or s.startswith("c") or s.startswith("#"):
@@ -67,7 +71,6 @@ def parse_dimacs(text: str) -> CnfFormula:
                     or not parts[2].isdecimal() or not parts[3].isdecimal()):
                 raise ParseError("expected `p cnf <vars> <clauses>`", lineno)
             num_vars = int(parts[2])
-            saw_header = True
             continue
         for tok in s.split():
             try:
@@ -81,7 +84,7 @@ def parse_dimacs(text: str) -> CnfFormula:
                 current.append(lit)
     if current:
         clauses.append(tuple(current))
-    if not saw_header:
+    if num_vars is None:
         num_vars = max((abs(l) for c in clauses for l in c), default=0)
     return CnfFormula(num_vars, tuple(clauses))
 
@@ -155,11 +158,22 @@ class GadgetInstance(NamedTuple):
     occurrences: dict[int, tuple[tuple[int, int], ...]]
 
 
+def _ring(pos, neg, ci: int, clause: Clause) -> list[tuple[str, str, str, str]]:
+    """Clause ci's gadgets (x, y, x', y') in clause order: the occurrence
+    gadget of each slot of a positive clause, the negation gadget of each
+    variable of a negative one. Each x lists the previous gadget's y first,
+    at cost 1, and each y lists the next gadget's x first."""
+    if clause[0] > 0:
+        return [pos[(ci, slot)] for slot in range(len(clause))]
+    return [neg[-l] for l in clause]
+
+
 def build_gadget_instance(f: CnfFormula) -> GadgetInstance:
     """Build the reduction graph for a formula in transformed shape. Each
     clause's shape is checked as its gadgets are named, in clause order,
-    then every variable is checked to have a negation clause."""
-    pos_idx, neg_idx = [], []
+    then every variable is checked to have a negation clause. Every clause
+    is then wired around its `_ring`, positive clauses first."""
+    positive, negative = [], []  # (ci, clause), wired positive clauses first
     pos: dict[tuple[int, int], tuple[str, str, str, str]] = {}
     neg: dict[int, tuple[str, str, str, str]] = {}
     occurrences: dict[int, list[tuple[int, int]]] = {}
@@ -174,7 +188,7 @@ def build_gadget_instance(f: CnfFormula) -> GadgetInstance:
                     "pad it to (l or l) with --pad-units (pad_unit_clauses) before transforming")
             if len(c) > 3:
                 raise UnsupportedClauseError(f"clause {ci} has more than 3 literals")
-            pos_idx.append(ci)
+            positive.append((ci, c))
             for slot, v in enumerate(c):
                 stem = f"X{v}c{ci}o{slot}"
                 pos[(ci, slot)] = (f"a{stem}", f"b{stem}", f"ap{stem}", f"bp{stem}")
@@ -183,7 +197,7 @@ def build_gadget_instance(f: CnfFormula) -> GadgetInstance:
             if len(c) != 2:
                 raise UnsupportedClauseError(
                     f"negative clause {ci} must have exactly 2 literals")
-            neg_idx.append(ci)
+            negative.append((ci, c))
             for lit in c:
                 v = -lit
                 if v in neg:
@@ -200,34 +214,24 @@ def build_gadget_instance(f: CnfFormula) -> GadgetInstance:
     side_b: list[str] = []
     prefs: dict[str, tuple[str, ...]] = {}
     costs: dict[Edge, int] = {}
-    for ci in pos_idx:
-        k = len(f.clauses[ci])
-        for slot, v in enumerate(f.clauses[ci]):
-            a, b, ap, bp = pos[(ci, slot)]
-            b_prev = pos[(ci, (slot - 1) % k)][1]
-            a_next = pos[(ci, (slot + 1) % k)][0]
-            c, _d, _cp, dp = neg[v]
-            side_a += [a, ap]
-            side_b += [b, bp]
-            prefs[a] = (b_prev, b, dp, bp)
-            costs[(a, b_prev)] = costs[(a, dp)] = costs[(c, bp)] = 1
-            prefs[ap] = (b, bp)
-            prefs[b] = (a_next, a, ap)
-            prefs[bp] = (ap, c, a)
-    for ci in neg_idx:
-        u, v = (-l for l in f.clauses[ci])
-        for this, other in ((u, v), (v, u)):
-            c, d, cp, dp = neg[this]
-            c_other, d_other = neg[other][0], neg[other][1]
-            bp_block = tuple(pos[occ][3] for occ in occurrences[this])
-            a_block = tuple(pos[occ][0] for occ in occurrences[this])
-            side_a += [c, cp]
-            side_b += [d, dp]
-            prefs[c] = (d_other, d) + bp_block + (dp,)
-            costs[(c, d_other)] = 1
-            prefs[cp] = (d, dp)
-            prefs[d] = (c_other, c, cp)
-            prefs[dp] = (cp,) + a_block + (c,)
+    for ci, clause in positive + negative:
+        ring = _ring(pos, neg, ci, clause)
+        for i, (x, y, xp, yp) in enumerate(ring):
+            y_prev = ring[i - 1][1]
+            side_a += [x, xp]
+            side_b += [y, yp]
+            costs[(x, y_prev)] = 1
+            if clause[0] > 0:  # consistency edges to the variable's negation gadget
+                c, _d, _cp, dp = neg[clause[i]]
+                prefs[x] = (y_prev, y, dp, yp)
+                costs[(x, dp)] = costs[(c, yp)] = 1
+                prefs[yp] = (xp, c, x)
+            else:  # and back, to every occurrence gadget of the variable
+                occs = [pos[o] for o in occurrences[-clause[i]]]
+                prefs[x] = (y_prev, y, *[o[3] for o in occs], yp)
+                prefs[yp] = (xp, *[o[0] for o in occs], x)
+            prefs[xp] = (y, yp)
+            prefs[y] = (ring[(i + 1) % len(ring)][0], x, xp)
 
     inst = Instance(tuple(side_a), tuple(side_b), prefs, costs)
     return GadgetInstance(inst, f, pos, neg,
@@ -346,7 +350,8 @@ def check_reduction(f: CnfFormula, max_vars: int = 4, max_clauses: int = 6) -> R
     through the gadget; every non-perfect cost-0 matching leaves two
     adjacent nodes unmatched; and each falsified-clause and
     consistency-violation pattern carries its all-blocking cycle, certified
-    by an explicit vote count. The one pass over the assignments also finds
+    by an explicit vote count. A falsified clause's cycle runs around its
+    `_ring`, through (x, previous y) and (x, y) of each gadget. The one pass over the assignments also finds
     whether the transformed formula is satisfiable, which must agree with
     the input formula.
     """
@@ -370,12 +375,9 @@ def check_reduction(f: CnfFormula, max_vars: int = 4, max_clauses: int = 6) -> R
         if matching_cost(inst, m) != 0 or len(m.pairs) * 2 != len(inst.nodes):
             raise InternalError("pattern matching is not perfect and free")
         pareto = is_pareto_optimal(inst, m).pareto
-        if pareto != sat:
-            canonical_iff_ok = False
-        if pareto:
-            exists = True
-        if sat and (not pareto or _read_assignment(g, m) != beta):
-            converse_ok = False
+        canonical_iff_ok &= pareto == sat
+        exists |= pareto
+        converse_ok &= not sat or (pareto and _read_assignment(g, m) == beta)
     satisfiable = brute_sat(f)
     if ft_satisfiable != satisfiable:
         raise InternalError("transformation broke satisfiability")
@@ -385,9 +387,8 @@ def check_reduction(f: CnfFormula, max_vars: int = 4, max_clauses: int = 6) -> R
         for pattern in ([], [(x, y)], [(x, yp)], [(xp, y)], [(xp, yp)]):
             matched = {n for e in pattern for n in e}
             free = [n for n in (x, y, xp, yp) if n not in matched]
-            if not any(inst.has_edge(u, v) for u in free for v in free
-                       if inst.is_a(u) and not inst.is_a(v)):
-                perfect_ok = False
+            perfect_ok &= any(inst.has_edge(u, v) for u in free for v in free
+                              if inst.is_a(u) and not inst.is_a(v))
 
     consistency_ok = True
     all_occ_true = {occ: True for occ in g.pos}
@@ -396,33 +397,23 @@ def check_reduction(f: CnfFormula, max_vars: int = 4, max_clauses: int = 6) -> R
             continue
         # negation gadget of v in false pattern, every occurrence gadget true
         m = _pattern_pairs(g, {w: w != v for w in g.neg}, all_occ_true)
-        if is_pareto_optimal(inst, m).pareto:
-            consistency_ok = False
+        consistency_ok &= not is_pareto_optimal(inst, m).pareto
         c, _d, _cp, dp = g.neg[v]
         for occ in g.occurrences[v]:
             a, _b, _ap, bp = g.pos[occ]
-            if not _dominates(g, m, [(a, dp), (c, dp), (c, bp), (a, bp)], 4):
-                consistency_ok = False
+            consistency_ok &= _dominates(g, m, [(a, dp), (c, dp), (c, bp), (a, bp)], 4)
 
     falsifying_cycles_ok = True
     for ci, clause in enumerate(ft.clauses):
-        k = len(clause)
-        if clause[0] > 0:
-            m = _pattern_pairs(g, {v: v not in clause for v in g.neg})
-            cycle = []
-            for slot in range(k):
-                a, b, _ap, _bp = g.pos[(ci, slot)]
-                cycle += [(a, g.pos[(ci, (slot - 1) % k)][1]), (a, b)]
-            voters = 2 * k
-        else:
-            u, v = (-l for l in clause)
-            m = _pattern_pairs(g, {w: w in (u, v) for w in g.neg})
-            cu, du = g.neg[u][0], g.neg[u][1]
-            cv, dv = g.neg[v][0], g.neg[v][1]
-            cycle = [(cu, dv), (cu, du), (cv, du), (cv, dv)]
-            voters = 4
-        if is_pareto_optimal(inst, m).pareto or not _dominates(g, m, cycle, voters):
-            falsifying_cycles_ok = False
+        positive = clause[0] > 0
+        variables = {abs(l) for l in clause}
+        m = _pattern_pairs(g, {w: (w in variables) != positive for w in g.neg})
+        ring = _ring(g.pos, g.neg, ci, clause)
+        cycle = []
+        for i, (x, y, _xp, _yp) in enumerate(ring):
+            cycle += [(x, ring[i - 1][1]), (x, y)]
+        falsifying_cycles_ok &= (not is_pareto_optimal(inst, m).pareto
+                                 and _dominates(g, m, cycle, 2 * len(ring)))
 
     return ReductionReport(
         satisfiable=satisfiable,

@@ -16,7 +16,6 @@ tables. Everything is exact integer arithmetic.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections.abc import Iterator
 from itertools import accumulate, islice
 from typing import NamedTuple
@@ -82,10 +81,10 @@ def _rotation_walk(prefs, rank, men, base):
     woman requires the earlier rotation that first lifted that woman's
     partner above him. A rotation moves a woman from her partner to a man
     she ranks higher, lifting her past the block of her list strictly
-    between them; her blocks are disjoint and move up her list, so
-    `lifted[w]` keeps one (-start, end, rotation) triple per rotation that
-    moved her, in ascending order of -start, and a suitor's block is found
-    by bisection.
+    between them; her blocks are disjoint, so `lifted[w]`, a list as long
+    as hers made when a rotation first lifts her past a suitor, labels each
+    position q with the rotation that lifted her past the suitor there, and
+    each slot is set at most once.
     """
     order = {man: i for i, man in enumerate(men)}
     partner = dict(base)
@@ -93,7 +92,7 @@ def _rotation_walk(prefs, rank, men, base):
     cycles: list[tuple] = []
     preds: list[set[int]] = []
     last_move: dict = {}  # man -> the latest rotation moving him
-    lifted: dict = {}  # w -> [(-start, end, rotation)]: the blocks of w's list lifted past
+    lifted: dict = {}  # w -> the rotation that lifted w past each position of her list
 
     fixed: set = set()
     stack: list = []
@@ -140,7 +139,9 @@ def _rotation_walk(prefs, rank, men, base):
             for (man, w), new_partner in zip(cycle, cycle_men[-1:] + cycle_men[:-1]):
                 start_w, end_w = rank[w][new_partner] + 1, rank[w][man]
                 if start_w < end_w:
-                    lifted.setdefault(w, []).append((-start_w, end_w, r))
+                    if w not in lifted:
+                        lifted[w] = [None] * len(prefs[w])
+                    lifted[w][start_w:end_w] = [r] * (end_w - start_w)
             for (man, w_from), (_man, w_to) in zip(cycle, _added(cycle)):
                 if man in last_move:
                     pred.add(last_move[man])
@@ -151,11 +152,9 @@ def _rotation_walk(prefs, rank, men, base):
                     q = rank[w][man]
                     if rank[w][base[w]] < q:
                         continue  # she outranked him from the start
-                    blocks = lifted.get(w, ())
-                    t = bisect_left(blocks, (-q,))
-                    if t == len(blocks) or q >= blocks[t][1]:
+                    sigma = lifted[w][q] if w in lifted else None
+                    if sigma is None:
                         raise InternalError("no rotation lifts a woman past a skipped suitor")
-                    sigma = blocks[t][2]
                     if sigma >= r:
                         raise InternalError("precedence points forward in elimination order")
                     pred.add(sigma)

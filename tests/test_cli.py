@@ -643,12 +643,40 @@ def test_exit_code_bad_option_values(files, capsys, argv, message):
 @pytest.mark.parametrize("pairs", [
     '[["a"]]', "5", "null", "[[]]", "[5000]", '[[["a"], "b"]]',
     pytest.param("[" * 1000 + "]" * 1000, id="nested-1000"),
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000"),
 ])
 def test_exit_code_bad_json_matching(files, tmp_path, capsys, pairs):
+    """From Python 3.12 on, the recursion limit applies only to Python code,
+    so 1,000 levels may parse there and fail as a bad shape; 100,000 levels
+    are too deep for the JSON scanner of every supported version."""
     m = tmp_path / "m.json"
     m.write_text('{"pairs": ' + pairs + "}")
     code, out, err = run(capsys, "verify", files["i0"], str(m))
     assert code == 2 and out == "" and err.startswith("error: matching JSON")
+    if len(pairs) > 100_000:
+        assert err == "error: matching JSON is nested too deeply\n"
+
+
+@pytest.mark.parametrize("command, text, where", [
+    ("verify", '{"pairs": [', "line 1, column 12"),
+    ("pareto", '{"pairs": []}\n{}', "line 2, column 1"),
+])
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_exit_code_bad_json_text(files, tmp_path, capsys, command, text, where, flags):
+    """A matching file that is not JSON text names the line and column the
+    `json` module stopped at; the reason after `bad JSON:` is that module's
+    own text, which differs between Python versions, so it is not pinned."""
+    m = tmp_path / "m.json"
+    m.write_text(text)
+    code, out, err = run(capsys, *flags, command, files["i0"], str(m))
+    prefix = f"{where}: bad JSON: "
+    assert code == 2 and err.startswith("error: " + prefix) and err.count("\n") == 1
+    if flags:
+        envelope = json.loads(out)
+        assert out.count("\n") == 1 and list(envelope) == ["status", "result"]
+        assert envelope["status"] == "error" and envelope["result"].startswith(prefix)
+    else:
+        assert out == ""
 
 
 def test_exit_code_internal_error(files, capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -354,3 +355,44 @@ def test_check_reduction_enumerates_the_transformed_formula_once(monkeypatch, f)
     assert calls == [f]
     assert rep.satisfiable == brute_sat(f) and rep.equivalence_holds
     assert rep.candidates_checked == 2 ** transform_formula(f).num_vars
+
+
+def _seeded_formulas(seed, count, max_vars, max_clauses, lengths):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_vars)
+        yield CnfFormula(n, [[rng.choice((1, -1)) * rng.randint(1, n)
+                              for _ in range(rng.choice(lengths))]
+                             for _ in range(rng.randint(1, max_clauses))])
+
+
+def test_gadgets_and_reduction_reports_are_pinned():
+    """One digest over the gadgets of 200 seeded formulas (`repr`, so the
+    order of every list, side and cost key counts) and the reports of 40
+    smaller padded ones: a change to the wiring or the checker that moves
+    one byte of either fails here."""
+    h = hashlib.sha256()
+    for f in _seeded_formulas(1, 200, 12, 30, (2, 3)):
+        h.update(repr(build_gadget_instance(transform_formula(f))).encode())
+    for f in _seeded_formulas(2, 40, 4, 6, (1, 2, 3)):
+        h.update(str(check_reduction(pad_unit_clauses(f))).encode())
+    assert h.hexdigest()[:16] == "553c4a299f0dd43b"
+
+
+def test_every_clause_is_a_ring_of_gadgets():
+    """Around each clause's `_ring` of (x, y, x', y') gadgets, x lists the
+    previous gadget's y first, at cost 1, and y lists the next gadget's x
+    first; a positive clause's ring is its occurrence gadgets in slot
+    order, a negative clause's the negation gadgets of its variables."""
+    for f in _seeded_formulas(3, 60, 8, 12, (2, 3)):
+        g = build_gadget_instance(transform_formula(f))
+        inst = g.instance
+        for ci, clause in enumerate(g.formula.clauses):
+            ring = hardness._ring(g.pos, g.neg, ci, clause)
+            expected = ([g.pos[(ci, slot)] for slot in range(len(clause))] if clause[0] > 0
+                        else [g.neg[-l] for l in clause])
+            assert ring == expected
+            for i, (x, y, _xp, _yp) in enumerate(ring):
+                y_prev, x_next = ring[i - 1][1], ring[(i + 1) % len(ring)][0]
+                assert inst.prefs[x][0] == y_prev and inst.cost((x, y_prev)) == 1
+                assert inst.prefs[y][0] == x_next
