@@ -23,13 +23,14 @@ its top copy when unmatched A-nodes demand it. The compressor
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import Instance, Matching, _lines, _pins, _weights, is_maximum
 from .errors import CertificateError, InternalError, NotMaximumError, NotPopularError, NotStableError, ParseError
-from .gstar import GStarInstance, GStarTables, build_gstar, place, project
 from .popularity import Witness, _witness_or_potentials
-from .stable import is_stable
+
+if TYPE_CHECKING:  # `lift` and `extract_certificate` import the derived instance when called
+    from .gstar import GStarInstance, GStarTables
 
 
 class DualCertificate(NamedTuple):
@@ -48,6 +49,7 @@ class CertificateReport(NamedTuple):
 def extract_certificate(gs: GStarInstance, s: Matching) -> DualCertificate:
     """Certificate for project(s) in gs's source from the levels of stable
     s, restricted to the matched nodes; see `_read_certificate`."""
+    from .stable import is_stable
     if not is_stable(gs.inner, s):
         raise NotStableError("certificates are read off stable matchings of the derived instance")
     return _read_certificate(gs.tables, ((gs.ids[u], gs.ids[v]) for u, v in s.pairs))[2]
@@ -143,6 +145,8 @@ def lift(inst: Instance, m: Matching, cert: DualCertificate) -> Matching:
     report = verify_certificate(inst, m, cert)
     if not report.ok:
         raise CertificateError("certificate invalid for the matching", report.violations)
+    from .gstar import build_gstar, place, project
+    from .stable import is_stable
     gs = build_gstar(inst)
     level = {u: abs(v) // 2 for u, v in cert.alpha.items()}
     if _pins(inst, m)[0]:

@@ -9,6 +9,9 @@ closed writes to it as to the null device and keeps its own exit code.
 
 Every command uses `core` and `errors`; each handler imports the layers
 only it uses, so a command loads no more of the package than it runs.
+`json` is imported only where JSON is written (`--json` output, and the
+rows `oracle` prints as JSON lines) or read (a JSON matching file, in
+`core.parse_matching`), so no other text-mode command loads it.
 
 `main` matches an argv of the form `[--json] <command> <path>...`, where
 the command is one of `FILE_COMMANDS` and no path starts with `-`, and
@@ -22,7 +25,6 @@ handler is looked up by command name (`cmd_<command>`) when `main` runs.
 from __future__ import annotations
 
 import gc
-import json
 import os
 import sys
 from types import SimpleNamespace
@@ -80,6 +82,7 @@ def _read(path: str) -> str:
 
 def _emit(args, status: str, result, witness=None, text: str = ""):
     if args.json:
+        import json
         envelope = {"status": status, "result": result}
         if witness is not None:
             envelope["witness"] = witness
@@ -164,10 +167,12 @@ def cmd_emit_lp(args) -> int:
     pieces = mincost._lp_text(inst)
     first = next(pieces)  # checks the instance before a byte is written
     write = sys.stdout.write
-    # json.dumps of the envelope with sort_keys, in pieces: escaping a
-    # string is per character, so the escaped pieces join to the whole
-    escape = (lambda piece: json.dumps(piece)[1:-1]) if args.json else str
+    escape = str
     if args.json:
+        import json
+        # json.dumps of the envelope with sort_keys, in pieces: escaping a
+        # string is per character, so the escaped pieces join to the whole
+        escape = lambda piece: json.dumps(piece)[1:-1]
         write('{"result": {"lp": "')
     for piece in chain((first,), pieces):
         write(escape(piece))
@@ -230,6 +235,7 @@ def cmd_oracle(args) -> int:
                    "max-matchings": oracle.enum_max_matchings,
                    "popular-max": oracle.brute_popular_max}
     if args.what in enumerators:
+        import json
         rows = sorted([list(e) for e in sorted(m.pairs)] for m in enumerators[args.what](inst, bound))
         _emit(args, "ok", rows, text="".join(json.dumps(row) + "\n" for row in rows))
     elif args.what == "min-cost":
@@ -335,6 +341,7 @@ def _report_error(args, label: str, exc: Exception | str, code: int) -> int:
     except OSError:  # fd 2 was closed, and a file opened since holds it
         pass
     if args.json:
+        import json
         print(json.dumps({"status": "error", "result": str(exc)}))
     return code
 

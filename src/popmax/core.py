@@ -8,8 +8,6 @@ matchings are defined here and used by every other module.
 
 from __future__ import annotations
 
-import json
-import random
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ParseError, ValidationError
@@ -495,6 +493,7 @@ def parse_matching(inst: Instance, text: str) -> Matching:
     """
     a_set, prefs = inst._a_set, inst.prefs
     if text.lstrip().startswith("{"):
+        import json
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -547,6 +546,7 @@ def random_instance(na: int, nb: int, density: float, seed: int,
         raise ValidationError(f"density must lie in [0, 1], got {density}")
     if cost_range is not None and cost_range[0] > cost_range[1]:
         raise ValidationError(f"empty cost range {cost_range[0]}..{cost_range[1]}")
+    import random
     rng = random.Random(seed)
     side_a = tuple(f"a{i+1}" for i in range(na))
     side_b = tuple(f"b{j+1}" for j in range(nb))

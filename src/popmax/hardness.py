@@ -27,7 +27,6 @@ from .errors import (
     UnsupportedClauseError,
     ValidationError,
 )
-from .popularity import is_pareto_optimal
 
 Clause = tuple[int, ...]  # nonzero literals; negative int = negated variable
 
@@ -284,6 +283,7 @@ def matching_to_assignment(g: GadgetInstance, m: Matching) -> dict[int, bool]:
     """Satisfying assignment from a Pareto-optimal matching of cost 0."""
     if matching_cost(g.instance, m) != 0:
         raise ValidationError("matching has nonzero cost")
+    from .popularity import is_pareto_optimal
     if not is_pareto_optimal(g.instance, m).pareto:
         raise ValidationError("matching is not Pareto-optimal")
     return _read_assignment(g, m)
@@ -359,6 +359,7 @@ def check_reduction(f: CnfFormula, max_vars: int = 4, max_clauses: int = 6) -> R
         raise BoundExceededError(f"{f.num_vars} variables > bound {max_vars}")
     if len(f.clauses) > max_clauses:
         raise BoundExceededError(f"{len(f.clauses)} clauses > bound {max_clauses}")
+    from .popularity import is_pareto_optimal
     ft = transform_formula(f)
     g = build_gadget_instance(ft)
     inst = g.instance

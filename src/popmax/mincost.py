@@ -18,13 +18,15 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterator
 from itertools import accumulate, islice
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .certificates import DualCertificate, _read_certificate
 from .core import Instance, Matching, _pins, make_matching, matching_cost
 from .errors import InternalError
 from .gstar import GStarTables, _level_run, _lists, _n_levels
 from .stable import gale_shapley
+
+if TYPE_CHECKING:  # `_min_cost_run` imports the certificate layer when called
+    from .certificates import DualCertificate
 
 # ---------------------------------------------------------------------------
 # Rotations
@@ -440,6 +442,7 @@ def _min_cost_run(inst: Instance, n_levels: int, run) -> tuple[MinCostResult, in
     partner.update((v, u) for u, v in base)
     cycles, preds = _rotation_walk(prefs, rank, range(gt.n_copies), partner)
     s = _cheapest_elimination(base, cycles, preds, gt.cost)
+    from .certificates import _read_certificate
     m, level, cert = _read_certificate(gt, s)
     cost = sum(map(gt.cost, s))
     if cost != matching_cost(inst, m):

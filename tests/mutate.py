@@ -12,10 +12,17 @@ functions when none is named):
 The mutated module is written with `ast.unparse` into a copy of `src/`, and
 the test files (`--tests`, by default `tests/test_<module>.py`) run against
 it with `pytest -x`, each mutant under a time limit, since a mutant can loop
-forever; a mutant that runs out of time counts as killed. Every mutant that
-survives is run again against all of `tests/`, and those that survive that
-too are printed: each needs a test that kills it, or a reason why it is
-equivalent to the original. The exit code is 1 when any survives tier-1.
+forever. The runs load this file as a pytest plugin (`-p mutate`), which
+notes each test as it starts and the first one that fails, so every kill is
+printed with the node id of the test that made it and how it failed: by an
+assertion, by another exception (named), or by running out of time while
+that test ran. That one test is then run again against a second copy of
+`src/`, holding the unmutated module as `ast.unparse` writes it; if it fails
+there too, the kill is reported as flaky and not counted. Every mutant that
+is not killed is run again against all of `tests/`, and those that survive
+that too are printed: each needs a test that kills it, or a reason why it is
+equivalent to the original. The exit code is 1 when any survives tier-1 or
+is left with only a flaky kill.
 
 This is a script, not a test: it is slow, and pytest does not collect it.
 """
@@ -26,6 +33,7 @@ import argparse
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -87,16 +95,70 @@ def _setter(target, key, value):
     return apply
 
 
-def _run(src: Path, tests: list[str], timeout: float) -> str:
-    """"killed", "timeout" or "survived"."""
+LOG = "MUTATE_LOG"  # the file the plugin hooks below append their notes to
+
+
+def _note(*fields: str) -> None:
+    with open(os.environ[LOG], "a", encoding="utf-8") as fh:
+        fh.write("\t".join(fields) + "\n")
+
+
+def pytest_runtest_logstart(nodeid, location):
+    """Plugin hook: note each test as it starts, so that a run cut off by
+    its time limit names the test that was running."""
+    _note("start", nodeid)
+
+
+def pytest_exception_interact(node, call, report):
+    """Plugin hook: note a test (or a test file, when collecting it) that
+    fails, and how."""
+    exc = call.excinfo
+    _note("fail", node.nodeid, "assertion" if exc.errisinstance(AssertionError)
+          else f"exception {exc.typename}")
+
+
+def _run(src: Path, tests: list[str], timeout: float) -> tuple[str | None, str] | None:
+    """None when the tests pass; otherwise the node id of the first test
+    that failed (None if no test is to blame) and how it failed:
+    "assertion", "exception <type>", "timeout" or "pytest exit <code>"."""
+    log = src.parent / "notes.txt"
+    log.write_text("", encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(ROOT / "tests")]),
-           "PYTHONDONTWRITEBYTECODE": "1"}
+           "PYTHONDONTWRITEBYTECODE": "1", LOG: str(log)}
+    # its own session, so that a timeout also ends the processes the tests started
+    proc = subprocess.Popen([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                             "-p", "mutate", *tests], cwd=ROOT, env=env, start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
-        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                               *tests], cwd=ROOT, env=env, capture_output=True, timeout=timeout)
+        code = proc.wait(timeout=timeout)
     except subprocess.TimeoutExpired:
-        return "timeout"
-    return "survived" if proc.returncode == 0 else "killed"
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        code = None
+    if code == 0:
+        return None
+    notes = [line.split("\t") for line in log.read_text(encoding="utf-8").splitlines()]
+    failed = [note[1:] for note in notes if note[0] == "fail"]
+    if failed:
+        return failed[0][0], failed[0][1]
+    if code is None:
+        started = [note[1] for note in notes if note[0] == "start"]
+        return (started[-1] if started else None), "timeout"
+    return None, f"pytest exit {code}"
+
+
+def _judge(src: Path, clean: Path, tests: list[str], timeout: float) -> tuple[str, str]:
+    """("survived", ""), ("killed", why) or ("flaky", why): a failure is
+    flaky when the test that failed (all of `tests` if none is named) fails
+    on the unmutated source too."""
+    failure = _run(src, tests, timeout)
+    if failure is None:
+        return "survived", ""
+    nodeid, how = failure
+    why = f"{nodeid or ' '.join(tests)} ({how})"
+    if _run(clean, [nodeid] if nodeid else tests, timeout) is not None:
+        return "flaky", why + ", which fails on the unmutated source too"
+    return "killed", why
 
 
 def main(argv=None) -> int:
@@ -115,34 +177,34 @@ def main(argv=None) -> int:
             print(description)
         return 0
     tests = args.tests or [f"tests/test_{args.module}.py"]
-    survivors = []
+    outcomes: dict[str, list[str]] = {"killed": [], "flaky": [], "survived": []}
     with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp) / "src"
-        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-        target = src / "popmax" / path.name
-
-        def write():
-            target.write_text(ast.unparse(tree) + "\n", encoding="utf-8")
-
-        write()
-        if _run(src, tests, args.timeout) != "survived":
-            sys.exit("the tests fail on the unmutated module as ast.unparse writes it")
+        copies = {}
+        for name in ("mutant", "clean"):
+            copies[name] = Path(tmp) / name / "src"
+            shutil.copytree(ROOT / "src", copies[name],
+                            ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+            (copies[name] / "popmax" / path.name).write_text(ast.unparse(tree) + "\n", encoding="utf-8")
+        src, clean = copies["mutant"], copies["clean"]
+        failure = _run(clean, tests, args.timeout)
+        if failure is not None:
+            sys.exit(f"the tests fail on the unmutated module as ast.unparse writes it: {failure}")
         for k, (description, apply) in enumerate(sites, 1):
             undo = apply()
-            write()
-            outcome = _run(src, tests, args.timeout)
-            if outcome == "survived" and tests != ["tests/"]:
-                outcome = _run(src, ["tests/"], 10 * args.timeout)
-                outcome = "survived tier-1" if outcome == "survived" else f"{outcome} by tier-1"
+            (src / "popmax" / path.name).write_text(ast.unparse(tree) + "\n", encoding="utf-8")
+            outcome, why = _judge(src, clean, tests, args.timeout)
+            if outcome != "killed" and tests != ["tests/"]:
+                outcome, why = _judge(src, clean, ["tests/"], 10 * args.timeout)
+                why = f"tier-1: {why}" if why else "tier-1"
             undo()
-            print(f"[{k}/{len(sites)}] {description}: {outcome}", flush=True)
-            if outcome.startswith("survived"):
-                survivors.append(description)
-    print(f"{len(survivors)} of {len(sites)} mutants survive:")
-    for description in survivors:
-        print(f"  {description}")
-    return 1 if survivors else 0
-
+            line = f"{description}: {outcome} ({why})" if why else f"{description}: {outcome}"
+            print(f"[{k}/{len(sites)}] {line}", flush=True)
+            outcomes[outcome].append(line)
+    print(f"{len(sites)} mutants: {len(outcomes['killed'])} killed, "
+          f"{len(outcomes['flaky'])} killed only by a flaky test, {len(outcomes['survived'])} survive")
+    for line in outcomes["flaky"] + outcomes["survived"]:
+        print(f"  {line}")
+    return 1 if outcomes["flaky"] or outcomes["survived"] else 0
 
 if __name__ == "__main__":
     sys.exit(main())

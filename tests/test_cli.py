@@ -329,8 +329,11 @@ def test_emit_lp_writes_as_it_goes(tmp_path):
 
 def _closed_early(argv, keep: int, stdin: bytes = b""):
     """Run popmax in a fresh process whose stdout reader leaves after `keep`
-    bytes, then feed it `stdin`: (bytes read, exit code, stderr)."""
-    env = {**os.environ, "PYTHONPATH": str(Path(popmax.__file__).parents[1])}
+    bytes, then feed it `stdin`: (bytes read, exit code, stderr). Its stdout
+    is buffered, as a pipe's is by default, so bytes still in the buffer
+    meet the closed pipe when the interpreter flushes it at exit."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(popmax.__file__).parents[1])
     with subprocess.Popen([sys.executable, "-m", "popmax.cli", *argv], stdin=subprocess.PIPE,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
         head = proc.stdout.read(keep)
@@ -638,6 +641,30 @@ def test_exit_code_bad_option_values(files, capsys, argv, message):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert captured.err.startswith("usage: popmax") and message in captured.err
+
+
+def test_zero_is_a_count(files, tmp_path, capsys):
+    """0 is a valid value of `--bound`, `--max-vars` and `--max-clauses`,
+    and it bounds: the empty formula and the empty instance fit in it, a
+    formula with a variable or a clause does not."""
+    empty_cnf, empty = tmp_path / "empty.cnf", tmp_path / "empty.txt"
+    empty_cnf.write_text("p cnf 0 0\n")
+    empty.write_text("side A\nside B\n")
+    code, out, _ = run(capsys, "check-reduction", str(empty_cnf), "--max-vars", "0", "--max-clauses", "0")
+    assert code == 0 and out.endswith("equivalence holds:                True\n")
+    assert run(capsys, "oracle", "matchings", str(empty), "--bound", "0") == (0, "[]\n", "")
+    for option in ("--max-vars", "--max-clauses"):
+        code, out, err = run(capsys, "check-reduction", files["cnf"], option, "0")
+        assert code == 3 and out == "" and "> bound 0" in err
+
+
+def test_gen_random_cost_lo_defaults_to_0(capsys):
+    """`--cost-hi` alone draws costs from 0 up, as `--cost-lo 0` does."""
+    argv = ("gen-random", "--na", "6", "--nb", "6", "--density", "1", "--seed", "1", "--cost-hi", "3")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == serialize_instance(random_instance(6, 6, 1.0, 1, (0, 3)))
+    assert run(capsys, *argv, "--cost-lo", "0") == (0, out, "")
+    assert out != serialize_instance(random_instance(6, 6, 1.0, 1, (1, 3)))
 
 
 @pytest.mark.parametrize("pairs", [

@@ -25,7 +25,7 @@ from popmax import (
     transform_formula,
     wt_edge,
 )
-from popmax import hardness
+from popmax import hardness, popularity
 from popmax.core import Matching
 from popmax.errors import BoundExceededError
 from popmax.hardness import _pattern_pairs, evaluate
@@ -328,7 +328,7 @@ def test_check_reduction_pareto_checks_each_pattern_once(monkeypatch, f, expecte
         calls.append(m)
         return is_pareto_optimal(inst, m)
 
-    monkeypatch.setattr(hardness, "is_pareto_optimal", counted)
+    monkeypatch.setattr(popularity, "is_pareto_optimal", counted)  # read at call time
     rep = check_reduction(f)
     ft = transform_formula(f)
     g = build_gadget_instance(ft)

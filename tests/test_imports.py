@@ -1,6 +1,6 @@
 """The package's module import graph has no cycle, the package root and the
 CLI load layers only when they are used, the CLI's file commands never load
-argparse, no module imports `dataclasses`,
+argparse and load `json` only for `--json`, no module imports `dataclasses`,
 only `gstar` knows the layout of the derived instance and reads it in one
 place, `mincost` holds no stable-matching enumerator, and the
 stable-matching layer has one configuration."""
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import ast
 import inspect
-import json
 import os
 import subprocess
 import sys
@@ -139,46 +138,71 @@ def test_no_module_imports_dataclasses():
 
 
 def _loaded_by(code: str, tmp_path: Path) -> set[str]:
-    """The modules a fresh interpreter holds after running `code` that it did
-    not hold when the code began, i.e. beyond a `python -c pass` start."""
-    script = ("import json, sys; before = set(sys.modules)\n" + code +
-              "\nprint(json.dumps(sorted(set(sys.modules) - before)))")
+    """The modules a fresh `python -S` interpreter holds after running `code`
+    that it did not hold when the code began. The script imports nothing
+    before the code, and prints the names as one line of words."""
+    script = ("import sys; before = set(sys.modules)\n" + code +
+              "\nprint(*sorted(set(sys.modules) - before))")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
                           env=env, cwd=tmp_path, check=True)
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def _run_loaded(argv: list[str], tmp_path: Path) -> set[str]:
+    """The modules `popmax.cli.main(argv)` loads, on a small instance, the
+    matching a1 b1 and a two-clause formula, its output discarded."""
+    (tmp_path / "i.txt").write_text(I3_TEXT)
+    (tmp_path / "m.txt").write_text("a1 b1\n")
+    (tmp_path / "f.cnf").write_text("p cnf 3 2\n1 2 3 0\n-1 -2 0\n")
+    code = ("import contextlib, io, popmax.cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()): popmax.cli.main({argv!r})")
+    return _loaded_by(code, tmp_path)
 
 
 LAYERS = {f"popmax.{m}" for m in SUBMODULES} - {"popmax.cli", "popmax.core", "popmax.errors"}
 
 
 def test_importing_the_cli_loads_no_layer(tmp_path):
-    """Nor argparse: the file commands never build a parser."""
+    """Nor argparse: the file commands never build a parser. Nor `json`,
+    which only `--json` output and JSON matching files need, nor `random`,
+    which only `gen-random` needs."""
     loaded = _loaded_by("import popmax.cli", tmp_path)
     assert {"popmax.cli", "popmax.core", "popmax.errors"} <= loaded
-    assert not loaded & (LAYERS | {"argparse", "dataclasses", "fractions", "inspect"})
+    assert not loaded & (LAYERS | {"argparse", "dataclasses", "fractions", "inspect", "json", "random"})
 
 
-_CERTIFY = {"popmax.certificates", "popmax.gstar", "popmax.popularity", "popmax.stable"}
+_POPULARITY = {"popmax.popularity"}
+_LEVELS = {"popmax.gstar", "popmax.stable"}
 
 
 @pytest.mark.parametrize("argv, layers", [
-    (["verify", "i.txt", "m.txt"], {"popmax.popularity"}),
-    (["pareto", "i.txt", "m.txt"], {"popmax.popularity"}),
-    (["certify", "i.txt", "m.txt"], _CERTIFY),
-    (["solve", "i.txt"], {"popmax.gstar", "popmax.stable"}),
-    (["gstar", "i.txt"], {"popmax.gstar", "popmax.stable"}),
-    (["mincost", "i.txt"], _CERTIFY | {"popmax.mincost"}),
-    (["--json", "emit-lp", "i.txt"], _CERTIFY | {"popmax.mincost"}),
+    (["verify", "i.txt", "m.txt"], _POPULARITY),
+    (["pareto", "i.txt", "m.txt"], _POPULARITY),
+    (["certify", "i.txt", "m.txt"], _POPULARITY | {"popmax.certificates"}),
+    (["solve", "i.txt"], _LEVELS),
+    (["gstar", "i.txt"], _LEVELS),
+    (["mincost", "i.txt"], _LEVELS | _POPULARITY | {"popmax.certificates", "popmax.mincost"}),
+    (["--json", "emit-lp", "i.txt"], _LEVELS | {"popmax.mincost"}),
     (["gen-random", "--na", "2", "--nb", "2", "--density", "1", "--seed", "1"], {"argparse"}),
+    (["gen-hardness", "f.cnf"], {"argparse", "popmax.hardness"}),
+    (["check-reduction", "f.cnf"], {"argparse", "popmax.hardness"} | _POPULARITY),
 ])
 def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
-    """A file command loads no argparse; a command with options does."""
-    (tmp_path / "i.txt").write_text(I3_TEXT)
-    (tmp_path / "m.txt").write_text("a1 b1\n")
-    code = ("import contextlib, io, popmax.cli\n"
-            f"with contextlib.redirect_stdout(io.StringIO()): popmax.cli.main({argv!r})")
-    assert _loaded_by(code, tmp_path) & (LAYERS | {"argparse"}) == layers
+    """A file command loads no argparse; a command with options does.
+    `certify` reads potentials and `emit-lp` the table layout, so neither
+    loads the other's layers, and `gen-hardness` checks no Pareto verdict."""
+    assert _run_loaded(argv, tmp_path) & (LAYERS | {"argparse"}) == layers
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("command", sorted(popmax.cli.FILE_COMMANDS))
+def test_only_json_output_loads_json(tmp_path, command, as_json):
+    """The text form of a file command loads no `json`; its `--json` form
+    loads it to write the envelope."""
+    files = {"instance": "i.txt", "matching": "m.txt"}
+    argv = ["--json"] * as_json + [command] + [files[f] for f in popmax.cli.FILE_COMMANDS[command][0]]
+    assert ("json" in _run_loaded(argv, tmp_path)) == as_json
 
 
 def test_package_root_exports_the_same_names():
