@@ -179,19 +179,20 @@ def main(argv=None) -> int:
     tests = args.tests or [f"tests/test_{args.module}.py"]
     outcomes: dict[str, list[str]] = {"killed": [], "flaky": [], "survived": []}
     with tempfile.TemporaryDirectory() as tmp:
-        copies = {}
-        for name in ("mutant", "clean"):
-            copies[name] = Path(tmp) / name / "src"
-            shutil.copytree(ROOT / "src", copies[name],
-                            ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-            (copies[name] / "popmax" / path.name).write_text(ast.unparse(tree) + "\n", encoding="utf-8")
-        src, clean = copies["mutant"], copies["clean"]
+        src, clean = (Path(tmp) / name / "src" for name in ("mutant", "clean"))
+
+        def write(copy: Path) -> None:
+            (copy / "popmax" / path.name).write_text(ast.unparse(tree) + "\n", encoding="utf-8")
+
+        for copy in (src, clean):
+            shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+            write(copy)
         failure = _run(clean, tests, args.timeout)
         if failure is not None:
             sys.exit(f"the tests fail on the unmutated module as ast.unparse writes it: {failure}")
         for k, (description, apply) in enumerate(sites, 1):
             undo = apply()
-            (src / "popmax" / path.name).write_text(ast.unparse(tree) + "\n", encoding="utf-8")
+            write(src)
             outcome, why = _judge(src, clean, tests, args.timeout)
             if outcome != "killed" and tests != ["tests/"]:
                 outcome, why = _judge(src, clean, ["tests/"], 10 * args.timeout)
