@@ -8,9 +8,9 @@ runs `solve`, `mincost`, `--json mincost`, `emit-lp` and `gstar`; up to six
 of its maximum matchings (popular ones first) and one non-maximum matching
 run `verify`, `certify` and `pareto`, each also with `--json`. Two larger costed
 instances (sides 13 and 17, density 0.3) run `emit-lp` and `--json
-emit-lp` only. Five edge cases of the derived-instance layout (|A| = 0,
-|A| = 1 so no dummies, |B| = 0, isolated nodes, and a level-heavy 7x2
-costed instance) run `mincost`, `--json mincost`, `emit-lp` and `--json
+emit-lp` only. Six edge cases of the derived-instance layout (|A| = 0,
+|A| = 1 so no dummies, |B| = 0, isolated nodes, ids that the LP encoding
+escapes, and a level-heavy 7x2 costed instance) run `mincost`, `--json mincost`, `emit-lp` and `--json
 emit-lp`; the 7x2 one also runs `gstar`,
 whose derived instance keeps |A| levels. Seven level-heavy instances
 (|A| from 30 to 60, |B| from 1 to 6, four of them costed) run `solve`,
@@ -66,6 +66,10 @@ EDGE_CASES = {
     "edge-b0": "side A a1 a2 a3\nside B\n",
     "edge-isolated": "side A a1 a2 a3 a4\nside B b1 b2 b3\npref a1: b1 b3\npref a3: b3 b1\n"
                      "pref b1: a3 a1\npref b3: a1 a3\ncost a1 b1 4\ncost a3 b1 1\ncost a3 b3 2\n",
+    # ids `_enc` writes with %XX escapes: a two-byte UTF-8 letter, '-' and '.'
+    "edge-escapes": "side A \u00e9 a.b\nside B x-1 b\npref \u00e9: x-1 b\npref a.b: x-1\n"
+                    "pref x-1: a.b \u00e9\npref b: \u00e9\ncost \u00e9 x-1 3\ncost a.b x-1 2\n"
+                    "cost \u00e9 b 1\n",
 }
 # |A| much larger than |B|: random_instance arguments
 LEVEL_COMMANDS = (("solve",), ("mincost",), ("--json", "mincost"))
