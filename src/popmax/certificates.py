@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .core import Instance, Matching, _lines, _pins, _weights, is_maximum
 from .errors import CertificateError, InternalError, NotMaximumError, NotPopularError, NotStableError, ParseError
-from .popularity import Witness, _witness_or_potentials
 
 if TYPE_CHECKING:  # `lift` and `extract_certificate` import the derived instance when called
     from .gstar import GStarInstance, GStarTables
@@ -225,6 +224,7 @@ def certify_popular_max(inst: Instance, m: Matching) -> DualCertificate:
     potentials; their halves are the raw levels of the certificate. Raises
     NotMaximumError unless m is maximum.
     """
+    from .popularity import Witness, _witness_or_potentials
     found = _witness_or_potentials(inst, m)
     if isinstance(found, Witness):
         raise NotPopularError(

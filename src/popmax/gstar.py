@@ -13,17 +13,17 @@ number of levels T: its ids and the positions in each list are arithmetic
 on the source's lists. Its constructor checks the source's ids and lays
 out the edge costs, and its `copy_lists` and `other_lists` are the one
 place the three list orders are written, on any labels: `_lists` reads
-them with ids, and the LP emitter with its terms. The products keep the
-paper's T = n0: the LP emitter builds no id lists, `build_gstar` names
-the ids and lists for the `gstar` command and for `certificates.lift`,
-and `level_proposals` reports its levels. The routes that return only a
-source matching run fewer. `popular_max_matching` runs T =
-`_n_levels(inst)` = max(min(|A|, |B|), 1) levels, which yields the same
-matching (see `_n_levels`). Min-cost optimization walks the lists in one
-loop over level counts: from T or, when the run at T matches every node
-with neighbors, from two levels above the run's top one, doubling up to T
-until a stopping rule fires (claim (f) of `mincost.min_cost_popular_max`),
-with the same result.
+them with ids, and the LP emitter with its nodes' tokens. The products
+keep the paper's T = n0: the LP emitter builds no id lists, `build_gstar`
+names the ids and lists for the `gstar` command and for
+`certificates.lift`, and `level_proposals` reports its levels. The routes
+that return only a source matching run fewer. `popular_max_matching` runs
+T = `_n_levels(inst)` = max(min(|A|, |B|), 1) levels, which yields the
+same matching (see `_n_levels`). Min-cost optimization walks the lists in
+one loop over level counts: from T or, when the run at T matches every
+node with neighbors, from two levels above the run's top one, doubling up
+to T until a stopping rule fires (claim (f) of
+`mincost.min_cost_popular_max`), with the same result.
 """
 
 from __future__ import annotations
@@ -59,9 +59,10 @@ class GStarTables:
     the image of the j-th B-node is n*T + j, and dummy i (1 <= i < T) of
     the k-th A-node is n*T + |B| + k*(T-1) + i-1. `copies(k)`, `image(j)`
     and `dummies(k)` are the one way to these ids and `origin` the one way
-    back, which `names` reads to label them all. The copies, ids below
-    `n_copies` = n*T, are the proposing side. The paper's instance has
-    T = n. `index` gives every source node its position on its side.
+    back; `names` labels them all, one block of ids at a time. The
+    copies, ids below `n_copies` = n*T, are the proposing side. The
+    paper's instance has T = n. `index` gives every source node its
+    position on its side.
 
     The lists are arithmetic on the source's, and `image_start` and
     `level_block` give where each id sits in its neighbors' lists:
@@ -130,22 +131,18 @@ class GStarTables:
         ends = [(), *zip(dummies), ()]  # copy i: ends[i] below the images, ends[i+1] above
         return [[*lower, *images, *upper] for lower, upper in zip(ends, ends[1:])]
 
-    def other_lists(self, rows) -> Iterator:
+    def other_lists(self, copies) -> Iterator:
         """The lists of the images, then of the dummies, in id order, made of
-        the labels in `rows`: `rows[k][i][p]` labels the edge at entry p of
-        copy (k, i)'s list as `copy_lists` lays it out, and an image or dummy
-        lists each of its edges by the label its copy gives it. Image b
-        lists the copies of its neighbors level by level from the top, each
-        level in b's order; dummy i lists its lower copy i-1, then its upper
-        copy i."""
+        the copies' labels: `copies[k][i]` labels copy (k, i), and every
+        entry of these lists is a copy. Image b lists the copies of its
+        neighbors level by level from the top, each level in b's order;
+        dummy i lists its lower copy i-1, then its upper copy i."""
         inst, index = self.source, self.index
-        rank = inst._rank
-        at = [(i, self.image_start(i)) for i in sorted(range(self.n_levels), key=self.level_block)]
+        top_first = sorted(range(self.n_levels), key=self.level_block)
         for b in inst.side_b:
-            picks = [(rows[index[a]], rank[a][b]) for a in inst.prefs[b]]
-            yield [row[i][start + r] for i, start in at for row, r in picks]
-        yield from zip([lower[-1] for row in rows for lower in row[:-1]],
-                       [upper[0] for row in rows for upper in row[1:]])
+            rows = [copies[index[a]] for a in inst.prefs[b]]
+            yield [row[i] for i in top_first for row in rows]
+        yield from (pair for row in copies for pair in zip(row[:-1], row[1:]))
 
     def origin(self, u: int) -> tuple:
         """("copy", a, i), ("image", b) or ("dummy", a, i): the node id u stands for."""
@@ -160,10 +157,13 @@ class GStarTables:
         return ("dummy", self.source.side_a[k], i + 1)
 
     def names(self, copy, image, dummy) -> list:
-        """Every id's label in id order, read off `origin`: `copy(a, i)`,
-        `image(b)` or `dummy(a, i)` of the node it stands for."""
-        label = {"copy": copy, "image": image, "dummy": dummy}
-        return [label[o[0]](*o[1:]) for o in map(self.origin, range(self.n_nodes))]
+        """Every id's label in id order, block by block as `copies`, `image`
+        and `dummies` number the ids: `copy(a, i)` for the copies, a-major,
+        then `image(b)` for the images, then `dummy(a, i)` for the
+        dummies, a-major."""
+        side_a, levels = self.source.side_a, range(self.n_levels)
+        return ([copy(a, i) for a in side_a for i in levels] + [*map(image, self.source.side_b)]
+                + [dummy(a, i) for a in side_a for i in levels[1:]])
 
     def cost(self, e: tuple[int, int]) -> int:
         """Cost of the edge (copy, partner): its source edge's, 0 for a dummy edge."""
@@ -217,13 +217,12 @@ class GStarTables:
 def _lists(gt: GStarTables) -> list:
     """The preference lists of the derived instance by id, each from most
     to least preferred, composed by `gt`'s `copy_lists` and `other_lists`."""
-    inst, index, t = gt.source, gt.index, gt.n_levels
+    inst, index = gt.source, gt.index
     lists = []
     for k, a in enumerate(inst.side_a):
         lists += gt.copy_lists([gt.image(index[b]) for b in inst.prefs[a]], gt.dummies(k))
-    # each copy's own id at every entry of its list, grouped by A-node
-    owners = [[u] * len(lst) for u, lst in enumerate(lists)]
-    lists += gt.other_lists([owners[k * t:(k + 1) * t] for k in range(len(inst.side_a))])
+    # the copies' ids as lists, whose int objects the images' lists share
+    lists += gt.other_lists([list(gt.copies(k)) for k in range(len(inst.side_a))])
     return lists
 
 

@@ -15,9 +15,8 @@ tables. Everything is exact integer arithmetic.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Iterator
-from itertools import accumulate, islice
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import Instance, Matching, _pins, make_matching, matching_cost
@@ -488,86 +487,96 @@ def emit_lp(inst: Instance) -> str:
 
 def _lp_text(inst: Instance) -> Iterator[str]:
     """The text of `emit_lp` in pieces, each a run of whole lines, made as
-    they are consumed: the header, then per copy its stability rows, per
-    node its degree rows, per A-node the linkage rows of its edges and the
-    bounds of its copies' edges, and the rest. The instance is checked on
-    the first `next`.
+    they are consumed: the header, then per copy its stability rows, the
+    degree rows T nodes at a time, per A-node the linkage rows of its edges
+    and the bounds of its copies' edges, and the rest. The instance is
+    checked on the first `next`.
 
     The rows are written from the layout of the paper's derived instance,
     a `gstar.GStarTables`, whose id lists are never built: each source node
-    is encoded once, `GStarTables.names` labels every derived node with its
-    encoding, each copy's edge terms are formatted once in the order
-    of `GStarTables.copy_lists`, and `other_lists` lists the same strings
-    for the images and dummies. The stability and linkage rows find a
-    copy's terms in an image's row at the positions `image_start` and
-    `level_block` give.
+    is encoded once and `GStarTables.names` labels every derived node with
+    its encoding. The edge of copy u and partner v is the variable
+    xs.<u>.<v>, so a row is one `_terms` join of tokens between fixed
+    strings: a copy's row joins its partners' tokens in the order of
+    `GStarTables.copy_lists`, and an image's or dummy's row the tokens of
+    the copies that `other_lists` lists for it. Only the tokens, each
+    node's row and each image's prefix ends are kept. A stability row
+    takes two prefixes: the copy's row up to the image's term, whose end
+    runs along the row, and the image's row up to the copy's term, which
+    ends where `image_start` and `level_block` place it.
     """
     gt = GStarTables(inst, len(inst.side_a))
-    levels, index, prefs, src_rank = range(gt.n_levels), gt.index, inst.prefs, inst._rank
-    shift = [gt.image_start(i) for i in levels]
+    prefs, src_rank = inst.prefs, inst._rank
     enc = {u: _enc(u) for u in inst.nodes}
     pair = {e: f"{enc[e[0]]}.{enc[e[1]]}" for e in inst.edges}  # x.<pair> per source edge
     token = gt.names(lambda a, i: f"{enc[a]}.c{i}", lambda b: f"{enc[b]}.t",
                      lambda a, i: f"{enc[a]}.d{i}")
+    image = {b: gt.image(j) for j, b in enumerate(inst.side_b)}
 
-    # each copy's edge terms in its list's order, formatted once and kept by
-    # A-node and level; the images and dummies list the same strings. Each
-    # row is joined once, into `joined` by node id
-    by_level = []  # by_level[k][i]: the terms of copy (k, i)
-    for k, a in enumerate(inst.side_a):
-        lists = gt.copy_lists([token[gt.image(index[b])] for b in prefs[a]],
-                              [token[d] for d in gt.dummies(k)])
-        heads = [f"xs.{token[u]}." for u in gt.copies(k)]
-        by_level.append([[head + v for v in lst] for head, lst in zip(heads, lists)])
-    joined = [" + ".join(terms) for rows in by_level for terms in rows]
-    # an image's first p terms with their separators end at start[j][p]
-    start = []
-    others = gt.other_lists(by_level)  # the images' terms, then the dummies'
-    for terms in islice(others, len(inst.side_b)):
-        joined.append(" + ".join(terms))
-        start.append(array("q", accumulate(map(_SEP.__add__, map(len, terms)), initial=0)))
-    joined += map(" + ".join, others)
+    # the copies are the ids below n_copies: each one's partners by level,
+    # by A-node, and the head of each of its terms
+    lists = [gt.copy_lists([token[image[b]] for b in prefs[a]], [token[d] for d in gt.dummies(k)])
+             for k, a in enumerate(inst.side_a)]
+    heads = [f"xs.{t}." for t in token[:gt.n_copies]]
+    joined = [_terms(head, lst, "") for head, lst in zip(heads, chain.from_iterable(lists))]
+    # each A-node's copies by level, as tokens; the images' and dummies'
+    # lists in id order, of those tokens
+    copies = [[token[u] for u in gt.copies(k)] for k in range(len(inst.side_a))]
+    others = list(gt.other_lists(copies))
+    joined += [_terms("xs.", lst, f".{token[v]}") for v, lst in enumerate(others, gt.n_copies)]
+    # an image's first q terms with their separators end at ends[j][q]
+    ends = []
+    for v, lst in enumerate(others[:len(inst.side_b)], gt.n_copies):
+        around = len(f"xs..{token[v]} + ")  # a term and its separator, less the copy's token
+        ends.append(list(accumulate([len(u) + around for u in lst], initial=0)))
 
     terms = [f"{inst.cost(e)} x.{p}" for e, p in pair.items()]
     if not terms:
-        terms = [f"0 {r[0]}" for rows in by_level for r in rows if r][:1]
+        terms = [f"0 {row.split(' + ')[0]}" for row in joined[:gt.n_copies] if row][:1]
+    # each level's block in an image's row and start in a copy's row
+    spots = [(gt.level_block(i), gt.image_start(i)) for i in range(gt.n_levels)]
     yield ("\\ extended formulation for the popular max-matching polytope\n"
            f"Minimize\n obj: {' + '.join(terms)}\nSubject To\n")
 
     for k, a in enumerate(inst.side_a):
-        # per neighbor b: the token of its image, the image's row and term
-        # offsets, deg(b) and rank_b(a), so copy (k, i) sits at
-        # level_block(i) * deg(b) + rank_b(a) in the image's row
-        images = [(f"{token[gt.image(index[b])]}: ", joined[gt.image(index[b])], start[index[b]],
-                   len(prefs[b]), src_rank[b][a]) for b in prefs[a]]
-        for i, u, terms in zip(levels, gt.copies(k), by_level[k]):
-            head, ju, block = f" stab.{token[u]}.", joined[u], gt.level_block(i)
-            ends = accumulate(map(_SEP.__add__, map(len, terms)), initial=0)
-            parts = []  # the rows' pieces, joined once, so each row is copied once
-            for (name, jv, sv, deg, r), term, end in zip(images, terms[shift[i]:],
-                                                         islice(ends, shift[i], None)):
-                parts += (head, name, ju[:end], jv[:sv[block * deg + r]], term, " >= 1\n")
+        # per neighbor b: its image's token and row, and the ends in that
+        # row of a's copies by level block: copy (k, i) sits at
+        # level_block(i) * deg(b) + rank_b(a)
+        images = [(token[image[b]], joined[image[b]], ends[gt.index[b]][src_rank[b][a]::len(prefs[b])])
+                  for b in prefs[a]]
+        for (block, s), u, lst in zip(spots, gt.copies(k), lists[k]):
+            stab, head, ju = f" stab.{token[u]}.", heads[u], joined[u]
+            end = sum(map(len, lst[:s])) + s * (len(head) + _SEP)  # the copy's row before its first image
+            parts = []  # the rows' pieces, joined once, so each prefix is copied twice
+            for v, jv, at in images:
+                parts += (stab, v, ": ", ju[:end], jv[:at[block]], head, v, " >= 1\n")
+                end += len(head) + len(v) + _SEP
             yield "".join(parts)
 
-    # the nodes every stable matching matches: those the dummy chains fill
-    # when no source node is matched
-    must_match = {x for e in gt.place((), {}) for x in e}
-    for node, row in enumerate(joined):
-        if row:
-            parts = [" deg.", token[node], ": ", row, " <= 1\n"]
-            if node in must_match:
-                parts += (" fix.", token[node], ": ", row, " = 1\n")
-            yield "".join(parts)
+    # the degree rows T nodes a piece, with a fix row for each node every
+    # stable matching matches: those the dummy chains fill when no source
+    # node is matched
+    must_match = set(chain.from_iterable(gt.place((), {})))
+    step = max(gt.n_levels, 1)
+    for lo in range(0, gt.n_nodes, step):
+        yield "".join([f" deg.{t}: {row} <= 1\n fix.{t}: {row} = 1\n" if u in must_match
+                       else f" deg.{t}: {row} <= 1\n"
+                       for u, t, row in zip(range(lo, lo + step), token[lo:lo + step], joined[lo:lo + step])
+                       if row])
 
     for k, a in enumerate(inst.side_a):  # the source edges in order, A-node by A-node
-        rows = []
-        for b in prefs[a]:
-            p, r = pair[a, b], src_rank[a][b]
-            links = " - ".join([terms[shift[i] + r] for i, terms in enumerate(by_level[k])])
-            rows.append(f" link.{p}: x.{p} - {links} = 0\n")
-        yield "".join(rows)
+        # each edge's copies, by level
+        links = [(pair[a, b], _terms("xs.", copies[k], f".{token[image[b]]}", " - ")) for b in prefs[a]]
+        yield "".join([f" link.{p}: x.{p} - {terms} = 0\n" for p, terms in links])
 
     yield "Bounds\n"
-    for rows in by_level:
-        yield "".join([f" 0 <= {term} <= 1\n" for terms in rows for term in terms])
-    yield "".join([f" 0 <= x.{p} <= 1\n" for p in pair.values()]) + "End\n"
+    for k in range(len(inst.side_a)):
+        yield "".join([_terms(f" 0 <= {heads[u]}", lst, " <= 1\n", "")
+                       for u, lst in zip(gt.copies(k), lists[k])])
+    yield _terms(" 0 <= x.", pair.values(), " <= 1\n", "") + "End\n"
+
+
+def _terms(head: str, items, tail: str, sep: str = " + ") -> str:
+    """head + item + tail for each item, joined by sep, in one join."""
+    body = (tail + sep + head).join(items)
+    return f"{head}{body}{tail}" if body else ""

@@ -7,7 +7,9 @@ Each mutant makes one change inside the named functions (all of the module's
 functions when none is named):
 - one comparison swapped: < and <=, > and >=, == and !=;
 - one + turned into - or back, in an expression or an augmented assignment;
-- one integer constant 0, 1 or 2 raised by 1.
+- one integer constant 0, 1 or 2 raised by 1;
+- the test of one `if`, `while` or conditional expression negated: wrapped
+  in `not`, or stripped of the `not` it has.
 
 The mutated module is written with `ast.unparse` into a copy of `src/`, and
 the test files (`--tests`, by default `tests/test_<module>.py`) run against
@@ -44,6 +46,7 @@ SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Add: ast.Sub, ast.Sub: ast.Add}
 SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
           ast.NotEq: "!=", ast.Add: "+", ast.Sub: "-"}
+KEYWORD = {ast.If: "if", ast.While: "while", ast.IfExp: "if-else"}
 
 
 def _functions(tree: ast.Module, names: list[str]) -> list[ast.AST]:
@@ -82,6 +85,13 @@ def _sites(functions: list[ast.AST]):
                     and node.value in (0, 1, 2)):
                 yield (f"line {line}: {node.value} -> {node.value + 1}",
                        _setter(node, "value", node.value + 1))
+            elif isinstance(node, (ast.If, ast.While, ast.IfExp)):
+                kind = KEYWORD[type(node)]
+                if isinstance(node.test, ast.UnaryOp) and isinstance(node.test.op, ast.Not):
+                    yield f"line {line}: {kind} not x -> x", _setter(node, "test", node.test.operand)
+                else:
+                    yield (f"line {line}: {kind} x -> not x",
+                           _setter(node, "test", ast.UnaryOp(ast.Not(), node.test)))
 
 
 def _setter(target, key, value):

@@ -88,7 +88,8 @@ def test_certify_and_pareto(files, capsys):
 
 
 def test_certify_rejection_runs_one_popularity_pass(files, capsys, monkeypatch):
-    from popmax import certificates, popularity
+    """`certify_popular_max` reads the pass off `popularity` when it runs."""
+    from popmax import popularity
 
     one_pass = popularity._witness_or_potentials
     calls = []
@@ -98,7 +99,6 @@ def test_certify_rejection_runs_one_popularity_pass(files, capsys, monkeypatch):
         return one_pass(inst, m)
 
     monkeypatch.setattr(popularity, "_witness_or_potentials", counted)
-    monkeypatch.setattr(certificates, "_witness_or_potentials", counted)
     code, out, _ = run(capsys, "certify", files["i3"], files["bad"])
     assert code == 1 and out == "path: a1 (b1,a3) wt=2\n"
     assert len(calls) == 1

@@ -182,7 +182,7 @@ _LEVELS = {"popmax.gstar", "popmax.stable"}
     (["certify", "i.txt", "m.txt"], _POPULARITY | {"popmax.certificates"}),
     (["solve", "i.txt"], _LEVELS),
     (["gstar", "i.txt"], _LEVELS),
-    (["mincost", "i.txt"], _LEVELS | _POPULARITY | {"popmax.certificates", "popmax.mincost"}),
+    (["mincost", "i.txt"], _LEVELS | {"popmax.certificates", "popmax.mincost"}),
     (["--json", "emit-lp", "i.txt"], _LEVELS | {"popmax.mincost"}),
     (["gen-random", "--na", "2", "--nb", "2", "--density", "1", "--seed", "1"], {"argparse"}),
     (["gen-hardness", "f.cnf"], {"argparse", "popmax.hardness"}),
@@ -191,7 +191,9 @@ _LEVELS = {"popmax.gstar", "popmax.stable"}
 def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
     """A file command loads no argparse; a command with options does.
     `certify` reads potentials and `emit-lp` the table layout, so neither
-    loads the other's layers, and `gen-hardness` checks no Pareto verdict."""
+    loads the other's layers, `mincost` reads its certificate off its own
+    levels and loads no `popularity`, and `gen-hardness` checks no Pareto
+    verdict."""
     assert _run_loaded(argv, tmp_path) & (LAYERS | {"argparse"}) == layers
 
 
