@@ -59,12 +59,14 @@ class Instance(_Frozen):
     prefs[b], and the edge set is exactly those mutual pairs. Costs default
     to 0 and are stored only for nonzero values; keys must be edges.
     Fields cannot be rebound, and all operations on instances are pure; the
-    `prefs` and `costs` dicts must not be mutated either, since the rank
-    maps built from the lists on their first read would go stale. Instances
-    are unhashable.
+    `prefs` and `costs` dicts must not be mutated either, since they are
+    checked once, here. An instance keeps no rank maps: `rank` reads a
+    position off the list, and a routine that compares ranks in a loop
+    builds the maps of just the lists it compares on with `_rank_maps`.
+    Instances are unhashable.
     """
 
-    __slots__ = ("side_a", "side_b", "prefs", "costs", "_ranks", "_a_set")
+    __slots__ = ("side_a", "side_b", "prefs", "costs", "_a_set")
     _compared = ("side_a", "side_b", "prefs", "costs")
 
     def __init__(self, side_a: Sequence[str], side_b: Sequence[str],
@@ -146,16 +148,7 @@ class Instance(_Frozen):
                     costs[e if type(e) is tuple else (a, b)] = value
         except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"bad cost entry {e!r}: {c!r}") from None
-        self._set(side_a=side_a, side_b=side_b, prefs=prefs, costs=costs, _ranks=None, _a_set=a_set)
-
-    @property
-    def _rank(self) -> dict[str, dict[str, int]]:
-        """Each node's rank map, v -> the position of v in prefs[u]: built by
-        `_rank_maps` on the first read and kept. Only the solvers, `rank`,
-        `compare` and `wt_edge` read it; a verdict reads positions off the lists."""
-        if self._ranks is None:
-            self._set(_ranks=_rank_maps(self.prefs))
-        return self._ranks
+        self._set(side_a=side_a, side_b=side_b, prefs=prefs, costs=costs, _a_set=a_set)
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -181,15 +174,21 @@ class Instance(_Frozen):
         return (a, b)
 
     def rank(self, u: str, v: str) -> int:
-        return self._rank[u][v]
+        """The position of v in u's list; KeyError if v is not on it."""
+        try:
+            return self.prefs[u].index(v)
+        except ValueError:
+            raise KeyError(v) from None
 
     def cost(self, e: Edge) -> int:
         return self.costs.get(e, 0)
 
 
-def _rank_maps(prefs: dict[str, tuple[str, ...]]) -> dict[str, dict[str, int]]:
-    """u -> (v -> position of v in prefs[u]), for every list."""
-    return {u: {v: i for i, v in enumerate(lst)} for u, lst in prefs.items()}
+def _rank_maps(prefs, nodes) -> dict:
+    """u -> (v -> position of v in prefs[u]) for each u of `nodes`: the rank
+    maps of just the lists a caller compares on. `prefs` is a source
+    instance's lists or the derived instance's lists by integer id."""
+    return {u: {v: i for i, v in enumerate(prefs[u])} for u in nodes}
 
 
 class Matching(_Frozen):
@@ -250,8 +249,7 @@ def wt_edge(inst: Instance, m: Matching, e: Edge) -> int:
     a, b = inst.as_edge(*e)
     if m.partner.get(a) == b:
         return 0
-    rank = inst._rank
-    wants = sum(p is None or rank[u][v] < rank[u][p]
+    wants = sum(p is None or inst.rank(u, v) < inst.rank(u, p)
                 for u, v, p in ((a, b, m.partner.get(a)), (b, a, m.partner.get(b))))
     return 2 * wants - 2
 
@@ -313,14 +311,13 @@ def compare(inst: Instance, m: Matching, n: Matching) -> VoteTally:
     a node matched in both prefers the better partner; otherwise it abstains.
     """
     phi_mn = phi_nm = 0
-    rank = inst._rank
     for u in inst.nodes:
         pm = m.partner_of(u)
         pn = n.partner_of(u)
         if pm == pn:
             continue
-        rm = rank[u][pm] if pm is not None else None
-        rn = rank[u][pn] if pn is not None else None
+        rm = inst.rank(u, pm) if pm is not None else None
+        rn = inst.rank(u, pn) if pn is not None else None
         if rn is None or (rm is not None and rm < rn):
             phi_mn += 1
         elif rm is None or rn < rm:

@@ -19,6 +19,7 @@ from collections.abc import Iterator
 from itertools import accumulate, chain
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import core
 from .core import Instance, Matching, _pins, make_matching, matching_cost
 from .errors import InternalError
 from .gstar import GStarTables, _level_run, _lists, _n_levels
@@ -54,9 +55,10 @@ class RotationPoset(NamedTuple):
 def find_rotations(inst: Instance) -> RotationPoset:
     """Discover all rotations in one walk from the man-optimal matching and
     build the precedence DAG; the walk reads the instance's own preference
-    lists and rank maps (see `_rotation_walk`)."""
-    base = gale_shapley(inst)
-    cycles, preds = _rotation_walk(inst.prefs, inst._rank, inst.side_a, base.partner)
+    lists and the rank maps of every node's, since it compares on both
+    sides (see `_rotation_walk`)."""
+    base, prefs = gale_shapley(inst), inst.prefs
+    cycles, preds = _rotation_walk(prefs, core._rank_maps(prefs, inst.nodes), inst.side_a, base.partner)
     return RotationPoset(inst, tuple(cycles), preds, base)
 
 
@@ -434,7 +436,7 @@ def _min_cost_run(inst: Instance, n_levels: int, run) -> tuple[MinCostResult, in
     lists of `gstar._lists` and the rank maps built here."""
     gt = GStarTables(inst, n_levels)
     prefs = _lists(gt)
-    rank = [{v: r for r, v in enumerate(lst)} for lst in prefs]
+    rank = core._rank_maps(prefs, range(gt.n_nodes))
     m0, level = run
     base = gt.place(m0.pairs, level)
     partner = dict(base)
@@ -506,7 +508,7 @@ def _lp_text(inst: Instance) -> Iterator[str]:
     ends where `image_start` and `level_block` place it.
     """
     gt = GStarTables(inst, len(inst.side_a))
-    prefs, src_rank = inst.prefs, inst._rank
+    prefs, rank = inst.prefs, core._rank_maps(inst.prefs, inst.side_b)
     enc = {u: _enc(u) for u in inst.nodes}
     pair = {e: f"{enc[e[0]]}.{enc[e[1]]}" for e in inst.edges}  # x.<pair> per source edge
     token = gt.names(lambda a, i: f"{enc[a]}.c{i}", lambda b: f"{enc[b]}.t",
@@ -542,7 +544,7 @@ def _lp_text(inst: Instance) -> Iterator[str]:
         # per neighbor b: its image's token and row, and the ends in that
         # row of a's copies by level block: copy (k, i) sits at
         # level_block(i) * deg(b) + rank_b(a)
-        images = [(token[image[b]], joined[image[b]], ends[gt.index[b]][src_rank[b][a]::len(prefs[b])])
+        images = [(token[image[b]], joined[image[b]], ends[gt.index[b]][rank[b][a]::len(prefs[b])])
                   for b in prefs[a]]
         for (block, s), u, lst in zip(spots, gt.copies(k), lists[k]):
             stab, head, ju = f" stab.{token[u]}.", heads[u], joined[u]

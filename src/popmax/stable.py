@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from . import core
 from .core import Edge, Instance, Matching, _blocking, make_matching
 
 
@@ -23,9 +24,11 @@ def _propose(inst: Instance, top: int) -> tuple[dict[str, str], dict[str, int]]:
     """Deferred acceptance from side A, a fixed queue in declaration order,
     with levels 0..top: a proposer that exhausts its list starts it again
     one level higher, and stays unmatched at `top`. A receiver holds the
-    proposer with the largest (level, own preference). Returns the
-    receiver -> proposer map and every proposer's final level."""
-    prefs, rank, proposers = inst.prefs, inst._rank, inst.side_a
+    proposer with the largest (level, own preference), read off the rank
+    maps of the receivers' lists, the only ones it compares on, built here
+    once. Returns the receiver -> proposer map and every proposer's final
+    level."""
+    prefs, proposers, rank = inst.prefs, inst.side_a, core._rank_maps(inst.prefs, inst.side_b)
     level = dict.fromkeys(proposers, 0)
     next_choice = dict.fromkeys(proposers, 0)
     held: dict[str, str] = {}

@@ -4,12 +4,20 @@
         --functions Instance.__post_init__ _cuts _weights _blocking parse_matching _rank_maps
 
 Each mutant makes one change inside the named functions (all of the module's
-functions when none is named):
-- one comparison swapped: < and <=, > and >=, == and !=;
-- one + turned into - or back, in an expression or an augmented assignment;
-- one integer constant 0, 1 or 2 raised by 1;
-- the test of one `if`, `while` or conditional expression negated: wrapped
-  in `not`, or stripped of the `not` it has.
+functions when none is named), of one of these kinds (`--kinds` picks some):
+- compare: one comparison swapped: < and <=, > and >=, == and !=;
+- arith: one + turned into - or back, in an expression or an augmented
+  assignment;
+- const: one integer constant 0, 1 or 2 raised by 1;
+- negate: the test of one `if`, `while` or conditional expression, or one
+  `if` filter of a comprehension or generator expression, negated: wrapped
+  in `not`, or stripped of the `not` it has;
+- delete: one call made as a statement, such as `gc.disable()`, replaced by
+  `pass`;
+- flip: one keyword argument given as True or False, such as
+  `sort_keys=True`, given the other.
+`--list` prints one line per mutant, naming its line and column and what it
+changes (the code itself for the last three kinds), and runs none.
 
 The mutated module is written with `ast.unparse` into a copy of `src/`, and
 the test files (`--tests`, by default `tests/test_<module>.py`) run against
@@ -47,6 +55,21 @@ SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
 SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
           ast.NotEq: "!=", ast.Add: "+", ast.Sub: "-"}
 KEYWORD = {ast.If: "if", ast.While: "while", ast.IfExp: "if-else"}
+KINDS = ("compare", "arith", "const", "negate", "delete", "flip")
+
+
+def _code(node: ast.AST) -> str:
+    """The source of `node` as `ast.unparse` writes it, cut to one short line."""
+    text = " ".join(ast.unparse(node).split())
+    return text if len(text) <= 48 else text[:45] + "..."
+
+
+def _negation(where: str, kind: str, test: ast.expr):
+    """(description, the test negated) for a test: wrapped in `not`, or
+    stripped of the `not` it has."""
+    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+        return f"line {where}: {kind} {_code(test)} -> {_code(test.operand)}", test.operand
+    return f"line {where}: {kind} {_code(test)} -> not ...", ast.UnaryOp(ast.Not(), test)
 
 
 def _functions(tree: ast.Module, names: list[str]) -> list[ast.AST]:
@@ -67,31 +90,42 @@ def _functions(tree: ast.Module, names: list[str]) -> list[ast.AST]:
 
 
 def _sites(functions: list[ast.AST]):
-    """(description, apply) for each mutation site; `apply` makes the change
-    on the node it was found on and returns the undo."""
+    """(kind, description, apply) for each mutation site; `apply` makes the
+    change on the node it was found on and returns the undo."""
     for fn in functions:
         for node in ast.walk(fn):
             line = f"{getattr(node, 'lineno', '?')}:{getattr(node, 'col_offset', '?')}"
+            for field in ("body", "orelse", "finalbody"):
+                stmts = getattr(node, field, None)
+                for i, stmt in enumerate(stmts if isinstance(stmts, list) else ()):
+                    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+                        yield ("delete", f"line {stmt.lineno}:{stmt.col_offset}: delete {_code(stmt)}",
+                               _setter(stmts, i, ast.Pass()))
             if isinstance(node, ast.Compare):
                 for i, op in enumerate(node.ops):
                     if type(op) in SWAPS:
                         where = line if len(node.ops) == 1 else f"{line} #{i + 1}"
-                        yield (f"line {where}: {SYMBOL[type(op)]} -> {SYMBOL[SWAPS[type(op)]]}",
+                        yield ("compare", f"line {where}: {SYMBOL[type(op)]} -> {SYMBOL[SWAPS[type(op)]]}",
                                _setter(node.ops, i, SWAPS[type(op)]()))
             elif isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAPS:
-                yield (f"line {line}: {SYMBOL[type(node.op)]} -> {SYMBOL[SWAPS[type(node.op)]]}",
+                yield ("arith", f"line {line}: {SYMBOL[type(node.op)]} -> {SYMBOL[SWAPS[type(node.op)]]}",
                        _setter(node, "op", SWAPS[type(node.op)]()))
             elif (isinstance(node, ast.Constant) and type(node.value) is int
                     and node.value in (0, 1, 2)):
-                yield (f"line {line}: {node.value} -> {node.value + 1}",
+                yield ("const", f"line {line}: {node.value} -> {node.value + 1}",
                        _setter(node, "value", node.value + 1))
             elif isinstance(node, (ast.If, ast.While, ast.IfExp)):
-                kind = KEYWORD[type(node)]
-                if isinstance(node.test, ast.UnaryOp) and isinstance(node.test.op, ast.Not):
-                    yield f"line {line}: {kind} not x -> x", _setter(node, "test", node.test.operand)
-                else:
-                    yield (f"line {line}: {kind} x -> not x",
-                           _setter(node, "test", ast.UnaryOp(ast.Not(), node.test)))
+                description, test = _negation(line, KEYWORD[type(node)], node.test)
+                yield "negate", description, _setter(node, "test", test)
+            elif isinstance(node, ast.comprehension):
+                for i, cond in enumerate(node.ifs):
+                    description, test = _negation(f"{cond.lineno}:{cond.col_offset}", "filter if", cond)
+                    yield "negate", description, _setter(node.ifs, i, test)
+            elif (isinstance(node, ast.keyword) and isinstance(node.value, ast.Constant)
+                    and type(node.value.value) is bool):
+                flipped = not node.value.value
+                yield ("flip", f"line {line}: {node.arg}={node.value.value} -> {flipped}",
+                       _setter(node, "value", ast.Constant(flipped)))
 
 
 def _setter(target, key, value):
@@ -177,11 +211,13 @@ def main(argv=None) -> int:
     parser.add_argument("--functions", nargs="*", default=[])
     parser.add_argument("--tests", nargs="*", help="test files run on every mutant")
     parser.add_argument("--timeout", type=float, default=120.0, help="seconds per mutant run")
+    parser.add_argument("--kinds", nargs="+", choices=KINDS, default=KINDS, help="the mutant kinds made")
     parser.add_argument("--list", action="store_true", help="print the mutants and run none")
     args = parser.parse_args(argv)
     path = ROOT / "src" / "popmax" / f"{args.module}.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    sites = list(_sites(_functions(tree, args.functions)))
+    sites = [(description, apply) for kind, description, apply in _sites(_functions(tree, args.functions))
+             if kind in args.kinds]
     if args.list:
         for description, _ in sites:
             print(description)

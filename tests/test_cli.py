@@ -633,9 +633,15 @@ def test_exit_code_bad_gen_random_arguments(capsys, argv):
     (("check-reduction", "{cnf}", "--max-vars", "-1"), "argument --max-vars"),
     (("check-reduction", "{cnf}", "--max-clauses", "-1"), "argument --max-clauses"),
     (("check-reduction", "{cnf}", "--max-clauses", "six"), "argument --max-clauses"),
+    ((), "required: command"),
+    (("gen-random", "--nb", "2", "--density", "0.5", "--seed", "1"), "required: --na"),
+    (("gen-random", "--na", "2", "--density", "0.5", "--seed", "1"), "required: --nb"),
+    (("gen-random", "--na", "2", "--nb", "2", "--seed", "1"), "required: --density"),
+    (("gen-random", "--na", "2", "--nb", "2", "--density", "0.5"), "required: --seed"),
 ])
 def test_exit_code_bad_option_values(files, capsys, argv, message):
-    """Option values the command cannot honour exit 2 through the parser."""
+    """Option values the command cannot honour, a missing command and a
+    missing required option exit 2 through the parser."""
     with pytest.raises(SystemExit) as exc:
         main([arg.format(**files) for arg in argv])
     captured = capsys.readouterr()
@@ -1082,26 +1088,41 @@ def test_verdicts_build_no_rank_map(tmp_path, capsys, monkeypatch):
 
 
 def test_solvers_build_the_rank_maps_at_most_once(tmp_path, capsys, monkeypatch):
-    """`solve`, `mincost` and `emit-lp` read the rank maps of their one
-    instance, built on the first read and kept."""
-    from popmax import core
+    """Each solver maps only the lists it compares on, each once: `solve`,
+    `mincost` and `emit-lp` map side B of their instance (the receivers of
+    the proposals, and the images' lists in the LP), `mincost` also every
+    derived id once per pass of its level loop, and the library's
+    `find_rotations` maps side B in its proposals, then every node for its
+    walk. The readers reach `_rank_maps` through `core` when they run, so
+    patching `core` sees every call; each call records the nodes it maps."""
+    from popmax import core, find_rotations, parse_instance
 
     build = core._rank_maps
     calls = []
 
-    def counted(prefs):
-        calls.append(len(prefs))
-        return build(prefs)
+    def counted(*args):
+        calls.append(list(args[-1]))
+        return build(*args)
 
     monkeypatch.setattr(core, "_rank_maps", counted)
     paths = {i for i, _ in _verdict_files(tmp_path)}
     costed = tmp_path / "costed.txt"
     costed.write_text(serialize_instance(random_instance(9, 8, 0.4, 3, (0, 9))))
     for path in sorted(paths | {str(costed)}):
+        inst = parse_instance(Path(path).read_text())
+        side_b = list(inst.side_b)
         for command in ("solve", "mincost", "emit-lp"):
             calls.clear()
             code, _, _ = run(capsys, command, path)
-            assert code == 0 and len(calls) <= 1, (command, path, calls)
+            assert code == 0 and calls[:1] == [side_b], (command, path, calls)
+            derived = calls[1:]
+            if command == "mincost":
+                assert derived and derived == [list(range(len(ids))) for ids in derived], (path, calls)
+            else:
+                assert derived == [], (command, path, calls)
+        calls.clear()
+        find_rotations(inst)
+        assert calls == [side_b, list(inst.nodes)], (path, calls)
 
 
 @pytest.mark.parametrize("enabled", [True, False])

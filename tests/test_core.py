@@ -228,6 +228,19 @@ def test_matching_file_roundtrip(i1):
     assert parse_matching(i1, '{"pairs": [["a1","b1"],["a2","b2"]], "cost": 0}').pairs == m.pairs
 
 
+def test_rank_is_the_position_in_the_list(i1):
+    """`rank` reads a position off the list, which an instance keeps no map
+    of, and raises `KeyError` for a node not on the list."""
+    inst = random_instance(6, 5, 0.6, 4)
+    assert Instance.__slots__ == ("side_a", "side_b", "prefs", "costs", "_a_set")
+    for u in inst.nodes:
+        assert [inst.rank(u, v) for v in inst.prefs[u]] == list(range(len(inst.prefs[u])))
+    with pytest.raises(KeyError):
+        i1.rank("a1", "a2")
+    with pytest.raises(KeyError):
+        i1.rank("a1", next(b for b in i1.side_b if b not in i1.prefs["a1"]))
+
+
 def test_wt_blocking_edge(i1):
     m = mk(i1, ("a1", "b1"), ("a2", "b2"))
     assert wt_edge(i1, m, ("a2", "b1")) == 2

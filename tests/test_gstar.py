@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import types
 
 import pytest
 
@@ -336,13 +335,10 @@ def test_solve_and_mincost_run_min_side_levels(monkeypatch, tmp_path, capsys):
         assert tops == [] and copies == [30 * 30]
 
 
-@pytest.mark.parametrize("size", [100, 200])
-@pytest.mark.parametrize("reverse", [False, True])
-def test_solve_on_the_chain_makes_a_quadratic_count_of_proposals(tmp_path, capsys, monkeypatch,
-                                                                 size, reverse):
-    """`solve` on chain(L) reads exactly L(L+1) list entries in
-    `stable._propose`, one per proposal, in either order of side A: the
-    bound ROADMAP item 12 pins until item 2 lowers it."""
+def _counted_reads(monkeypatch) -> list:
+    """Make `gstar._propose` run on a copy of its instance whose lists note
+    the position of each entry read, and return the notes. Only indexing
+    is noted: building rank maps iterates a list without indexing it."""
     reads = []
 
     class Entries(tuple):
@@ -353,13 +349,44 @@ def test_solve_on_the_chain_makes_a_quadratic_count_of_proposals(tmp_path, capsy
     propose = gstar._propose
 
     def counting(inst, top):
-        prefs = {u: Entries(lst) for u, lst in inst.prefs.items()}
-        return propose(types.SimpleNamespace(side_a=inst.side_a, prefs=prefs, _rank=inst._rank), top)
+        noting = popmax.Instance(inst.side_a, inst.side_b, inst.prefs, inst.costs)
+        object.__setattr__(noting, "prefs", {u: Entries(lst) for u, lst in inst.prefs.items()})
+        return propose(noting, top)
 
     monkeypatch.setattr(gstar, "_propose", counting)
+    return reads
+
+
+@pytest.mark.parametrize("size", [100, 200])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_solve_on_the_chain_makes_a_quadratic_count_of_proposals(tmp_path, capsys, monkeypatch,
+                                                                 size, reverse):
+    """`solve` on chain(L) reads exactly L(L+1) list entries in
+    `stable._propose`, one per proposal, in either order of side A: the
+    bound ROADMAP item 12 pins until item 2 lowers it."""
+    reads = _counted_reads(monkeypatch)
     inst, m = chain(size, reverse=reverse)
     path = tmp_path / "chain.txt"
     path.write_text(serialize_instance(inst))
     assert cli.main(["solve", str(path)]) == 0
     assert capsys.readouterr().out == serialize_matching(m)
     assert len(reads) == size * (size + 1)
+
+
+@pytest.mark.parametrize("na, nb, seed", [(60, 3, 1), (120, 3, 1), (60, 6, 2), (120, 6, 2)])
+def test_solve_on_level_heavy_instances_climbs_every_level(tmp_path, capsys, monkeypatch,
+                                                          na, nb, seed):
+    """`solve` on a complete instance with |A| >> |B| runs T = |B| levels,
+    and `stable._propose` climbs them all: the |A| - |B| A-nodes left
+    unmatched read their whole list at every level, and no A-node reads an
+    entry twice at one level, so (|A| - |B|) * |B| * T <= reads <= |E| * T.
+    The levels climb in lockstep (ROADMAP item 12's guard on item 2)."""
+    inst = random_instance(na, nb, 1.0, seed)
+    path = tmp_path / "heavy.txt"
+    path.write_text(serialize_instance(inst))
+    expected = serialize_matching(popular_max_matching(inst))
+    reads = _counted_reads(monkeypatch)
+    assert cli.main(["solve", str(path)]) == 0
+    assert capsys.readouterr().out == expected
+    t = gstar._n_levels(inst)
+    assert t == nb and (na - nb) * nb * t <= len(reads) <= len(inst.edges) * t

@@ -14,6 +14,7 @@ from popmax.oracle import (
     brute_unpopularity_factor,
     enum_matchings,
     enum_max_matchings,
+    unpopularity_ratio,
 )
 
 from conftest import mk, random_cases
@@ -76,9 +77,17 @@ def test_brute_min_cost(i0, i1, i2c):
     assert cost1 == 0
 
 
+def test_unpopularity_ratio_conventions():
+    """phi(N,M)/phi(M,N) exactly; 0 when N wins no vote, 0/0 included, and
+    infinite when N wins unopposed."""
+    assert unpopularity_ratio(0, 0) == 0 and unpopularity_ratio(0, 3) == 0
+    assert unpopularity_ratio(1, 0) == float("inf")
+    assert unpopularity_ratio(1, 3) == Fraction(1, 3) and unpopularity_ratio(4, 2) == 2
+
+
 def test_unpopularity_factor(i0, i2, i5):
     stable = mk(i2, ("a1", "b1"), ("a2", "b2"))
-    assert brute_unpopularity_factor(i2, stable) <= 1
+    assert brute_unpopularity_factor(i2, stable) == 1
     bad = mk(i5, ("a1", "b1"), ("a2", "b2"))
     assert brute_unpopularity_factor(i5, bad) == float("inf")
     assert brute_unpopularity_factor(i0, mk(i0, ("a", "b"))) == Fraction(0)
