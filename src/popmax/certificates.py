@@ -182,7 +182,7 @@ def verify_certificate(inst: Instance, m: Matching, cert: DualCertificate) -> Ce
 def _check_conditions(inst: Instance, m: Matching, cert: DualCertificate) -> CertificateReport:
     """The six conditions of verify_certificate, for a maximum m."""
     alpha = cert.alpha
-    if set(alpha) != set(m.partner):
+    if alpha.keys() != m.partner.keys():
         raise CertificateError(
             "certificate domain mismatch: must assign exactly the matched nodes")
     if cert.n0_prime != len(m.pairs):

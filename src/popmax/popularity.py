@@ -9,21 +9,25 @@ pair vertices and contribute weight 0, so directed walks are alternating
 walks. One longest-walk pass over it yields either a witness or the
 potentials that `certify_popular_max` compresses into a dual certificate;
 it stops at the first cycle of its predecessor graph, a positive cycle.
+Both passes hold the same integer arcs, made by `_arcs`: the round pass
+relaxes all of them, the Pareto pass its weight-2 arcs grouped by source.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .core import Edge, Instance, Matching, _blocking, _weights, is_maximum
 from .errors import InternalError, NotMaximumError
 
-Arc = tuple[int, int, str, str, int]  # (src vertex, dst vertex, a, b, weight)
+# (src vertex, dst vertex, weight): the edge from the A-node of src to the
+# B-node of dst, named off the vertex table by `_witness` and the public digraph
+Arc = tuple[int, int, int]
 
 
 class AlternatingDigraph(NamedTuple):
     vertices: tuple[tuple, ...]  # ("pair", a, b) | ("ua", a) | ("ub", b)
-    arcs: tuple[Arc, ...]
+    arcs: tuple[tuple[int, int, str, str, int], ...]  # (src vertex, dst vertex, a, b, weight)
     vertex_of: dict[str, int]
 
 
@@ -31,12 +35,15 @@ def build_alternating_digraph(inst: Instance, m: Matching) -> AlternatingDigraph
     """One vertex per matched pair and per unmatched node; one arc per
     non-matching edge (a, b), from a's vertex to b's vertex."""
     vertices, vertex_of = _vertices(inst, m)
-    arcs = []
-    for a, b, w in _weights(inst, m):
-        src, dst = vertex_of[a], vertex_of[b]
-        if src != dst:  # only the two ends of a matched edge share a vertex
-            arcs.append((src, dst, a, b, w))
-    return AlternatingDigraph(vertices, tuple(arcs), vertex_of)
+    arcs = tuple((src, dst, vertices[src][1], vertices[dst][-1], w)
+                 for src, dst, w in _arcs(vertex_of, _weights(inst, m)))
+    return AlternatingDigraph(vertices, arcs, vertex_of)
+
+
+def _arcs(vertex_of: dict[str, int], edges: Iterable[tuple[str, str, int]]) -> list[Arc]:
+    """The arc of each (a, b, w), in the order given, where a and b are on
+    different vertices: only the two ends of a matched edge share one."""
+    return [(src, dst, w) for a, b, w in edges if (src := vertex_of[a]) != (dst := vertex_of[b])]
 
 
 def _vertices(inst: Instance, m: Matching) -> tuple[tuple[tuple, ...], dict[str, int]]:
@@ -106,9 +113,9 @@ def _witness(vertices: tuple[tuple, ...], kind: str, arcs: list[Arc]) -> Witness
     toggling stays a matching; a cycle starts at its least pair vertex, and
     a path first enters the source vertex of its first arc."""
     if kind == "cycle":
-        pivot = min(range(len(arcs)), key=lambda k: vertices[arcs[k][1]])
+        pivot = min(range(len(arcs)), key=lambda k: arcs[k][1])  # pairs are in sorted order
         arcs = arcs[pivot:] + arcs[:pivot]
-    steps = [((a, b), dst) for _src, dst, a, b, _w in arcs]
+    steps = [((vertices[src][1], vertices[dst][-1]), dst) for src, dst, _w in arcs]
     if kind == "path":
         steps.insert(0, (None, arcs[0][0]))
     edges: list[Edge] = []
@@ -125,7 +132,7 @@ def _witness(vertices: tuple[tuple, ...], kind: str, arcs: list[Arc]) -> Witness
             raise InternalError("directed cycle through an unmatched vertex")
         else:
             nodes.append(vertex[1])
-    return Witness(kind, tuple(nodes), tuple(edges), sum(arc[4] for arc in arcs))
+    return Witness(kind, tuple(nodes), tuple(edges), sum(arc[2] for arc in arcs))
 
 
 def _collect_arcs(pred: list, v: int) -> list[Arc]:
@@ -176,15 +183,16 @@ def _witness_or_potentials(inst: Instance, m: Matching) -> Witness | dict[str, i
     if not maximum:
         raise NotMaximumError(
             "matching is not maximum; popularity among maximum matchings is undefined", path)
-    dg = build_alternating_digraph(inst, m)
-    n, p, na = len(dg.vertices), len(m.pairs), len(inst.side_a)
+    vertices, vertex_of = _vertices(inst, m)
+    arcs = _arcs(vertex_of, _weights(inst, m))
+    n, p, na = len(vertices), len(m.pairs), len(inst.side_a)
     top = 2 * (p - 1)
     y = [0] * p + [top] * (na - p) + [0] * (n - na)  # see `_vertices`
     pred: list[Arc | None] = [None] * n
     for _round in range(n + 1):
         improved = False
-        for arc in dg.arcs:
-            src, dst, _a, _b, w = arc
+        for arc in arcs:
+            src, dst, w = arc
             if y[src] + w > y[dst]:
                 y[dst] = y[src] + w
                 pred[dst] = arc
@@ -193,7 +201,7 @@ def _witness_or_potentials(inst: Instance, m: Matching) -> Witness | dict[str, i
             break
         cycle = _pred_cycle(pred)
         if cycle is not None:
-            return _witness(dg.vertices, "cycle", cycle)
+            return _witness(vertices, "cycle", cycle)
     else:
         raise InternalError("relaxation did not converge and no predecessor cycle formed")
 
@@ -205,8 +213,8 @@ def _witness_or_potentials(inst: Instance, m: Matching) -> Witness | dict[str, i
             seq = _collect_arcs(pred, v)
             if v >= na and seq[0][0] >= p:  # from an unmatched A-node
                 raise InternalError("augmenting path in a maximum matching")
-            return _witness(dg.vertices, "path", seq)
-    return {u: y[i] for i in range(p) for u in dg.vertices[i][1:]}
+            return _witness(vertices, "path", seq)
+    return {u: y[i] for i in range(p) for u in vertices[i][1:]}
 
 
 def verify_popular_max(inst: Instance, m: Matching) -> PopularityVerdict:
@@ -234,10 +242,11 @@ def is_pareto_optimal(inst: Instance, m: Matching) -> ParetoVerdict:
     """
     vertices, vertex_of = _vertices(inst, m)
     n, p, na = len(vertices), len(m.pairs), len(inst.side_a)
+    # the weight-2 arcs by source, in `inst.edges` order; `_blocking` reads
+    # each A-list only up to its cut, where `_weights` would read all of it
     adj: list[list[Arc]] = [[] for _ in range(n)]
-    for a, b in _blocking(inst, m):
-        src = vertex_of[a]
-        adj[src].append((src, vertex_of[b], a, b, 2))
+    for arc in _arcs(vertex_of, ((a, b, 2) for a, b in _blocking(inst, m))):
+        adj[arc[0]].append(arc)
 
     color = [0] * n
     next_arc = [0] * n

@@ -179,6 +179,27 @@ def test_pareto_cycle_closes_on_a_vertex_still_on_the_path():
     assert tally.phi_mn > 0 and tally.phi_nm == 0
 
 
+def test_pareto_path_enters_each_vertex_once():
+    """The path search enters each vertex by the first arc that reaches it
+    in breadth-first order: (b3,a3) is reached from (b1,a1) and again from
+    (b2,a2), one level out from a0, and the witness runs through (b1,a1).
+    A search that entered a vertex again would return the path through
+    (b2,a2), and on a layered digraph its frontier would double with each
+    layer."""
+    from popmax import parse_instance
+
+    inst = parse_instance(
+        "side A a0 a1 a2 a3\nside B b1 b2 b3 b4\n"
+        "pref a0: b1 b2\npref a1: b3 b1\npref a2: b3 b2\npref a3: b4 b3\n"
+        "pref b1: a0 a1\npref b2: a0 a2\npref b3: a1 a2 a3\npref b4: a3\n")
+    m = mk(inst, ("a1", "b1"), ("a2", "b2"), ("a3", "b3"))
+    verdict = is_pareto_optimal(inst, m)
+    assert not verdict.pareto
+    assert format_witness(m, verdict.witness) == "path: a0 (b1,a1) (b3,a3) b4 wt=6"
+    tally = compare(inst, apply_witness(m, verdict.witness), m)
+    assert tally.phi_mn > 0 and tally.phi_nm == 0
+
+
 def test_pareto_stable_matching(i2):
     from popmax import gale_shapley
 
@@ -269,28 +290,86 @@ def _planted_swap(n):
 
 def test_cycle_rejection_stops_after_first_sweeps(monkeypatch):
     """A short positive cycle is reported as soon as it closes in the
-    predecessor graph, not after n+1 rounds over the arcs."""
+    predecessor graph: after the first improving round, not after n+1
+    rounds over the arcs. The rounds are counted as `_rounds_and_verdicts`
+    counts them, through `popularity._pred_cycle`, which the pass calls
+    once after each round that raised a value."""
     from popmax import popularity
 
-    sweeps = [0]
+    rounds = [0]
+    pred_cycle = popularity._pred_cycle
 
-    class CountedArcs(tuple):
-        def __iter__(self):
-            sweeps[0] += 1
-            return super().__iter__()
+    def counted(pred):
+        rounds[0] += 1
+        return pred_cycle(pred)
 
-    build = popularity.build_alternating_digraph
-
-    def counted(inst, m):
-        dg = build(inst, m)
-        return popularity.AlternatingDigraph(dg.vertices, CountedArcs(dg.arcs), dg.vertex_of)
-
-    monkeypatch.setattr(popularity, "build_alternating_digraph", counted)
+    monkeypatch.setattr(popularity, "_pred_cycle", counted)
     inst, m = _planted_swap(500)
     verdict = verify_popular_max(inst, m)
     assert not verdict.popular
     assert format_witness(m, verdict.witness) == "cycle: (b0,a0) (b1,a1) wt=4"
-    assert sweeps[0] <= 2
+    assert rounds[0] == 1
+
+
+def _locals_at_return(func, *args):
+    """The local variables of func's frame as it returns from func(*args),
+    read by a profile hook."""
+    import sys
+
+    seen = {}
+
+    def hook(frame, event, _arg):
+        if event == "return" and frame.f_code is func.__code__:
+            seen.update(frame.f_locals)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        func(*args)
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+def test_both_passes_read_one_arc_layout():
+    """The round pass relaxes `build_alternating_digraph`'s arcs in order
+    with the names dropped; Pareto's per-vertex lists are exactly the
+    weight-2 arcs grouped by source, in `inst.edges` order; and each arc's
+    edge, read off the vertex table, is the next non-matching edge in
+    `inst.edges` order, whose `wt_edge` is the arc's weight. Each pass's
+    arcs are read off its frame as it returns, on seeded random instances
+    (their popular max-matching and a random maximum one) and on every
+    maximum matching of small ones."""
+    import random
+
+    from popmax import popular_max_matching, popularity, random_instance, wt_edge
+
+    rng = random.Random(39)
+    cases = []
+    for seed in range(40):
+        inst = random_instance(rng.randint(2, 12), rng.randint(2, 12), rng.choice((0.2, 0.5, 0.9)), seed)
+        cases += [(inst, popular_max_matching(inst)), (inst, _random_maximum(inst, rng))]
+    for _seed, inst in random_cases(40, 4, 3900):
+        cases += [(inst, m) for m in enum_matchings(inst, bound=30) if is_maximum(inst, m)[0]]
+    blocked = rejected = 0
+    for inst, m in cases:
+        dg = build_alternating_digraph(inst, m)
+        rounds = _locals_at_return(popularity._witness_or_potentials, inst, m)
+        pareto = _locals_at_return(popularity.is_pareto_optimal, inst, m)
+        arcs, vertices = rounds["arcs"], dg.vertices
+        assert arcs == [(src, dst, w) for src, dst, _a, _b, w in dg.arcs]
+        assert rounds["vertices"] == pareto["vertices"] == vertices
+        by_source = [[] for _ in vertices]
+        for arc in arcs:
+            if arc[2] == 2:
+                by_source[arc[0]].append(arc)
+        assert pareto["adj"] == by_source
+        edges = [(vertices[src][1], vertices[dst][-1]) for src, dst, _w in arcs]
+        assert edges == [e for e in inst.edges if e not in m.pairs]
+        assert [wt_edge(inst, m, e) for e in edges] == [w for _src, _dst, w in arcs]
+        blocked += any(pareto["adj"])
+        rejected += not verify_popular_max(inst, m).popular
+    assert len(cases) >= 250 and blocked >= 150 and rejected >= 150
 
 
 def test_cycle_witnesses_are_closed_and_win():
