@@ -184,9 +184,8 @@ def cmd_emit_lp(args) -> int:
 def cmd_gstar(args) -> int:
     from . import gstar
     inst = core.parse_instance(_read(args.instance))
-    gs = gstar.build_gstar(inst)
-    text = core.serialize_instance(gs.inner)
-    _emit(args, "ok", {"instance": text, "n0": gs.n0}, text=text)
+    text = gstar._text(inst)
+    _emit(args, "ok", {"instance": text, "n0": len(inst.side_a)}, text=text)
     return EXIT_OK
 
 

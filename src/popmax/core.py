@@ -8,6 +8,7 @@ matchings are defined here and used by every other module.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ParseError, ValidationError
@@ -456,18 +457,21 @@ def parse_instance(text: str) -> Instance:
 
 def serialize_instance(inst: Instance) -> str:
     """Canonical text for an instance; parse(serialize(x)) == x."""
-    lines = ["side A " + " ".join(inst.side_a) if inst.side_a else "side A",
-             "side B " + " ".join(inst.side_b) if inst.side_b else "side B"]
-    for u in inst.nodes:
-        lst = inst.prefs[u]
-        lines.append(f"pref {u}:" + ("" if not lst else " " + " ".join(lst)))
     costs, prefs = inst.costs, inst.prefs
-    if costs:  # cost lines in edge order
-        for a in inst.side_a:
-            for b in prefs[a]:
-                c = costs.get((a, b))
-                if c:
-                    lines.append(f"cost {a} {b} {c}")
+    # the nonzero costs in edge order
+    priced = [(a, b, c) for a in inst.side_a for b in prefs[a] if (c := costs.get((a, b)))] if costs else ()
+    return _instance_text(inst.side_a, inst.side_b, map(prefs.__getitem__, inst.nodes), priced)
+
+
+def _instance_text(side_a, side_b, lists, priced) -> str:
+    """The text of an instance given its two sides, its lists in node order
+    (side A, then side B) and its (a, b, cost) triples of nonzero cost in
+    edge order: `serialize_instance` and the `gstar` command write with it."""
+    lines = ["side A " + " ".join(side_a) if side_a else "side A",
+             "side B " + " ".join(side_b) if side_b else "side B"]
+    for u, lst in zip(chain(side_a, side_b), lists):
+        lines.append(f"pref {u}: {' '.join(lst)}" if lst else f"pref {u}:")
+    lines += [f"cost {a} {b} {c}" for a, b, c in priced]
     return "\n".join(lines) + "\n"
 
 

@@ -11,19 +11,21 @@ the copy subscripts carry the dual-certificate levels.
 The layout is written once, in `GStarTables`, on integer ids, for any
 number of levels T: its ids and the positions in each list are arithmetic
 on the source's lists. Its constructor checks the source's ids and lays
-out the edge costs, and its `copy_lists` and `other_lists` are the one
-place the three list orders are written, on any labels: `_lists` reads
-them with ids, and the LP emitter with its nodes' tokens. The products
-keep the paper's T = n0: the LP emitter builds no id lists, `build_gstar`
-names the ids and lists for the `gstar` command and for
-`certificates.lift`, and `level_proposals` reports its levels. The routes
-that return only a source matching run fewer. `popular_max_matching` runs
-T = `_n_levels(inst)` = max(min(|A|, |B|), 1) levels, which yields the
-same matching (see `_n_levels`). Min-cost optimization walks the lists in
-one loop over level counts: from T or, when the run at T matches every
-node with neighbors, from two levels above the run's top one, doubling up
-to T until a stopping rule fires (claim (f) of
-`mincost.min_cost_popular_max`), with the same result.
+out the edge costs, and one call, `GStarTables.lists(label)`, writes every
+list in the three orders, each entry as its caller labels it: the min-cost
+route passes the ids, for its rotation walk, the LP emitter its nodes'
+tokens, and `_named` and the `gstar` command's `_text` the nodes' names.
+The products keep the paper's T = n0: the LP emitter builds no id lists,
+the `gstar` command writes its text from the tables, `build_gstar` builds
+the string instance for `certificates.lift` (and the library), and
+`level_proposals` reports its levels. The routes that return only a source
+matching run fewer. `popular_max_matching` runs T = `_n_levels(inst)` =
+max(min(|A|, |B|), 1) levels, which yields the same matching (see
+`_n_levels`). Min-cost optimization walks the lists in one loop over level
+counts: from T or, when the run at T matches every node with neighbors,
+from two levels above the run's top one, doubling up to T until a stopping
+rule fires (claim (f) of `mincost.min_cost_popular_max`), with the same
+result.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .core import Edge, Instance, Matching, make_matching
+from .core import Edge, Instance, Matching, _instance_text, make_matching
 from .errors import NotStableError, ValidationError
 from .stable import _propose, is_stable
 
@@ -74,9 +76,10 @@ class GStarTables:
       `level_block(i)` * deg(b) + rank_b(a);
     - dummy i of a lists copy (a, i-1), then copy (a, i): it is the last
       entry of its lower copy's list and the first of its upper copy's.
-    `copy_lists` and `other_lists` compose the lists in these orders on any
-    labels, and are the only code that writes them. `costs[k]` maps the
-    images of the k-th A-node's neighbors to their nonzero edge costs.
+    `lists(label)` is the one layout call: it writes every list in these
+    orders, each id v as `label[v]`, and is the only code that writes
+    them. `costs[k]` maps the images of the k-th A-node's neighbors to
+    their nonzero edge costs, in its list's order.
 
     Raises `ValidationError` if a source id holds a character reserved for
     derived names.
@@ -95,9 +98,9 @@ class GStarTables:
         n_a = len(source.side_a)
         self.n_copies = n_a * n_levels
         self.n_nodes = self.n_copies + len(source.side_b) + n_a * (n_levels - 1)
-        self.costs = [{} for _ in source.side_a]
-        for (a, b), c in source.costs.items():  # the nonzero costs
-            self.costs[self.index[a]][self.image(self.index[b])] = c
+        costs = source.costs  # the nonzero costs, laid out in list order
+        self.costs = [{self.image(self.index[b]): c for b in source.prefs[a] if (c := costs.get((a, b)))}
+                      for a in source.side_a]
 
     def image(self, j: int) -> int:
         return self.n_copies + j
@@ -123,26 +126,27 @@ class GStarTables:
         own order, and the higher levels come first."""
         return self.n_levels - 1 - i
 
-    def copy_lists(self, images, dummies) -> list[list]:
-        """The lists of one A-node's copies by level, given the labels of its
-        images in its own order and of its dummies 1..T-1, both sequences:
-        copy i lists dummy i when i >= 1, then the images, then dummy i+1
-        when i <= T-2."""
-        ends = [(), *zip(dummies), ()]  # copy i: ends[i] below the images, ends[i+1] above
-        return [[*lower, *images, *upper] for lower, upper in zip(ends, ends[1:])]
-
-    def other_lists(self, copies) -> Iterator:
-        """The lists of the images, then of the dummies, in id order, made of
-        the copies' labels: `copies[k][i]` labels copy (k, i), and every
-        entry of these lists is a copy. Image b lists the copies of its
-        neighbors level by level from the top, each level in b's order;
-        dummy i lists its lower copy i-1, then its upper copy i."""
+    def lists(self, label) -> list:
+        """Every id's list by id, from most to least preferred, each entry v
+        written as `label[v]`: the one place the three list orders are
+        written. Copy i of an A-node lists its lower dummy i when i >= 1, then
+        the images of its A-node's list, then its upper dummy i+1 when
+        i <= T-2; image b lists the copies of its neighbors level by level
+        from the top, each level in b's order; dummy i lists copy i-1, then
+        copy i."""
         inst, index = self.source, self.index
+        copies = [[label[u] for u in self.copies(k)] for k in range(len(inst.side_a))]
+        out = []
+        for k, a in enumerate(inst.side_a):
+            row = [label[self.image(index[b])] for b in inst.prefs[a]]
+            ends = [(), *((label[d],) for d in self.dummies(k)), ()]  # copy i: ends[i] below, ends[i+1] above
+            out += [[*lower, *row, *upper] for lower, upper in zip(ends, ends[1:])]
         top_first = sorted(range(self.n_levels), key=self.level_block)
         for b in inst.side_b:
             rows = [copies[index[a]] for a in inst.prefs[b]]
-            yield [row[i] for i in top_first for row in rows]
-        yield from (pair for row in copies for pair in zip(row[:-1], row[1:]))
+            out.append([row[i] for i in top_first for row in rows])
+        out += [pair for row in copies for pair in zip(row[:-1], row[1:])]
+        return out
 
     def origin(self, u: int) -> tuple:
         """("copy", a, i), ("image", b) or ("dummy", a, i): the node id u stands for."""
@@ -214,18 +218,6 @@ class GStarTables:
         return make_matching(self.source, out), level
 
 
-def _lists(gt: GStarTables) -> list:
-    """The preference lists of the derived instance by id, each from most
-    to least preferred, composed by `gt`'s `copy_lists` and `other_lists`."""
-    inst, index = gt.source, gt.index
-    lists = []
-    for k, a in enumerate(inst.side_a):
-        lists += gt.copy_lists([gt.image(index[b]) for b in inst.prefs[a]], gt.dummies(k))
-    # the copies' ids as lists, whose int objects the images' lists share
-    lists += gt.other_lists([list(gt.copies(k)) for k in range(len(inst.side_a))])
-    return lists
-
-
 class GStarInstance(NamedTuple):
     """Derived marriage instance on string names. Node i of `inner.nodes`
     is id i of `tables`, and `ids` maps each name back to its id."""
@@ -245,14 +237,26 @@ def build_gstar(inst: Instance) -> GStarInstance:
 
 def _named(gt: GStarTables) -> GStarInstance:
     """The ids and lists of `gt` named, with its level count as `n0`."""
-    inst = gt.source
     names = gt.names(copy_name, image_name, dummy_name)
-    prefs = {names[u]: tuple(names[v] for v in lst) for u, lst in enumerate(_lists(gt))}
-    costs = {(names[u], names[v]): c for k, row in enumerate(gt.costs)
-             for v, c in row.items() for u in gt.copies(k)}
-    copies = gt.n_copies
-    inner = Instance(tuple(names[:copies]), tuple(names[copies:]), prefs, costs)
-    return GStarInstance(inst, inner, gt.n_levels, {name: u for u, name in enumerate(names)}, gt)
+    costs = {(a, b): c for a, b, c in _priced(gt, names)}
+    inner = Instance(names[:gt.n_copies], names[gt.n_copies:], dict(zip(names, gt.lists(names))), costs)
+    return GStarInstance(gt.source, inner, gt.n_levels, {name: u for u, name in enumerate(names)}, gt)
+
+
+def _text(inst: Instance) -> str:
+    """`serialize_instance(build_gstar(inst).inner)`, written straight from
+    the tables: the names, `GStarTables.lists` and `_priced` feed the
+    instance writer, and no string instance is built or checked."""
+    gt = GStarTables(inst, len(inst.side_a))
+    names = gt.names(copy_name, image_name, dummy_name)
+    return _instance_text(names[:gt.n_copies], names[gt.n_copies:], gt.lists(names), _priced(gt, names))
+
+
+def _priced(gt: GStarTables, names) -> Iterator[tuple]:
+    """(copy, image, cost), labelled by `names`, for each copy-image edge of
+    nonzero cost, in edge order: copy by copy in id order, each in its list's
+    order. Dummy edges cost nothing."""
+    return ((names[u], names[v], c) for k, row in enumerate(gt.costs) for u in gt.copies(k) for v, c in row.items())
 
 
 def project(gs: GStarInstance, s: Matching) -> Matching:

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import core
 from .core import Instance, Matching, _pins, make_matching, matching_cost
 from .errors import InternalError
-from .gstar import GStarTables, _level_run, _lists, _n_levels
+from .gstar import GStarTables, _level_run, _n_levels
 from .stable import gale_shapley
 
 if TYPE_CHECKING:  # `_min_cost_run` imports the certificate layer when called
@@ -68,7 +68,8 @@ def _rotation_walk(prefs, rank, men, base):
 
     `prefs[u]` lists u's neighbors, `rank[u]` maps each to its position,
     `men` is the proposing side in order and `base` the partner map of the
-    man-optimal matching. Nodes may be names or integer ids.
+    man-optimal matching. Nodes may be names or integer ids. The walk reads
+    the lists of the men only; of a woman it reads only the rank map.
 
     The walk (Gusfield & Irving 1989, section 3.3) keeps one stack of men,
     each followed by the partner of his next acceptor: the first woman
@@ -85,9 +86,9 @@ def _rotation_walk(prefs, rank, men, base):
     partner above him. A rotation moves a woman from her partner to a man
     she ranks higher, lifting her past the block of her list strictly
     between them; her blocks are disjoint, so `lifted[w]`, a list as long
-    as hers made when a rotation first lifts her past a suitor, labels each
-    position q with the rotation that lifted her past the suitor there, and
-    each slot is set at most once.
+    as her rank map made when a rotation first lifts her past a suitor,
+    labels each position q with the rotation that lifted her past the
+    suitor there, and each slot is set at most once.
     """
     order = {man: i for i, man in enumerate(men)}
     partner = dict(base)
@@ -143,7 +144,7 @@ def _rotation_walk(prefs, rank, men, base):
                 start_w, end_w = rank[w][new_partner] + 1, rank[w][man]
                 if start_w < end_w:
                     if w not in lifted:
-                        lifted[w] = [None] * len(prefs[w])
+                        lifted[w] = [None] * len(rank[w])
                     lifted[w][start_w:end_w] = [r] * (end_w - start_w)
             for (man, w_from), (_man, w_to) in zip(cycle, _added(cycle)):
                 if man in last_move:
@@ -433,9 +434,9 @@ def _min_cost_run(inst: Instance, n_levels: int, run) -> tuple[MinCostResult, in
     A-proposing run at `n_levels` levels (A-nodes missing from its levels
     are leftovers), with the highest level of a matched A-node in the
     min-cost stable matching, -1 if none is matched. The walk reads the
-    lists of `gstar._lists` and the rank maps built here."""
+    lists `GStarTables.lists` writes on the ids and the rank maps built here."""
     gt = GStarTables(inst, n_levels)
-    prefs = _lists(gt)
+    prefs = gt.lists(list(range(gt.n_nodes)))
     rank = core._rank_maps(prefs, range(gt.n_nodes))
     m0, level = run
     base = gt.place(m0.pairs, level)
@@ -495,17 +496,17 @@ def _lp_text(inst: Instance) -> Iterator[str]:
     checked on the first `next`.
 
     The rows are written from the layout of the paper's derived instance,
-    a `gstar.GStarTables`, whose id lists are never built: each source node
-    is encoded once and `GStarTables.names` labels every derived node with
-    its encoding. The edge of copy u and partner v is the variable
+    a `gstar.GStarTables`, whose id lists are never built: each source
+    node is encoded once and `GStarTables.names` labels every derived node
+    with its encoding. The edge of copy u and partner v is the variable
     xs.<u>.<v>, so a row is one `_terms` join of tokens between fixed
-    strings: a copy's row joins its partners' tokens in the order of
-    `GStarTables.copy_lists`, and an image's or dummy's row the tokens of
-    the copies that `other_lists` lists for it. Only the tokens, each
-    node's row and each image's prefix ends are kept. A stability row
-    takes two prefixes: the copy's row up to the image's term, whose end
-    runs along the row, and the image's row up to the copy's term, which
-    ends where `image_start` and `level_block` place it.
+    strings: node u's row joins the tokens of `rows[u]`, its list as
+    `GStarTables.lists` writes it on the tokens. Only the tokens, the
+    lists, each node's row and each image's prefix ends are kept. A
+    stability row takes two prefixes: the copy's row up to the image's
+    term, whose end runs along the row, and the image's row up to the
+    copy's term, which ends where `image_start` and `level_block` place
+    it.
     """
     gt = GStarTables(inst, len(inst.side_a))
     prefs, rank = inst.prefs, core._rank_maps(inst.prefs, inst.side_b)
@@ -515,22 +516,17 @@ def _lp_text(inst: Instance) -> Iterator[str]:
                      lambda a, i: f"{enc[a]}.d{i}")
     image = {b: gt.image(j) for j, b in enumerate(inst.side_b)}
 
-    # the copies are the ids below n_copies: each one's partners by level,
-    # by A-node, and the head of each of its terms
-    lists = [gt.copy_lists([token[image[b]] for b in prefs[a]], [token[d] for d in gt.dummies(k)])
-             for k, a in enumerate(inst.side_a)]
+    # every node's partners by id, as tokens; the copies, the ids below
+    # n_copies, head their terms, the images and dummies tail them
+    rows = gt.lists(token)
     heads = [f"xs.{t}." for t in token[:gt.n_copies]]
-    joined = [_terms(head, lst, "") for head, lst in zip(heads, chain.from_iterable(lists))]
-    # each A-node's copies by level, as tokens; the images' and dummies'
-    # lists in id order, of those tokens
-    copies = [[token[u] for u in gt.copies(k)] for k in range(len(inst.side_a))]
-    others = list(gt.other_lists(copies))
-    joined += [_terms("xs.", lst, f".{token[v]}") for v, lst in enumerate(others, gt.n_copies)]
+    joined = [_terms(head, lst, "") for head, lst in zip(heads, rows)]
+    joined += [_terms("xs.", rows[v], f".{token[v]}") for v in range(gt.n_copies, gt.n_nodes)]
     # an image's first q terms with their separators end at ends[j][q]
     ends = []
-    for v, lst in enumerate(others[:len(inst.side_b)], gt.n_copies):
+    for v in image.values():
         around = len(f"xs..{token[v]} + ")  # a term and its separator, less the copy's token
-        ends.append(list(accumulate([len(u) + around for u in lst], initial=0)))
+        ends.append(list(accumulate([len(u) + around for u in rows[v]], initial=0)))
 
     terms = [f"{inst.cost(e)} x.{p}" for e, p in pair.items()]
     if not terms:
@@ -546,8 +542,8 @@ def _lp_text(inst: Instance) -> Iterator[str]:
         # level_block(i) * deg(b) + rank_b(a)
         images = [(token[image[b]], joined[image[b]], ends[gt.index[b]][rank[b][a]::len(prefs[b])])
                   for b in prefs[a]]
-        for (block, s), u, lst in zip(spots, gt.copies(k), lists[k]):
-            stab, head, ju = f" stab.{token[u]}.", heads[u], joined[u]
+        for (block, s), u in zip(spots, gt.copies(k)):
+            lst, stab, head, ju = rows[u], f" stab.{token[u]}.", heads[u], joined[u]
             end = sum(map(len, lst[:s])) + s * (len(head) + _SEP)  # the copy's row before its first image
             parts = []  # the rows' pieces, joined once, so each prefix is copied twice
             for v, jv, at in images:
@@ -568,13 +564,13 @@ def _lp_text(inst: Instance) -> Iterator[str]:
 
     for k, a in enumerate(inst.side_a):  # the source edges in order, A-node by A-node
         # each edge's copies, by level
-        links = [(pair[a, b], _terms("xs.", copies[k], f".{token[image[b]]}", " - ")) for b in prefs[a]]
+        copies = [token[u] for u in gt.copies(k)]
+        links = [(pair[a, b], _terms("xs.", copies, f".{token[image[b]]}", " - ")) for b in prefs[a]]
         yield "".join([f" link.{p}: x.{p} - {terms} = 0\n" for p, terms in links])
 
     yield "Bounds\n"
     for k in range(len(inst.side_a)):
-        yield "".join([_terms(f" 0 <= {heads[u]}", lst, " <= 1\n", "")
-                       for u, lst in zip(gt.copies(k), lists[k])])
+        yield "".join([_terms(f" 0 <= {heads[u]}", rows[u], " <= 1\n", "") for u in gt.copies(k)])
     yield _terms(" 0 <= x.", pair.values(), " <= 1\n", "") + "End\n"
 
 

@@ -22,17 +22,19 @@ changes (the code itself for the last three kinds), and runs none.
 The mutated module is written with `ast.unparse` into a copy of `src/`, and
 the test files (`--tests`, by default `tests/test_<module>.py`) run against
 it with `pytest -x`, each mutant under a time limit, since a mutant can loop
-forever. The runs load this file as a pytest plugin (`-p mutate`), which
-notes each test as it starts and the first one that fails, so every kill is
-printed with the node id of the test that made it and how it failed: by an
-assertion, by another exception (named), or by running out of time while
-that test ran. That one test is then run again against a second copy of
-`src/`, holding the unmutated module as `ast.unparse` writes it; if it fails
-there too, the kill is reported as flaky and not counted. Every mutant that
-is not killed is run again against all of `tests/`, and those that survive
-that too are printed: each needs a test that kills it, or a reason why it is
-equivalent to the original. The exit code is 1 when any survives tier-1 or
-is left with only a flaky kill.
+forever: `--timeout` seconds, or by default max(10 s, 5 x the wall time of
+the run on the unmutated module that is made first), which is printed; a
+rerun against all of `tests/` gets 10 x the limit. The runs load this file
+as a pytest plugin (`-p mutate`), which notes each test as it starts and the
+first one that fails, so every kill is printed with the node id of the test
+that made it and how it failed: by an assertion, by another exception
+(named), or by running out of time while that test ran. That one test is
+then run again against a second copy of `src/`, holding the unmutated module
+as `ast.unparse` writes it; if it fails there too, the kill is reported as
+flaky and not counted. Every mutant that is not killed is run again against
+all of `tests/`, and those that survive that too are printed: each needs a
+test that kills it, or a reason why it is equivalent to the original. The
+exit code is 1 when any survives tier-1 or is left with only a flaky kill.
 
 This is a script, not a test: it is slow, and pytest does not collect it.
 """
@@ -47,6 +49,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -210,7 +213,8 @@ def main(argv=None) -> int:
     parser.add_argument("module", help="a module of src/popmax, such as core")
     parser.add_argument("--functions", nargs="*", default=[])
     parser.add_argument("--tests", nargs="*", help="test files run on every mutant")
-    parser.add_argument("--timeout", type=float, default=120.0, help="seconds per mutant run")
+    parser.add_argument("--timeout", type=float,
+                        help="seconds per mutant run (default: max(10, 5 x the clean run's time))")
     parser.add_argument("--kinds", nargs="+", choices=KINDS, default=KINDS, help="the mutant kinds made")
     parser.add_argument("--list", action="store_true", help="print the mutants and run none")
     args = parser.parse_args(argv)
@@ -233,15 +237,19 @@ def main(argv=None) -> int:
         for copy in (src, clean):
             shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
             write(copy)
+        started = time.monotonic()
         failure = _run(clean, tests, args.timeout)
         if failure is not None:
             sys.exit(f"the tests fail on the unmutated module as ast.unparse writes it: {failure}")
+        timeout = args.timeout or max(10.0, 5 * (time.monotonic() - started))
+        print(f"time limit per mutant run: {timeout:.0f} s ({10 * timeout:.0f} s against all of tests/)",
+              flush=True)
         for k, (description, apply) in enumerate(sites, 1):
             undo = apply()
             write(src)
-            outcome, why = _judge(src, clean, tests, args.timeout)
+            outcome, why = _judge(src, clean, tests, timeout)
             if outcome != "killed" and tests != ["tests/"]:
-                outcome, why = _judge(src, clean, ["tests/"], 10 * args.timeout)
+                outcome, why = _judge(src, clean, ["tests/"], 10 * timeout)
                 why = f"tier-1: {why}" if why else "tier-1"
             undo()
             line = f"{description}: {outcome} ({why})" if why else f"{description}: {outcome}"

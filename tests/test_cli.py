@@ -186,40 +186,66 @@ def _costed_paths(files, tmp_path) -> list[str]:
 
 
 def test_mincost_and_emit_lp_never_build_gstar(files, tmp_path, capsys, monkeypatch):
-    """`mincost` and `emit-lp` read the derived instance's integer tables;
-    the string-named instance is not built, and the output is unchanged."""
+    """`mincost`, `emit-lp` and `gstar` read the derived instance's integer
+    tables; the string-named instance is not built, and the output is
+    unchanged."""
     paths = _costed_paths(files, tmp_path)
     commands = [(cmd, path) for path in paths
-                for cmd in (("mincost",), ("--json", "mincost"), ("emit-lp",))]
+                for cmd in (("mincost",), ("--json", "mincost"), ("emit-lp",), ("gstar",), ("--json", "gstar"))]
     expected = [run(capsys, *cmd, path) for cmd, path in commands]
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("the string-named derived instance was built")
 
     for mod in (popmax, popmax.gstar, popmax.certificates, popmax.mincost, popmax.cli):
-        if hasattr(mod, "build_gstar"):
-            monkeypatch.setattr(mod, "build_gstar", refuse)
+        for name in ("build_gstar", "_named"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
     for (cmd, path), want in zip(commands, expected):
         assert want[0] == 0
         assert run(capsys, *cmd, path) == want
 
 
 def test_emit_lp_materializes_no_tables(files, tmp_path, capsys, monkeypatch):
-    """`emit-lp` reads the derived instance's layout arithmetic, not its
-    lists: with the lists refused, its text and `--json` output are
-    unchanged."""
+    """`emit-lp` lays out the derived instance's lists on its LP tokens
+    alone: every `GStarTables.lists` call it makes labels the ids with
+    strings, so it builds no id list, and its text and `--json` output are
+    those of the unwatched run."""
     paths = _costed_paths(files, tmp_path) + [files["i3"]]
     commands = [(cmd, path) for path in paths for cmd in (("emit-lp",), ("--json", "emit-lp"))]
     expected = [run(capsys, *cmd, path) for cmd, path in commands]
+    lists, labels = popmax.gstar.GStarTables.lists, []
 
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("the derived instance's lists were built")
+    def watched(self, label):
+        labels.append(label)
+        return lists(self, label)
 
-    for mod in (popmax.gstar, popmax.mincost):
-        monkeypatch.setattr(mod, "_lists", refuse)
+    monkeypatch.setattr(popmax.gstar.GStarTables, "lists", watched)
     for (cmd, path), want in zip(commands, expected):
         assert want[0] == 0
         assert run(capsys, *cmd, path) == want
+    assert len(labels) == len(commands)
+    assert all(label and all(type(t) is str for t in label) for label in labels)
+
+
+def test_gstar_writes_from_the_tables_in_bounded_memory(tmp_path, capsys):
+    """`gstar` writes the derived instance's text from the tables, with no
+    string instance built or checked: its traced peak at n = 100, d = 0.3
+    stays under 30 MB. It was 49 MB when the command built and serialized
+    `build_gstar`'s instance (Python 3.11)."""
+    import tracemalloc
+
+    path = tmp_path / "i.txt"
+    path.write_text(serialize_instance(random_instance(100, 100, 0.3, 1)))
+    tracemalloc.start()
+    try:
+        code = main(["gstar", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0 and out.startswith("side A a1#0 a1#1 ")
+    assert peak < 30_000_000, peak
 
 
 def test_mincost_makes_no_popularity_pass(files, tmp_path, capsys, monkeypatch):

@@ -109,6 +109,17 @@ def test_names_label_every_id(na, nb):
         assert names == expected
 
 
+@pytest.mark.parametrize("na, nb", [(1, 0), (1, 3), (3, 0), (2, 2), (4, 3), (3, 5)])
+def test_text_is_the_named_instance_serialized(na, nb):
+    """`gstar._text`, which the `gstar` command prints, is the text of
+    `build_gstar`'s instance, with and without costs (zero ones included),
+    on |A| = 1, |B| = 0 and isolated nodes too."""
+    for seed in range(3):
+        for cost_range in (None, (-4, 9)):
+            inst = random_instance(na, nb, 0.5, seed, cost_range)
+            assert gstar._text(inst) == serialize_instance(build_gstar(inst).inner)
+
+
 def test_tables_are_whole_when_made():
     """A `GStarTables` holds no preference lists or rank maps, and answers
     `cost` as soon as it is made: copy-image edges cost their source edge,
@@ -119,7 +130,7 @@ def test_tables_are_whole_when_made():
     assert not hasattr(gt, "prefs") and not hasattr(gt, "rank")
     b1, b2 = gt.image(0), gt.image(1)
     d1, d2 = gt.dummies(0)[0], gt.dummies(1)[0]
-    costs = {(u, v): gt.cost((u, v)) for u, lst in enumerate(popmax.gstar._lists(gt))
+    costs = {(u, v): gt.cost((u, v)) for u, lst in enumerate(gt.lists(range(gt.n_nodes)))
              if u < gt.n_copies for v in lst}
     assert costs == {(0, b1): 0, (0, b2): 5, (0, d1): 0, (1, d1): 0, (1, b1): 0, (1, b2): 5,
                      (2, b1): -3, (2, d2): 0, (3, d2): 0, (3, b1): -3}

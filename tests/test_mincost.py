@@ -27,10 +27,11 @@ from popmax import (
     min_cost_stable,
     parse_instance,
     random_instance,
+    serialize_instance,
     verify_certificate,
     verify_popular_max,
 )
-from popmax import gstar, mincost
+from popmax import cli, gstar, mincost
 from popmax.gstar import build_gstar, copy_name, image_name, place, project
 from popmax.mincost import RotationPoset, _enc
 from popmax.oracle import (
@@ -410,6 +411,59 @@ def test_mincost_on_the_chain_walks_every_rotation(monkeypatch, size):
     assert res.certificate == certify_popular_max(inst, m)
 
 
+def test_mincost_on_a_sparse_pinned_square_walks_every_rotation(monkeypatch):
+    """`(100, 100, 0.02, 5, (0, 9))` has pins, so `min_cost_popular_max`
+    makes one pass at T = 100 levels; its walk finds exactly 2,878
+    rotations (ROADMAP item 12), and the answer is `solve`'s matching."""
+    from popmax import popular_max_matching
+
+    passes, rotations = [], []
+    run, walk = mincost._min_cost_run, mincost._rotation_walk
+
+    def recording(inst, n_levels, start):
+        passes.append(n_levels)
+        return run(inst, n_levels, start)
+
+    def counting(*args):
+        cycles, preds = walk(*args)
+        rotations.append(len(cycles))
+        return cycles, preds
+
+    monkeypatch.setattr(mincost, "_min_cost_run", recording)
+    monkeypatch.setattr(mincost, "_rotation_walk", counting)
+    inst = random_instance(100, 100, 0.02, 5, (0, 9))
+    res = min_cost_popular_max(inst)
+    assert passes == [100]
+    assert rotations == [2878]
+    assert res.matching == popular_max_matching(inst)
+
+
+def test_rotation_walk_reads_only_the_proposers_lists(monkeypatch):
+    """The walk reads the lists of the proposing side only, and the rank
+    maps of every node: on `mincost`'s tables with every image's and
+    dummy's list replaced by None, it finds the same cycles and
+    predecessor lists."""
+    walk, calls = mincost._rotation_walk, []
+
+    def recording(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(mincost, "_rotation_walk", recording)
+    cases = [random_instance(n, n, d, 9600 + n, (0, 9)) for n in range(3, 9) for d in (0.3, 0.6)]
+    cases += [random_instance(9, 3, 0.5, 9627, (0, 9)), chain(8)[0]]
+    total = 0
+    for inst in cases:
+        calls.clear()
+        min_cost_popular_max(inst)
+        for prefs, rank, men, base in calls:
+            blind = [*prefs[:len(men)], *[None] * (len(prefs) - len(men))]
+            cycles, preds = walk(prefs, rank, men, base)
+            assert walk(blind, rank, men, base) == (cycles, preds)
+            total += len(cycles)
+    assert total > 100
+
+
 def test_stopping_rule_refuses_levels_that_cost_more():
     """Pin-free squares whose min-cost stable matching at t = top + 2
     levels, top the run's highest level, costs more than at T: it uses level
@@ -587,21 +641,24 @@ def test_emit_lp_rows_mean_the_named_gstar_constraints():
                                | {f"x.{_enc(a)}.{_enc(b)}" for a, b in inst.edges})
 
 
-@pytest.mark.parametrize("method", ["copy_lists", "other_lists"])
-def test_every_list_order_comes_from_the_tables(monkeypatch, method):
-    """`GStarTables.copy_lists` and `other_lists` are the one place the
-    derived instance's list orders are written: with either refused, the
-    LP text, the named derived instance and the min-cost route all fail
-    through it."""
+def test_every_list_order_comes_from_the_tables(monkeypatch, tmp_path, capsys):
+    """`GStarTables.lists` is the one place the derived instance's list
+    orders are written: with it refused, the LP text, the named derived
+    instance, the min-cost route and the `gstar` command all fail through
+    it."""
     inst = random_instance(4, 4, 0.6, 9560, (0, 9))
+    path = tmp_path / "i.txt"
+    path.write_text(serialize_instance(inst))
 
     def refuse(*_args, **_kwargs):
-        raise AssertionError(f"{method} was called")
+        raise AssertionError("lists was called")
 
-    monkeypatch.setattr(gstar.GStarTables, method, refuse)
-    for run in (emit_lp, build_gstar, min_cost_popular_max):
-        with pytest.raises(AssertionError, match=f"^{method} was called$"):
+    monkeypatch.setattr(gstar.GStarTables, "lists", refuse)
+    for run in (emit_lp, build_gstar, min_cost_popular_max, gstar._text,
+                lambda i: cli.main(["gstar", str(path)])):
+        with pytest.raises(AssertionError, match="^lists was called$"):
             run(inst)
+    assert capsys.readouterr().out == ""
 
 
 def test_rotation_walk_keeps_one_block_per_lift():
@@ -615,7 +672,7 @@ def test_rotation_walk_keeps_one_block_per_lift():
 
     inst = random_instance(40, 40, 0.3, 1264, (0, 9))
     gt = gstar.GStarTables(inst, 40)
-    prefs = gstar._lists(gt)
+    prefs = gt.lists(list(range(gt.n_nodes)))
     rank = [{v: r for r, v in enumerate(lst)} for lst in prefs]
     m0, level = gstar._level_run(inst, 40)
     partner = dict(gt.place(m0.pairs, level))
