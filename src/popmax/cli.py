@@ -165,7 +165,9 @@ def cmd_emit_lp(args) -> int:
     from . import mincost
     inst = core.parse_instance(_read(args.instance))
     pieces = mincost._lp_text(inst)
-    first = next(pieces)  # checks the instance before a byte is written
+    # the first piece builds the tables: pulled before a byte is written, a
+    # failure there (out of memory) leaves no half --json envelope
+    first = next(pieces)
     write = sys.stdout.write
     escape = str
     if args.json:

@@ -10,11 +10,14 @@ the copy subscripts carry the dual-certificate levels.
 
 The layout is written once, in `GStarTables`, on integer ids, for any
 number of levels T: its ids and the positions in each list are arithmetic
-on the source's lists. Its constructor checks the source's ids and lays
-out the edge costs, and one call, `GStarTables.lists(label)`, writes every
+on the source's lists. Its constructor lays out the edge costs and
+checks no id, and one call, `GStarTables.lists(label)`, writes every
 list in the three orders, each entry as its caller labels it: the min-cost
 route passes the ids, for its rotation walk, the LP emitter its nodes'
-tokens, and `_named` and the `gstar` command's `_text` the nodes' names.
+tokens, and `_named` and the `gstar` command's `_text` the nodes' names,
+which `_names` writes: the reserved characters `#!~` are checked there
+alone, so only the products that write names (`gstar`, `build_gstar`,
+`lift`) refuse a source id holding one.
 The products keep the paper's T = n0: the LP emitter builds no id lists,
 the `gstar` command writes its text from the tables, `build_gstar` builds
 the string instance for `certificates.lift` (and the library), and
@@ -60,7 +63,7 @@ class GStarTables:
     n = |A| A-nodes, copy i (0 <= i < T) of the k-th A-node is k*T + i,
     the image of the j-th B-node is n*T + j, and dummy i (1 <= i < T) of
     the k-th A-node is n*T + |B| + k*(T-1) + i-1. `copies(k)`, `image(j)`
-    and `dummies(k)` are the one way to these ids and `origin` the one way
+    and `dummies(k)` are the one way to these ids and `read` the one way
     back; `names` labels them all, one block of ids at a time. The
     copies, ids below `n_copies` = n*T, are the proposing side. The
     paper's instance has T = n. `index` gives every source node its
@@ -79,19 +82,14 @@ class GStarTables:
     `lists(label)` is the one layout call: it writes every list in these
     orders, each id v as `label[v]`, and is the only code that writes
     them. `costs[k]` maps the images of the k-th A-node's neighbors to
-    their nonzero edge costs, in its list's order.
-
-    Raises `ValidationError` if a source id holds a character reserved for
-    derived names.
+    their nonzero edge costs, in its list's order. No source id is
+    checked: the tables hold ids, and `_names` checks the characters the
+    derived names reserve.
     """
 
     __slots__ = ("source", "n_levels", "n_copies", "n_nodes", "index", "costs")
 
     def __init__(self, source: Instance, n_levels: int):
-        for u in source.nodes:
-            if not _RESERVED.isdisjoint(u):
-                raise ValidationError(
-                    f"node id {u!r} contains a character reserved for derived names ({RESERVED})")
         self.source, self.n_levels = source, n_levels
         self.index = {a: k for k, a in enumerate(source.side_a)}
         self.index.update((b, j) for j, b in enumerate(source.side_b))
@@ -148,18 +146,6 @@ class GStarTables:
         out += [pair for row in copies for pair in zip(row[:-1], row[1:])]
         return out
 
-    def origin(self, u: int) -> tuple:
-        """("copy", a, i), ("image", b) or ("dummy", a, i): the node id u stands for."""
-        t, side_b = self.n_levels, self.source.side_b
-        if u < self.n_copies:
-            k, i = divmod(u, t)
-            return ("copy", self.source.side_a[k], i)
-        u -= self.n_copies
-        if u < len(side_b):
-            return ("image", side_b[u])
-        k, i = divmod(u - len(side_b), t - 1)  # dummies exist only when T >= 2
-        return ("dummy", self.source.side_a[k], i + 1)
-
     def names(self, copy, image, dummy) -> list:
         """Every id's label in id order, block by block as `copies`, `image`
         and `dummies` number the ids: `copy(a, i)` for the copies, a-major,
@@ -194,27 +180,32 @@ class GStarTables:
         """The source matching and levels a set of id pairs stands for: the
         inverse of `place`.
 
-        Dummy pairs are dropped and each copy collapses to its A-node, the
-        pair taking the copy's subscript as the level of both ends. A
-        leftover A-node sits at T-1 and a leftover B-node at 0; one map
-        covers both sides, whose ids are disjoint. Raises if two copies of
-        one node hold images, which cannot happen when the pairs are stable.
+        Each pair is (copy, partner). Copy u is copy u mod T of the
+        (u div T)-th A-node; partner v is the image of the j-th B-node when
+        j = v - `n_copies` < |B|, else a dummy, and then the pair is
+        dropped. A kept pair takes the copy's subscript as the level of both
+        ends. A leftover A-node sits at T-1 and a leftover B-node at 0; one
+        map covers both sides, whose ids are disjoint. Raises if two copies
+        of one node hold images, which cannot happen when the pairs are
+        stable.
         """
-        level = dict.fromkeys(self.source.side_a, self.n_levels - 1)
-        level.update(dict.fromkeys(self.source.side_b, 0))
+        side_a, side_b = self.source.side_a, self.source.side_b
+        level = dict.fromkeys(side_a, self.n_levels - 1)
+        level.update(dict.fromkeys(side_b, 0))
         out: list[Edge] = []
         seen_a = set()
         for u, v in pairs:
-            kind = self.origin(v)
-            if kind[0] == "dummy":
+            j = v - self.n_copies
+            if j >= len(side_b):  # a dummy
                 continue
-            _, a, i = self.origin(u)
+            k, i = divmod(u, self.n_levels)
+            a, b = side_a[k], side_b[j]
             if a in seen_a:
                 raise ValidationError(
                     f"projection is not a matching: two copies of {a!r} are matched to images")
             seen_a.add(a)
-            out.append((a, kind[1]))
-            level[a] = level[kind[1]] = i
+            out.append((a, b))
+            level[a] = level[b] = i
         return make_matching(self.source, out), level
 
 
@@ -237,7 +228,7 @@ def build_gstar(inst: Instance) -> GStarInstance:
 
 def _named(gt: GStarTables) -> GStarInstance:
     """The ids and lists of `gt` named, with its level count as `n0`."""
-    names = gt.names(copy_name, image_name, dummy_name)
+    names = _names(gt)
     costs = {(a, b): c for a, b, c in _priced(gt, names)}
     inner = Instance(names[:gt.n_copies], names[gt.n_copies:], dict(zip(names, gt.lists(names))), costs)
     return GStarInstance(gt.source, inner, gt.n_levels, {name: u for u, name in enumerate(names)}, gt)
@@ -248,8 +239,21 @@ def _text(inst: Instance) -> str:
     the tables: the names, `GStarTables.lists` and `_priced` feed the
     instance writer, and no string instance is built or checked."""
     gt = GStarTables(inst, len(inst.side_a))
-    names = gt.names(copy_name, image_name, dummy_name)
+    names = _names(gt)
     return _instance_text(names[:gt.n_copies], names[gt.n_copies:], gt.lists(names), _priced(gt, names))
+
+
+def _names(gt: GStarTables) -> list:
+    """Every id's derived name, in id order: `a#i`, `b~` and `a!di`. The
+    only check of the reserved characters, made here, where the names are
+    written: raises `ValidationError` if a source id holds one of them.
+    The min-cost route and the LP writer read the tables on ids and tokens
+    alone, so they accept every id `Instance` accepts."""
+    for u in gt.source.nodes:
+        if not _RESERVED.isdisjoint(u):
+            raise ValidationError(
+                f"node id {u!r} contains a character reserved for derived names ({RESERVED})")
+    return gt.names(copy_name, image_name, dummy_name)
 
 
 def _priced(gt: GStarTables, names) -> Iterator[tuple]:

@@ -492,8 +492,10 @@ def _lp_text(inst: Instance) -> Iterator[str]:
     """The text of `emit_lp` in pieces, each a run of whole lines, made as
     they are consumed: the header, then per copy its stability rows, the
     degree rows T nodes at a time, per A-node the linkage rows of its edges
-    and the bounds of its copies' edges, and the rest. The instance is
-    checked on the first `next`.
+    and the bounds of its copies' edges, and the rest. The tables are built
+    on the first `next`, so a failure there (out of memory) comes before any
+    text. No id is checked: the text holds only `_enc`-escaped tokens, so
+    every id `Instance` accepts is written, `#`, `!` and `~` included.
 
     The rows are written from the layout of the paper's derived instance,
     a `gstar.GStarTables`, whose id lists are never built: each source

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from popmax import Instance, Matching, gale_shapley, make_matching, parse_instance, random_instance
+from popmax import (Instance, Matching, gale_shapley, make_matching, parse_instance, random_instance,
+                    verify_popular_max, wt_edge)
 
 I0_TEXT = """\
 side A a
@@ -161,3 +162,59 @@ def planted_gadget(nvars, seed):
     g = build_gadget_instance(transform_formula(CnfFormula(nvars, tuple(clauses))))
     assignment = {**hidden, **{nvars + v: not x for v, x in hidden.items()}}
     return g.instance, assignment_to_matching(g, assignment)
+
+
+def tight_toggles(inst, m, tight=lambda ya, w, yb: yb == ya + w):
+    """(found, cycles) for a popular max-matching m: the simple cycles of
+    its tight graph, and in `found` each m xor U that `verify_popular_max`
+    accepts, U any set of vertex-disjoint such cycles (the empty set
+    included); None past 64 cycles.
+
+    y is the potential `popularity._witness_or_potentials` gives m, and a
+    non-matching edge (a, b) with both ends matched is tight when
+    `tight(y[a], wt(a, b), y[b])`, by default y[b] == y[a] + wt(a, b). It
+    is the arc from a's pair to b's; a cycle a1 -> ... -> ak -> a1 of
+    pairs, named by their A-nodes, trades each (a_i, m(a_i)) for
+    (a_i, m(a_i+1)). If every popular max-matching is m xor U for such a U
+    (the tight-cycle theorem of ROADMAP item 13), `found` holds them all,
+    and with no tight cycle m is the only one. Shares nothing with the
+    derived instance, the rotation walk or the flow.
+    """
+    from popmax.popularity import _witness_or_potentials
+
+    y = _witness_or_potentials(inst, m)
+    pairs = sorted(m.pairs)
+    at = {a: i for i, (a, _b) in enumerate(pairs)}
+    succ = [[] for _ in pairs]
+    for a, b in inst.edges:
+        if a in y and b in y and m.partner[a] != b and tight(y[a], wt_edge(inst, m, (a, b)), y[b]):
+            succ[at[a]].append(at[m.partner[b]])
+    cycles = []
+    for s in range(len(pairs)):  # each simple cycle once, from its least pair
+        path, stack = [s], [iter(succ[s])]
+        while stack:
+            for v in stack[-1]:
+                if v == s:
+                    cycles.append(path[:])
+                    if len(cycles) > 64:
+                        return None
+                elif v > s and v not in path:
+                    path.append(v)
+                    stack.append(iter(succ[v]))
+                    break
+            else:
+                stack.pop()
+                path.pop()
+    unions = [(frozenset(), ())]
+    for c in cycles:
+        unions += [(used | set(c), u + (c,)) for used, u in unions if used.isdisjoint(c)]
+    found = []
+    for _used, u in unions:
+        toggled = set(m.pairs)
+        for c in u:
+            toggled -= {pairs[i] for i in c}
+            toggled |= {(pairs[i][0], pairs[j][1]) for i, j in zip(c, c[1:] + c[:1])}
+        n = make_matching(inst, toggled)
+        if verify_popular_max(inst, n).popular:
+            found.append(n)
+    return found, cycles

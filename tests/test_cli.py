@@ -280,7 +280,8 @@ def test_mincost_theory_failure_is_internal_error(files, tmp_path, capsys, monke
     def drop_one_image_pair(base, cycles, preds, cost):
         pairs = cheapest(base, cycles, preds, cost)
         gt = cost.__self__  # `_min_cost` passes the tables' own cost
-        pairs.remove(min(e for e in pairs if gt.origin(e[1])[0] == "image"))
+        images = range(gt.image(0), gt.image(len(gt.source.side_b)))
+        pairs.remove(min(e for e in pairs if e[1] in images))
         return pairs
 
     monkeypatch.setattr(mincost, "_cheapest_elimination", drop_one_image_pair)
@@ -293,24 +294,47 @@ def test_mincost_theory_failure_is_internal_error(files, tmp_path, capsys, monke
         assert err.startswith("internal error: ")
 
 
-def test_mincost_and_emit_lp_reject_reserved_ids(tmp_path, capsys):
-    p = tmp_path / "reserved.txt"
-    p.write_text("side A x#1\nside B b\n")
-    for cmd in (("mincost",), ("--json", "mincost"), ("emit-lp",), ("gstar",)):
-        code, _, err = run(capsys, *cmd, str(p))
+def test_only_gstar_rejects_reserved_ids(tmp_path, capsys):
+    """Only the `gstar` command writes derived names, so only it refuses a
+    source id holding `#`, `!` or `~`: `mincost` and `emit-lp` write source
+    ids and escaped LP tokens, and give what they give on plain ids."""
+    text = ("side A a#1 a!2\nside B b~1 b2\npref a#1: b~1 b2\npref a!2: b~1\n"
+            "pref b~1: a!2 a#1\npref b2: a#1\ncost a#1 b2 5\ncost a!2 b~1 3\n")
+    plain = {"a#1": "x1", "a!2": "x2", "b~1": "y1"}
+    odd, renamed = tmp_path / "reserved.txt", tmp_path / "plain.txt"
+    odd.write_text(text)
+    for name, new in plain.items():
+        text = text.replace(name, new)
+    renamed.write_text(text)
+    code, out, _ = run(capsys, "mincost", str(odd))
+    assert code == 0 and "cost 8" in out.splitlines()
+    back = sorted(" ".join(plain.get(w, w) for w in line.split()) for line in out.splitlines())
+    assert back == sorted(run(capsys, "mincost", str(renamed))[1].splitlines())
+    assert json.loads(run(capsys, "--json", "mincost", str(odd))[1])["status"] == "ok"
+    code, lp, _ = run(capsys, "emit-lp", str(odd))
+    assert code == 0 and "x.a%231.b%7E1" in lp and not set("#!~") & set(lp)
+    for cmd in (("gstar",), ("--json", "gstar")):
+        code, _, err = run(capsys, *cmd, str(odd))
         assert code == 2
-        assert "node id 'x#1' contains a character reserved for derived names (#!~)" in err
+        assert err == "error: node id 'a#1' contains a character reserved for derived names (#!~)\n"
 
 
-def test_emit_lp_reserved_id_prints_no_partial_lp(tmp_path, capsys):
-    """The check of the derived names runs before `emit-lp` writes a byte:
-    stdout holds the error envelope or nothing, never the head of an LP."""
-    p = tmp_path / "reserved.txt"
-    p.write_text("side A x#1\nside B b\n")
-    message = "node id 'x#1' contains a character reserved for derived names (#!~)"
-    assert run(capsys, "emit-lp", str(p)) == (2, "", f"error: {message}\n")
-    envelope = json.dumps({"status": "error", "result": message}) + "\n"
-    assert run(capsys, "--json", "emit-lp", str(p)) == (2, envelope, f"error: {message}\n")
+def test_emit_lp_failure_while_laying_out_prints_no_partial_lp(tmp_path, capsys, monkeypatch):
+    """`emit-lp` pulls the LP's first piece, which builds the tables, before
+    it writes a byte: a failure there (out of memory, forced here) leaves
+    only the error message, and under --json only the error envelope,
+    never the head of an LP."""
+    from popmax import gstar
+
+    def exhausted(self, label):
+        raise MemoryError
+
+    monkeypatch.setattr(gstar.GStarTables, "lists", exhausted)
+    p = tmp_path / "i.txt"
+    p.write_text("side A a1\nside B b1\npref a1: b1\npref b1: a1\n")
+    assert run(capsys, "emit-lp", str(p)) == (3, "", "error: out of memory\n")
+    envelope = json.dumps({"status": "error", "result": "out of memory"}) + "\n"
+    assert run(capsys, "--json", "emit-lp", str(p)) == (3, envelope, "error: out of memory\n")
 
 
 class _Sink:

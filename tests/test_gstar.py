@@ -77,15 +77,24 @@ def test_reserved_characters_rejected():
         build_gstar(inst)
 
 
-def test_tables_check_ids_when_made():
-    """Every way to make the derived instance checks the source's ids: a
-    `GStarTables` made directly raises as `build_gstar` does."""
-    inst = parse_instance("side A x#1\nside B b\npref x#1: b\npref b: x#1\n")
+def test_only_name_writers_check_ids():
+    """Every writer of derived names checks the source's ids, through
+    `_names`, and nothing else does: a `GStarTables` made directly lays out
+    and reads back an instance whose ids hold `#`, `!` and `~`."""
+    inst = parse_instance("side A x#1 y!2\nside B b~\npref x#1: b~\npref y!2: b~\npref b~: y!2 x#1\n")
     message = "node id 'x#1' contains a character reserved for derived names (#!~)"
-    for n_levels in (1, 3):
+    m = make_matching(inst, [("y!2", "b~")])
+    cert = popmax.certify_popular_max(inst, m)
+    writers = [lambda: build_gstar(inst), lambda: gstar._text(inst), lambda: lift(inst, m, cert),
+               lambda: gstar._names(popmax.gstar.GStarTables(inst, 1))]
+    for write in writers:
         with pytest.raises(ValidationError) as err:
-            popmax.gstar.GStarTables(inst, n_levels)
+            write()
         assert str(err.value) == message
+    for n_levels in (1, 3):
+        gt = popmax.gstar.GStarTables(inst, n_levels)
+        assert gt.read(gt.place(m.pairs, {"y!2": 0})) == (m, {"x#1": n_levels - 1, "y!2": 0, "b~": 0})
+        assert len(gt.lists(range(gt.n_nodes))) == gt.n_nodes
 
 
 @pytest.mark.parametrize("na, nb", [(1, 0), (1, 3), (3, 0), (2, 2), (4, 3), (3, 5)])

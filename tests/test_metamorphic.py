@@ -86,9 +86,11 @@ def _sizable_cases():
 
 def _relabel(inst: Instance, rng: random.Random) -> tuple[Instance, dict[str, str]]:
     """The instance with every node renamed and both sides permuted, and the
-    renaming. The new names are shuffled, so they sort in another order."""
+    renaming. The new names are shuffled, so they sort in another order,
+    and hold the characters derived names reserve, `#`, `!` and `~`, which
+    only the writers of derived names refuse."""
     nodes = list(inst.nodes)
-    fresh = [f"n{i}" for i in range(len(nodes))]
+    fresh = [f"n{'#!~'[i % 3]}{i}" for i in range(len(nodes))]
     rng.shuffle(fresh)
     ren = dict(zip(nodes, fresh))
     side_a = [ren[a] for a in inst.side_a]

@@ -27,6 +27,13 @@ instance each popular max-matching already has levels in 0..top+1, top the
 run's highest level, so stopping at top + 2 levels unconditionally would
 pass there too; the seeded squares `FAR_LEVELS` have a popular
 max-matching that needs more levels, where the rule must refuse to stop.
+The tight-cycle theorem of ROADMAP item 13 (`check_tight_cycles`: the
+popular max-matchings are exactly `solve`'s matching toggled by sets of
+vertex-disjoint tight cycles that verify popular, and `solve`'s alone when
+no tight cycle exists) is checked on every instance `check_levels` and
+`check_verdicts` visit, and on 1,366 seeded instances with sides 2-7
+(`seeded_up_to_7x7`), where a rule that drops the weight from tightness
+fails.
 `check_verdicts` runs over every matching of an instance of any shape:
 `verify_popular_max`, `certify_popular_max`, `is_pareto_optimal` and
 `verify_certificate` must agree with the oracle, and `lift` must turn each
@@ -50,6 +57,7 @@ the verdicts also on one instance per relabelling of A of shape 3x3
 
 from __future__ import annotations
 
+import random
 import sys
 from itertools import permutations, product
 
@@ -77,6 +85,8 @@ from popmax.oracle import (
     enum_matchings,
     enumerate_stable,
 )
+
+from conftest import tight_toggles
 
 SHAPES = ((2, 1), (3, 1), (4, 1), (3, 2), (4, 2))
 VERDICT_SHAPES = ((2, 2), (2, 3), (3, 2))
@@ -141,12 +151,27 @@ def check_levels(inst) -> None:
         assert (m, level) == (gstar.project(gs, s), gstar.levels(gs, s)), inst
         assert set(gs.tables.place(m.pairs, level)) == ids, inst
         projected.add(m.pairs)
-    assert projected == {m.pairs for m in brute_popular_max(inst)}, inst
+    popular = {m.pairs for m in brute_popular_max(inst)}
+    assert projected == popular, inst
+    check_tight_cycles(inst, popular)
     m, level = gstar._level_run(inst, t)
     m_n, level_n = gstar.level_proposals(inst)
     assert m.pairs == m_n.pairs, inst
     part = _deficient(inst, m)
     assert {u: level[u] + (n - t) * (u in part) for u in level} == level_n, inst
+
+
+def check_tight_cycles(inst, popular: set) -> bool:
+    """The tight-cycle theorem (ROADMAP item 13) on one instance: the
+    toggles of `solve`'s matching by vertex-disjoint tight cycles that
+    verify popular (`conftest.tight_toggles`) are exactly `popular`, the
+    pairs of every popular max-matching, and with no tight cycle `solve`'s
+    matching is the only one. Returns whether the tight graph is acyclic."""
+    m = gstar.popular_max_matching(inst)
+    found, cycles = tight_toggles(inst, m)
+    assert len(found) == len(popular) and {n.pairs for n in found} == popular, inst
+    assert cycles or found == [m], inst
+    return not cycles
 
 
 def check_costs(inst) -> None:
@@ -252,6 +277,7 @@ def check_verdicts(inst, every_certificate: bool = True) -> int:
     matchings = enum_matchings(inst)
     k = max(map(len, matchings))
     popular = {m.pairs for m in brute_popular_max(inst)}
+    check_tight_cycles(inst, popular)
     for m in matchings:
         finite = brute_unpopularity_factor(inst, m) != float("inf")
         assert is_pareto_optimal(inst, m).pareto == finite, (inst, m)
@@ -307,6 +333,38 @@ def test_stopping_rule_on_sparse_3x3_and_a_4x4():
     fired = [check_stopping_rule(inst) for inst in _pin_free_3x3(lambda inst: len(inst.edges) <= 6)]
     assert (len(fired), sum(fired)) == (314, 2157)
     assert check_stopping_rule(random_instance(*FAR_LEVELS[0])) == 352
+
+
+def seeded_up_to_7x7():
+    """Seeded costed instances with sides 2-7 and at most 22 edges, beyond
+    the sweep's shapes, where 3x3 cannot tell some rules apart: (seed,
+    instance) for each of seeds 0-1,499 that keeps its instance."""
+    for seed in range(1500):
+        rng = random.Random(seed)
+        na, nb = rng.randint(2, 7), rng.randint(2, 7)
+        inst = random_instance(na, nb, rng.choice([0.3, 0.5, 0.8]), seed, (0, 9))
+        if len(inst.edges) <= 22:
+            yield seed, inst
+
+
+def test_tight_cycles_on_seeded_instances_up_to_7x7():
+    """The tight-cycle theorem holds on each seeded instance, and 1,020 of
+    the 1,366 have no tight cycle, so a unique popular max-matching. With
+    the weight dropped from the tight rule (y[b] == y[a]), the list misses
+    the oracle on 32 of them, the first at seed 20: the check tells the
+    rules apart."""
+    count = acyclic = 0
+    missed = []
+    for seed, inst in seeded_up_to_7x7():
+        count += 1
+        popular = {m.pairs for m in brute_popular_max(inst)}
+        acyclic += check_tight_cycles(inst, popular)
+        found, _cycles = tight_toggles(inst, gstar.popular_max_matching(inst),
+                                       tight=lambda ya, w, yb: yb == ya)
+        if {n.pairs for n in found} != popular:
+            missed.append(seed)
+    assert (count, acyclic) == (1366, 1020)
+    assert (len(missed), missed[0]) == (32, 20)
 
 
 def test_verdicts_on_small_shapes():
